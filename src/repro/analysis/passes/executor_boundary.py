@@ -18,9 +18,10 @@ output*.  Operators state a logical query and physical configuration
 and let ``repro.logical.lower.compile_query`` assemble the plan, so
 the optimizer can enumerate alternatives for anything an operator can
 run.  A hand-built ``Plan(...)`` outside ``repro.logical`` /
-``repro.plan`` escapes that search space; the pass flags it, and the
-pipelines not yet migrated (radix, multi-GPU, scan fallback) are
-baselined until their lowering rules exist.
+``repro.plan`` escapes that search space; the pass flags it.  Every
+operator facade — the radix baseline, the multi-GPU join and the
+generic selection scan included — goes through ``compile_query``, so
+the repo carries no baseline entry for this rule.
 
 The serving engine adds a third boundary: the discrete-event
 :class:`repro.sim.Simulator` itself.  Its clock semantics

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.costmodel.access import AccessProfile
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
@@ -40,21 +39,13 @@ from repro.exec import (
 from repro.hardware.cache import HotSetProfile
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
-from repro.logical.algebra import Query, scan
-from repro.logical.lower import (
-    PhysicalConfig,
-    _coop_build_profile,
-    _coop_probe_profile,
-    _local_table_region,
-    _shared_table_region,
-    compile_query,
-    coop_build_phase,
-    coop_probe_phase,
-)
+from repro.core.join.nopa import join_query, payload_line_fraction
+from repro.logical.algebra import Query
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import JoinStats, TableProfile
 from repro.obs import Observability
 from repro.obs.trace import Timeline
-from repro.plan import PhaseSpec, PlanExecutor
+from repro.plan import PlanExecutor
 
 STRATEGIES = ("het", "gpu+het")
 
@@ -154,123 +145,12 @@ class CoopJoin:
         self.shards = shards
         self.last_executor = None
 
-    # ------------------------------------------------------------------
-    # Placement per strategy (delegating to the lowering compiler)
-    # ------------------------------------------------------------------
-    def _shared_table_region(self, workers: Tuple[str, ...]) -> str:
-        """Het: the shared table lives in the CPU memory nearest the GPU."""
-        return _shared_table_region(self.machine, tuple(workers))
-
-    def _local_table_region(self, worker: str) -> str:
-        """GPU+Het: every worker probes a copy in its local memory."""
-        return _local_table_region(self.machine, worker)
-
-    # ------------------------------------------------------------------
-    # Per-worker profiles
-    # ------------------------------------------------------------------
     def _is_gpu(self, worker: str) -> bool:
         return isinstance(self.machine.processor(worker), Gpu)
 
-    def _build_profile(
-        self,
-        worker: str,
-        r: Relation,
-        table_region: str,
-        table_bytes: float,
-        entry_bytes: float,
-        contended: bool,
-    ) -> AccessProfile:
-        return _coop_build_profile(
-            self.machine,
-            self.calibration,
-            worker,
-            r,
-            table_region,
-            table_bytes,
-            entry_bytes,
-            contended,
-        )
-
-    def _probe_profile(
-        self,
-        worker: str,
-        s: Relation,
-        table_region: str,
-        table_bytes: float,
-        key_bytes: float,
-        accesses_per_tuple: float,
-        lines_loaded: float,
-        hot_set: Optional[HotSetProfile],
-    ) -> AccessProfile:
-        return _coop_probe_profile(
-            self.machine,
-            self.calibration,
-            worker,
-            s,
-            table_region,
-            table_bytes,
-            key_bytes,
-            accesses_per_tuple,
-            lines_loaded,
-            hot_set,
-        )
-
-    # ------------------------------------------------------------------
-    # Plan compilation (delegating to the lowering compiler)
-    # ------------------------------------------------------------------
-    def build_phase_spec(
-        self,
-        r: Relation,
-        workers: Tuple[str, ...],
-        table_bytes: float,
-        entry_bytes: float,
-    ) -> Tuple[PhaseSpec, Dict[str, str]]:
-        """Compile the build phase; returns (spec, worker -> probe region)."""
-        return coop_build_phase(
-            self.cost_model,
-            self.strategy,
-            r,
-            tuple(workers),
-            table_bytes,
-            entry_bytes,
-        )
-
-    def probe_phase_spec(
-        self,
-        s: Relation,
-        workers: Tuple[str, ...],
-        regions: Dict[str, str],
-        table_bytes: float,
-        key_bytes: float,
-        accesses_per_tuple: float,
-        lines_loaded: float,
-        hot_set: Optional[HotSetProfile],
-        matches: int = 0,
-    ) -> PhaseSpec:
-        """Compile the morsel-dispatched cooperative probe phase."""
-        return coop_probe_phase(
-            self.cost_model,
-            self.strategy,
-            s,
-            tuple(workers),
-            regions,
-            table_bytes,
-            key_bytes,
-            accesses_per_tuple,
-            lines_loaded,
-            hot_set,
-            self.morsel_tuples,
-            self.gpu_batch_morsels,
-            matches=matches,
-        )
-
     def logical_query(self, r: Relation, s: Relation) -> Query:
         """The join as a logical plan (S probes a table built from R)."""
-        return (
-            scan(s)
-            .join(scan(r), build_key="key", probe_key="key")
-            .aggregate(agg=("build_payload", "sum"))
-        )
+        return join_query(r, s)
 
     # ------------------------------------------------------------------
     # Entry point
@@ -318,7 +198,7 @@ class CoopJoin:
         found, values = execute_probe(table, s.key, executor)
         matches = int(found.sum())
         aggregate = int(values[found].astype(np.int64).sum())
-        lines_loaded = _line_fraction(found, s.payload_bytes)
+        lines_loaded = payload_line_fraction(found, s.payload_bytes)
 
         stats = JoinStats(
             table=TableProfile.from_table(table, r.modeled_tuples),
@@ -358,10 +238,3 @@ class CoopJoin:
             build_cost=build_out.cost,
             probe_cost=probe_out.cost,
         )
-
-
-def _line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
-    """Payload-column line-load fraction (shared with the NOPA join)."""
-    from repro.core.join.nopa import payload_line_fraction
-
-    return payload_line_fraction(match_mask, payload_bytes)

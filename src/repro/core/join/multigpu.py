@@ -26,30 +26,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.costmodel.access import (
-    AccessProfile,
-    atomic_stream,
-    random_stream,
-    seq_stream,
-)
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
+from repro.core.hashtable.placement import HashTablePlacement
+from repro.core.join.nopa import join_query
 from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
+from repro.logical.lower import PhysicalConfig, compile_query
+from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import Allocator, OutOfMemoryError
 from repro.memory.hybrid import allocate_interleaved
 from repro.obs import Observability
-from repro.plan import (
-    PhaseSpec,
-    Plan,
-    PlanExecutor,
-    Surcharge,
-    WorkerLoad,
-    concurrent_phase,
-    priced_phase,
-)
+from repro.plan import PlanExecutor
 
 PLACEMENTS = ("replicated", "interleaved")
 
@@ -152,167 +142,6 @@ class MultiGpuJoin:
         return fractions, per_region
 
     # ------------------------------------------------------------------
-    def _probe_profile(
-        self,
-        gpu: Gpu,
-        s: Relation,
-        fractions: Dict[str, float],
-        accesses_per_tuple: float,
-        key_bytes: float,
-        table_bytes: int,
-    ) -> AccessProfile:
-        work = self.calibration.join_work_per_tuple["gpu"]
-        streams = [seq_stream(gpu.name, s.location, s.modeled_bytes, "read S")]
-        if self.placement == "replicated":
-            streams.append(
-                random_stream(
-                    gpu.name,
-                    gpu.local_memory.name,
-                    s.modeled_tuples * accesses_per_tuple,
-                    key_bytes,
-                    working_set_bytes=table_bytes,
-                    label="ht probe",
-                )
-            )
-        else:
-            for region, fraction in fractions.items():
-                streams.append(
-                    random_stream(
-                        gpu.name,
-                        region,
-                        s.modeled_tuples * accesses_per_tuple * fraction,
-                        key_bytes,
-                        working_set_bytes=table_bytes * fraction,
-                        label="ht probe",
-                    )
-                )
-        return AccessProfile(
-            streams=streams,
-            compute_tuples=s.modeled_tuples * work,
-            label=f"probe[{gpu.name}]",
-            processor=gpu.name,
-        )
-
-    def build_phase_spec(
-        self,
-        gpus: Sequence[Gpu],
-        r: Relation,
-        fractions: Dict[str, float],
-        entry_bytes: int,
-        table_bytes: int,
-    ) -> PhaseSpec:
-        """Compile the build phase for the chosen placement."""
-        workers = tuple(gpu.name for gpu in gpus)
-        if self.placement == "replicated":
-            builder = gpus[0]
-            profile = AccessProfile(
-                streams=[
-                    seq_stream(builder.name, r.location, r.modeled_bytes, "read R"),
-                    atomic_stream(
-                        builder.name,
-                        builder.local_memory.name,
-                        r.modeled_tuples,
-                        entry_bytes,
-                        working_set_bytes=table_bytes,
-                        label="ht insert",
-                    ),
-                ],
-                compute_tuples=r.modeled_tuples
-                * self.calibration.join_work_per_tuple["gpu"],
-                label="build[replicated]",
-                processor=builder.name,
-            )
-            # Broadcast the finished table to the other GPUs over their
-            # links (peer-to-peer through the mesh).
-            others = len(gpus) - 1
-            surcharges: Tuple[Surcharge, ...] = ()
-            if others:
-                link = self.machine.gpu_link(builder.name)
-                copy_bw = (
-                    link.spec.seq_bw * self.calibration.ht_copy_bandwidth_factor
-                )
-                surcharges = (
-                    Surcharge(
-                        others * table_bytes / copy_bw,
-                        f"link:{link.name}",
-                        "ht broadcast",
-                    ),
-                )
-            return priced_phase(
-                "build",
-                profile,
-                surcharges=surcharges,
-                claims=workers,
-                span_worker=",".join(workers),
-                span_units=float(r.modeled_tuples),
-            )
-        # Interleaved: all GPUs build concurrently; each GPU's inserts
-        # scatter over every GPU's memory by the byte fractions.
-        loads: Dict[str, WorkerLoad] = {}
-        share = 1.0 / len(gpus)
-        for gpu in gpus:
-            streams = [
-                seq_stream(
-                    gpu.name, r.location, r.modeled_bytes * share, "read R"
-                )
-            ]
-            for region, fraction in fractions.items():
-                streams.append(
-                    atomic_stream(
-                        gpu.name,
-                        region,
-                        r.modeled_tuples * share * fraction,
-                        entry_bytes,
-                        working_set_bytes=table_bytes * fraction,
-                        label="ht insert",
-                    )
-                )
-            profile = AccessProfile(
-                streams=streams,
-                compute_tuples=r.modeled_tuples
-                * share
-                * self.calibration.join_work_per_tuple["gpu"],
-                label=f"build[{gpu.name}]",
-                processor=gpu.name,
-            )
-            loads[gpu.name] = WorkerLoad(profile, float(r.modeled_tuples) * share)
-        return concurrent_phase(
-            "build",
-            loads,
-            shared_units=float(r.modeled_tuples),
-            claims=workers,
-            span_units=float(r.modeled_tuples),
-        )
-
-    def probe_phase_spec(
-        self,
-        gpus: Sequence[Gpu],
-        s: Relation,
-        fractions: Dict[str, float],
-        accesses_per_tuple: float,
-        key_bytes: float,
-        table_bytes: int,
-    ) -> PhaseSpec:
-        """Compile the all-GPU probe (pool mode over the probe side)."""
-        loads = {
-            gpu.name: WorkerLoad(
-                self._probe_profile(
-                    gpu, s, fractions, accesses_per_tuple, key_bytes, table_bytes
-                ),
-                float(s.modeled_tuples),
-            )
-            for gpu in gpus
-        }
-        return concurrent_phase(
-            "probe",
-            loads,
-            shared_units=float(s.modeled_tuples),
-            deps=("build",),
-            claims=tuple(gpu.name for gpu in gpus),
-            span_units=float(s.modeled_tuples),
-        )
-
-    # ------------------------------------------------------------------
     def run(
         self,
         r: Relation,
@@ -330,25 +159,30 @@ class MultiGpuJoin:
         found, values = table.lookup_batch(s.key)
         matches = int(found.sum())
         aggregate = int(values[found].astype(np.int64).sum())
-        accesses_per_tuple = (
-            table.stats.lookup_probes + table.stats.value_reads
-        ) / max(1, table.stats.lookups)
         table_bytes = table.modeled_bytes(r.modeled_tuples)
 
         fractions, per_region = self._table_fractions(gpus, table_bytes)
-        build_spec = self.build_phase_spec(
-            gpus, r, fractions, table.entry_bytes, table_bytes
+        config = PhysicalConfig(
+            strategy="multi-gpu",
+            workers=workers,
+            # Replicated copies live in each GPU's local memory; only
+            # the interleaved table has a placement of its own.
+            placement=(
+                HashTablePlacement(table_bytes, fractions, label="interleaved")
+                if self.placement == "interleaved"
+                else None
+            ),
+            hash_scheme=self.hash_scheme,
+            label="multigpu",
         )
-        probe_spec = self.probe_phase_spec(
-            gpus,
-            s,
-            fractions,
-            accesses_per_tuple,
-            float(table.keys.dtype.itemsize),
-            table_bytes,
+        # Every GPU streams all of S: no payload line skipping.
+        stats = JoinStats(
+            table=TableProfile.from_table(table, r.modeled_tuples),
+            lines_loaded=1.0,
+            matches=matches,
         )
-        plan = Plan(
-            [build_spec, probe_spec], label=f"multigpu[{self.placement}]"
+        plan = compile_query(
+            join_query(r, s), config, self.cost_model, stats
         )
         executed = PlanExecutor(self.cost_model).execute(plan)
         probe_out = executed.outcomes["probe"]

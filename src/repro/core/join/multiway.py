@@ -33,17 +33,11 @@ from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
-from repro.logical.lower import (
-    PhysicalConfig,
-    compile_query,
-    star_broadcast_phase,
-    star_build_phase,
-    star_probe_phase,
-)
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import StarStats
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
-from repro.plan import PhaseSpec, PlanExecutor
+from repro.plan import PlanExecutor
 from repro.utils.units import MIB
 
 
@@ -124,66 +118,6 @@ class StarJoin:
                         f"exceeds {worker}'s memory; reduce dimensions or "
                         "use the Het strategy"
                     )
-
-    def _is_gpu(self, worker: str) -> bool:
-        return isinstance(self.machine.processor(worker), Gpu)
-
-    # ------------------------------------------------------------------
-    # Plan compilation (delegating to the lowering compiler)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _dim_pairs(
-        dimensions: Sequence[Dimension],
-    ) -> List[Tuple[Relation, str]]:
-        return [(d.relation, d.fact_key) for d in dimensions]
-
-    def build_phase_spec(
-        self, dimensions: Sequence[Dimension], workers: Sequence[str]
-    ) -> Tuple[PhaseSpec, Dict[str, str]]:
-        """Parallel builds (round-robin over the workers).
-
-        Each dimension's build is one load in a barrier-mode concurrent
-        phase (the phase ends when the slowest builder finishes).
-        Returns (spec, fact_key -> builder).
-        """
-        return star_build_phase(
-            self.cost_model, self._dim_pairs(dimensions), workers
-        )
-
-    def broadcast_phase_spec(
-        self,
-        dimensions: Sequence[Dimension],
-        workers: Sequence[str],
-        builder_of: Dict[str, str],
-    ) -> PhaseSpec:
-        """Broadcast every finished table to every *other* worker over
-        the builder's link (a fixed, sequential copy cost)."""
-        return star_broadcast_phase(
-            self.cost_model, self._dim_pairs(dimensions), workers, builder_of
-        )
-
-    def probe_phase_spec(
-        self,
-        fact_columns: Dict[str, np.ndarray],
-        fact_location: str,
-        modeled_fact: int,
-        dimensions: Sequence[Dimension],
-        workers: Sequence[str],
-        survival_per_dim: List[float],
-    ) -> PhaseSpec:
-        """Compile the all-workers conjunctive probe (pool mode)."""
-        fact_column_bytes = float(
-            sum(c.dtype.itemsize for c in fact_columns.values())
-        )
-        return star_probe_phase(
-            self.cost_model,
-            fact_column_bytes,
-            fact_location,
-            modeled_fact,
-            self._dim_pairs(dimensions),
-            workers,
-            survival_per_dim,
-        )
 
     def logical_query(
         self,

@@ -18,11 +18,10 @@ cost model with the configured transfer method and hash-table placement:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.costmodel.access import Stream
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
@@ -43,19 +42,11 @@ from repro.hardware.cache import HotSetProfile
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
-from repro.logical.lower import (
-    GPU_BUILD_ACCESSES,
-    CPU_BUILD_ACCESSES,
-    PhysicalConfig,
-    compile_query,
-    join_build_phase,
-    join_probe_phase,
-    table_streams,
-)
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
-from repro.plan import PhaseSpec, Plan, PlanExecutor, ingest
+from repro.plan import Plan, PlanExecutor
 from repro.utils.units import MIB
 
 #: coherence/cache-line granularity used for payload-column line skipping.
@@ -83,6 +74,16 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     lines = full_lines + (1 if len(tail) else 0)
     line_hits += 1 if (len(tail) and tail.any()) else 0
     return float(line_hits / lines)
+
+
+def join_query(r: Relation, s: Relation) -> Query:
+    """The two-relation join every join facade states: S probes a hash
+    table built from R, and the matched build payloads are summed."""
+    return (
+        scan(s)
+        .join(scan(r), build_key="key", probe_key="key")
+        .aggregate(agg=("build_payload", "sum"))
+    )
 
 
 @dataclass
@@ -178,12 +179,6 @@ class NoPartitioningJoin:
             in the thread backend (None uses the executor default).
     """
 
-    #: calibrated accounting: a GPU insert is one 16-byte CAS; a CPU
-    #: insert is a compare-exchange plus a store (two accesses).  The
-    #: constants live with the lowering arithmetic in ``repro.logical``.
-    GPU_BUILD_ACCESSES = GPU_BUILD_ACCESSES
-    CPU_BUILD_ACCESSES = CPU_BUILD_ACCESSES
-
     def __init__(
         self,
         machine: Machine,
@@ -274,7 +269,7 @@ class NoPartitioningJoin:
         return table, matches, aggregate, lines, materialized
 
     # ------------------------------------------------------------------
-    # Traffic assembly
+    # Placement and plan compilation
     # ------------------------------------------------------------------
     def _resolve_placement(
         self,
@@ -299,34 +294,6 @@ class NoPartitioningJoin:
             strategy,
             gpu_name=processor if isinstance(proc, Gpu) else self.gpu_name,
             gpu_reserve=self.gpu_reserve,
-        )
-
-    def _ingest(self, processor: str, relation: Relation, nbytes: float, label: str):
-        """Shared ingest glue: streams + chunked overlap for one input."""
-        return ingest(
-            self.cost_model,
-            self.transfer_method,
-            processor,
-            relation.location,
-            nbytes,
-            label,
-            kind=relation.kind,
-        )
-
-    def _table_streams(
-        self,
-        processor: str,
-        placement: HashTablePlacement,
-        accesses: float,
-        access_bytes: float,
-        atomic: bool,
-        hot_set: Optional[HotSetProfile],
-        label: str,
-    ) -> List[Stream]:
-        """Hash-table traffic split across the placement's regions."""
-        return table_streams(
-            processor, placement, accesses, access_bytes, atomic, hot_set,
-            label,
         )
 
     def _physical_config(
@@ -363,56 +330,9 @@ class NoPartitioningJoin:
             hot_set=hot_set,
         )
 
-    def build_phase(
-        self,
-        r: Relation,
-        processor: str,
-        table: HashTableBase,
-        placement: HashTablePlacement,
-    ) -> PhaseSpec:
-        """The build phase at modeled scale, as a plan node."""
-        return join_build_phase(
-            self.cost_model,
-            self.transfer_method,
-            r,
-            processor,
-            TableProfile.from_table(table, r.modeled_tuples),
-            placement,
-        )
-
-    def probe_phase(
-        self,
-        s: Relation,
-        processor: str,
-        table: HashTableBase,
-        placement: HashTablePlacement,
-        lines_loaded: float,
-        hot_set: Optional[HotSetProfile],
-        matches: int = 0,
-    ) -> PhaseSpec:
-        """The probe phase at modeled scale, as a plan node."""
-        return join_probe_phase(
-            self.cost_model,
-            self.transfer_method,
-            s,
-            processor,
-            TableProfile.from_table(table, s.modeled_tuples),
-            placement,
-            lines_loaded,
-            hot_set,
-            layout=self.layout,
-            output=self.output,
-            matches=matches,
-            model_factor=s.model_factor,
-        )
-
     def logical_query(self, r: Relation, s: Relation) -> Query:
         """The join as a logical plan (S probes a table built from R)."""
-        return (
-            scan(s)
-            .join(scan(r), build_key="key", probe_key="key")
-            .aggregate(agg=("build_payload", "sum"))
-        )
+        return join_query(r, s)
 
     def compile_plan(
         self,

@@ -24,15 +24,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.costmodel.access import AccessProfile, seq_stream
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
+from repro.core.join.nopa import join_query
 from repro.data.relation import Relation
 from repro.hardware.processor import Cpu
 from repro.hardware.topology import Machine
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.obs import Observability
-from repro.plan import Plan, PlanExecutor, fixed_phase, priced_phase
-from repro.utils.units import GIB
+from repro.plan import Plan, PlanExecutor
 
 
 @dataclass
@@ -138,79 +138,16 @@ class RadixJoin:
         return matches, aggregate, skew
 
     # ------------------------------------------------------------------
-    # Cost assembly
-    # ------------------------------------------------------------------
-    def _partition_profile(
-        self, r: Relation, s: Relation, processor: str
-    ) -> AccessProfile:
-        proc = self.machine.processor(processor)
-        memory = proc.local_memory
-        partition_bw = self.calibration.partition_bandwidth.get(
-            proc.spec.name, 10 * GIB
-        )
-        factor = min(1.0, partition_bw / memory.spec.seq_bw)
-        total_bytes = r.modeled_bytes + s.modeled_bytes
-        return AccessProfile(
-            streams=[
-                seq_stream(
-                    processor,
-                    memory.name,
-                    total_bytes,
-                    label="radix partition r+w",
-                    bandwidth_factor=factor,
-                )
-            ],
-            label="partition",
-            processor=processor,
-        )
-
-    def _join_cost(self, r: Relation, s: Relation, processor: str) -> PhaseCost:
-        proc = self.machine.processor(processor)
-        if not isinstance(proc, Cpu):
-            raise ValueError("the radix baseline runs on CPUs only")
-        memory = proc.local_memory
-        total_bytes = r.modeled_bytes + s.modeled_bytes
-        reread = total_bytes / memory.spec.seq_bw
-        tuples = r.modeled_tuples + s.modeled_tuples
-        compute = tuples / (
-            proc.spec.cores * self.calibration.partition_join_rate_per_core
-        )
-        seconds = max(reread, compute)
-        bottleneck = (
-            f"mem:{memory.name}" if reread >= compute else f"compute:{processor}"
-        )
-        return PhaseCost(
-            seconds=seconds,
-            bottleneck=bottleneck,
-            occupancy={f"mem:{memory.name}": reread, f"compute:{processor}": compute},
-            label="join",
-        )
-
-    # ------------------------------------------------------------------
     def compile_plan(self, r: Relation, s: Relation, processor: str) -> Plan:
-        """Compile the two-pass baseline into a phase plan.
-
-        The partition pass is priced from its access profile; the join
-        pass is a fixed cost (max of re-read bandwidth and the per-core
-        cache-resident join rate, neither of which is a stream model).
-        """
-        tuples = float(r.modeled_tuples + s.modeled_tuples)
-        partition = priced_phase(
-            "partition",
-            self._partition_profile(r, s, processor),
-            claims=(processor,),
-            span_worker=processor,
-            span_units=tuples,
+        """Compile the two-pass baseline (partition -> join) by lowering
+        the logical join with the ``radix`` strategy: the same query the
+        NOPA facades state, priced as its CPU-only partitioned
+        alternative.  Radix partitioning builds no hash table, so the
+        lowering takes no statistics."""
+        config = PhysicalConfig(
+            strategy="radix", processor=processor, label="radix"
         )
-        join = fixed_phase(
-            "join",
-            self._join_cost(r, s, processor),
-            deps=("partition",),
-            claims=(processor,),
-            span_worker=processor,
-            span_units=tuples,
-        )
-        return Plan([partition, join], label="radix")
+        return compile_query(join_query(r, s), config, self.cost_model, None)
 
     def run(self, r: Relation, s: Relation, processor: str = "cpu0") -> RadixJoinResult:
         """Partition, join, and price the baseline."""

@@ -31,10 +31,10 @@ from repro.exec import (
 )
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, between, ge, lt, mul, scan
-from repro.logical.lower import PhysicalConfig, compile_query, scan_phase
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import ScanStats
 from repro.obs import Observability
-from repro.plan import PhaseSpec, Plan, PlanExecutor
+from repro.plan import Plan, PlanExecutor
 from repro.workloads.tpch import (
     Q6_DISCOUNT_HI,
     Q6_DISCOUNT_LO,
@@ -127,12 +127,6 @@ class TpchQ6:
             lambda lo, hi: workload.quantity[lo:hi] < Q6_QUANTITY_LT,
         ]
 
-    @staticmethod
-    def _predicate_masks(workload: Q6Workload) -> List[np.ndarray]:
-        evaluators = TpchQ6._predicate_evaluators(workload)
-        n = len(workload.shipdate)
-        return [evaluator(0, n) for evaluator in evaluators]
-
     def _execute(self, workload: Q6Workload):
         executor = make_executor(
             self.backend, self.workers, self.exec_morsel_tuples, name="q6"
@@ -169,25 +163,6 @@ class TpchQ6:
         return [fractions[0]] + [
             residual + (1.0 - residual) * f for f in fractions[1:]
         ]
-
-    def phase_spec(
-        self, workload: Q6Workload, processor: str, fractions: List[float]
-    ) -> PhaseSpec:
-        """Compile the scan into a single priced phase."""
-        col_bytes = [c.dtype.itemsize for c in workload.columns().values()]
-        return scan_phase(
-            self.cost_model,
-            self.transfer_method,
-            self.variant,
-            processor,
-            workload.modeled_rows,
-            col_bytes,
-            fractions,
-            workload.location,
-            workload.kind,
-            read_label="scan lineitem",
-            profile_label=f"q6-{self.variant}",
-        )
 
     def logical_query(self, workload: Q6Workload) -> Query:
         """Q6 as a logical plan (Figure 15's scan/filter/aggregate).

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.costmodel.access import AccessProfile
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.ops.selection import selection_line_fractions
@@ -26,10 +25,13 @@ from repro.exec import (
     make_executor,
 )
 from repro.hardware.memory import MemoryKind
-from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
+from repro.logical.algebra import scan
+from repro.logical.lower import PhysicalConfig, compile_query
+from repro.logical.stats import ScanStats
 from repro.obs import Observability
-from repro.plan import Plan, PlanExecutor, ingest, priced_phase
+from repro.plan import PlanExecutor
+from repro.transfer.methods import get_method
 
 
 @dataclass(frozen=True)
@@ -179,44 +181,34 @@ class SelectionScan:
         value, survivors, masks = self._execute(columns)
         widths = [columns[name].dtype.itemsize for name in needed]
         fractions = self._fractions(masks, value_bytes=min(widths))
-        total_bytes = modeled_rows * sum(
-            w * f for w, f in zip(widths, fractions)
-        )
 
-        proc = self.machine.processor(processor)
-        is_gpu = isinstance(proc, Gpu)
-        spec = ingest(
-            self.cost_model,
-            self.transfer_method,
-            processor,
-            location,
-            total_bytes,
-            "scan",
-            kind=kind,
-        )
-        work = self.calibration.scan_work_per_tuple["gpu" if is_gpu else "cpu"]
-        if self.variant == "branching" and not is_gpu:
-            work *= 2.0
-        profile = AccessProfile(
-            streams=spec.streams,
-            compute_tuples=modeled_rows * work,
-            fixed_overhead=proc.kernel_launch_latency if is_gpu else 0.0,
-            label=f"scan-{self.variant}",
+        config = PhysicalConfig(
+            strategy="single",
             processor=processor,
+            transfer_method=self.transfer_method,
+            variant=self.variant,
+            backend=self.backend,
+            exec_workers=self.workers,
+            label="scan",
         )
-        plan = Plan(
-            [
-                priced_phase(
-                    "scan",
-                    profile,
-                    chunked=spec.chunked,
-                    claims=(processor,),
-                    span_worker=processor,
-                    span_units=float(modeled_rows),
-                    span_attrs={"variant": self.variant},
-                )
-            ],
-            label=f"scan[{self.variant}]",
+        if kind is None:
+            # Unspecified source kind: assume it was allocated as the
+            # transfer method requires (route-only validation).
+            kind = get_method(self.transfer_method).required_kind
+        # The cascade's predicates are opaque row-mask callables the
+        # algebra cannot express, so the logical plan is the bare scan
+        # of the cascade's column reads (a column read by a predicate
+        # and again by the aggregate is loaded twice) under a count;
+        # pricing takes the measured per-read line fractions.
+        query = scan(
+            {f"{i}:{name}": columns[name] for i, name in enumerate(needed)},
+            name="columns",
+            modeled_rows=modeled_rows,
+            location=location,
+            kind=kind,
+        ).aggregate(rows=("*", "count"))
+        plan = compile_query(
+            query, config, self.cost_model, ScanStats(tuple(fractions))
         )
         cost = PlanExecutor(self.cost_model).execute(plan).cost("scan")
         return ScanResult(

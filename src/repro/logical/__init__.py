@@ -20,9 +20,10 @@ The layer sits between user code and the phase-plan IR (``repro.plan``):
   prices each with the cost model, and picks the cheapest.
 
 The operator classes (``NoPartitioningJoin``, ``CoopJoin``,
-``StarJoin``, ``TpchQ6``) are facades over this layer: they build a
-logical plan and run it through :func:`compile_query`, so every priced
-plan in the library is compiler output.
+``StarJoin``, ``MultiGpuJoin``, ``RadixJoin``, ``TpchQ6``,
+``SelectionScan``) are facades over this layer: they build a logical
+plan and run it through :func:`compile_query`, so every priced plan in
+the library is compiler output.
 """
 
 from repro.logical.algebra import (

@@ -5,12 +5,18 @@ schemas exactly as the engine interpreter will see them."""
 import numpy as np
 import pytest
 
+from repro.costmodel.model import CostModel
 from repro.data.relation import Relation
+from repro.hardware import ibm_ac922
 from repro.logical import (
     LogicalError,
+    PhysicalConfig,
     Predicate,
+    ScanStats,
+    StarStats,
     between,
     column,
+    compile_query,
     ge,
     lt,
     mul,
@@ -214,3 +220,55 @@ def test_classify_rejects_filter_above_join():
 def test_classify_rejects_non_aggregate_root():
     with pytest.raises(LogicalError, match="end in an Aggregate"):
         classify(scan(_columns()))
+
+
+# ----------------------------------------------------------------------
+# Lowering validation: statistics and physical knobs fail loudly
+# ----------------------------------------------------------------------
+def _star_query():
+    query = scan(_columns(), name="fact")
+    for dim in ("d1", "d2"):
+        query = query.join(
+            scan(_relation(name=dim)),
+            build_key="key",
+            probe_key="key",
+            output_prefix=f"{dim}_",
+        )
+    return query.aggregate(agg=("d1_payload", "sum"))
+
+
+@pytest.mark.parametrize("survival", [(), (0.9,), (0.9, 0.9, 0.9)])
+def test_star_stats_must_cover_every_dimension(survival):
+    """A short ``survival_per_dim`` used to be zip()-truncated, silently
+    dropping the missing dimensions' probe streams from the price."""
+    config = PhysicalConfig(strategy="gpu+het", workers=("cpu0", "gpu0"))
+    with pytest.raises(LogicalError, match=rf"{len(survival)} survival.* 2 dim"):
+        compile_query(
+            _star_query(), config, CostModel(ibm_ac922()), StarStats(survival)
+        )
+
+
+@pytest.mark.parametrize("fractions", [(), (1.0,), (1.0, 1.0, 1.0)])
+def test_scan_stats_must_cover_every_column(fractions):
+    """Same truncation on the scan side: a short
+    ``column_line_fractions`` dropped whole columns from the read."""
+    query = scan(_columns()).aggregate(total=("value", "sum"))
+    with pytest.raises(LogicalError, match=rf"{len(fractions)} column.* 2 col"):
+        compile_query(
+            query, PhysicalConfig(), CostModel(ibm_ac922()), ScanStats(fractions)
+        )
+
+
+@pytest.mark.parametrize(
+    "knobs, listed",
+    [
+        ({"variant": "brnching"}, "'predicated' or 'branching'"),
+        ({"transfer_method": "nope"}, "zero_copy"),
+        ({"strategy": "multi-gpu"}, "needs a workers tuple"),
+    ],
+)
+def test_physical_config_rejects_unknown_knob_values(knobs, listed):
+    """A misspelt variant used to price as predicated and an unknown
+    transfer method failed only deep inside ``ingest``."""
+    with pytest.raises(LogicalError, match=listed):
+        PhysicalConfig(**knobs)

@@ -15,15 +15,27 @@ from typing import Any, Callable, Dict, List
 
 import numpy as np
 
+from repro.core.hashtable import create_hash_table
+from repro.core.hashtable.placement import HashTablePlacement
 from repro.core.join.coop import CoopJoin
 from repro.core.join.multigpu import MultiGpuJoin
 from repro.core.join.multiway import Dimension, StarJoin
-from repro.core.join.nopa import NoPartitioningJoin
+from repro.core.join.nopa import NoPartitioningJoin, join_query
 from repro.core.join.radix import RadixJoin
 from repro.core.ops.q6 import TpchQ6
 from repro.core.ops.scan import Predicate, SelectionScan
+from repro.costmodel.model import CostModel
 from repro.data.relation import Relation
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
+from repro.logical import (
+    JoinStats,
+    PhysicalConfig,
+    ScanStats,
+    TableProfile,
+    compile_query,
+    scan,
+)
+from repro.plan import PlanExecutor
 from repro.workloads.builders import workload_a, workload_b
 from repro.workloads.tpch import lineitem_q6
 
@@ -226,15 +238,18 @@ def q6_predicated_cpu() -> Dict[str, Any]:
     return _q6("predicated", "cpu0")
 
 
-def scan_branching_gpu() -> Dict[str, Any]:
+def _scan_columns() -> Dict[str, np.ndarray]:
     rng = np.random.default_rng(99)
     n = 8192
-    columns = {
+    return {
         "a": np.sort(rng.integers(0, 1000, size=n)).astype(np.int32),
         "b": rng.integers(0, 100, size=n).astype(np.int32),
         "v": rng.random(n).astype(np.float32),
     }
-    scan = SelectionScan(
+
+
+def _selection_scan(variant: str, columns: Dict[str, np.ndarray]):
+    operator = SelectionScan(
         ibm_ac922(),
         predicates=[
             Predicate("a", lambda col: (col >= 100) & (col < 300), "a-range"),
@@ -242,9 +257,15 @@ def scan_branching_gpu() -> Dict[str, Any]:
         ],
         aggregate_columns=["v"],
         aggregate=lambda cols: float(cols["v"].sum()),
-        variant="branching",
+        variant=variant,
     )
-    result = scan.run(columns, processor="gpu0", modeled_rows=n * 128)
+    return operator.run(
+        columns, processor="gpu0", modeled_rows=len(columns["a"]) * 128
+    )
+
+
+def scan_branching_gpu() -> Dict[str, Any]:
+    result = _selection_scan("branching", _scan_columns())
     return {
         "aggregate": result.aggregate,
         "qualifying_rows": result.qualifying_rows,
@@ -270,6 +291,99 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "q6_predicated_gpu": q6_predicated_gpu,
     "q6_predicated_cpu": q6_predicated_cpu,
     "scan_branching_gpu": scan_branching_gpu,
+}
+
+
+# ----------------------------------------------------------------------
+# The same configurations stated directly to ``compile_query`` — no
+# facade.  Each builder returns ``(compiled, facade)``: per-phase
+# seconds of the compiled plan, and the facade's figures for the same
+# phases (from ``golden_reference.json`` where a golden case exists).
+# ----------------------------------------------------------------------
+def _priced(query, config: PhysicalConfig, stats) -> Dict[str, float]:
+    cost_model = CostModel(ibm_ac922())
+    plan = compile_query(query, config, cost_model, stats)
+    result = PlanExecutor(cost_model).execute(plan)
+    return {name: result.seconds(name) for name in result.outcomes}
+
+
+def _compiled_multigpu(placement: str, golden: Dict[str, Any]):
+    wl = workload_a(scale=SCALE)
+    table = create_hash_table(
+        "perfect", wl.r.executed_tuples, wl.r.key.dtype, wl.r.payload.dtype
+    )
+    table.insert_batch(wl.r.key, wl.r.payload)
+    found, _values = table.lookup_batch(wl.s.key)
+    profile = TableProfile.from_table(table, wl.r.modeled_tuples)
+    interleaved = None
+    if placement == "interleaved":
+        per_gpu = golden["table_bytes_per_gpu"]
+        interleaved = HashTablePlacement(
+            int(profile.modeled_bytes),
+            {
+                region: nbytes / profile.modeled_bytes
+                for region, nbytes in per_gpu.items()
+            },
+            label="interleaved",
+        )
+    config = PhysicalConfig(
+        strategy="multi-gpu",
+        workers=tuple(gpu.name for gpu in ibm_ac922().gpus()),
+        placement=interleaved,
+    )
+    stats = JoinStats(profile, lines_loaded=1.0, matches=int(found.sum()))
+    return _priced(join_query(wl.r, wl.s), config, stats), {
+        "build": golden["build_seconds"],
+        "probe": golden["probe_seconds"],
+    }
+
+
+def compiled_multigpu_replicated(golden):
+    return _compiled_multigpu("replicated", golden["multigpu_replicated"])
+
+
+def compiled_multigpu_interleaved(golden):
+    return _compiled_multigpu("interleaved", golden["multigpu_interleaved"])
+
+
+def compiled_radix(golden):
+    wl = workload_a(scale=SCALE)
+    config = PhysicalConfig(strategy="radix", processor="cpu0")
+    return _priced(join_query(wl.r, wl.s), config, None), {
+        "partition": golden["radix_cpu"]["partition"]["seconds"],
+        "join": golden["radix_cpu"]["join"]["seconds"],
+    }
+
+
+def _compiled_scan(variant: str):
+    columns = _scan_columns()
+    facade = _selection_scan(variant, columns)
+    # One scan column per cascade read: both predicates, then "v".
+    query = scan(
+        columns, modeled_rows=facade.modeled_rows, location="cpu0-mem"
+    ).aggregate(rows=("*", "count"))
+    config = PhysicalConfig(processor="gpu0", variant=variant, label="scan")
+    stats = ScanStats(tuple(facade.column_line_fractions))
+    return _priced(query, config, stats), {"scan": facade.cost.seconds}
+
+
+def compiled_scan_branching(golden):
+    compiled, facade = _compiled_scan("branching")
+    assert facade["scan"] == golden["scan_branching_gpu"]["cost"]["seconds"]
+    return compiled, facade
+
+
+def compiled_scan_predicated(_golden):
+    return _compiled_scan("predicated")
+
+
+#: name -> builder taking the loaded golden reference.
+COMPILED: Dict[str, Callable[[Dict[str, Any]], Any]] = {
+    "multigpu_replicated": compiled_multigpu_replicated,
+    "multigpu_interleaved": compiled_multigpu_interleaved,
+    "radix": compiled_radix,
+    "scan_branching": compiled_scan_branching,
+    "scan_predicated": compiled_scan_predicated,
 }
 
 

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from tests.plan.golden_cases import CASES, flatten
+from tests.plan.golden_cases import CASES, COMPILED, flatten
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_reference.json")
 
@@ -44,3 +44,16 @@ def test_case_matches_golden(name):
         elif actual != expected:
             mismatches.append((key, expected, actual))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED))
+def test_compile_query_prices_like_the_facade(name):
+    """Multi-GPU, radix and the selection scan are ordinary lowering
+    targets: stating the logical query + ``PhysicalConfig`` directly to
+    ``compile_query`` prices every phase exactly as the facade does."""
+    compiled, facade = COMPILED[name](GOLDEN)
+    assert compiled.keys() == facade.keys()
+    for phase, expected in facade.items():
+        assert math.isclose(
+            compiled[phase], expected, rel_tol=1e-9, abs_tol=1e-15
+        ), (phase, expected, compiled[phase])
