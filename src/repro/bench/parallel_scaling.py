@@ -1,33 +1,30 @@
-"""Backend-scaling benchmark: serial / threads / processes × shards.
+"""Worker-scaling benchmark for the morsel-parallel execution backend.
 
 Usage::
 
     python -m repro.bench.parallel_scaling                 # full sweep
     python -m repro.bench.parallel_scaling --quick         # CI smoke
-    python -m repro.bench.parallel_scaling --out run_pr7.json
+    python -m repro.bench.parallel_scaling --out run_pr4.json
     python -m repro.bench.parallel_scaling --check-speedup
 
 Two independent sections land in the output document:
 
-* ``runs`` — priced run manifests of the reference NOPA join:
-  ``nopa[serial]`` / ``nopa[threads]`` (byte-compatible with the PR-4
-  baseline), plus ``nopa[processes]`` (fork backend, identical phases
-  to serial by the determinism contract) and ``nopa[sharded]`` (4-shard
-  table — different table geometry, so its phases form their own
-  baseline).  ``repro.bench.diff_manifest`` compares these against the
-  committed ``BENCH_pr7.json`` in CI, and against ``BENCH_pr4.json``
-  with ``--ignore-new-runs``.
-* ``scaling`` — wall-clock seconds of the functional build+probe for
-  each (backend, workers, shards) cell, plus build-only rows for the
-  contention-free sharded build (the tentpole's speedup claim).  Wall
-  clock depends on the host, so this section is informational and
-  deliberately ignored by the manifest diff.
+* ``runs`` — priced run manifests of the reference NOPA join executed
+  once per backend (``nopa[serial]`` / ``nopa[threads]``).  These are
+  fully deterministic — the whole point of the backend's determinism
+  contract — and are what ``repro.bench.diff_manifest`` compares
+  against the committed ``BENCH_pr4.json`` baseline in CI.
+* ``scaling`` — wall-clock seconds of the *functional* build+probe at
+  each worker count, with speedups relative to the serial path.  Wall
+  clock depends on the host (core count, load), so this section is
+  informational and deliberately ignored by the manifest diff.
 
-``--check-speedup`` asserts the best ≥4-worker speedup (any backend,
-any shard count) exceeds the threshold; the check auto-skips (with an
-explicit note in the output) when the host has fewer cores than
-workers — a 1-core container cannot demonstrate parallel speedup, only
-parallel *correctness*, which the equivalence section always verifies.
+``--check-speedup`` asserts the threads speedup exceeds the threshold
+at the largest swept worker count the host has cores for.  It skips
+(with an explicit note in the output) only on a 1-core host, which
+cannot demonstrate parallel speedup — only parallel *correctness*,
+which the equivalence section always verifies — and refuses ``--quick``,
+whose sizes are dominated by dispatch overhead.
 """
 
 from __future__ import annotations
@@ -43,30 +40,18 @@ import numpy as np
 
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import NoPartitioningJoin
-from repro.exec import (
-    execute_build,
-    execute_probe,
-    fork_available,
-    make_executor,
-)
+from repro.exec import MorselExecutor, execute_build, execute_probe
 from repro.hardware.topology import ibm_ac922
 from repro.obs import Observability
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, build_manifest
 from repro.workloads.builders import workload_a
 
-#: acceptance threshold: 4 workers must beat serial by this factor on a
-#: host that actually has 4 cores to run them on.
+#: acceptance threshold: the threads backend must beat serial by this
+#: factor at the gated worker count (see ``--check-speedup``).
 SPEEDUP_TARGET = 1.5
 
 #: worker counts of the sweep.
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
-
-#: shard counts of the sweep (1 = the unsharded table).
-DEFAULT_SHARD_COUNTS = (1, 4)
-
-#: parallel backends; processes drops out when fork is unavailable.
-def _backends() -> Sequence[str]:
-    return ("threads", "processes") if fork_available() else ("threads",)
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -83,86 +68,63 @@ def _functional_seconds(
     values: np.ndarray,
     probe: np.ndarray,
     scheme: str,
-    executor,
+    executor: Optional[MorselExecutor],
     repeats: int,
-    shards: int = 1,
-    build_only: bool = False,
 ) -> float:
     def run() -> None:
-        table = create_hash_table(
-            scheme, len(keys), keys.dtype, values.dtype, shards=shards
-        )
+        table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
         execute_build(table, keys, values, executor)
-        if not build_only:
-            execute_probe(table, probe, executor)
+        execute_probe(table, probe, executor)
 
     return _best_of(repeats, run)
 
 
-def _nopa_manifest(
-    machine, workload, kind: str, backend: str, workers: int, shards: int
-):
-    obs = Observability.create()
-    join = NoPartitioningJoin(
-        machine,
-        hash_table_placement="gpu",
-        transfer_method="coherence",
-        obs=obs,
-        backend=backend,
-        workers=workers,
-        shards=shards,
-    )
-    result = join.run(workload.r, workload.s)
-    return build_manifest(
-        kind=kind,
-        machine=machine,
-        phases=[result.build_cost, result.probe_cost],
-        workload={
-            "name": "A",
-            "executed_r": workload.r.executed_tuples,
-            "executed_s": workload.s.executed_tuples,
-            "modeled_r": workload.r.modeled_tuples,
-            "modeled_s": workload.s.modeled_tuples,
-        },
-        config={
-            "backend": backend,
-            "workers": workers if backend != "serial" else 1,
-            "shards": shards,
-            "hash_table_placement": "gpu",
-            "transfer_method": "coherence",
-        },
-        results={
-            "matches": result.matches,
-            "aggregate": result.aggregate,
-        },
-        obs=obs,
-    )
-
-
 def _reference_manifests(scale: float, workers: int) -> List[Any]:
-    """The deterministic section: priced NOPA runs per backend config.
+    """The deterministic section: one priced NOPA run per backend.
 
-    ``nopa[serial]``/``nopa[threads]`` keep the PR-4 baseline's config
-    shape (plus the new ``shards`` key) so their phase costs diff
-    cleanly against ``BENCH_pr4.json``; ``nopa[processes]`` proves the
-    fork backend prices identically; ``nopa[sharded]`` is the 4-shard
-    table's own baseline (different geometry, different probe counts).
+    Identical ``TableStats`` across backends make the priced phases (and
+    therefore these manifests) byte-identical; the diff against the
+    committed baseline enforces that on every CI run.
     """
     machine = ibm_ac922()
     workload = workload_a(scale=scale)
-    manifests = [
-        _nopa_manifest(machine, workload, "nopa[serial]", "serial", workers, 1),
-        _nopa_manifest(machine, workload, "nopa[threads]", "threads", workers, 1),
-    ]
-    if fork_available():
+    manifests = []
+    for backend in ("serial", "threads"):
+        obs = Observability.create()
+        join = NoPartitioningJoin(
+            machine,
+            hash_table_placement="gpu",
+            transfer_method="coherence",
+            obs=obs,
+            backend=backend,
+            workers=workers,
+        )
+        result = join.run(workload.r, workload.s)
         manifests.append(
-            _nopa_manifest(
-                machine, workload, "nopa[processes]", "processes", workers, 1
+            build_manifest(
+                kind=f"nopa[{backend}]",
+                machine=machine,
+                phases=[result.build_cost, result.probe_cost],
+                workload={
+                    "name": "A",
+                    "executed_r": workload.r.executed_tuples,
+                    "executed_s": workload.s.executed_tuples,
+                    "modeled_r": workload.r.modeled_tuples,
+                    "modeled_s": workload.s.modeled_tuples,
+                },
+                config={
+                    "backend": backend,
+                    "workers": workers if backend == "threads" else 1,
+                    "hash_table_placement": "gpu",
+                    "transfer_method": "coherence",
+                },
+                results={
+                    "matches": result.matches,
+                    "aggregate": result.aggregate,
+                },
+                obs=obs,
             )
         )
-    manifests.append(
-        _nopa_manifest(machine, workload, "nopa[sharded]", "threads", workers, 4)
-    )
     return manifests
 
 
@@ -173,36 +135,23 @@ def _equivalence(
     scheme: str,
     workers: int,
     morsel_tuples: int,
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
 ) -> Dict[str, bool]:
-    """Bit-identity of every (backend, shards) cell against its serial
-    twin — the correctness half the speedup gate relies on."""
-    outputs_identical = stats_identical = size_identical = True
-    for shards in shard_counts:
-        serial_table = create_hash_table(
-            scheme, len(keys), keys.dtype, values.dtype, shards=shards
-        )
-        execute_build(serial_table, keys, values, None)
-        serial_found, serial_values = execute_probe(serial_table, probe, None)
-        for backend in _backends():
-            executor = make_executor(backend, workers, morsel_tuples)
-            table = create_hash_table(
-                scheme, len(keys), keys.dtype, values.dtype, shards=shards
-            )
-            execute_build(table, keys, values, executor)
-            found, looked_up = execute_probe(table, probe, executor)
-            outputs_identical &= bool(
-                np.array_equal(serial_found, found)
-                and np.array_equal(serial_values, looked_up)
-            )
-            stats_identical &= (
-                serial_table.stats.as_tuple() == table.stats.as_tuple()
-            )
-            size_identical &= serial_table.size == table.size
+    serial_table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
+    execute_build(serial_table, keys, values, None)
+    serial_found, serial_values = execute_probe(serial_table, probe, None)
+
+    executor = MorselExecutor(workers=workers, morsel_tuples=morsel_tuples)
+    table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
+    execute_build(table, keys, values, executor)
+    found, looked_up = execute_probe(table, probe, executor)
     return {
-        "outputs_identical": outputs_identical,
-        "stats_identical": stats_identical,
-        "size_identical": size_identical,
+        "outputs_identical": bool(
+            np.array_equal(serial_found, found)
+            and np.array_equal(serial_values, looked_up)
+        ),
+        "stats_identical": serial_table.stats.as_tuple()
+        == table.stats.as_tuple(),
+        "size_identical": serial_table.size == table.size,
     }
 
 
@@ -210,7 +159,6 @@ def run_benchmark(
     quick: bool = False,
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     scheme: str = "perfect",
-    shard_counts: Sequence[int] = DEFAULT_SHARD_COUNTS,
 ) -> Dict[str, Any]:
     """Execute the sweep and return the output document."""
     build_tuples = 1 << 18 if quick else 1 << 21
@@ -223,79 +171,30 @@ def run_benchmark(
     values = (keys * 3 + 1).astype(np.int64)
     probe = rng.integers(0, build_tuples, size=probe_tuples).astype(np.int64)
 
-    scaling = []
-    for shards in shard_counts:
-        serial_seconds = _functional_seconds(
-            keys, values, probe, scheme, None, repeats, shards=shards
+    serial_seconds = _functional_seconds(
+        keys, values, probe, scheme, None, repeats
+    )
+    scaling = [
+        {
+            "backend": "serial",
+            "workers": 1,
+            "seconds": serial_seconds,
+            "speedup": 1.0,
+        }
+    ]
+    for workers in worker_counts:
+        executor = MorselExecutor(workers=workers, morsel_tuples=morsel_tuples)
+        seconds = _functional_seconds(
+            keys, values, probe, scheme, executor, repeats
         )
         scaling.append(
             {
-                "backend": "serial",
-                "workers": 1,
-                "shards": shards,
-                "phase": "build+probe",
-                "seconds": serial_seconds,
-                "speedup": 1.0,
+                "backend": "threads",
+                "workers": workers,
+                "seconds": seconds,
+                "speedup": serial_seconds / seconds if seconds else float("inf"),
             }
         )
-        for backend in _backends():
-            for workers in worker_counts:
-                executor = make_executor(backend, workers, morsel_tuples)
-                seconds = _functional_seconds(
-                    keys, values, probe, scheme, executor, repeats, shards=shards
-                )
-                scaling.append(
-                    {
-                        "backend": backend,
-                        "workers": workers,
-                        "shards": shards,
-                        "phase": "build+probe",
-                        "seconds": seconds,
-                        "speedup": serial_seconds / seconds
-                        if seconds
-                        else float("inf"),
-                    }
-                )
-
-    # Build-only rows for the contention-free sharded build — the
-    # tentpole claim: with workers owning whole shards, the build
-    # itself scales.  Shards beyond the worker count add nothing, so
-    # the sweep uses the largest shard count.
-    sharded = max(shard_counts)
-    if sharded > 1:
-        serial_build = _functional_seconds(
-            keys, values, probe, scheme, None, repeats,
-            shards=sharded, build_only=True,
-        )
-        scaling.append(
-            {
-                "backend": "serial",
-                "workers": 1,
-                "shards": sharded,
-                "phase": "build",
-                "seconds": serial_build,
-                "speedup": 1.0,
-            }
-        )
-        for backend in _backends():
-            for workers in worker_counts:
-                executor = make_executor(backend, workers, morsel_tuples)
-                seconds = _functional_seconds(
-                    keys, values, probe, scheme, executor, repeats,
-                    shards=sharded, build_only=True,
-                )
-                scaling.append(
-                    {
-                        "backend": backend,
-                        "workers": workers,
-                        "shards": sharded,
-                        "phase": "build",
-                        "seconds": seconds,
-                        "speedup": serial_build / seconds
-                        if seconds
-                        else float("inf"),
-                    }
-                )
 
     return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
@@ -308,13 +207,10 @@ def run_benchmark(
             "probe_tuples": probe_tuples,
             "morsel_tuples": morsel_tuples,
             "repeats": repeats,
-            "shard_counts": list(shard_counts),
-            "backends": list(_backends()),
         },
         "scaling": scaling,
         "equivalence": _equivalence(
-            keys, values, probe, scheme, max(worker_counts), morsel_tuples,
-            shard_counts=shard_counts,
+            keys, values, probe, scheme, max(worker_counts), morsel_tuples
         ),
         "runs": [
             m.to_dict()
@@ -333,8 +229,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--check-speedup",
         action="store_true",
-        help=f"fail unless 4-worker speedup > {SPEEDUP_TARGET}x "
-        "(auto-skipped on hosts with fewer cores than workers)",
+        help=f"fail unless the threads speedup > {SPEEDUP_TARGET}x at the "
+        "largest swept worker count <= the host's cores (skipped only on "
+        "a 1-core host; not allowed with --quick)",
     )
     parser.add_argument(
         "--workers",
@@ -348,20 +245,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default="perfect",
         choices=("perfect", "chaining", "open_addressing"),
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SHARD_COUNTS),
-        help="shard counts to sweep (1 = unsharded)",
-    )
     args = parser.parse_args(argv)
+    cores = os.cpu_count() or 1
+    # swept worker counts the speed-up gate may be evaluated at
+    gateable = [w for w in args.workers if 1 < w <= cores]
+    if args.check_speedup and args.quick:
+        parser.error(
+            "--check-speedup needs the full sweep: at --quick sizes "
+            "dispatch overhead dominates and the gate measures nothing"
+        )
+    if args.check_speedup and cores > 1 and not gateable:
+        parser.error(
+            f"--check-speedup: no swept worker count in {args.workers} "
+            f"is between 2 and the host's {cores} cores"
+        )
 
     document = run_benchmark(
-        quick=args.quick,
-        worker_counts=args.workers,
-        scheme=args.scheme,
-        shard_counts=args.shards,
+        quick=args.quick, worker_counts=args.workers, scheme=args.scheme
     )
 
     print(f"== parallel scaling ({document['workload']['scheme']}, "
@@ -370,8 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f"{document['cpu_count']} cores) ==")
     for row in document["scaling"]:
         print(
-            f"  {row['backend']:>9} workers={row['workers']} "
-            f"shards={row['shards']} {row['phase']:>11}  "
+            f"  {row['backend']:>7} workers={row['workers']}  "
             f"{row['seconds'] * 1e3:8.1f} ms  speedup {row['speedup']:.2f}x"
         )
     equivalence = document["equivalence"]
@@ -381,39 +280,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     if args.check_speedup:
-        cores = document["cpu_count"]
-        peak = max(
-            (row for row in document["scaling"] if row["workers"] >= 4),
-            key=lambda row: row["speedup"],
-            default=None,
-        )
-        if peak is None or cores < 4:
+        if not gateable:
             note = (
                 f"speedup check skipped: host has {cores} core(s); "
-                "need >= 4 to demonstrate 4-worker speedup"
+                "need >= 2 to demonstrate parallel speedup"
             )
             document["speedup_check"] = {"status": "skipped", "note": note}
             print(f"  {note}")
-        elif peak["speedup"] > SPEEDUP_TARGET:
+        else:
+            gated = max(gateable)
+            row = next(
+                row
+                for row in document["scaling"]
+                if row["backend"] == "threads" and row["workers"] == gated
+            )
+            if row["speedup"] <= SPEEDUP_TARGET:
+                print(
+                    f"FAIL: threads workers={gated} speedup "
+                    f"{row['speedup']:.2f}x <= {SPEEDUP_TARGET}x on a "
+                    f"{cores}-core host"
+                )
+                return 1
             document["speedup_check"] = {
                 "status": "passed",
-                "speedup": peak["speedup"],
-                "backend": peak["backend"],
-                "shards": peak["shards"],
-                "phase": peak["phase"],
+                "workers": gated,
+                "speedup": row["speedup"],
             }
             print(
-                f"  speedup check passed: {peak['speedup']:.2f}x "
-                f"({peak['backend']}, shards={peak['shards']}, "
-                f"{peak['phase']})"
+                f"  speedup check passed: threads workers={gated} "
+                f"{row['speedup']:.2f}x"
             )
-        else:
-            print(
-                f"FAIL: best >=4-worker speedup {peak['speedup']:.2f}x "
-                f"<= {SPEEDUP_TARGET}x on a {cores}-core host "
-                f"({peak['backend']}, shards={peak['shards']})"
-            )
-            return 1
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -13,7 +13,6 @@ from repro.core.hashtable.hash_functions import mix64, multiply_shift
 from repro.core.hashtable.open_addressing import OpenAddressingHashTable
 from repro.core.hashtable.perfect import PerfectHashTable
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
-from repro.core.hashtable.sharded import ShardedHashTable
 
 __all__ = [
     "HashTableBase",
@@ -23,27 +22,13 @@ __all__ = [
     "multiply_shift",
     "OpenAddressingHashTable",
     "PerfectHashTable",
-    "ShardedHashTable",
     "HashTablePlacement",
     "place_hash_table",
 ]
 
 
-def create_hash_table(
-    scheme: str, capacity_hint: int, key_dtype, value_dtype, shards: int = 1
-):
-    """Factory: one of ``perfect``, ``open_addressing``, ``chaining``.
-
-    ``shards > 1`` wraps the scheme in a :class:`ShardedHashTable` with
-    that many key-space shards (contention-free parallel builds; see
-    :mod:`repro.core.hashtable.sharded`).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1: {shards}")
-    if shards > 1:
-        return ShardedHashTable(
-            scheme, capacity_hint, key_dtype, value_dtype, n_shards=shards
-        )
+def create_hash_table(scheme: str, capacity_hint: int, key_dtype, value_dtype):
+    """Factory: one of ``perfect``, ``open_addressing``, ``chaining``."""
     if scheme == "perfect":
         return PerfectHashTable(capacity_hint, key_dtype, value_dtype)
     if scheme == "open_addressing":

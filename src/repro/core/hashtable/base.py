@@ -151,7 +151,7 @@ class HashTableBase:
                 f"{type(self).__name__}: insert through a stats_view() is "
                 "not allowed — the view's size=0 reset would corrupt the "
                 "insert cursor/occupancy accounting; insert through the "
-                "owning table (or a per-shard table) instead"
+                "owning table instead"
             )
 
     def absorb_view(self, view: "HashTableBase") -> None:

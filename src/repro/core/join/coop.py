@@ -101,16 +101,13 @@ class CoopJoin:
         morsel_tuples: dispatcher morsel size (modeled tuples) of the
             *simulated* probe-phase dispatcher.
         gpu_batch_morsels: morsels per GPU batch; ``None`` auto-tunes.
-        backend: ``serial`` | ``threads`` | ``processes`` — how the
-            functional build and probe execute on the host.  Results and
-            TableStats are identical across backends; the simulated Het
-            schedule is priced from the same counters regardless.
-        exec_workers: worker count for the parallel backends.
-        exec_morsel_tuples: *executed*-tuple morsel size for the parallel
-            backends (unrelated to the modeled ``morsel_tuples``).
-        shards: key-space shard count for the build table (power of
-            two); ``shards > 1`` makes the build contention-free for
-            every scheme (see :mod:`repro.core.hashtable.sharded`).
+        backend: ``serial`` | ``threads`` — how the functional build and
+            probe execute on the host.  Results and TableStats are
+            identical across backends; the simulated Het schedule is
+            priced from the same counters regardless.
+        exec_workers: thread count for ``backend="threads"``.
+        exec_morsel_tuples: *executed*-tuple morsel size for the thread
+            backend (unrelated to the modeled ``morsel_tuples``).
     """
 
     def __init__(
@@ -125,7 +122,6 @@ class CoopJoin:
         backend: str = "serial",
         exec_workers: int = DEFAULT_WORKERS,
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
-        shards: int = 1,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
@@ -142,7 +138,6 @@ class CoopJoin:
         self.backend = check_backend(backend)
         self.exec_workers = exec_workers
         self.exec_morsel_tuples = exec_morsel_tuples
-        self.shards = shards
         self.last_executor = None
 
     def _is_gpu(self, worker: str) -> bool:
@@ -184,11 +179,7 @@ class CoopJoin:
 
         # Functional execution: one shared table, full probe.
         table = create_hash_table(
-            self.hash_scheme,
-            r.executed_tuples,
-            r.key.dtype,
-            r.payload.dtype,
-            shards=self.shards,
+            self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
         )
         executor = make_executor(
             self.backend, self.exec_workers, self.exec_morsel_tuples, name="coop"
@@ -213,7 +204,6 @@ class CoopJoin:
             gpu_batch_morsels=self.gpu_batch_morsels,
             backend=self.backend,
             exec_workers=self.exec_workers,
-            shards=self.shards,
             hash_scheme=self.hash_scheme,
             label="coop",
         )

@@ -152,25 +152,13 @@ class NoPartitioningJoin:
         calibration: cost-model constants.
         gpu_reserve: GPU bytes kept free when placing the table.
         backend: how the *functional* execution runs — ``serial`` (one
-            thread, the default), ``threads`` (morsel-parallel via
-            ``repro.exec``), or ``processes`` (forked workers writing
-            shared-memory buffers — parallel numpy past the GIL).
-            Results, ``TableStats``, and everything priced from them
-            are identical across backends; only wall-clock behaviour
-            differs.
-        workers: worker count for the parallel backends.
-        exec_morsel_tuples: executed-tuple morsel size for the parallel
-            backends' dispatchers.
-        shards: key-space shard count for the hash table (power of
-            two).  ``shards > 1`` wraps the scheme in a
-            :class:`~repro.core.hashtable.sharded.ShardedHashTable`
-            whose build is contention-free — each worker owns whole
-            shards — making every scheme (including chaining and open
-            addressing) parallel-buildable; probes fan out by the
-            shard router.  Sharding changes the table geometry, so
-            measured probe counts may differ from ``shards=1``; for a
-            *fixed* shard count, results and stats stay identical
-            across backends and worker counts.
+            thread, the default) or ``threads`` (morsel-parallel via
+            ``repro.exec``).  Results, ``TableStats``, and everything
+            priced from them are identical across backends; only
+            wall-clock behaviour differs.
+        workers: worker count for the ``threads`` backend.
+        exec_morsel_tuples: executed-tuple morsel size for the
+            ``threads`` backend's dispatcher.
         oom_policy: what to do when the ``gpu`` placement cannot fit the
             table — ``raise`` (the paper's pre-NVLink scalability cliff,
             the default) or ``spill`` (degrade gracefully to the hybrid
@@ -196,7 +184,6 @@ class NoPartitioningJoin:
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
         oom_policy: str = "raise",
         retry_policy: Optional[RetryPolicy] = None,
-        shards: int = 1,
     ) -> None:
         if layout not in ("soa", "aos"):
             raise ValueError(f"layout must be 'soa' or 'aos', got {layout!r}")
@@ -223,7 +210,6 @@ class NoPartitioningJoin:
         self.exec_morsel_tuples = exec_morsel_tuples
         self.oom_policy = oom_policy
         self.retry_policy = retry_policy
-        self.shards = shards
         #: the executor of the most recent run (None for serial) — its
         #: metrics/timeline expose worker-level dispatch for inspection.
         self.last_executor = None
@@ -238,11 +224,7 @@ class NoPartitioningJoin:
     # ------------------------------------------------------------------
     def _execute(self, r: Relation, s: Relation) -> tuple:
         table = create_hash_table(
-            self.hash_scheme,
-            r.executed_tuples,
-            r.key.dtype,
-            r.payload.dtype,
-            shards=self.shards,
+            self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
         )
         self.last_resilience = ResilienceLog()
         executor = make_executor(
@@ -308,7 +290,6 @@ class NoPartitioningJoin:
             output=self.output,
             backend=self.backend,
             exec_workers=self.workers,
-            shards=self.shards,
             hash_scheme=self.hash_scheme,
             label="nopa",
         )

@@ -79,10 +79,9 @@ class TpchQ6:
     """Q6 operator with branching and predicated variants.
 
     ``backend`` selects how the predicate cascade executes on the host:
-    ``serial`` | ``threads`` | ``processes``.  The masks are merged by
-    morsel order (or written to disjoint shared-memory slices by forked
-    workers), so the aggregate and every priced manifest are identical
-    across backends and worker counts.
+    ``serial`` | ``threads``.  The masks are merged by morsel order, so
+    the aggregate and every priced manifest are identical across
+    backends and worker counts.
     """
 
     def __init__(

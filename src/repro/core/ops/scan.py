@@ -81,9 +81,9 @@ class SelectionScan:
         aggregate_columns: extra columns read only for fully-surviving
             rows (the aggregate inputs).
         aggregate: function from the surviving rows' columns to a float.
-        backend: ``serial`` | ``threads`` | ``processes`` — host
-            execution of the cascade; results and priced manifests are
-            identical across backends and worker counts.
+        backend: ``serial`` | ``threads`` — host execution of the
+            cascade; results and priced manifests are identical across
+            backends and worker counts.
     """
 
     def __init__(

@@ -2,15 +2,12 @@
 
 Runs the functional layer — hash-table builds, probes, predicate
 cascades — across a pool of worker threads pulling morsels from the
-thread-safe :class:`~repro.core.scheduler.morsel.MorselDispatcher`, or
-across forked worker processes (:class:`~repro.exec.process.ProcessExecutor`)
-writing into ``multiprocessing.shared_memory`` buffers, with results
-merged deterministically so parallel output is bit-identical to serial
-and the measured TableStats (hence every priced manifest) are the same
-at any worker count.
+thread-safe :class:`~repro.core.scheduler.morsel.MorselDispatcher`,
+with results merged deterministically so parallel output is
+bit-identical to serial and the measured TableStats (hence every priced
+manifest) are the same at any worker count.
 
-Operators expose it through a
-``backend="serial" | "threads" | "processes"`` knob.
+Operators expose it through a ``backend="serial" | "threads"`` knob.
 """
 
 from repro.exec.functional import (
@@ -29,8 +26,6 @@ from repro.exec.pool import (
     check_backend,
     make_executor,
 )
-from repro.exec.process import ProcessExecutor, fork_available
-from repro.exec.shm import ShmArena, table_storage_in_shm
 
 __all__ = [
     "AbortedError",
@@ -40,13 +35,9 @@ __all__ = [
     "MorselExecutor",
     "MorselFailedError",
     "MorselOutcome",
-    "ProcessExecutor",
-    "ShmArena",
     "check_backend",
     "execute_build",
     "execute_masks",
     "execute_probe",
-    "fork_available",
     "make_executor",
-    "table_storage_in_shm",
 ]

@@ -25,47 +25,28 @@ morsel-divisible:
   races per *batch*; splitting the batch changes which keys race and
   therefore the final slot layout (and downstream probe counts).  The
   build stays one whole batch regardless of backend.
-* **sharded** — the contention-free case: shard routing is a pure
-  function of the key, so the batch decomposes into per-shard
-  sub-batches *before* execution and each worker builds whole shards it
-  exclusively owns.  Any application order (serial loop, thread pool,
-  forked processes) yields bit-identical storage; works for every inner
-  scheme, including the two that are not morsel-divisible unsharded.
 
 Probes and predicate masks are read-only and element-independent, so
 they decompose for every scheme: each morsel produces a private output
 slice, merged by stable morsel-order concatenation.
-
-The ``processes`` backend (:class:`~repro.exec.process.ProcessExecutor`)
-runs the same decompositions in forked children: inputs arrive via
-fork's copy-on-write pages, mutated table storage and output buffers
-live in ``multiprocessing.shared_memory`` (:mod:`repro.exec.shm`), and
-per-worker ``TableStats`` come back as picklable summaries that merge
-in worker-name order — the exact guarantees the threads backend makes.
-Unsharded chaining and open-addressing builds are not process-divisible
-(same reasons as above), so they run serially in the parent.
 """
 
 from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
 
 from repro.core.scheduler.morsel import WorkRange
 from repro.exec.pool import MorselExecutor
-from repro.exec.process import ProcessExecutor
-from repro.exec.shm import ShmArena, table_storage_in_shm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hashtable.base import HashTableBase
@@ -78,20 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: a predicate-mask evaluator over a half-open row range.
 MaskEvaluator = Callable[[int, int], np.ndarray]
 
-#: either executor flavour (or None for the serial fast path).
-Executor = Union[MorselExecutor, ProcessExecutor]
-
-
-def _worker_views(table: HashTableBase) -> Dict[str, HashTableBase]:
-    """Lazily-populated per-worker stats views (created under the GIL;
-    dict item assignment is atomic, and each worker only touches its own
-    key)."""
-    return {}
-
 
 def _view_for(
     views: Dict[str, HashTableBase], table: HashTableBase, worker: str
 ) -> HashTableBase:
+    """The worker's stats view, created on first use (under the GIL dict
+    item assignment is atomic, and each worker only touches its own
+    key)."""
     view = views.get(worker)
     if view is None:
         view = table.stats_view()
@@ -111,32 +85,6 @@ def _absorb_all(
         table.absorb_view(views[worker])
 
 
-def _view_summary(view: HashTableBase) -> Tuple[str, Any]:
-    """A picklable stats/size delta of a (possibly sharded) view."""
-    shards = getattr(view, "shards", None)
-    if shards is not None:
-        return (
-            "sharded",
-            [(shard.stats.as_tuple(), shard.size) for shard in shards],
-        )
-    return ("flat", (view.stats.as_tuple(), view.size))
-
-
-def _absorb_summary(table: HashTableBase, payload: Tuple[str, Any]) -> None:
-    """Fold a worker summary back (shard-granular for sharded tables)."""
-    from repro.core.hashtable.base import TableStats
-
-    kind, data = payload
-    if kind == "sharded":
-        for shard, (stats_tuple, size) in zip(table.shards, data):
-            shard.stats.merge(TableStats(*stats_tuple))
-            shard.size += size
-    else:
-        stats_tuple, size = data
-        table.stats.merge(TableStats(*stats_tuple))
-        table.size += size
-
-
 def _audit_perfect_occupancy(table: HashTableBase) -> None:
     """Catch same-key races a per-batch duplicate check cannot see.
 
@@ -152,110 +100,21 @@ def _audit_perfect_occupancy(table: HashTableBase) -> None:
         )
 
 
-def _build_sharded(
-    table: HashTableBase,
-    keys: np.ndarray,
-    values: np.ndarray,
-    executor: Executor,
-) -> None:
-    """Contention-free sharded build: workers own whole shards.
-
-    The work unit dispatched through the executor is a *shard index*
-    (morsel size 1), so crash recovery re-dispatches whole shards —
-    safe in any order because shards share no storage.  The partition
-    is computed up front (a pure function of the keys), making the
-    per-shard sub-batches identical to the serial
-    ``ShardedHashTable.insert_batch`` decomposition.
-    """
-    parts = table.partition_batch(keys)
-
-    if isinstance(executor, ProcessExecutor):
-
-        def body(worker: str, ranges) -> List[Tuple[int, tuple, int]]:
-            out = []
-            for work in ranges:
-                for sid in range(work.start, work.end):
-                    index = parts[sid]
-                    table.insert_shard(sid, keys[index], values[index])
-                    shard = table.shards[sid]
-                    out.append((sid, shard.stats.as_tuple(), shard.size))
-            return out
-
-        from repro.core.hashtable.base import TableStats
-
-        with table_storage_in_shm(table):
-            summaries = executor.run(table.n_shards, body, morsel_tuples=1)
-            # Each shard is built by exactly one child; its summary
-            # carries the shard's absolute post-build counters.
-            for worker in sorted(summaries):
-                for sid, stats_tuple, size in summaries[worker]:
-                    table.shards[sid].stats = TableStats(*stats_tuple)
-                    table.shards[sid].size = size
-        return
-
-    def build_shards(work: WorkRange, worker: str) -> None:
-        for sid in range(work.start, work.end):
-            index = parts[sid]
-            table.insert_shard(sid, keys[index], values[index])
-
-    executor.run(table.n_shards, build_shards, morsel_tuples=1)
-
-
-def _process_build_perfect(
-    table: HashTableBase,
-    keys: np.ndarray,
-    values: np.ndarray,
-    executor: ProcessExecutor,
-) -> None:
-    """Slot-disjoint parallel build in forked children via shared memory."""
-
-    def body(worker: str, ranges) -> Tuple[str, Any]:
-        view = table.stats_view()
-        for work in ranges:
-            view.insert_batch(
-                keys[work.start : work.end], values[work.start : work.end]
-            )
-        return _view_summary(view)
-
-    with table_storage_in_shm(table):
-        summaries = executor.run(len(keys), body)
-        for worker in sorted(summaries):
-            _absorb_summary(table, summaries[worker])
-
-
 def execute_build(
     table: HashTableBase,
     keys: np.ndarray,
     values: np.ndarray,
-    executor: Optional[Executor] = None,
+    executor: Optional[MorselExecutor] = None,
 ) -> None:
     """Populate ``table`` with (keys, values); scheme-aware decomposition."""
     from repro.core.hashtable.chaining import ChainingHashTable
     from repro.core.hashtable.perfect import PerfectHashTable
-    from repro.core.hashtable.sharded import ShardedHashTable
 
     if executor is None or len(keys) == 0:
         table.insert_batch(keys, values)
         return
-    if isinstance(table, ShardedHashTable):
-        _build_sharded(table, keys, values, executor)
-        if table.scheme == "perfect":
-            for shard in table.shards:
-                _audit_perfect_occupancy(shard)
-        return
-    if isinstance(executor, ProcessExecutor):
-        if isinstance(table, PerfectHashTable):
-            _process_build_perfect(table, keys, values, executor)
-            _audit_perfect_occupancy(table)
-            return
-        # Unsharded chaining (order-dependent layout) and open
-        # addressing (batch-scoped race resolution) are not
-        # process-divisible; the parent builds serially.  Shard the
-        # table to parallelize these schemes across processes.
-        table.insert_batch(keys, values)
-        return
     if isinstance(table, PerfectHashTable):
-        views = _worker_views(table)
+        views: Dict[str, HashTableBase] = {}
 
         def build_morsel(work: WorkRange, worker: str) -> None:
             view = _view_for(views, table, worker)
@@ -278,45 +137,10 @@ def execute_build(
     table.insert_batch(keys, values)
 
 
-def _process_probe(
-    table: HashTableBase,
-    keys: np.ndarray,
-    executor: ProcessExecutor,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Probe in forked children; outputs land in shared buffers.
-
-    The table is frozen during a probe, so children read it through
-    fork's copy-on-write pages — only the two output arrays need real
-    shared memory.  Each morsel writes its own disjoint slice, making
-    the merged output independent of completion order.
-    """
-    arena = ShmArena()
-    try:
-        found = arena.array(len(keys), np.bool_)
-        values = arena.array(len(keys), table.values.dtype)
-
-        def body(worker: str, ranges) -> Tuple[str, Any]:
-            view = table.stats_view()
-            for work in ranges:
-                part_found, part_values = view.lookup_batch(
-                    keys[work.start : work.end]
-                )
-                found[work.start : work.end] = part_found
-                values[work.start : work.end] = part_values
-            return _view_summary(view)
-
-        summaries = executor.run(len(keys), body)
-        for worker in sorted(summaries):
-            _absorb_summary(table, summaries[worker])
-        return np.array(found), np.array(values)
-    finally:
-        arena.close()
-
-
 def execute_probe(
     table: HashTableBase,
     keys: np.ndarray,
-    executor: Optional[Executor] = None,
+    executor: Optional[MorselExecutor] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Look up ``keys``; returns (found, values) bit-identical to serial.
 
@@ -327,9 +151,7 @@ def execute_probe(
     """
     if executor is None or len(keys) == 0:
         return table.lookup_batch(keys)
-    if isinstance(executor, ProcessExecutor):
-        return _process_probe(table, keys, executor)
-    views = _worker_views(table)
+    views: Dict[str, HashTableBase] = {}
 
     def probe_morsel(
         work: WorkRange, worker: str
@@ -344,40 +166,10 @@ def execute_probe(
     return found, values
 
 
-def _process_masks(
-    n_rows: int,
-    evaluators: Sequence[MaskEvaluator],
-    executor: ProcessExecutor,
-) -> List[np.ndarray]:
-    """Evaluate predicates in forked children via shared output arrays."""
-    arena = ShmArena()
-    try:
-        # Probe each evaluator's output dtype with an empty range so the
-        # shared buffers match (Q6's last mask is a float revenue term,
-        # not a bool).
-        outputs = [
-            arena.array(n_rows, evaluator(0, 0).dtype)
-            for evaluator in evaluators
-        ]
-
-        def body(worker: str, ranges) -> None:
-            for work in ranges:
-                for out, evaluator in zip(outputs, evaluators):
-                    out[work.start : work.end] = evaluator(
-                        work.start, work.end
-                    )
-            return None
-
-        executor.run(n_rows, body)
-        return [np.array(out) for out in outputs]
-    finally:
-        arena.close()
-
-
 def execute_masks(
     n_rows: int,
     evaluators: Sequence[MaskEvaluator],
-    executor: Optional[Executor] = None,
+    executor: Optional[MorselExecutor] = None,
 ) -> List[np.ndarray]:
     """Evaluate row-range predicates over ``[0, n_rows)``.
 
@@ -388,8 +180,6 @@ def execute_masks(
     """
     if executor is None or n_rows == 0:
         return [evaluator(0, n_rows) for evaluator in evaluators]
-    if isinstance(executor, ProcessExecutor):
-        return _process_masks(n_rows, evaluators, executor)
 
     def masks_morsel(work: WorkRange, worker: str) -> List[np.ndarray]:
         return [evaluator(work.start, work.end) for evaluator in evaluators]

@@ -64,7 +64,7 @@ from repro.obs.trace import Timeline
 T = TypeVar("T")
 
 #: valid execution backends for the functional layer.
-EXEC_BACKENDS = ("serial", "threads", "processes")
+EXEC_BACKENDS = ("serial", "threads")
 
 #: default morsel size (executed tuples) for the thread backend — small
 #: enough that reduced-scale workloads still decompose into many
@@ -76,7 +76,7 @@ DEFAULT_WORKERS = 4
 
 
 def check_backend(backend: str) -> str:
-    """Validate a ``backend`` knob: serial | threads | processes."""
+    """Validate a ``backend`` knob: serial | threads."""
     if backend not in EXEC_BACKENDS:
         raise ValueError(
             f"unknown execution backend {backend!r}; "
@@ -239,25 +239,18 @@ class MorselExecutor:
         total_tuples: int,
         task: Callable[[WorkRange, str], T],
         ordered: bool = False,
-        morsel_tuples: Optional[int] = None,
     ) -> List[MorselOutcome[T]]:
         """Dispatch ``[0, total_tuples)`` to the pool; merge by range start.
 
         ``task(work, worker)`` is called once per dispatched range.  With
         ``ordered=True`` tasks are *applied* in morsel order (workers
         still pull concurrently but block on a sequencer), which is what
-        shared-table mutation requires.  ``morsel_tuples`` overrides the
-        executor's configured morsel size for this run only — sharded
-        builds dispatch shard *indices* (morsel size 1) through the same
-        machinery.
+        shared-table mutation requires.
 
         Returns the outcomes sorted by ``work.start`` — the morsel-order
         merge — after verifying the ranges exactly cover the input.
         """
-        run = _PoolRun(
-            self, total_tuples, task, ordered, active_plan(),
-            morsel_tuples=morsel_tuples,
-        )
+        run = _PoolRun(self, total_tuples, task, ordered, active_plan())
         return run.execute()
 
     def map_values(
@@ -265,14 +258,10 @@ class MorselExecutor:
         total_tuples: int,
         task: Callable[[WorkRange, str], T],
         ordered: bool = False,
-        morsel_tuples: Optional[int] = None,
     ) -> List[T]:
         """:meth:`run`, returning just the values in morsel order."""
         return [
-            outcome.value
-            for outcome in self.run(
-                total_tuples, task, ordered, morsel_tuples=morsel_tuples
-            )
+            outcome.value for outcome in self.run(total_tuples, task, ordered)
         ]
 
 
@@ -291,7 +280,6 @@ class _PoolRun(Generic[T]):
         task: Callable[[WorkRange, str], T],
         ordered: bool,
         plan: Optional[FaultPlan],
-        morsel_tuples: Optional[int] = None,
     ) -> None:
         self.executor = executor
         self.task = task
@@ -300,7 +288,7 @@ class _PoolRun(Generic[T]):
         self.total_tuples = total_tuples
         self.dispatcher = MorselDispatcher(
             total_tuples,
-            morsel_tuples if morsel_tuples is not None else executor.morsel_tuples,
+            executor.morsel_tuples,
             metrics=executor.metrics,
         )
         self.buffers: List[List[MorselOutcome[T]]] = [
@@ -584,26 +572,10 @@ def make_executor(
     retry: Optional[RetryPolicy] = None,
     resilience: Optional[ResilienceLog] = None,
 ):
-    """Executor for ``backend`` — ``None`` selects the serial fast path.
-
-    ``threads`` returns a :class:`MorselExecutor`; ``processes`` a
-    :class:`~repro.exec.process.ProcessExecutor` (imported lazily — it
-    is only needed when requested, and keeping it out of this module's
-    imports keeps the fork requirement a runtime property).
-    """
+    """Executor for ``backend`` — ``None`` selects the serial fast path."""
     check_backend(backend)
     if backend == "serial":
         return None
-    if backend == "processes":
-        from repro.exec.process import ProcessExecutor
-
-        return ProcessExecutor(
-            workers=workers,
-            morsel_tuples=morsel_tuples,
-            name=name,
-            retry=retry,
-            resilience=resilience,
-        )
     return MorselExecutor(
         workers=workers,
         morsel_tuples=morsel_tuples,

@@ -16,7 +16,7 @@ The layer sits between user code and the phase-plan IR (``repro.plan``):
   ``repro.engine.operators`` pipeline for functional execution;
 * :mod:`repro.logical.optimizer` — enumerates physical alternatives
   (Table-1 transfer method, Fig. 8/11 hash-table placement fraction,
-  GPU-only vs Het vs GPU+Het strategy, join order, backend + shards),
+  GPU-only vs Het vs GPU+Het strategy, join order, host backend),
   prices each with the cost model, and picks the cheapest.
 
 The operator classes (``NoPartitioningJoin``, ``CoopJoin``,

@@ -145,13 +145,12 @@ class PhysicalConfig:
     morsel_tuples: int = 1 << 22
     #: morsels per GPU batch (None auto-tunes).
     gpu_batch_morsels: Optional[int] = None
-    #: host-execution tier: functional backend + worker/shard counts.
+    #: host-execution tier: functional backend + worker count.
     #: Results and modeled costs are backend-invariant (the bit-identical
     #: equivalence suite pins that), so these do not affect pricing —
     #: the optimizer picks them with a deterministic host heuristic.
     backend: str = "serial"
     exec_workers: int = 0
-    shards: int = 1
     hash_scheme: str = "perfect"
     #: base label for plan/phase names ("nopa", "q6", ...).
     label: str = ""
@@ -198,8 +197,6 @@ class PhysicalConfig:
         if self.join_order:
             parts.append("order=" + ">".join(str(i) for i in self.join_order))
         parts.append(f"backend={self.backend}x{max(1, self.exec_workers)}")
-        if self.shards > 1:
-            parts.append(f"shards={self.shards}")
         return " ".join(parts)
 
 

@@ -15,7 +15,7 @@ The search space is exactly the paper's knob set:
   Het (shared table, cooperative morsel probe), GPU+Het (build,
   broadcast, probe everywhere);
 * **join order** — dimension permutations for star shapes;
-* **host tier** — serial/threads/processes backend and shard count.
+* **host tier** — serial or threads backend and worker count.
   Results and modeled plan costs are backend-invariant (pinned by the
   equivalence suite), so the tier is chosen by a deterministic
   data-size heuristic rather than by price.
@@ -162,7 +162,8 @@ class OptimizerResult:
             ),
             "gpu_fraction": self.gpu_fraction,
             "backend": self.chosen.config.backend,
-            "shards": self.chosen.config.shards,
+            # table sharding is gone; the key stays (schema 1.x is additive)
+            "shards": 1,
             "predicted_seconds": self.chosen.seconds,
             "considered": len(self.candidates),
             "rejected": len(self.rejected),
@@ -176,19 +177,17 @@ class OptimizerResult:
 # ----------------------------------------------------------------------
 # Host-tier heuristic
 # ----------------------------------------------------------------------
-def host_tier(executed_rows: int) -> Tuple[str, int, int]:
-    """(backend, workers, shards) for the functional execution.
+def host_tier(executed_rows: int) -> Tuple[str, int]:
+    """(backend, workers) for the functional execution.
 
     Backend choice cannot be priced — the modeled plan cost is
     backend-invariant by construction — so the tier scales with the
     *executed* data size: serial below ~256 K rows (dispatch overhead
-    dominates), threads to ~2 M, sharded processes beyond.
+    dominates), threads from there up.
     """
-    if executed_rows >= 1 << 21:
-        return ("processes", 4, 4)
     if executed_rows >= 1 << 18:
-        return ("threads", 4, 1)
-    return ("serial", 0, 1)
+        return ("threads", 4)
+    return ("serial", 0)
 
 
 # ----------------------------------------------------------------------
@@ -239,12 +238,12 @@ def _join_candidates(
     machine: Machine,
     gpu_name: str,
     workers: Tuple[str, ...],
-    tier: Tuple[str, int, int],
+    tier: Tuple[str, int],
     scheme: str,
     label: str,
 ):
     """Yield (config, query, stats) points for a two-table join."""
-    backend, exec_workers, shards = tier
+    backend, exec_workers = tier
     r_scan, s_scan = shape.build, shape.probe
     if r_scan.relation is None or s_scan.relation is None:
         raise LogicalError(
@@ -270,7 +269,6 @@ def _join_candidates(
         processor=gpu_name,
         backend=backend,
         exec_workers=exec_workers,
-        shards=shards,
         hash_scheme=scheme,
         label=label,
     )
@@ -349,12 +347,12 @@ def _scan_candidates(
     shape: ScanShape,
     machine: Machine,
     gpu_name: str,
-    tier: Tuple[str, int, int],
+    tier: Tuple[str, int],
     calibration: Calibration,
     label: str,
 ):
     """Yield (config, query, stats) points for a selection scan."""
-    backend, exec_workers, shards = tier
+    backend, exec_workers = tier
     query = Query(shape.aggregate)
     processors = [gpu_name] + [cpu.name for cpu in machine.cpus()]
     value_bytes = shape.scan.column_bytes()
@@ -383,7 +381,6 @@ def _scan_candidates(
                         variant=variant,
                         backend=backend,
                         exec_workers=exec_workers,
-                        shards=shards,
                         label=label,
                     )
 
@@ -395,12 +392,12 @@ def _star_candidates(
     machine: Machine,
     gpu_name: str,
     workers: Tuple[str, ...],
-    tier: Tuple[str, int, int],
+    tier: Tuple[str, int],
     label: str,
 ):
     """Yield (config, query, stats) points for a star shape: one
     candidate per enumerated dimension probe order."""
-    backend, exec_workers, shards = tier
+    backend, exec_workers = tier
     query = Query(shape.aggregate)
     hints = [sel for _scan, _key, sel in shape.dimensions]
     ndims = len(shape.dimensions)
@@ -425,7 +422,6 @@ def _star_candidates(
                 join_order=order,
                 backend=backend,
                 exec_workers=exec_workers,
-                shards=shards,
                 label=label,
             )
 

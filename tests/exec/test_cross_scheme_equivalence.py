@@ -1,115 +1,42 @@
-"""Cross-scheme and cross-backend agreement (hypothesis).
+"""Cross-scheme agreement (hypothesis).
 
-Two invariants:
-
-* For any unique-key workload, all three schemes — and the sharded
-  wrapper around each — agree on ``(found, values)`` exactly: the hash
-  scheme (and its sharding) is a performance choice, never a semantic
-  one.
-* ``TableStats.as_tuple()`` is identical across ``serial`` /
-  ``threads`` / ``processes`` at every worker count: the backend knob
-  never leaks into the measured counters that price every manifest.
+For any unique-key workload, all three schemes agree on
+``(found, values)`` exactly: the hash scheme is a performance choice,
+never a semantic one.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashtable import create_hash_table
-from repro.exec import (
-    MorselExecutor,
-    ProcessExecutor,
-    execute_build,
-    execute_probe,
-    fork_available,
-)
+from repro.exec import execute_build, execute_probe
 
 SCHEMES = ("perfect", "open_addressing", "chaining")
-WORKER_COUNTS = (1, 2, 4)
 DOMAIN = 600
 
 
-def build_and_probe(scheme, shards, keys, probes, executor=None):
+def build_and_probe(scheme, keys, probes):
     table = create_hash_table(
-        scheme, max(len(keys), DOMAIN), np.int64, np.int64, shards=shards
+        scheme, max(len(keys), DOMAIN), np.int64, np.int64
     )
     if len(keys):
-        execute_build(table, keys, keys * 7 + 3, executor)
-    found, values = execute_probe(table, probes, executor)
-    return table, found, values
+        execute_build(table, keys, keys * 7 + 3)
+    return execute_probe(table, probes)
 
 
 class TestCrossSchemeAgreement:
     @given(
         keys=st.sets(st.integers(0, DOMAIN - 1), max_size=150),
         probes=st.lists(st.integers(0, DOMAIN + 99), max_size=150),
-        shards=st.sampled_from((1, 2, 4)),
     )
     @settings(max_examples=30, deadline=None)
-    def test_all_schemes_and_sharded_wrappers_agree(self, keys, probes, shards):
+    def test_all_schemes_agree(self, keys, probes):
         keys = np.array(sorted(keys), dtype=np.int64)
         probes = np.array(probes, dtype=np.int64)
-        outputs = {}
-        for scheme in SCHEMES:
-            for n_shards in (1, shards):
-                _, found, values = build_and_probe(scheme, n_shards, keys, probes)
-                outputs[(scheme, n_shards)] = (found, values)
-        reference = outputs[("perfect", 1)]
-        for label, (found, values) in outputs.items():
-            assert np.array_equal(found, reference[0]), label
+        ref_found, ref_values = build_and_probe("perfect", keys, probes)
+        for scheme in SCHEMES[1:]:
+            found, values = build_and_probe(scheme, keys, probes)
+            assert np.array_equal(found, ref_found), scheme
             # values agree where found; miss slots are scheme-internal
-            assert np.array_equal(
-                values[found], reference[1][reference[0]]
-            ), label
-
-    @given(
-        keys=st.sets(st.integers(0, DOMAIN - 1), min_size=1, max_size=150),
-        probes=st.lists(st.integers(0, DOMAIN + 99), max_size=150),
-        workers=st.integers(1, 4),
-        morsel=st.integers(1, 64),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_sharded_stats_identical_serial_vs_threads(
-        self, keys, probes, workers, morsel
-    ):
-        keys = np.array(sorted(keys), dtype=np.int64)
-        probes = np.array(probes, dtype=np.int64)
-        for scheme in SCHEMES:
-            serial_table, sf, sv = build_and_probe(scheme, 4, keys, probes)
-            executor = MorselExecutor(workers=workers, morsel_tuples=morsel)
-            table, found, values = build_and_probe(
-                scheme, 4, keys, probes, executor
-            )
-            assert np.array_equal(found, sf)
-            assert np.array_equal(values, sv)
-            assert table.stats.as_tuple() == serial_table.stats.as_tuple()
-            assert table.size == serial_table.size
-
-
-@pytest.mark.skipif(not fork_available(), reason="requires fork")
-class TestStatsAcrossAllBackends:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("shards", (1, 4))
-    def test_as_tuple_identical_at_every_worker_count(self, scheme, shards):
-        rng = np.random.default_rng(21)
-        keys = rng.permutation(DOMAIN)[:400].astype(np.int64)
-        probes = rng.integers(0, DOMAIN + 100, size=700).astype(np.int64)
-        serial_table, sf, sv = build_and_probe(scheme, shards, keys, probes)
-        reference = serial_table.stats.as_tuple()
-        for workers in WORKER_COUNTS:
-            for executor in (
-                MorselExecutor(workers=workers, morsel_tuples=64),
-                ProcessExecutor(workers=workers, morsel_tuples=64),
-            ):
-                table, found, values = build_and_probe(
-                    scheme, shards, keys, probes, executor
-                )
-                assert table.stats.as_tuple() == reference, (
-                    scheme,
-                    shards,
-                    workers,
-                    type(executor).__name__,
-                )
-                assert np.array_equal(found, sf)
-                assert np.array_equal(values, sv)
+            assert np.array_equal(values[found], ref_values[ref_found]), scheme

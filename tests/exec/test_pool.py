@@ -3,7 +3,47 @@
 import numpy as np
 import pytest
 
+from repro.core.hashtable import create_hash_table
+from repro.core.join.coop import CoopJoin
+from repro.core.join.nopa import NoPartitioningJoin
+from repro.core.ops.q6 import TpchQ6
+from repro.core.ops.scan import SelectionScan
 from repro.exec import MorselExecutor, check_backend, make_executor
+from repro.hardware.topology import ibm_ac922
+
+
+def _scan(machine, **kwargs):
+    return SelectionScan(machine, [object()], [], lambda columns: 0.0, **kwargs)
+
+
+def _table(**kwargs):
+    return create_hash_table("perfect", 64, np.int64, np.int64, **kwargs)
+
+
+#: every entry point that used to take ``backend="processes"`` / ``shards=``.
+BACKEND_ENTRY_POINTS = {
+    "NoPartitioningJoin": lambda **kw: NoPartitioningJoin(ibm_ac922(), **kw),
+    "CoopJoin": lambda **kw: CoopJoin(ibm_ac922(), **kw),
+    "TpchQ6": lambda **kw: TpchQ6(ibm_ac922(), **kw),
+    "SelectionScan": lambda **kw: _scan(ibm_ac922(), **kw),
+    "make_executor": lambda **kw: make_executor(**{"backend": "threads", **kw}),
+}
+SHARDS_ENTRY_POINTS = dict(BACKEND_ENTRY_POINTS, create_hash_table=_table)
+
+
+class TestRemovedKnobsRejectedAtConstruction:
+    """Construction-time rejection is what lets the perf probes report a
+    removed backend or knob as ``null`` instead of crashing mid-run."""
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_ENTRY_POINTS))
+    def test_processes_backend_rejected(self, name):
+        with pytest.raises(ValueError, match="valid: serial, threads$"):
+            BACKEND_ENTRY_POINTS[name](backend="processes")
+
+    @pytest.mark.parametrize("name", sorted(SHARDS_ENTRY_POINTS))
+    def test_shards_knob_rejected(self, name):
+        with pytest.raises(TypeError, match="shards"):
+            SHARDS_ENTRY_POINTS[name](shards=4)
 
 
 class TestValidation:

@@ -196,7 +196,7 @@ def manifest_dict(join, result, kind):
 class TestChaosEquivalence:
     """Seeded chaos runs recover to bit-identical join output."""
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("backend", ("threads",))
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_chaos_run_matches_fault_free_serial(self, ibm, wl_a, seed, backend):
         baseline = chaos_join(ibm, backend="serial").run(wl_a.r, wl_a.s)
@@ -212,7 +212,7 @@ class TestChaosEquivalence:
             result.table_stats_probe_factor == baseline.table_stats_probe_factor
         )
 
-    @pytest.mark.parametrize("backend", ("threads", "processes"))
+    @pytest.mark.parametrize("backend", ("threads",))
     @pytest.mark.parametrize("seed", [101, 202])
     def test_pricing_neutral_chaos_manifest_identical_minus_resilience(
         self, ibm, wl_a, seed, backend
