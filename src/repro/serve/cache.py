@@ -7,9 +7,13 @@ known: the registry workloads are deterministic, so two requests for
 the same workload on the same machine compile to the same plan and
 price to the same phases.  The cache stores the whole solo-priced
 artifact — phases, solo makespan, modeled bytes, and the per-query
-manifest base — and the service deep-copies manifests out of it, so a
-cache hit is observably identical to a fresh pricing (the isolation
-tests pin this).
+manifest base.  An entry is shared by every query priced from it and
+never handed out: a cache hit costs a lookup, and a query's private
+manifest is copied out (:meth:`PlanCacheEntry.manifest_copy`, the only
+deep copy in the serving layer) the first time someone reads
+``ServedQuery.manifest`` — so a hit is observably identical to a fresh
+pricing (the isolation tests pin this) without the serve pass paying
+for manifests nobody looks at.
 
 Hit/miss counters are exposed via :meth:`PlanCache.stats` and surface
 in the serving benchmark's results section.
@@ -37,10 +41,12 @@ class PlanCacheEntry:
     phases: List[PhaseCost]
     solo_seconds: float
     modeled_bytes: float
-    #: solo manifest dict (no ``serving`` section); deep-copied on use.
+    #: solo manifest dict (no ``serving`` section); shared, read-only —
+    #: callers get :meth:`manifest_copy`, never this dict.
     manifest: Dict[str, Any] = field(default_factory=dict)
 
     def manifest_copy(self) -> Dict[str, Any]:
+        """A private deep copy of the solo manifest (one per reader)."""
         return copy.deepcopy(self.manifest)
 
 

@@ -11,7 +11,10 @@ resilience layer decided (finished / deadline-exceeded / failed), and a
 per-query schema-versioned manifest whose ``serving`` section
 (:meth:`ServingRecord.section`) records how the shared machine treated
 this query — arrival-to-finish latency, solo seconds, stretch, retries,
-cancellation time, and the workload's circuit-breaker state.
+cancellation time, and the workload's circuit-breaker state.  The
+``serving`` section is built when the query terminates; the rest of the
+manifest stays in the shared plan-cache entry until
+:attr:`ServedQuery.manifest` is first read, which copies it out once.
 
 Requests turned away *before* running land in two typed buckets:
 :class:`Rejection` (admission quota or open breaker) and
@@ -28,6 +31,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.costmodel.model import PhaseCost
 
+from repro.serve.cache import PlanCacheEntry
 from repro.serve.policy import (
     OUTCOME_DEADLINE,
     OUTCOME_FAILED,
@@ -158,9 +162,10 @@ class ServedQuery:
     #: dependency-aware solo makespan (contention-free latency).
     solo_seconds: float
     cache_hit: bool = False
-    #: the solo manifest dict (no ``serving`` section yet); the service
-    #: deep-copies it and stamps the serving record in after scheduling.
-    manifest: Dict[str, Any] = field(default_factory=dict)
+    #: the plan-cache entry this query was priced from — shared with
+    #: every other query of the workload and never handed out;
+    #: :attr:`manifest` copies out of it on first read.
+    entry: Optional[PlanCacheEntry] = None
     #: filled by the scheduler (virtual seconds).  ``finish`` is the
     #: time the query *terminated* — completion, cancellation, or
     #: failure; ``outcome`` says which.
@@ -174,10 +179,36 @@ class ServedQuery:
     #: the workload's circuit-breaker state at termination (None when
     #: no breaker was configured).
     breaker_state: Optional[str] = None
+    #: the ``serving`` section, built by the service once the query
+    #: terminated (None until then).
+    serving: Optional[Dict[str, Any]] = field(
+        default=None, init=False, repr=False
+    )
+    _manifest: Optional[Dict[str, Any]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def latency(self) -> float:
         return self.finish - self.request.arrival
+
+    @property
+    def manifest(self) -> Dict[str, Any]:
+        """This query's private manifest: solo sections + ``serving``.
+
+        Copied out of the shared cache entry on first read and kept, so
+        a serve pass costs nothing for manifests nobody looks at; the
+        dict is plain, JSON-serialisable and the caller's to mutate
+        (``{}`` for a query built without an entry).
+        """
+        if self._manifest is None:
+            manifest = (
+                self.entry.manifest_copy() if self.entry is not None else {}
+            )
+            if self.serving is not None:
+                manifest["serving"] = self.serving
+            self._manifest = manifest
+        return self._manifest
 
     def serving_record(self) -> ServingRecord:
         """This query's ``serving`` manifest-section record."""

@@ -13,7 +13,8 @@
    a registry (pinned by the isolation tests);
 2. **caches** the priced artifact by workload fingerprint
    (:mod:`repro.serve.cache`), so repeat requests skip the optimizer's
-   search-space enumeration entirely;
+   search-space enumeration entirely — every query keeps a reference
+   to its shared cache entry, nothing is copied per request;
 3. **admits** each request against its workload's circuit breaker and
    its tenant's quota at its virtual arrival time
    (:mod:`repro.serve.admission`), converting typed
@@ -28,12 +29,15 @@
    queries (resubmitted with the policy's capped virtual-time backoff)
    or degrade link capacity mid-serving, and overload beyond the
    policy's bounds is load-shed with typed reasons;
-5. **stamps** each terminated query's manifest with a schema-versioned
-   ``serving`` section (arrival, start, finish, latency, stretch,
-   cache hit, outcome, deadline, cancellation time, retries, breaker
-   state) and returns everything as a
+5. **builds** each terminated query's schema-versioned ``serving``
+   section (arrival, start, finish, latency, stretch, cache hit,
+   outcome, deadline, cancellation time, retries, breaker state) and
+   returns everything as a
    :class:`~repro.serve.request.ServingReport`, then audits that every
-   admission share returned exactly to zero.
+   admission share returned exactly to zero.  A query's manifest —
+   a private copy of the cached solo manifest plus that ``serving``
+   section — is materialised when ``ServedQuery.manifest`` is first
+   read, not here.
 
 ``submit()`` is thread-safe (a lock guards the request log); the serve
 pass itself is deterministic and single-threaded — virtual time, not
@@ -45,6 +49,7 @@ bit-identical to the fair-weather PR 9 engine.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -150,12 +155,16 @@ class QueryService:
                 f"unknown workload {workload!r}; valid: "
                 f"{', '.join(sorted(WORKLOADS))}"
             )
-        if arrival < 0:
-            raise ValueError(f"arrival must be >= 0, got {arrival}")
+        if not math.isfinite(arrival) or arrival < 0:
+            raise ValueError(
+                f"arrival must be finite and >= 0, got {arrival}"
+            )
         if deadline is None:
             deadline = self.policy.default_deadline
-        elif deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        elif not math.isfinite(deadline) or deadline <= 0:
+            raise ValueError(
+                f"deadline must be finite and positive, got {deadline}"
+            )
         with self._lock:
             request = QueryRequest(
                 request_id=self._next_id,
@@ -253,7 +262,7 @@ class QueryService:
                     phases=list(entry.phases),
                     solo_seconds=entry.solo_seconds,
                     cache_hit=hit,
-                    manifest=entry.manifest_copy(),
+                    entry=entry,
                 )
             )
 
@@ -382,7 +391,7 @@ class QueryService:
         for query in (
             outcome.finished + outcome.deadline_exceeded + outcome.failed
         ):
-            query.manifest["serving"] = query.serving_record().section()
+            query.serving = query.serving_record().section()
         # Drain invariant: every admission share is back to exactly zero
         # no matter how each query terminated.
         self.admission.audit()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.obs.trace import Tracer
 
@@ -59,7 +59,10 @@ class Simulator:
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.now = 0.0
         self.tracer = tracer
-        self._queue: List[Event] = []
+        #: heap of ``(time, seq, event)``: ``(time, seq)`` is unique, so
+        #: the heap orders on native float/int compares and never
+        #: reaches the event itself.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._fired = 0
         self._running = False
@@ -75,9 +78,11 @@ class Simulator:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        event = Event(time=self.now + delay, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._queue, event)
-        self._live.add(event.seq)
+        time = self.now + delay
+        seq = next(self._seq)
+        event = Event(time=time, seq=seq, callback=callback)
+        heapq.heappush(self._queue, (time, seq, event))
+        self._live.add(seq)
         return event
 
     def schedule_at(self, time: float, callback: Callable[["Simulator"], None]) -> Event:
@@ -117,9 +122,9 @@ class Simulator:
 
     def _purge_cancelled(self) -> None:
         """Drop cancelled events sitting at the heap head."""
-        while self._queue and self._queue[0].seq in self._cancelled:
-            dead = heapq.heappop(self._queue)
-            self._cancelled.discard(dead.seq)
+        while self._queue and self._queue[0][1] in self._cancelled:
+            _time, seq, _dead = heapq.heappop(self._queue)
+            self._cancelled.discard(seq)
 
     @property
     def pending(self) -> int:
@@ -130,11 +135,11 @@ class Simulator:
         self._purge_cancelled()
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
-        self._live.discard(event.seq)
-        if event.time < self.now:
+        time, seq, event = heapq.heappop(self._queue)
+        self._live.discard(seq)
+        if time < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
-        self.now = event.time
+        self.now = time
         self._fired += 1
         event.callback(self)
         return True
@@ -163,7 +168,7 @@ class Simulator:
                 self._purge_cancelled()
                 if not self._queue:
                     break
-                if until is not None and self._queue[0].time > until:
+                if until is not None and self._queue[0][0] > until:
                     break
                 self.step()
             if until is not None and until > self.now:

@@ -8,9 +8,19 @@ differ; everything the solo pricing produced is pinned byte for byte,
 mirroring the PR-4 snapshot-equality style.
 """
 
+import copy
 import json
 
-from repro.serve import QueryService
+from repro.bench.serving_latency import (
+    GREEDY_BURST,
+    MIX,
+    build_service,
+    submit_load,
+)
+from repro.faults import FailQuery, FaultPlan
+from repro.serve import QueryService, ServicePolicy
+from repro.serve.cache import workload_fingerprint
+from repro.serve.request import QueryRequest, ServedQuery
 
 
 def _solo_manifest(workload: str) -> dict:
@@ -83,3 +93,106 @@ class TestObservabilityIsolation:
             q.manifest["serving"]["stretch"] for q in report.served
         ]
         assert any(s > 1.5 for s in stretches)
+
+
+class TestManifestCopiedOnFirstRead:
+    """A query's private manifest leaves the cache when it is read.
+
+    ``serve()`` hands every query a reference to its shared
+    ``PlanCacheEntry``; ``PlanCacheEntry.manifest_copy`` — the one
+    ``deepcopy`` site — runs on the first ``ServedQuery.manifest`` read
+    and never during the pass.
+    """
+
+    def test_serve_pass_copies_nothing_reads_copy_once(self, monkeypatch):
+        service = build_service()
+        for name in MIX:  # warm the plan cache: pricing is not under test
+            service.submit("warm", name, 0.0)
+        service.serve()
+
+        calls = []
+        real_deepcopy = copy.deepcopy
+
+        def counting_deepcopy(obj, memo=None):
+            if memo is None:  # top-level calls only, not the recursion
+                calls.append(type(obj))
+            return real_deepcopy(obj, memo)
+
+        monkeypatch.setattr(
+            "repro.serve.cache.copy.deepcopy", counting_deepcopy
+        )
+
+        submit_load(service, 200)
+        report = service.serve()
+        assert report.rejections, "the greedy burst must be rejected"
+        assert report.cache["misses"] == len(MIX)
+        assert report.conservation(200 + GREEDY_BURST)
+        assert calls == [], "serve() deep-copied a manifest"
+
+        readers = report.served[:5]
+        manifests = [query.manifest for query in readers]
+        assert len(calls) == len(readers)
+        for query, manifest in zip(readers, manifests):
+            assert query.manifest is manifest  # second read: same dict
+        assert len(calls) == len(readers)
+
+    def test_mutating_one_hit_reaches_no_other_query_nor_the_cache(self):
+        service = QueryService()
+        for i in range(4):
+            service.submit("alpha", "star", 5.0 * i)  # no overlap
+        report = service.serve()
+        _miss, first, second, third = (report.query(i) for i in range(4))
+        assert first.cache_hit and second.cache_hit and third.cache_hit
+
+        pristine = json.dumps(second.manifest, sort_keys=True)
+        entry = service.cache.get(workload_fingerprint("star", "ibm-ac922"))
+        cached = json.dumps(entry.manifest, sort_keys=True)
+        first.manifest["results"]["solo_seconds"] = -1.0
+        first.manifest["phases"][0] = "scribbled"
+        first.manifest["serving"]["stretch"] = -1.0
+
+        assert json.dumps(second.manifest, sort_keys=True) == pristine
+        assert json.dumps(entry.manifest, sort_keys=True) == cached
+        # materialised only now, after the scribbling: still pristine.
+        assert _without_serving(third.manifest) == _without_serving(
+            _solo_manifest("star")
+        )
+
+    def test_every_terminated_query_reads_a_stamped_manifest(self):
+        service = QueryService(policy=ServicePolicy(default_deadline=0.6))
+        for i in range(12):
+            service.submit("alpha", ("q6", "star", "join-b")[i % 3], 0.05 * i)
+        plan = FaultPlan(
+            seed=7,
+            rules=[FailQuery(probability=0.5, attempts=None, times=None)],
+            name="isolation-chaos",
+        )
+        with plan.install():
+            report = service.serve()
+        assert report.served and report.deadline_exceeded and report.failed
+
+        for query in (
+            report.served + report.deadline_exceeded + report.failed
+        ):
+            # the contract: a private copy of the cached solo manifest
+            # plus this query's own serving section.
+            entry = service.cache.get(
+                workload_fingerprint(
+                    query.request.workload, query.request.machine
+                )
+            )
+            expected = entry.manifest_copy()
+            expected["serving"] = query.serving_record().section()
+            assert list(query.manifest) == list(expected)
+            assert json.dumps(query.manifest, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            )
+            assert query.manifest["serving"]["outcome"] == query.outcome
+
+    def test_query_without_an_entry_reads_an_empty_manifest(self):
+        query = ServedQuery(
+            request=QueryRequest(0, "alpha", "synthetic", "ibm-ac922", 0.0),
+            phases=[],
+            solo_seconds=0.0,
+        )
+        assert query.manifest == {}

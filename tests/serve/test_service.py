@@ -31,6 +31,33 @@ class TestFrontDoor:
         with pytest.raises(ValueError):
             service.submit("alpha", "join-b", -1.0)
 
+    @pytest.mark.parametrize(
+        "arrival", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_arrival_rejected(self, arrival):
+        # nan compares false against every bound; accepted, it would
+        # kill the next serve() inside the simulator after the request
+        # log had been drained, losing every other request with it.
+        service = QueryService()
+        with pytest.raises(ValueError, match="arrival"):
+            service.submit("alpha", "join-b", arrival)
+        assert service.pending == 0
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, deadline):
+        service = QueryService()
+        with pytest.raises(ValueError, match="deadline"):
+            service.submit("alpha", "join-b", 0.0, deadline=deadline)
+        assert service.pending == 0
+
+    def test_service_still_serves_after_a_rejected_submit(self):
+        service = QueryService()
+        with pytest.raises(ValueError):
+            service.submit("alpha", "q6", float("nan"))
+        request = service.submit("alpha", "q6", 0.0)
+        report = service.serve()
+        assert [q.request for q in report.served] == [request]
+
     def test_request_ids_are_unique_and_ordered(self):
         service = QueryService()
         first = service.submit("alpha", "join-b", 0.0)
