@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import NoPartitioningJoin
-from repro.exec import MorselExecutor, execute_build, execute_probe
+from repro.exec import (
+    DEFAULT_EXEC_MORSEL_TUPLES,
+    MorselExecutor,
+    execute_build,
+    execute_probe,
+)
 from repro.hardware.topology import ibm_ac922
 from repro.obs import Observability
 from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, build_manifest
@@ -164,7 +169,7 @@ def run_benchmark(
     build_tuples = 1 << 18 if quick else 1 << 21
     probe_tuples = 1 << 19 if quick else 1 << 22
     repeats = 2 if quick else 3
-    morsel_tuples = 1 << 14 if quick else 1 << 15
+    morsel_tuples = 1 << 14 if quick else DEFAULT_EXEC_MORSEL_TUPLES
 
     rng = np.random.default_rng(4)
     keys = rng.permutation(build_tuples).astype(np.int64)

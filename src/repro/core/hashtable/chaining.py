@@ -9,8 +9,6 @@ exchange a parallel chaining build performs on the head pointer.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.hashtable.base import HashTableBase
@@ -23,8 +21,9 @@ class ChainingHashTable(HashTableBase):
     Duplicate keys are rejected by default — the same contract perfect
     hashing and open addressing enforce, so cross-scheme probe results
     never diverge on the same input (a chain *can* hold several entries
-    per key, but :meth:`lookup_batch` stops at the first hit, silently
-    shadowing the older ones).  Multi-match workloads that genuinely
+    per key, but the probe kernel walks each block of keys one chain
+    link per round and drops a key at its first hit, silently shadowing
+    the older ones).  Multi-match workloads that genuinely
     want shadow-free duplicate storage opt in with
     ``allow_duplicates=True``.
     """
@@ -74,24 +73,6 @@ class ChainingHashTable(HashTableBase):
             round(self.n_buckets * (modeled_capacity / self.capacity))
         )
         return modeled_capacity * per_entry + modeled_heads * self.heads.dtype.itemsize
-
-    def _contains_any(self, keys: np.ndarray) -> np.ndarray:
-        """Stats-free membership probe (validation only, never priced)."""
-        n = len(keys)
-        present = np.zeros(n, dtype=bool)
-        if n == 0:
-            return present
-        cursor = self.heads[bucket_of(keys, self.n_buckets)]
-        pending = np.flatnonzero(cursor != self.NIL)
-        cursor = cursor[pending]
-        while len(pending):
-            hit = self.keys[cursor] == keys[pending]
-            present[pending[hit]] = True
-            cursor = self.next[cursor]
-            keep = ~hit & (cursor != self.NIL)
-            pending = pending[keep]
-            cursor = cursor[keep]
-        return present
 
     def insert_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._check_batch(keys, values)
@@ -146,30 +127,31 @@ class ChainingHashTable(HashTableBase):
         self.stats.inserts += n
         self.stats.insert_probes += n
 
-    def lookup_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_batch(keys)
-        n = len(keys)
-        self.stats.lookups += n
-        found = np.zeros(n, dtype=bool)
-        values = np.zeros(n, dtype=self.values.dtype)
-        if n == 0:
-            return found, values
+    def _lookup_block(
+        self, keys: np.ndarray, found: np.ndarray, values: np.ndarray
+    ) -> int:
         # Every lookup inspects its bucket head — chained tables pay one
         # extra dependent read compared to open addressing.
-        self.stats.lookup_probes += n
-        cursor = self.heads[bucket_of(keys, self.n_buckets)]
+        probes = len(keys)
+        hits = 0
+        found[:] = False
+        cursor = self.heads.take(bucket_of(keys, self.n_buckets))
         pending = np.flatnonzero(cursor != self.NIL)
-        cursor = cursor[pending]
+        probe_keys = keys.take(pending)
+        cursor = cursor.take(pending)
         while len(pending):
-            self.stats.lookup_probes += len(pending)
-            hit = self.keys[cursor] == keys[pending]
-            if hit.any():
-                rows = pending[hit]
-                found[rows] = True
-                values[rows] = self.values[cursor[hit]]
-                self.stats.value_reads += int(hit.sum())
-            cursor = self.next[cursor]
-            keep = ~hit & (cursor != self.NIL)
-            pending = pending[keep]
-            cursor = cursor[keep]
-        return found, values
+            probes += len(pending)
+            hit = self.keys.take(cursor) == probe_keys
+            hit_at = np.flatnonzero(hit)
+            if len(hit_at):
+                hits += len(hit_at)
+                hit_rows = pending.take(hit_at)
+                found[hit_rows] = True
+                values[hit_rows] = self.values.take(cursor.take(hit_at))
+            cursor = self.next.take(cursor)
+            keep = np.flatnonzero((cursor != self.NIL) & ~hit)
+            pending = pending.take(keep)
+            probe_keys = probe_keys.take(keep)
+            cursor = cursor.take(keep)
+        self.stats.lookup_probes += probes
+        return hits

@@ -19,15 +19,18 @@ def mix64(keys: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer: a strong 64-bit avalanche mix.
 
     Accepts any integer array; returns uint64 hashes of the same shape.
+    The xor-shifts go through one scratch buffer, so a call makes two
+    temporaries, not one per operator.
     """
-    h = keys.astype(np.uint64, copy=True)
+    h = keys.astype(np.uint64)
+    shifted = np.empty_like(h)
     with np.errstate(over="ignore"):
         h += _GOLDEN64
-        h ^= h >> np.uint64(30)
+        h ^= np.right_shift(h, np.uint64(30), out=shifted)
         h *= _MIX1
-        h ^= h >> np.uint64(27)
+        h ^= np.right_shift(h, np.uint64(27), out=shifted)
         h *= _MIX2
-        h ^= h >> np.uint64(31)
+        h ^= np.right_shift(h, np.uint64(31), out=shifted)
     return h
 
 
@@ -59,7 +62,10 @@ def bucket_of(keys: np.ndarray, capacity: int, scheme: str = "mix") -> np.ndarra
         hashed = keys.astype(np.uint64)
     else:
         raise ValueError(f"unknown bucket scheme {scheme!r}")
-    return (hashed & np.uint64(capacity - 1)).astype(np.int64)
+    # both branches own ``hashed``; buckets are < 2**63, so the int64
+    # view holds the same numbers
+    hashed &= np.uint64(capacity - 1)
+    return hashed.view(np.int64)
 
 
 def next_power_of_two(n: int) -> int:

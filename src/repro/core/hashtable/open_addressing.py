@@ -11,8 +11,6 @@ would, so the result equals a sequential insertion.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.hashtable.base import HashTableBase
@@ -20,7 +18,11 @@ from repro.core.hashtable.hash_functions import bucket_of, next_power_of_two
 
 
 class OpenAddressingHashTable(HashTableBase):
-    """Linear-probing table; capacity is rounded up to a power of two."""
+    """Linear-probing table; capacity is rounded up to a power of two.
+
+    A probe runs one gather-compare round per probe distance over each
+    block of keys, compacting the unresolved rows between rounds.
+    """
 
     #: default fill target: capacity = 2x the expected build size.
     DEFAULT_LOAD = 0.5
@@ -40,30 +42,6 @@ class OpenAddressingHashTable(HashTableBase):
 
     def _home_slots(self, keys: np.ndarray) -> np.ndarray:
         return bucket_of(keys, self.capacity)
-
-    def _contains_any(self, keys: np.ndarray) -> np.ndarray:
-        """Stats-free membership probe (validation only, never priced).
-
-        Linear-probes exactly like :meth:`lookup_batch` but touches no
-        counters: validation work is not part of the modeled join, so it
-        must not shift ``TableStats`` (and everything priced from them).
-        """
-        n = len(keys)
-        present = np.zeros(n, dtype=bool)
-        pending = np.arange(n)
-        probe_keys = keys.astype(self.keys.dtype)
-        slots = self._home_slots(probe_keys)
-        rounds = 0
-        while len(pending) and rounds < self.capacity:
-            rounds += 1
-            slot_keys = self.keys[slots]
-            hit = slot_keys == probe_keys[pending]
-            miss = slot_keys == self.EMPTY
-            present[pending[hit]] = True
-            keep = ~(hit | miss)
-            pending = pending[keep]
-            slots = (slots[keep] + 1) & self._mask
-        return present
 
     def insert_batch(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._check_batch(keys, values)
@@ -124,34 +102,40 @@ class OpenAddressingHashTable(HashTableBase):
             pending_values = pending_values[lost]
             slots = (slots[lost] + 1) & self._mask
 
-    def lookup_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_batch(keys)
-        n = len(keys)
-        self.stats.lookups += n
-        found = np.zeros(n, dtype=bool)
-        values = np.zeros(n, dtype=self.values.dtype)
-        if n == 0:
-            return found, values
-        pending = np.arange(n)
-        probe_keys = keys.astype(self.keys.dtype)
-        slots = self._home_slots(probe_keys)
-        rounds = 0
-        # After `capacity` rounds every key has inspected every slot, so
-        # still-pending keys are absent.  This bound (not an EMPTY
-        # sentinel) terminates probes for absent keys in a 100%-full
-        # table, which insert_batch permits.
+    def _lookup_block(
+        self, keys: np.ndarray, found: np.ndarray, values: np.ndarray
+    ) -> int:
+        # Round one needs no indirection: row i probes slots[i].  Every
+        # row's value is gathered in one go, which beats compacting the
+        # hits first; the caller zeroes what a final miss leaves behind.
+        slots = self._home_slots(keys)
+        slot_keys = self.keys.take(slots)
+        np.equal(slot_keys, keys, out=found)
+        self.values.take(slots, mode="clip", out=values)
+        hits = int(np.count_nonzero(found))
+        probes = len(keys)
+        # Later rounds carry the unresolved rows with their keys and
+        # slots.  After `capacity` rounds a key has inspected every slot
+        # and is absent; this bound (not an EMPTY sentinel) terminates
+        # absent keys in a 100%-full table, which insert_batch permits.
+        pending = np.flatnonzero((slot_keys != self.EMPTY) & ~found)
+        probe_keys, slots = keys.take(pending), slots.take(pending)
+        rounds = 1
         while len(pending) and rounds < self.capacity:
             rounds += 1
-            self.stats.lookup_probes += len(pending)
-            slot_keys = self.keys[slots]
-            hit = slot_keys == probe_keys[pending]
-            miss = slot_keys == self.EMPTY
-            if hit.any():
-                hit_rows = pending[hit]
+            probes += len(pending)
+            slots = (slots + 1) & self._mask
+            slot_keys = self.keys.take(slots)
+            hit = slot_keys == probe_keys
+            hit_at = np.flatnonzero(hit)
+            if len(hit_at):
+                hits += len(hit_at)
+                hit_rows = pending.take(hit_at)
                 found[hit_rows] = True
-                values[hit_rows] = self.values[slots[hit]]
-                self.stats.value_reads += int(hit.sum())
-            keep = ~(hit | miss)
-            pending = pending[keep]
-            slots = (slots[keep] + 1) & self._mask
-        return found, values
+                values[hit_rows] = self.values.take(slots.take(hit_at))
+            keep = np.flatnonzero((slot_keys != self.EMPTY) & ~hit)
+            pending = pending.take(keep)
+            probe_keys = probe_keys.take(keep)
+            slots = slots.take(keep)
+        self.stats.lookup_probes += probes
+        return hits

@@ -10,15 +10,16 @@ outside [0, capacity) is a contract violation and raises.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.core.hashtable.base import HashTableBase
 
 
 class PerfectHashTable(HashTableBase):
-    """Dense-domain perfect hashing (the paper's NOPA configuration)."""
+    """Dense-domain perfect hashing (the paper's NOPA configuration).
+
+    A probe is one gather and one compare per block of keys.
+    """
 
     def __init__(self, capacity: int, key_dtype=np.int64, value_dtype=np.int64):
         super().__init__(capacity, key_dtype, value_dtype)
@@ -55,14 +56,12 @@ class PerfectHashTable(HashTableBase):
         self.stats.inserts += len(keys)
         self.stats.insert_probes += len(keys)
 
-    def lookup_batch(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._check_batch(keys)
-        self.stats.lookups += len(keys)
+    def _lookup_block(
+        self, keys: np.ndarray, found: np.ndarray, values: np.ndarray
+    ) -> int:
+        # mode="clip" sends an out-of-domain key to the last slot, whose
+        # key is below the capacity and so cannot equal it.
+        np.equal(self.keys.take(keys, mode="clip"), keys, out=found)
+        self.values.take(keys, mode="clip", out=values)
         self.stats.lookup_probes += len(keys)
-        in_domain = keys < self.capacity
-        slots = np.where(in_domain, keys, 0).astype(np.int64)
-        found = in_domain & (self.keys[slots] == keys)
-        values = np.zeros(len(keys), dtype=self.values.dtype)
-        values[found] = self.values[slots[found]]
-        self.stats.value_reads += int(found.sum())
-        return found, values
+        return int(np.count_nonzero(found))

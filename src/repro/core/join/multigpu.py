@@ -158,7 +158,7 @@ class MultiGpuJoin:
         table.insert_batch(r.key, r.payload)
         found, values = table.lookup_batch(s.key)
         matches = int(found.sum())
-        aggregate = int(values[found].astype(np.int64).sum())
+        aggregate = int(values.sum(where=found, dtype=np.int64))
         table_bytes = table.modeled_bytes(r.modeled_tuples)
 
         fractions, per_region = self._table_fractions(gpus, table_bytes)

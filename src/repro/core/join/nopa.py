@@ -239,7 +239,7 @@ class NoPartitioningJoin:
         execute_build(table, r.key, r.payload, executor)
         found, values = execute_probe(table, s.key, executor)
         matches = int(found.sum())
-        aggregate = int(values[found].astype(np.int64).sum())
+        aggregate = int(values.sum(where=found, dtype=np.int64))
         lines = payload_line_fraction(found, s.payload_bytes)
         materialized = None
         if self.output == "materialize":

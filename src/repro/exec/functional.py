@@ -1,8 +1,9 @@
 """Morsel-parallel drivers for the functional layer's kernels.
 
 These helpers run a hash-table build, a probe, or a predicate cascade
-either serially (``executor is None`` — the exact code path the
-operators always had) or across a :class:`~repro.exec.pool.MorselExecutor`.
+either on the calling thread (``executor is None`` — one ``insert_batch``
+/ ``lookup_batch`` call, which itself walks the keys in cache-resident
+blocks) or across a :class:`~repro.exec.pool.MorselExecutor`.
 The contract, enforced by the equivalence tests, is that the two paths
 produce **bit-identical outputs and identical TableStats**, so the
 ``backend`` knob changes wall-clock behaviour only — never a result,
@@ -27,8 +28,9 @@ morsel-divisible:
   build stays one whole batch regardless of backend.
 
 Probes and predicate masks are read-only and element-independent, so
-they decompose for every scheme: each morsel produces a private output
-slice, merged by stable morsel-order concatenation.
+they decompose for every scheme: a probe morsel writes its slice of the
+two output arrays in place; mask morsels produce private slices, merged
+by stable morsel-order concatenation.
 """
 
 from __future__ import annotations
@@ -152,17 +154,18 @@ def execute_probe(
     if executor is None or len(keys) == 0:
         return table.lookup_batch(keys)
     views: Dict[str, HashTableBase] = {}
+    found = np.zeros(len(keys), dtype=bool)
+    values = np.zeros(len(keys), dtype=table.values.dtype)
 
-    def probe_morsel(
-        work: WorkRange, worker: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def probe_morsel(work: WorkRange, worker: str) -> None:
+        # Each morsel owns its slice of the outputs, so a retried morsel
+        # rewrites the same rows with the same answers.
         view = _view_for(views, table, worker)
-        return view.lookup_batch(keys[work.start : work.end])
+        rows = slice(work.start, work.end)
+        view.lookup_into(keys[rows], found[rows], values[rows])
 
-    parts = executor.map_values(len(keys), probe_morsel)
+    executor.run(len(keys), probe_morsel)
     _absorb_all(table, views)
-    found = np.concatenate([part[0] for part in parts])
-    values = np.concatenate([part[1] for part in parts])
     return found, values
 
 

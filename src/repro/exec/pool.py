@@ -49,6 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar
 
+from repro.core.hashtable.base import HashTableBase
 from repro.core.scheduler.morsel import MorselDispatcher, WorkRange
 from repro.faults.plan import (
     FaultPlan,
@@ -66,10 +67,12 @@ T = TypeVar("T")
 #: valid execution backends for the functional layer.
 EXEC_BACKENDS = ("serial", "threads")
 
-#: default morsel size (executed tuples) for the thread backend — small
-#: enough that reduced-scale workloads still decompose into many
-#: morsels, large enough that numpy kernels dominate dispatch overhead.
-DEFAULT_EXEC_MORSEL_TUPLES = 1 << 15
+#: default morsel size (executed tuples) for the thread backend: the
+#: hash tables' probe block.  The serial probe walks its keys in blocks
+#: of that size already; smaller morsels only shrink each numpy call
+#: until the GIL hand-off between workers outweighs it (2**15 loses to
+#: serial: docs/architecture.md, "One parallel backend").
+DEFAULT_EXEC_MORSEL_TUPLES = HashTableBase.PROBE_BLOCK
 
 #: default worker count of the thread backend.
 DEFAULT_WORKERS = 4

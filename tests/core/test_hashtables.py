@@ -7,8 +7,9 @@ cover their individual contracts.
 import numpy as np
 import pytest
 
-from repro.core.hashtable import create_hash_table
+from repro.core.hashtable import HashTableBase, create_hash_table
 from repro.core.hashtable.chaining import ChainingHashTable
+from repro.core.hashtable.hash_functions import bucket_of
 from repro.core.hashtable.open_addressing import OpenAddressingHashTable
 from repro.core.hashtable.perfect import PerfectHashTable
 
@@ -339,3 +340,140 @@ class TestInvariantRegressions:
         assert table.size == 1
         found, got = table.lookup_batch(np.array([3], dtype=np.int64))
         assert found.all() and got[0] == 30
+
+
+def scalar_probe(table, key):
+    """One key probed the way the paper states it, in plain Python:
+    ``(found, value, slots inspected)`` read straight off the arrays."""
+    key = int(key)
+    if isinstance(table, PerfectHashTable):
+        hit = key < table.capacity and int(table.keys[key]) == key
+        return hit, int(table.values[key]) if hit else 0, 1
+    if isinstance(table, OpenAddressingHashTable):
+        slot = int(bucket_of(np.array([key]), table.capacity)[0])
+        for probes in range(1, table.capacity + 1):
+            stored = int(table.keys[slot])
+            if stored == key:
+                return True, int(table.values[slot]), probes
+            if stored == table.EMPTY:
+                return False, 0, probes
+            slot = (slot + 1) % table.capacity
+        return False, 0, table.capacity
+    row = int(table.heads[int(bucket_of(np.array([key]), table.n_buckets)[0])])
+    probes = 1  # the bucket head
+    while row != table.NIL:
+        probes += 1
+        if int(table.keys[row]) == key:
+            return True, int(table.values[row]), probes
+        row = int(table.next[row])
+    return False, 0, probes
+
+
+def scalar_reference(table, probes):
+    """(found, values, TableStats delta) of probing ``probes`` one by one."""
+    answers = [scalar_probe(table, key) for key in probes]
+    found = np.array([a[0] for a in answers], dtype=bool)
+    values = np.array([a[1] for a in answers], dtype=table.values.dtype)
+    stats = (0, 0, len(probes), sum(a[2] for a in answers), int(found.sum()))
+    return found, values, stats
+
+
+def lookup_with_stats(table, probes):
+    table.stats.reset()
+    found, values = table.lookup_batch(probes)
+    return found, values, table.stats.as_tuple()
+
+
+def assert_same_lookup(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
+    assert got[2] == want[2]
+
+
+class TestProbeBlocks:
+    """``lookup_batch`` walks the keys in PROBE_BLOCK-sized slices; where
+    a slice ends must never show in the outputs or in ``TableStats``."""
+
+    SMALL_BLOCK = 64
+
+    @staticmethod
+    def mixed_probes(n, build_keys, seed):
+        """Present, absent and repeated keys in one batch of ``n``."""
+        rng = np.random.default_rng(seed)
+        present = rng.choice(build_keys, size=n)
+        absent = rng.integers(len(build_keys), 4 * len(build_keys), size=n)
+        probes = np.where(rng.random(n) < 0.6, present, absent)
+        probes[n // 2 :] = probes[: n - n // 2]  # the second half repeats the first
+        return probes.astype(build_keys.dtype)
+
+    @pytest.mark.parametrize("key_dtype", (np.int64, np.int32))
+    @pytest.mark.parametrize("n", (0, 1, 63, 64, 65, 160))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_block_boundaries_match_scalar_reference(
+        self, scheme, n, key_dtype, monkeypatch
+    ):
+        build_keys = np.random.default_rng(5).permutation(96).astype(key_dtype)
+        table = create_hash_table(scheme, 96, key_dtype, key_dtype)
+        table.insert_batch(build_keys, build_keys * 7 + 3)
+        probes = self.mixed_probes(n, build_keys, seed=n)
+        whole = lookup_with_stats(table, probes)
+        assert HashTableBase.PROBE_BLOCK > 160  # `whole` was a single block
+        monkeypatch.setattr(HashTableBase, "PROBE_BLOCK", self.SMALL_BLOCK)
+        blocked = lookup_with_stats(table, probes)
+        assert_same_lookup(blocked, scalar_reference(table, probes))
+        assert_same_lookup(blocked, whole)
+
+    @pytest.mark.parametrize("n", (1, 64, 65, 160))
+    def test_full_open_addressing_table_counts_capacity_probes_per_absent_key(
+        self, n, monkeypatch
+    ):
+        # No slot is EMPTY, so only the `rounds < capacity` bound ends an
+        # absent key's probe — in every block, not just the first.
+        table = OpenAddressingHashTable(8, load_factor=0.9)
+        keys = np.arange(table.capacity, dtype=np.int64)
+        table.insert_batch(keys, keys * 2)
+        assert table.load_factor == 1.0
+        absent = np.arange(n, dtype=np.int64) + table.capacity
+        whole = lookup_with_stats(table, absent)
+        monkeypatch.setattr(HashTableBase, "PROBE_BLOCK", self.SMALL_BLOCK)
+        blocked = lookup_with_stats(table, absent)
+        assert not blocked[0].any()
+        assert blocked[2] == (0, 0, n, n * table.capacity, 0)
+        assert_same_lookup(blocked, scalar_reference(table, absent))
+        assert_same_lookup(blocked, whole)
+
+    @pytest.mark.parametrize(
+        "scheme, lookup_counters",
+        [
+            ("perfect", (524288, 524288, 524288)),
+            ("open_addressing", (524288, 787016, 524288)),
+            ("chaining", (524288, 1308066, 524288)),
+        ],
+    )
+    def test_join_counters_pinned(self, scheme, lookup_counters, monkeypatch):
+        # Literals recorded from the whole-batch kernels (the commit
+        # before probe blocks): the cost model prices these counters, so
+        # a kernel change that moves one moves every virtual result.
+        from repro.core.join import nopa
+        from repro.hardware.topology import ibm_ac922
+        from repro.workloads.builders import workload_a
+
+        tables = []
+
+        def recording_factory(*args):
+            tables.append(create_hash_table(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(nopa, "create_hash_table", recording_factory)
+        workload = workload_a(scale=2**-12, seed=11)
+        result = nopa.NoPartitioningJoin(ibm_ac922(), hash_scheme=scheme).run(
+            workload.r, workload.s
+        )
+        (table,) = tables
+        stats = table.stats
+        assert (stats.lookups, stats.lookup_probes, stats.value_reads) == (
+            lookup_counters
+        )
+        assert result.matches == 524288
+        assert result.aggregate == 25788677435

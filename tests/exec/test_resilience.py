@@ -7,6 +7,7 @@ helper thread with a hard join timeout so a reintroduced deadlock fails
 the test instead of hanging the suite.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -260,3 +261,79 @@ class TestGenuineErrors:
             with pytest.raises(KeyError):
                 run_with_timeout(lambda: executor.run(64 * 10, boom))
         assert calls == [0]
+
+
+class TestProbeWritesInPlace:
+    """``execute_probe`` allocates its two outputs once and every morsel
+    fills its own rows — no per-morsel arrays to stitch together."""
+
+    MORSEL = 64
+    #: not a multiple of the morsel size: 15 morsels and a ragged one
+    PROBES = MORSEL * 15 + 17
+
+    @classmethod
+    def table_and_probes(cls, scheme):
+        from repro.core.hashtable import create_hash_table
+
+        rng = np.random.default_rng(8)
+        keys = rng.permutation(500).astype(np.int64)
+        table = create_hash_table(scheme, len(keys), np.int64, np.int64)
+        table.insert_batch(keys, keys * 3 + 1)
+        # a third of the probes miss
+        probes = rng.integers(0, 750, size=cls.PROBES).astype(np.int64)
+        return table, probes
+
+    @pytest.mark.parametrize("scheme", ("perfect", "open_addressing", "chaining"))
+    def test_ragged_probe_never_concatenates(self, scheme, monkeypatch):
+        from repro.exec import functional
+
+        serial_table, probes = self.table_and_probes(scheme)
+        serial = functional.execute_probe(serial_table, probes)
+        table, _ = self.table_and_probes(scheme)
+        calls = []
+        real_concatenate = np.concatenate
+
+        def counting_concatenate(*args, **kwargs):
+            calls.append(args)
+            return real_concatenate(*args, **kwargs)
+
+        monkeypatch.setattr(functional.np, "concatenate", counting_concatenate)
+        # More workers than cores and a near-zero switch interval: the
+        # workers interleave inside the shared arrays, so a slice written
+        # to the wrong rows could not go unnoticed below.
+        executor = MorselExecutor(workers=4, morsel_tuples=self.MORSEL)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found, values = run_with_timeout(
+                lambda: functional.execute_probe(table, probes, executor)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == []
+        assert found.base is None and values.base is None  # whole arrays
+        assert np.array_equal(found, serial[0])
+        assert np.array_equal(values, serial[1])
+        assert table.stats.as_tuple() == serial_table.stats.as_tuple()
+
+    @pytest.mark.parametrize("scheme", ("perfect", "open_addressing", "chaining"))
+    def test_transient_fault_on_a_probe_morsel_equals_serial(self, scheme):
+        from repro.exec import execute_probe
+
+        serial_table, probes = self.table_and_probes(scheme)
+        serial = execute_probe(serial_table, probes)
+        table, _ = self.table_and_probes(scheme)
+        log = ResilienceLog()
+        executor = MorselExecutor(
+            workers=3, morsel_tuples=self.MORSEL, resilience=log
+        )
+        plan = FaultPlan(seed=9, rules=[TransientError(ordinal=4)])
+        with plan.install():
+            found, values = run_with_timeout(
+                lambda: execute_probe(table, probes, executor)
+            )
+        assert plan.injected_counts() == {"transient": 1}
+        assert log.count("retry") == 1
+        assert np.array_equal(found, serial[0])
+        assert np.array_equal(values, serial[1])
+        assert table.stats.as_tuple() == serial_table.stats.as_tuple()
