@@ -36,7 +36,7 @@ constructed anywhere else is flagged.
 
 The cancellation path (PR 10) widened that surface: deadline
 enforcement rests on ``Simulator.schedule_at`` + ``cancel_event``
-pairs whose epoch bookkeeping lives in the scheduler, so a component
+pairs whose event bookkeeping lives in the scheduler, so a component
 *driving* those APIs — even against a simulator it did not construct —
 would race the scheduler's deadline/retry event accounting.  Calls to
 ``schedule_at(...)`` / ``cancel_event(...)`` outside the sanctioned
@@ -57,7 +57,7 @@ _PRICING_METHODS = {"phase_cost", "phases_cost", "occupancy_per_unit"}
 #: Simulator-driving entry points reserved for the sanctioned DES
 #: drivers.  ``schedule`` alone is too generic a name to key on;
 #: ``schedule_at`` and ``cancel_event`` are distinctive to the event
-#: loop and carry its clock/epoch semantics.
+#: loop and carry its clock/cancellation semantics.
 _SIM_DRIVER_METHODS = {"schedule_at", "cancel_event"}
 
 
@@ -161,7 +161,7 @@ class ExecutorBoundaryPass(AnalysisPass):
                     f"DES-driving call `{dotted_name(func)}()` outside "
                     "the sanctioned drivers; schedule_at/cancel_event "
                     "carry the simulator's clock and cancellation "
-                    "semantics (deadline/retry events are epoch-"
+                    "semantics (deadline/retry/completion events are "
                     "accounted in repro.serve.scheduler) — route event "
                     "scheduling through the ContentionScheduler or the "
                     "single-operator DES paths in repro.plan / "

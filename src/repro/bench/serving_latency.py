@@ -196,7 +196,9 @@ def reference_manifests() -> List[RunManifest]:
         return list(_collect_manifests(scale=2.0**-13))
 
 
-def run_benchmark(n_queries: int) -> Tuple[Dict[str, Any], List[RunManifest]]:
+def run_benchmark(
+    n_queries: int,
+) -> Tuple[ServingReport, Dict[str, Any], List[RunManifest]]:
     service = build_service()
     submit_load(service, n_queries)
     report = service.serve()
@@ -204,12 +206,23 @@ def run_benchmark(n_queries: int) -> Tuple[Dict[str, Any], List[RunManifest]]:
     manifests = representative_manifests(report)
     manifests.append(latency_manifest(summary, n_queries))
     manifests.extend(reference_manifests())
-    return summary, manifests
+    return report, summary, manifests
 
 
-def check_serving(summary: Dict[str, Any]) -> List[str]:
+def check_serving(report: ServingReport) -> List[str]:
     """Liveness gates on the headline numbers (CI ``--check-serving``)."""
+    summary = latency_summary(report)
     failures = []
+    # Fault-free, so a request ends at its finish or its rejected arrival.
+    last_terminal = max(
+        [q.finish for q in report.served]
+        + [r.request.arrival for r in report.rejections]
+    )
+    if report.makespan != last_terminal:
+        failures.append(
+            f"makespan {report.makespan!r} is not the last terminal "
+            f"event ({last_terminal!r}): a superseded event fired"
+        )
     if summary["queries"] < 100:
         failures.append(
             f"expected >= 100 served queries, got {summary['queries']}"
@@ -242,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     n_queries = QUICK_QUERIES if args.quick else N_QUERIES
-    summary, manifests = run_benchmark(n_queries)
+    report, summary, manifests = run_benchmark(n_queries)
 
     print(f"open-loop serving, {n_queries} queries over {MACHINE}")
     print(
@@ -269,7 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote {path} ({len(manifests)} runs)")
 
     if args.check_serving:
-        failures = check_serving(summary)
+        failures = check_serving(report)
         if failures:
             for failure in failures:
                 print(f"FAIL: {failure}")

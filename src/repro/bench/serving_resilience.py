@@ -209,7 +209,7 @@ def run_benchmark(
     # Fault-free baseline runs, embedded unchanged: the diff against
     # BENCH_pr9.json (--ignore-new-runs) proves the resilience layer
     # reproduces PR 9 behavior exactly when inactive.
-    _latency_summary, manifests = serving_latency.run_benchmark(n_latency)
+    _report, _summary, manifests = serving_latency.run_benchmark(n_latency)
 
     overload = run_overload(n_overload)
     transients = run_chaos_transients(n_chaos)

@@ -16,9 +16,17 @@ This scheduler extends that model *across* queries:
   clamped to 1.0 so a query alone finishes in exactly its solo time —
   serving can only stretch a query, never speed it up;
 * arrivals and phase completions are events on a deterministic
-  :class:`~repro.sim.engine.Simulator`; every event re-solves the rate
-  vector and re-schedules the now-stale completion times
-  (epoch-guarded, so superseded events no-op).
+  :class:`~repro.sim.engine.Simulator`; every change to the active set
+  re-solves the rate vector and keeps **one** completion event live —
+  the soonest, first in ``active`` order on ties — revoking its
+  predecessor (:meth:`Simulator.cancel_event`).  No superseded event
+  is left to fire, so the final clock *is* the makespan: the last
+  finish, cancellation, failure, shed or admission drop.
+* within one run, per-unit occupancy vectors are interned per (phase,
+  capacity factors) — ``PhaseCost`` objects are shared through the
+  plan cache — and a solve whose ordered input vectors were already
+  solved is answered from a table: the solver is a pure function of
+  that sequence, so a hit returns the floats a fresh solve would.
 
 On top of that fair-weather model, the scheduler enforces the serving
 layer's *resilience* contract:
@@ -50,9 +58,11 @@ layer's *resilience* contract:
   every query crossing the degraded link through the same max-min
   re-solve that handles contention.
 
-Under the inert default policy with no hooks, the event stream and all
-float arithmetic are bit-identical to the PR 9 scheduler — pinned by
-the chaos-serving equivalence suite.
+Under the inert default policy with no hooks, every per-query
+timestamp and outcome, ``resolves`` and ``peak_concurrency`` are
+bit-identical to the PR 9 scheduler (pinned by the chaos-serving and
+scheduler equivalence suites); ``makespan`` is not — until PR 17 it was
+the clock of the last *superseded* completion, which overstated it.
 
 Arrivals are scheduled at *absolute* virtual timestamps
 (``schedule_at``), and completion times are ``now + remaining/rate``
@@ -68,11 +78,13 @@ single-query :class:`~repro.plan.PlanExecutor`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.model import PhaseCost
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import CLOCK_EPSILON, Event, Simulator
 from repro.sim.resources import solve_concurrent_rates
 
 from repro.serve.policy import (
@@ -180,9 +192,12 @@ class ScheduleOutcome:
     failed: List[ServedQuery] = field(default_factory=list)
     #: requests load-shed by overload control (typed reasons).
     shed: List[ShedQuery] = field(default_factory=list)
+    #: virtual time of the last terminal event: a finish, cancellation,
+    #: terminal failure, shed or admission drop.
     makespan: float = 0.0
     peak_concurrency: int = 0
-    #: how many times the rate vector was re-solved (events processed).
+    #: how many times rates were re-derived after the active set changed
+    #: (a repeated solver input is answered without a fresh solve).
     resolves: int = 0
     #: serving-level resubmissions scheduled (fault retries).
     retries: int = 0
@@ -196,6 +211,23 @@ class ScheduleOutcome:
             + len(self.failed)
             + len(self.shed)
         )
+
+
+def _check_queries(queries: Sequence[ServedQuery]) -> None:
+    """Reject input that would be silently mis-served: a repeated request
+    id (queries are tracked by it) or NaN/negative/infinite phase work."""
+    seen: set = set()
+    for query in queries:
+        request_id = query.request.request_id
+        if request_id in seen:
+            raise ValueError(f"request id #{request_id} appears twice")
+        seen.add(request_id)
+        for phase_index, phase in enumerate(query.phases):
+            if not 0.0 <= phase.seconds < math.inf:
+                raise ValueError(
+                    f"request #{request_id} phase {phase_index}: seconds "
+                    f"must be finite and >= 0, got {phase.seconds}"
+                )
 
 
 class ContentionScheduler:
@@ -222,10 +254,13 @@ class ContentionScheduler:
         and reported in :attr:`ScheduleOutcome.dropped`.  ``on_evict``
         releases the admission share of queries removed mid-flight
         (deadline cancellation, fault eviction).  With every optional
-        hook absent and the default (inert) policy, scheduling is
-        bit-identical to the fair-weather PR 9 scheduler.
+        hook absent and the default (inert) policy, every per-query
+        result is bit-identical to the fair-weather PR 9 scheduler.
+        A repeated request id or non-finite/negative phase seconds
+        raise ``ValueError`` before any event is scheduled.
         """
         policy = policy if policy is not None else ServicePolicy()
+        _check_queries(queries)
         sim = Simulator()
         outcome = ScheduleOutcome()
         active: Dict[int, _Active] = {}
@@ -237,39 +272,54 @@ class ContentionScheduler:
         retry_events: Dict[int, Event] = {}
         #: request ids currently holding an admission share.
         holding: set = set()
-        epoch = 0
-
-        def demand_key(record: _Active) -> str:
-            return f"q{record.query.request.request_id}"
+        #: the one scheduled completion (the soonest), or None.
+        completion_event: Optional[Event] = None
+        #: (phase, per-unit occupancy vector) by (phase identity, capacity
+        #: factors); holding the phase keeps its identity unique.
+        vectors: Dict[tuple, Tuple[PhaseCost, Dict[str, float]]] = {}
+        #: solved rates by the identities of the solver's input vectors
+        #: in worker order (the solver is a pure function of them).
+        solved: Dict[Tuple[int, ...], List[float]] = {}
 
         def per_unit_occupancy(phase: PhaseCost) -> Dict[str, float]:
-            """Per-second occupancy of one phase, capacity-adjusted."""
-            if capacity is None:
-                return {
-                    resource: busy / phase.seconds
-                    for resource, busy in phase.occupancy.items()
-                }
-            demands: Dict[str, float] = {}
-            for resource, busy in phase.occupancy.items():
-                factor = capacity(resource)
-                if not 0.0 < factor <= 1.0:
-                    raise ValueError(
-                        f"capacity factor for {resource!r} must be in "
-                        f"(0, 1]: {factor}"
-                    )
-                demands[resource] = busy / (phase.seconds * factor)
-            return demands
+            """Per-second occupancy of one phase, capacity-adjusted; the
+            hook is asked every time, the division runs once per answer."""
+            factors = () if capacity is None else tuple(
+                map(capacity, phase.occupancy)
+            )
+            key = (id(phase), factors)
+            entry = vectors.get(key)
+            if entry is None:
+                demands: Dict[str, float] = {}
+                for (resource, busy), factor in zip(
+                    phase.occupancy.items(), factors or repeat(1.0)
+                ):
+                    if not 0.0 < factor <= 1.0:
+                        raise ValueError(
+                            f"capacity factor for {resource!r} must be in "
+                            f"(0, 1]: {factor}"
+                        )
+                    demands[resource] = busy / (phase.seconds * factor)
+                entry = vectors[key] = (phase, demands)
+            return entry[1]
 
-        def per_unit_demands() -> Dict[int, Dict[str, float]]:
-            """Per-second occupancy of every active query's phase."""
-            demands: Dict[int, Dict[str, float]] = {}
-            for request_id, record in active.items():
-                phase = record.phase()
-                if phase.seconds <= 0:
-                    demands[request_id] = {}
-                    continue
-                demands[request_id] = per_unit_occupancy(phase)
-            return demands
+        def contended_rates(candidate: Optional[PhaseCost] = None) -> List[float]:
+            """Max-min rate of every active phase, in ``active`` order,
+            then of the ``candidate`` phase if one is given."""
+            inputs = [per_unit_occupancy(r.phase()) for r in active.values()]
+            if candidate is not None:
+                inputs.append(per_unit_occupancy(candidate))
+            key = tuple(map(id, inputs))
+            rates = solved.get(key)
+            if rates is None:
+                # Workers are the request ids; zip() drops the extra
+                # "candidate" key when there is no candidate vector.
+                demands = dict(zip([*active, "candidate"], inputs))
+                by_worker = solve_concurrent_rates(
+                    demands, tolerance=self.tolerance
+                )
+                rates = solved[key] = [by_worker[w] for w in demands]
+            return rates
 
         def advance_progress(now: float) -> None:
             for record in active.values():
@@ -392,17 +442,7 @@ class ContentionScheduler:
             if dominant is None or not dominant.occupancy:
                 return 1.0
             advance_progress(now)
-            demands = per_unit_demands()
-            solver_input = {
-                demand_key(record): demands[request_id]
-                for request_id, record in active.items()
-            }
-            candidate_key = f"candidate-{query.request.request_id}"
-            solver_input[candidate_key] = per_unit_occupancy(dominant)
-            rates = solve_concurrent_rates(
-                solver_input, tolerance=self.tolerance
-            )
-            rate = min(1.0, rates[candidate_key])
+            rate = min(1.0, contended_rates(dominant)[-1])
             if rate <= 0:
                 return float("inf")
             return 1.0 / rate
@@ -471,46 +511,48 @@ class ContentionScheduler:
             begin(record, now)
 
         def resolve(simulator: Simulator) -> None:
-            """Re-solve rates and re-schedule every completion."""
-            nonlocal epoch
-            epoch += 1
+            """Re-solve rates and re-schedule the soonest completion."""
+            nonlocal completion_event
             outcome.resolves += 1
+            if completion_event is not None:
+                simulator.cancel_event(completion_event)
+                completion_event = None
             if not active:
                 return
             now = simulator.now
             advance_progress(now)
-            demands = per_unit_demands()
-            solver_input = {
-                demand_key(record): demands[request_id]
-                for request_id, record in active.items()
-            }
-            rates = solve_concurrent_rates(
-                solver_input, tolerance=self.tolerance
-            )
-            for request_id, record in active.items():
-                solved = rates[demand_key(record)]
+            slop = CLOCK_EPSILON * max(1.0, now)
+            soonest: Optional[_Active] = None
+            soonest_eta = soonest_stamp = 0.0
+            for (request_id, record), solved_rate in zip(
+                active.items(), contended_rates()
+            ):
                 # A query never runs faster than solo: per-unit demand
                 # is occupancy per solo-second, so rate 1.0 reproduces
                 # the solo duration exactly.
-                record.rate = min(1.0, solved)
+                record.rate = min(1.0, solved_rate)
                 if record.rate <= 0:
                     raise SchedulerError(
                         [(request_id, record.phase_index, record.remaining)],
                         now,
                     )
                 eta = now + record.remaining / record.rate
-                simulator.schedule_at(
-                    eta,
-                    make_completion(request_id, record.phase_index, epoch),
-                )
+                # Order completions by the time ``schedule_at`` would
+                # stamp on them (ULP-late etas clamp to ``now``), first
+                # in ``active`` order on ties.
+                delta = eta - now
+                stamp = now if -slop <= delta < 0 else now + delta
+                if soonest is None or stamp < soonest_stamp:
+                    soonest, soonest_eta, soonest_stamp = record, eta, stamp
+            completion_event = simulator.schedule_at(
+                soonest_eta, make_completion(soonest)
+            )
 
-        def make_completion(request_id: int, phase_index: int, when: int):
+        def make_completion(record: _Active):
             def completion(simulator: Simulator) -> None:
-                if when != epoch:
-                    return  # superseded by a later arrival/completion
-                record = active.get(request_id)
-                if record is None or record.phase_index != phase_index:
-                    return
+                # Every change to the active set ends in resolve(),
+                # which revokes this event: if it fires, ``record`` is
+                # active and in the phase it was scheduled for.
                 now = simulator.now
                 advance_progress(now)
                 phase = record.phase()

@@ -16,11 +16,15 @@ This waterfilling converges quickly (monotone decrease, fixed point at
 feasibility) and reproduces the paper's observation that co-processing
 must "avoid resource contention ... to prevent slowing down the overall
 execution" (Section 6, requirement (c)).
+
+The result is a pure function of the *ordered* input (loads are summed
+in worker order, the first-used resource wins a worst-load tie), so a
+caller may reuse a solution for an identical ordered input.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 ResourceVector = Mapping[str, float]
 
@@ -61,19 +65,18 @@ def solo_rate(occupancy_per_unit: ResourceVector) -> float:
 
 
 def _worst_loaded(
-    demands: Mapping[str, ResourceVector],
+    users: Mapping[str, Sequence[Tuple[str, float]]],
     rates: Mapping[str, float],
-    finite: Sequence[str],
     tolerance: float,
 ) -> Tuple[Optional[str], float]:
-    """The most oversubscribed resource at ``rates`` (None if feasible)."""
-    loads: Dict[str, float] = {}
-    for worker in finite:
-        for resource, occupancy in demands[worker].items():
-            loads[resource] = loads.get(resource, 0.0) + occupancy * rates[worker]
+    """The most oversubscribed resource at ``rates`` (None if feasible);
+    ``users`` is ``resource -> [(worker, occupancy)]`` in worker order."""
     worst_resource: Optional[str] = None
     worst_load = 1.0 + tolerance
-    for resource, load in loads.items():
+    for resource, pairs in users.items():
+        load = 0.0
+        for worker, occupancy in pairs:
+            load = load + occupancy * rates[worker]
         if load > worst_load:
             worst_load = load
             worst_resource = resource
@@ -102,15 +105,18 @@ def solve_concurrent_rates(
             — the float-rounding fixed point, feasible within noise.
     """
     rates = {worker: solo_rate(vector) for worker, vector in demands.items()}
-    # Insertion order, not set order: load sums stay deterministic
-    # under hash randomization.
-    finite = [w for w, r in rates.items() if r != float("inf")]
+    # Who loads what, once per solve: resources in first-use order,
+    # users in worker (insertion, not set) order, so load sums stay
+    # deterministic; workers at an infinite rate deposit no load.
+    users: Dict[str, List[Tuple[str, float]]] = {}
+    for worker, vector in demands.items():
+        if rates[worker] != float("inf"):
+            for resource, occupancy in vector.items():
+                users.setdefault(resource, []).append((worker, occupancy))
     last_resource: Optional[str] = None
     last_load = float("inf")
     for _ in range(max_iterations):
-        worst_resource, worst_load = _worst_loaded(
-            demands, rates, finite, tolerance
-        )
+        worst_resource, worst_load = _worst_loaded(users, rates, tolerance)
         if worst_resource is None:
             return rates
         # Oscillation guard: scaling never increases any rate, so a
@@ -123,12 +129,10 @@ def solve_concurrent_rates(
         last_load = worst_load
         # Scale down every user of the oversubscribed resource.
         scale = 1.0 / worst_load
-        for worker in finite:
-            if demands[worker].get(worst_resource, 0.0) > 0:
+        for worker, occupancy in users[worst_resource]:
+            if occupancy > 0:
                 rates[worker] *= scale
-    residual_resource, residual_load = _worst_loaded(
-        demands, rates, finite, tolerance
-    )
+    residual_resource, residual_load = _worst_loaded(users, rates, tolerance)
     if residual_resource is None:
         return rates
     raise SolverError(residual_resource, residual_load, max_iterations)

@@ -188,8 +188,8 @@ def test_executor_boundary_bans_rogue_simulators():
 
 
 def test_executor_boundary_bans_rogue_des_driving():
-    """schedule_at/cancel_event carry the scheduler's epoch-accounted
-    deadline/retry semantics; driving them outside the sanctioned DES
+    """schedule_at/cancel_event carry the scheduler's accounted
+    deadline/retry/completion semantics; driving them outside the sanctioned DES
     drivers races the cancellation path."""
     source = (
         "def hijack(sim, event):\n"

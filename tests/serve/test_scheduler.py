@@ -9,9 +9,12 @@ accumulated float timestamps never trip the simulator clock.
 
 import pytest
 
+import repro.serve.scheduler as scheduler_module
 from repro.costmodel.model import PhaseCost
+from repro.serve.policy import OUTCOME_DEADLINE
 from repro.serve.request import QueryRequest, ServedQuery
 from repro.serve.scheduler import ContentionScheduler
+from repro.sim.engine import Simulator
 
 
 def _phase(seconds, occupancy=None, label="work"):
@@ -29,7 +32,7 @@ def _phase(seconds, occupancy=None, label="work"):
     )
 
 
-def _query(request_id, arrival, phases, tenant="alpha"):
+def _query(request_id, arrival, phases, tenant="alpha", deadline=None):
     return ServedQuery(
         request=QueryRequest(
             request_id=request_id,
@@ -37,6 +40,7 @@ def _query(request_id, arrival, phases, tenant="alpha"):
             workload="synthetic",
             machine="ibm-ac922",
             arrival=arrival,
+            deadline=deadline,
         ),
         phases=phases,
         solo_seconds=sum(p.seconds for p in phases),
@@ -198,7 +202,7 @@ class TestClockRobustness:
 
     def test_heavy_churn_converges(self):
         # Many short queries over few resources: lots of re-solves and
-        # epoch-invalidated completion events.
+        # revoked completion events.
         queries = [
             _query(
                 i,
@@ -219,3 +223,113 @@ class TestClockRobustness:
                 query.finish - query.start
                 >= query.solo_seconds - 1e-9
             )
+
+
+class TestTies:
+    """Only the soonest completion is scheduled; every tie must still
+    resolve the way the one-event-per-active-query heap resolved it."""
+
+    def test_equal_etas_finish_in_active_order(self):
+        # Disjoint resources, both due at exactly t=2.0; #5 became
+        # active first, so it lands first whatever the request ids say.
+        first = _query(5, 0.0, [_phase(2.0, {"a": 2.0})])
+        second = _query(2, 1.0, [_phase(1.0, {"b": 1.0})])
+        finished = []
+        outcome = ContentionScheduler().run(
+            [second, first],
+            on_finish=lambda q, now: finished.append(
+                (q.request.request_id, now)
+            ),
+        )
+        assert finished == [(5, 2.0), (2, 2.0)]
+        assert [q.request.request_id for q in outcome.finished] == [5, 2]
+        assert outcome.makespan == 2.0
+
+    def test_arrival_at_a_completion_timestamp_fires_first(self):
+        # The arrival was scheduled before the run (lower seq) than the
+        # completion due at the same t=1.0: it is admitted while #0 is
+        # still active, and #0 still lands at exactly 1.0.
+        log = []
+        running = _query(0, 0.0, [_phase(1.0)])
+        arriving = _query(1, 1.0, [_phase(1.0)])
+        outcome = ContentionScheduler().run(
+            [running, arriving],
+            admit=lambda q, now: log.append(("admit", q.request.request_id, now))
+            or True,
+            on_finish=lambda q, now: log.append(
+                ("finish", q.request.request_id, now)
+            ),
+        )
+        assert log == [
+            ("admit", 0, 0.0),
+            ("admit", 1, 1.0),
+            ("finish", 0, 1.0),
+            ("finish", 1, 2.0),
+        ]
+        assert outcome.peak_concurrency == 2
+        assert outcome.resolves == 4
+        # the superseded completion of #1 at its shared-rate eta (3.0)
+        # used to be the last event fired.
+        assert outcome.makespan == 2.0
+
+    def test_deadline_equal_to_own_finish_time_still_wins(self):
+        # The deadline event is scheduled at admission, before the
+        # first completion, so at the shared timestamp it fires first.
+        for phases in ([_phase(1.0)], [_phase(0.5), _phase(0.5)]):
+            query = _query(0, 0.0, phases, deadline=1.0)
+            outcome = ContentionScheduler().run([query])
+            assert query.outcome == OUTCOME_DEADLINE
+            assert query.cancelled_at == 1.0
+            assert outcome.makespan == 1.0
+            assert not outcome.finished
+
+    def test_drifted_completion_re_solves_and_lands(self, monkeypatch):
+        # A simulator that fires the first completion a quarter second
+        # early leaves work beyond _REMAINING_EPSILON: the completion
+        # must re-solve, schedule a successor, and land on time.
+        class EarlySimulator(Simulator):
+            shaved = False
+
+            def schedule_at(self, time, callback):
+                if callback.__name__ == "completion" and not self.shaved:
+                    self.shaved = True
+                    time -= 0.25
+                return super().schedule_at(time, callback)
+
+        monkeypatch.setattr(scheduler_module, "Simulator", EarlySimulator)
+        query = _query(0, 0.0, [_phase(1.0), _phase(0.5)])
+        outcome = ContentionScheduler().run([query])
+        assert query.finish == 1.5
+        assert outcome.resolves == 4  # begin, drift, two phase ends
+        assert outcome.makespan == 1.5
+
+
+class TestInputValidation:
+    """Inputs the scheduler used to accept and silently mis-serve."""
+
+    def test_duplicate_request_id_is_rejected(self):
+        # `active` is keyed by request id: the second query used to
+        # overwrite the first, which then ended in no bucket at all.
+        queries = [
+            _query(0, 0.0, [_phase(1.0)]),
+            _query(0, 0.5, [_phase(1.0)]),
+        ]
+        with pytest.raises(ValueError, match="#0"):
+            ContentionScheduler().run(queries)
+
+    @pytest.mark.parametrize(
+        "seconds", [float("nan"), -1.0, float("inf")], ids=str
+    )
+    def test_unusable_phase_seconds_are_rejected(self, seconds):
+        # NaN and negative seconds were skipped as a zero-second phase
+        # (the query "finished" at its arrival); inf finished at inf.
+        admitted = []
+        queries = [
+            _query(3, 0.0, [_phase(1.0)]),
+            _query(7, 0.5, [_phase(1.0), _phase(seconds, {"a": 1.0})]),
+        ]
+        with pytest.raises(ValueError, match=r"#7 phase 1.*" + str(seconds)):
+            ContentionScheduler().run(
+                queries, admit=lambda q, now: admitted.append(q) or True
+            )
+        assert not admitted  # rejected before the first event fired

@@ -84,6 +84,60 @@ class TestSolver:
         assert load <= 1.0 + 1e-6
 
 
+class TestSolverIsBitStable:
+    """Literals recorded from the solver that re-derived every load by
+    walking all workers on every iteration; building the
+    resource -> users table once per solve must not move one bit."""
+
+    def test_resources_first_used_by_a_later_worker(self):
+        rates = solve_concurrent_rates(
+            {
+                "w1": {"a": 0.7},
+                "w2": {"b": 0.9, "a": 0.6},
+                "w3": {"c": 0.3, "b": 0.8, "a": 0.2},
+            }
+        )
+        assert rates == {
+            "w1": 0.9795918367346939,
+            "w2": 0.380952380952381,
+            "w3": 0.4285714285714286,
+        }
+
+    def test_unloaded_workers_between_two_finite_ones(self):
+        rates = solve_concurrent_rates(
+            {
+                "w1": {"a": 0.7, "b": 0.2},
+                "idle": {},
+                "zero": {"a": 0.0},
+                "w2": {"a": 0.6, "b": 0.9},
+            }
+        )
+        assert rates == {
+            "w1": 0.8571428571428573,
+            "idle": float("inf"),
+            "zero": float("inf"),
+            "w2": 0.6666666666666667,
+        }
+        assert list(rates) == ["w1", "idle", "zero", "w2"]
+
+    def test_zero_tolerance(self):
+        rates = solve_concurrent_rates(
+            {
+                "w1": {"a": 1 / 3},
+                "w2": {"a": 0.7, "b": 0.1},
+                "w3": {"b": 0.9, "c": 0.05},
+                "w4": {"c": 1.1},
+            },
+            tolerance=0.0,
+        )
+        assert rates == {
+            "w1": 1.5,
+            "w2": 0.6666666666666667,
+            "w3": 0.9859154929577465,
+            "w4": 0.8642765685019205,
+        }
+
+
 class _StickyOccupancy(float):
     """An occupancy whose products stay pinned just above feasibility.
 
