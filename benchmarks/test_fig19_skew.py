@@ -29,15 +29,12 @@ def test_fig19_skew(benchmark, bench_scale):
 
 
 def test_fig19_hybrid_splits(benchmark, bench_scale):
-    splits = benchmark.pedantic(
-        lambda: fig19_skew.run_splits(scale=bench_scale, exponent=1.5),
-        rounds=1, iterations=1,
+    result = run_figure(
+        benchmark, fig19_skew.run_splits, scale=bench_scale, exponent=1.5
     )
-    print()
-    for split, value in splits.items():
-        print(f"  {split:.0%} GPU: {value:.2f} G Tuples/s")
-    # Throughput increases with the hybrid table's GPU share.
-    values = [splits[k] for k in sorted(splits)]
+    # Throughput increases with the hybrid table's GPU share (rows run
+    # in ascending GPU fraction).
+    values = result.series("nvlink2")
     assert values == sorted(values)
 
 

@@ -38,14 +38,10 @@ def test_fig21a_strategies(benchmark, bench_scale):
 
 
 def test_fig21b_phase_breakdown(benchmark, bench_scale):
-    phases = benchmark.pedantic(
-        lambda: fig21_coprocessing.run_phases(scale=bench_scale),
-        rounds=1, iterations=1,
+    result = run_figure(
+        benchmark, fig21_coprocessing.run_phases, scale=bench_scale
     )
-    print()
-    for strategy, times in phases.items():
-        print(f"  {strategy:8s} build {times['build']:.2f}s "
-              f"probe {times['probe']:.2f}s")
+    phases = {row.label: row.values for row in result.rows}
 
     # Build: two processors on a shared table (Het) are slower than one.
     assert phases["het"]["build"] >= 0.95 * phases["cpu"]["build"]

@@ -4,37 +4,16 @@ Usage::
 
     python -m repro info                # describe the simulated machines
     python -m repro figures             # run every figure reproduction
-    python -m repro figure 17           # run one figure (by number)
+    python -m repro figure 17           # run one figure (by registry key)
     python -m repro join [options]      # run one configurable join
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from repro.utils.units import format_bytes
-
-FIGURE_MODULES = {
-    "1": "fig01_bandwidth",
-    "3": "fig03_microbench",
-    "11": "fig11_placement",
-    "12": "fig12_transfer_methods",
-    "13": "fig13_data_locality",
-    "14": "fig14_hashtable_locality",
-    "15": "fig15_tpch_q6",
-    "16": "fig16_probe_scaling",
-    "17": "fig17_build_scaling",
-    "18": "fig18_build_probe_ratio",
-    "19": "fig19_skew",
-    "20": "fig20_selectivity",
-    "21": "fig21_coprocessing",
-    "ablations": "ablations",
-    "multi-gpu": "multi_gpu",
-    "table1": "table01_methods",
-    "sensitivity": "sensitivity",
-}
 
 
 def cmd_info(_args) -> int:
@@ -68,13 +47,14 @@ def cmd_figures(_args) -> int:
 
 
 def cmd_figure(args) -> int:
-    name = FIGURE_MODULES.get(args.number)
-    if name is None:
-        valid = ", ".join(sorted(FIGURE_MODULES))
+    from repro.bench.run_all import FIGURES
+
+    figures = [figure for figure in FIGURES if figure.key == args.number]
+    if not figures:
+        valid = ", ".join(dict.fromkeys(figure.key for figure in FIGURES))
         print(f"unknown figure {args.number!r}; valid: {valid}", file=sys.stderr)
         return 2
-    module = importlib.import_module(f"repro.bench.{name}")
-    module.main()
+    print("\n\n".join(figure.runner().render() for figure in figures))
     return 0
 
 
@@ -120,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("figures", help="run every figure reproduction")
 
     one = sub.add_parser("figure", help="run one figure reproduction")
-    one.add_argument("number", help="figure number (e.g. 17) or name")
+    one.add_argument("number", help="figure number (e.g. 17 or 21b) or name")
 
     join = sub.add_parser("join", help="run one configurable join")
     join.add_argument("--machine", choices=("ibm", "intel"), default="ibm")

@@ -133,13 +133,3 @@ def run_hybrid_vs_spill(scale: float = 2.0**-13) -> FigureResult:
             gpu_fraction=hybrid.placement.gpu_fraction(machine),
         )
     return result
-
-
-def main() -> None:
-    for runner in (run_batch_size, run_layout, run_hash_scheme, run_hybrid_vs_spill):
-        print(runner().render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -5,12 +5,11 @@ Usage::
     python -m repro.bench.diff_manifest CURRENT BASELINE
     python -m repro.bench.diff_manifest run_manifest.json BENCH_pr2.json
 
-Both files may be plain manifest documents (``write_manifest_file``
-output) or benchmark trajectory files (``run_all --trajectory``); each
-carries a top-level ``runs`` list.  Runs are matched by ``kind`` and
-phases by ``label``; for every matched phase the tool asserts that
-``seconds``, the ``bottleneck`` resource, and the full occupancy
-vector agree within tolerance.  Matched runs also compare their
+Both files are manifest documents (``write_manifest_file`` output or a
+committed ``BENCH_*.json`` baseline); each carries a top-level ``runs``
+list.  Runs are matched by ``kind`` and phases by ``label``; for every
+matched phase the tool asserts that ``seconds``, the ``bottleneck``
+resource, and the full occupancy vector agree within tolerance.  Matched runs also compare their
 *populated section sets* (top-level run keys with truthy values): a
 section the baseline had but the current document lost is always an
 error, while a section the baseline predates (e.g. the schema-1.2

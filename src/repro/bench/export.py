@@ -1,6 +1,6 @@
 """Export reproduced figures as JSON or CSV for external plotting.
 
-Usage::
+Exports the figure sweep of ``repro.bench.run_all``.  Usage::
 
     python -m repro.bench.export --format json > figures.json
     python -m repro.bench.export --format csv --out results/
@@ -64,43 +64,6 @@ def _slug(figure: str) -> str:
     )
 
 
-def run_all_figures(scale: float = 2.0**-12) -> List[FigureResult]:
-    """Run every figure reproduction once (shared with the report)."""
-    from repro.bench import (
-        ablations,
-        fig01_bandwidth,
-        fig03_microbench,
-        fig12_transfer_methods,
-        fig13_data_locality,
-        fig14_hashtable_locality,
-        fig15_tpch_q6,
-        fig16_probe_scaling,
-        fig17_build_scaling,
-        fig18_build_probe_ratio,
-        fig19_skew,
-        fig20_selectivity,
-        fig21_coprocessing,
-        multi_gpu,
-    )
-
-    return [
-        fig01_bandwidth.run(),
-        fig03_microbench.run(),
-        fig12_transfer_methods.run(scale=scale),
-        fig13_data_locality.run(scale=scale),
-        fig14_hashtable_locality.run(scale=scale),
-        fig15_tpch_q6.run(),
-        fig16_probe_scaling.run(),
-        fig17_build_scaling.run(),
-        fig18_build_probe_ratio.run(scale=scale),
-        fig19_skew.run(scale=scale),
-        fig20_selectivity.run(scale=scale),
-        fig21_coprocessing.run(scale=scale),
-        ablations.run_hybrid_vs_spill(),
-        multi_gpu.run(scale=scale),
-    ]
-
-
 def export_json(results: List[FigureResult]) -> str:
     return json.dumps([figure_to_dict(r) for r in results], indent=2)
 
@@ -119,9 +82,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", default=None, help="output directory for CSV")
-    parser.add_argument("--scale", type=float, default=2.0**-12)
     args = parser.parse_args(argv)
-    results = run_all_figures(scale=args.scale)
+    from repro.bench.run_all import sweep_results
+
+    results = list(sweep_results())
     if args.format == "json":
         print(export_json(results))
     else:

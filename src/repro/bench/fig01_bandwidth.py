@@ -54,11 +54,3 @@ def run() -> FigureResult:
             measured=link.duplex_bandwidth() * _LINK_DUPLEX_EFFICIENCY / GIB,
         )
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

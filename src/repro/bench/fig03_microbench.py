@@ -92,11 +92,3 @@ def _memory_of(mem_name: str):
     if mem_name.startswith("cpu"):
         return DDR4_POWER9
     return HBM2_V100
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -96,11 +96,3 @@ def run(scale: float = 2.0**-13) -> FigureResult:
         values["best"] = max(values.values())
         result.add(label, **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

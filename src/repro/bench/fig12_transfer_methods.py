@@ -73,11 +73,3 @@ def _join_throughput(machine, method_name, method, workload) -> Optional[float]:
         return join.run(r, s, processor="gpu0").throughput_gtuples
     except UnsupportedTransferError:
         return None
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -66,11 +66,3 @@ def run(scale: float = 2.0**-12) -> FigureResult:
             values[label] = join.run(r, s, processor="gpu0").throughput_gtuples
         result.add(name, **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -64,11 +64,3 @@ def run(scale: float = 2.0**-10, scale_factors=SCALE_FACTORS) -> FigureResult:
             values[series] = op.run(wl, processor=proc).throughput_gtuples
         result.add(f"SF{sf}", **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -69,11 +69,3 @@ def run(scale: float = 2.0**-13, probe_millions=PROBE_MILLIONS) -> FigureResult:
         )
         result.add(f"{millions}M", **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -76,11 +76,3 @@ def _gpu_or_spill(machine, r, s, method) -> float:
             machine, hash_table_placement="cpu", transfer_method=method
         )
         return join.run(r, s).throughput_gtuples
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -49,11 +49,3 @@ def run(scale: float = 2.0**-11, ratios=RATIOS) -> FigureResult:
             build_pct=100.0 * res.build_fraction,
         )
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

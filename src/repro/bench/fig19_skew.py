@@ -86,13 +86,17 @@ def run_splits(
     scale: float = 2.0**-12,
     exponent: float = 1.5,
     splits: Iterable[float] = GPU_SPLITS,
-) -> Dict[float, float]:
+) -> FigureResult:
     """NVLink throughput vs. hybrid split at one skew level (the
-    figure's legend dimension)."""
+    figure's legend dimension), one row per GPU fraction."""
+    result = FigureResult(
+        figure="Figure 19 splits",
+        title=f"NVLink throughput at zipf={exponent} by hybrid split",
+        notes="Throughput rises with the hash table's GPU fraction.",
+    )
     ibm = ibm_ac922()
     workload = workload_skewed(exponent, scale=scale)
     hot = workload.hot_set_profile()
-    out: Dict[float, float] = {}
     for split in splits:
         res = NoPartitioningJoin(ibm).run(
             workload.r,
@@ -101,8 +105,8 @@ def run_splits(
             hot_set=hot,
             placement_fractions=_fractions(ibm, split),
         )
-        out[split] = res.throughput_gtuples
-    return out
+        result.add(f"{split:.0%} GPU", nvlink2=res.throughput_gtuples)
+    return result
 
 
 def _fractions(machine, gpu_split: float) -> Dict[str, float]:
@@ -113,15 +117,3 @@ def _fractions(machine, gpu_split: float) -> Dict[str, float]:
     if gpu_split >= 1.0:
         return {gpu_region: 1.0}
     return {gpu_region: gpu_split, cpu_region: 1.0 - gpu_split}
-
-
-def main() -> None:
-    print(run().render())
-    print()
-    print("NVLink throughput at zipf=1.5 by hybrid split (GPU fraction):")
-    for split, value in run_splits().items():
-        print(f"  {split:.0%} GPU: {value:.2f} G Tuples/s")
-
-
-if __name__ == "__main__":
-    main()

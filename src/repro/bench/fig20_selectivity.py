@@ -80,11 +80,3 @@ def run(
         )
         result.add(f"sel={selectivity}", **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -8,8 +8,6 @@ build and probe phases of workload C.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.bench.common import FigureResult
 from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import NoPartitioningJoin
@@ -65,31 +63,35 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     return result
 
 
-def run_phases(scale: float = 2.0**-12) -> Dict[str, Dict[str, float]]:
-    """Figure 21b: per-phase seconds for workload C."""
+def run_phases(scale: float = 2.0**-12) -> FigureResult:
+    """Figure 21b: per-phase seconds for workload C, one row per strategy."""
+    result = FigureResult(
+        figure="Figure 21b",
+        title="Workload C build/probe seconds per phase",
+        unit="s",
+        paper=PAPER_PHASES,
+        notes=(
+            "Two processors on one shared table (Het) build slower than "
+            "one; GPU+Het pays the synchronous table copy; processor-local "
+            "tables probe fastest."
+        ),
+    )
     machine = ibm_ac922()
     workload = workload_c(scale=scale)
-    phases: Dict[str, Dict[str, float]] = {}
     cpu = NoPartitioningJoin(machine, hash_table_placement="cpu").run(
         workload.r, workload.s, processor="cpu0"
     )
-    phases["cpu"] = {
-        "build": cpu.build_cost.seconds,
-        "probe": cpu.probe_cost.seconds,
-    }
+    result.add("cpu", build=cpu.build_cost.seconds, probe=cpu.probe_cost.seconds)
     for strategy in ("het", "gpu+het"):
         res = CoopJoin(machine, strategy=strategy).run(
             workload.r, workload.s, workers=("cpu0", "gpu0")
         )
-        phases[strategy] = {"build": res.build_seconds, "probe": res.probe_seconds}
+        result.add(strategy, build=res.build_seconds, probe=res.probe_seconds)
     gpu = NoPartitioningJoin(machine, hash_table_placement="gpu").run(
         workload.r, workload.s
     )
-    phases["gpu"] = {
-        "build": gpu.build_cost.seconds,
-        "probe": gpu.probe_cost.seconds,
-    }
-    return phases
+    result.add("gpu", build=gpu.build_cost.seconds, probe=gpu.probe_cost.seconds)
+    return result
 
 
 def _gpu_only(machine, workload) -> float:
@@ -98,21 +100,3 @@ def _gpu_only(machine, workload) -> float:
         .run(workload.r, workload.s)
         .throughput_gtuples
     )
-
-
-def main() -> None:
-    print(run().render())
-    print()
-    print("Figure 21b: workload C phase times (seconds, sim vs paper):")
-    phases = run_phases()
-    for strategy, times in phases.items():
-        paper = PAPER_PHASES[strategy]
-        print(
-            f"  {strategy:8s} build {times['build']:.2f}s "
-            f"(paper {paper['build']}) probe {times['probe']:.2f}s "
-            f"(paper {paper['probe']})"
-        )
-
-
-if __name__ == "__main__":
-    main()

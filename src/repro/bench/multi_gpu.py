@@ -84,11 +84,3 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         )
     result.add("C 2048M scaling", **values)
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

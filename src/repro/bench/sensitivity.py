@@ -107,11 +107,3 @@ def run(scale: float = 2.0**-14, perturbation: float = 0.2) -> FigureResult:
             name, **{anchor: 100.0 * v for anchor, v in movements.items()}
         )
     return result
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -54,11 +54,3 @@ def run() -> Table:
              row["granularity"], row["memory"]]
         )
     return table
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

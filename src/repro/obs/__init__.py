@@ -12,7 +12,8 @@ resource explains this number?" — for every priced run:
   cache hit rates, morsel batch sizes.
 * **Run manifests** (:mod:`repro.obs.manifest`): schema-versioned JSON
   records (machine, workload, per-phase occupancy, bottleneck chains)
-  consumed by ``python -m repro.obs.report`` and the bench trajectory.
+  consumed by ``python -m repro.obs.report`` and the committed
+  ``BENCH_*.json`` baselines.
 
 An :class:`Observability` bundle (tracer + metrics) rides along one
 operator instance; every ``CostModel`` has one (a fresh bundle is

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.bench.run_all import FIGURES
 
 
 class TestParser:
@@ -30,9 +31,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Figure 18" in out
 
+    def test_figure_21b_prints_the_phase_table(self, capsys):
+        assert main(["figure", "21b"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("Figure 21b: ")
+        assert "build (sim) | build (paper)" in out
+        assert "Figure 21a" not in out
+
     def test_figure_unknown(self, capsys):
         assert main(["figure", "99"]) == 2
-        assert "unknown figure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown figure" in err
+        listed = err.strip().split("valid: ", 1)[1].split(", ")
+        assert listed == list(dict.fromkeys(f.key for f in FIGURES))
 
     def test_join_command(self, capsys):
         code = main([
