@@ -11,8 +11,6 @@ let the branching kernel skip transferring most cache lines of the
 later columns — and the interconnect is the bottleneck.
 """
 
-import dataclasses
-
 import repro
 
 
@@ -40,8 +38,8 @@ def main() -> None:
         for sf in (100, 500, 1000):
             workload = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
             # Allocate lineitem as the transfer method requires (Table 1).
-            workload = dataclasses.replace(
-                workload, kind=repro.get_method(method).required_kind
+            workload = workload.placed(
+                workload.location, kind=repro.get_method(method).required_kind
             )
             op = repro.TpchQ6(machine, variant=variant, transfer_method=method)
             res = op.run(workload, processor=proc)

@@ -7,8 +7,6 @@ from CPU memory (nothing cached in GPU memory).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.bench.common import FigureResult
 from repro.core.ops.q6 import TpchQ6
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
@@ -60,7 +58,9 @@ def run(scale: float = 2.0**-10, scale_factors=SCALE_FACTORS) -> FigureResult:
         for series, machine, proc, variant, method in configs:
             op = TpchQ6(machine, variant=variant, transfer_method=method)
             # Allocate lineitem as the transfer method requires (Table 1).
-            wl = replace(workload, kind=get_method(method).required_kind)
+            wl = workload.placed(
+                workload.location, kind=get_method(method).required_kind
+            )
             values[series] = op.run(wl, processor=proc).throughput_gtuples
         result.add(f"SF{sf}", **values)
     return result

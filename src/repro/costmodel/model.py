@@ -46,7 +46,7 @@ from repro.hardware.interconnect import Interconnect
 from repro.hardware.memory import MemoryRegion
 from repro.hardware.processor import Cpu, Gpu, Processor
 from repro.hardware.topology import Machine
-from repro.obs import Observability
+from repro.obs import INERT, Observability
 
 
 @dataclass(frozen=True)
@@ -414,8 +414,11 @@ class CostModel:
         """Deposit one profile's per-stream attribution into the registry.
 
         Called once per *priced* phase (never from the per-unit solver
-        path, which re-evaluates profiles many times).
+        path, which re-evaluates profiles many times).  On the inert
+        bundle nothing would be kept, so the attribution is not computed.
         """
+        if self.obs is INERT:
+            return
         metrics = self.obs.metrics
         phase = profile.label or "phase"
         for resource, busy in self.profile_occupancy(profile).items():

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.hashtable import create_hash_table
-from repro.data.relation import Relation
+from repro.data.relation import Relation, read_column
 
 Batch = Dict[str, np.ndarray]
 
@@ -44,7 +44,7 @@ class TableScan(Operator):
     """Scans in-memory columns morsel-wise.
 
     Accepts either a dict of columns or a :class:`Relation` (exposed as
-    ``key`` and ``payload`` columns).
+    ``key`` and ``payload`` columns); deferred columns are read here.
     """
 
     def __init__(
@@ -56,9 +56,8 @@ class TableScan(Operator):
         if morsel_rows <= 0:
             raise ValueError(f"morsel size must be positive: {morsel_rows}")
         if isinstance(source, Relation):
-            data = {"key": source.key, "payload": source.payload}
-        else:
-            data = dict(source)
+            source = source.columns()
+        data = {name: read_column(column) for name, column in source.items()}
         if not data:
             raise ValueError("scan needs at least one column")
         if columns is not None:

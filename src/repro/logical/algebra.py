@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.data.relation import Relation
+from repro.data.relation import Column, Relation, read_column
 from repro.hardware.memory import MemoryKind
 
 Batch = Dict[str, np.ndarray]
@@ -167,7 +167,10 @@ class Scan(LogicalNode):
     columns), any object with ``columns() -> dict`` plus
     ``modeled_rows``/``location``/``kind`` attributes (e.g.
     :class:`repro.workloads.tpch.Q6Workload`), or a plain dict of
-    equal-length numpy columns.
+    equal-length columns.  A column is a numpy array or a
+    :class:`~repro.data.relation.DeferredColumn`: the scan takes its
+    schema, widths and row count from the columns as given, and only
+    :attr:`data` — read by the functional interpreter — reads them.
     """
 
     def __init__(
@@ -182,10 +185,7 @@ class Scan(LogicalNode):
         self.relation: Optional[Relation] = None
         if isinstance(source, Relation):
             self.relation = source
-            data: Dict[str, np.ndarray] = {
-                "key": source.key,
-                "payload": source.payload,
-            }
+            columns: Dict[str, Column] = source.columns()
             name = name or source.name
             modeled_rows = (
                 modeled_rows if modeled_rows is not None
@@ -194,7 +194,7 @@ class Scan(LogicalNode):
             location = location or source.location
             kind = kind or source.kind
         elif hasattr(source, "columns") and callable(source.columns):
-            data = dict(source.columns())
+            columns = dict(source.columns())
             modeled_rows = (
                 modeled_rows if modeled_rows is not None
                 else getattr(source, "modeled_rows", None)
@@ -202,20 +202,20 @@ class Scan(LogicalNode):
             location = location or getattr(source, "location", None)
             kind = kind or getattr(source, "kind", None)
         elif isinstance(source, Mapping):
-            data = dict(source)
+            columns = dict(source)
         else:
             raise LogicalError(
                 f"scan source must be a Relation, a columns() provider, or "
                 f"a dict of columns, got {type(source).__name__}"
             )
-        if not data:
+        if not columns:
             raise LogicalError("scan needs at least one column")
-        lengths = {len(col) for col in data.values()}
+        lengths = {len(col) for col in columns.values()}
         if len(lengths) != 1:
             raise LogicalError(
                 f"ragged scan columns: lengths {sorted(lengths)}"
             )
-        self.data = data
+        self._columns = columns
         self.name = name or "scan"
         self.executed_rows = lengths.pop()
         self.modeled_rows = (
@@ -230,17 +230,22 @@ class Scan(LogicalNode):
         self.location = location or "cpu0-mem"
         self.kind = kind if kind is not None else MemoryKind.PAGEABLE
 
+    @property
+    def data(self) -> Dict[str, np.ndarray]:
+        """The scanned arrays (a deferred column is generated here)."""
+        return {name: read_column(col) for name, col in self._columns.items()}
+
     def schema(self) -> Tuple[str, ...]:
-        return tuple(self.data)
+        return tuple(self._columns)
 
     def column_bytes(self) -> List[int]:
         """Per-column element widths, in schema order."""
-        return [col.dtype.itemsize for col in self.data.values()]
+        return [col.dtype.itemsize for col in self._columns.values()]
 
     def describe(self) -> str:
         return (
             f"Scan({self.name}: {self.modeled_rows} modeled rows, "
-            f"cols={list(self.data)}, in {self.location})"
+            f"cols={list(self._columns)}, in {self.location})"
         )
 
 

@@ -61,6 +61,7 @@ from repro.logical.stats import (
     estimate_star_stats,
 )
 from repro.memory.allocator import OutOfMemoryError
+from repro.obs import INERT
 from repro.plan import Plan, PlanExecutor
 from repro.transfer.methods import (
     TRANSFER_METHODS,
@@ -258,8 +259,8 @@ def _join_candidates(
         return estimate_join_stats(
             r.modeled_tuples,
             s.modeled_tuples,
-            r.key.dtype.itemsize,
-            r.payload.dtype.itemsize,
+            r.key_bytes,
+            r.payload_bytes,
             scheme=scheme,
             selectivity=selectivity,
         )
@@ -451,7 +452,10 @@ def optimize(
     if workers is None:
         workers = (gpu_name,) + tuple(cpu.name for cpu in machine.cpus())
     workers = tuple(workers)
-    cost_model = CostModel(machine, calibration)
+    # Candidates are priced for their makespan alone: spans and metrics
+    # of every rejected alternative would be thrown away, and callers
+    # re-execute the chosen plan on a bundle of their own.
+    cost_model = CostModel(machine, calibration, obs=INERT)
 
     if isinstance(shape, ScanShape):
         shape_name = "scan"

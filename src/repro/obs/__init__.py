@@ -17,7 +17,8 @@ resource explains this number?" — for every priced run:
 
 An :class:`Observability` bundle (tracer + metrics) rides along one
 operator instance; every ``CostModel`` has one (a fresh bundle is
-created when none is injected).
+created when none is injected).  :data:`INERT` is the bundle for
+pricing whose spans and metrics nobody reads (:mod:`repro.obs.inert`).
 
 ``repro.obs.explain`` and ``repro.obs.manifest`` import the cost model,
 so they are loaded lazily here to keep ``repro.costmodel.model ->
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.clock import SimClock
+from repro.obs.inert import InertMetrics, InertTracer
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import ActiveSpan, Span, Timeline, Tracer
 
@@ -72,6 +74,11 @@ class Observability:
         return self.tracer.timeline
 
 
+#: The inert bundle: it accepts every span, clock and metric call and
+#: keeps nothing, so one shared instance serves every caller.
+INERT = Observability(tracer=InertTracer(), metrics=InertMetrics())
+
+
 def __getattr__(name: str) -> Any:
     module_name = _LAZY_ATTRS.get(name)
     if module_name is None:
@@ -90,6 +97,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "INERT",
     "MetricsRegistry",
     "Observability",
     "SimClock",

@@ -12,16 +12,24 @@ R's keys are a permutation of a dense domain (primary keys), which is
 what justifies the paper's perfect-hashing setup.  Each S tuple matches
 exactly one R tuple (uniform foreign keys) unless skew or selectivity
 variants say otherwise.
+
+A builder fixes both relations' shapes and returns at once; the columns
+are generated on the first read of any of them, so a workload that is
+only planned never allocates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.data.relation import Relation
+from repro.data.relation import (
+    DeferredColumns,
+    Relation,
+    executed_cardinality,
+)
 from repro.hardware.cache import HotSetProfile
 from repro.workloads.zipf import zipf_ranks
 
@@ -83,10 +91,8 @@ class JoinWorkload:
         )
 
 
-def _executed(modeled: int, scale: float) -> int:
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
-    return max(64, min(modeled, int(round(modeled * scale))))
+#: fewest executed tuples per relation, however small the scale.
+MIN_EXECUTED_TUPLES = 64
 
 
 def _key_dtype(key_bytes: int) -> np.dtype:
@@ -108,39 +114,38 @@ def _build_relations(
     selectivity: float,
     seed: int,
 ) -> JoinWorkload:
+    """R and S with their shapes fixed now and their columns generated
+    together, from one rng stream, on the first read of any of them."""
     if not 0.0 <= selectivity <= 1.0:
         raise ValueError(f"selectivity must be in [0, 1], got {selectivity}")
-    rng = np.random.default_rng(seed)
-    executed_r = _executed(modeled_r, scale)
-    executed_s = _executed(modeled_s, scale)
+    executed_r = executed_cardinality(modeled_r, scale, MIN_EXECUTED_TUPLES)
+    executed_s = executed_cardinality(modeled_s, scale, MIN_EXECUTED_TUPLES)
     kdtype = _key_dtype(key_bytes)
     pdtype = _key_dtype(payload_bytes)  # payloads are integers of same widths
-
-    # R: dense primary keys, permuted. Payload = key * 3 + 1, so tests can
-    # verify join results without a reference table.
-    r_keys = rng.permutation(executed_r).astype(kdtype)
-    r_payload = (r_keys.astype(np.int64) * 3 + 1).astype(pdtype)
-
-    # S: foreign keys into R's dense domain.
-    if zipf_exponent > 0:
-        # Ranks map to R keys so rank 0 is the hottest key.
-        ranks = zipf_ranks(executed_r, zipf_exponent, executed_s, rng)
-        s_keys = ranks.astype(kdtype)
-    else:
-        s_keys = rng.integers(0, executed_r, size=executed_s).astype(kdtype)
-    if selectivity < 1.0:
-        # Misses draw from a disjoint domain, keeping |R| (and hence the
-        # hash table size) constant while the match rate varies (Fig. 20).
-        miss = rng.random(executed_s) >= selectivity
-        miss_keys = rng.integers(
-            executed_r, 2 * executed_r, size=int(miss.sum())
-        ).astype(kdtype)
-        s_keys = s_keys.copy()
-        s_keys[miss] = miss_keys
-    s_payload = (s_keys.astype(np.int64) * 7 + 5).astype(pdtype)
-
-    r = Relation(name="R", key=r_keys, payload=r_payload, modeled_tuples=modeled_r)
-    s = Relation(name="S", key=s_keys, payload=s_payload, modeled_tuples=modeled_s)
+    columns = DeferredColumns(
+        {
+            "r_key": (executed_r, kdtype),
+            "r_payload": (executed_r, pdtype),
+            "s_key": (executed_s, kdtype),
+            "s_payload": (executed_s, pdtype),
+        },
+        lambda: _join_columns(
+            executed_r, executed_s, kdtype, pdtype, zipf_exponent,
+            selectivity, seed,
+        ),
+    )
+    r = Relation(
+        name="R",
+        key=columns.column("r_key"),
+        payload=columns.column("r_payload"),
+        modeled_tuples=modeled_r,
+    )
+    s = Relation(
+        name="S",
+        key=columns.column("s_key"),
+        payload=columns.column("s_payload"),
+        modeled_tuples=modeled_s,
+    )
     return JoinWorkload(
         name=name,
         r=r,
@@ -148,6 +153,56 @@ def _build_relations(
         zipf_exponent=zipf_exponent,
         selectivity=selectivity,
     )
+
+
+def _join_columns(
+    executed_r: int,
+    executed_s: int,
+    kdtype: np.dtype,
+    pdtype: np.dtype,
+    zipf_exponent: float,
+    selectivity: float,
+    seed: int,
+) -> Dict[str, np.ndarray]:
+    """Generate R's and S's columns, R first, from one rng stream.
+
+    Every ``rng`` call and its dtype fix the random stream (and with it
+    every golden); the arithmetic around them works in place, in the
+    target dtype.  Fixed-width wraparound makes ``key * 3 + 1`` in the
+    payload dtype bit-identical to computing it in int64 and casting.
+    """
+    rng = np.random.default_rng(seed)
+
+    # R: dense primary keys, permuted. Payload = key * 3 + 1, so tests can
+    # verify join results without a reference table.
+    r_keys = rng.permutation(executed_r).astype(kdtype, copy=False)
+    r_payload = np.multiply(r_keys, 3, dtype=pdtype)
+    r_payload += 1
+
+    # S: foreign keys into R's dense domain.
+    if zipf_exponent > 0:
+        # Ranks map to R keys so rank 0 is the hottest key.
+        ranks = zipf_ranks(executed_r, zipf_exponent, executed_s, rng)
+        s_keys = ranks.astype(kdtype, copy=False)
+    else:
+        s_keys = rng.integers(0, executed_r, size=executed_s).astype(
+            kdtype, copy=False
+        )
+    if selectivity < 1.0:
+        # Misses draw from a disjoint domain, keeping |R| (and hence the
+        # hash table size) constant while the match rate varies (Fig. 20).
+        miss = rng.random(executed_s) >= selectivity
+        s_keys[miss] = rng.integers(
+            executed_r, 2 * executed_r, size=int(miss.sum())
+        ).astype(kdtype, copy=False)
+    s_payload = np.multiply(s_keys, 7, dtype=pdtype)
+    s_payload += 5
+    return {
+        "r_key": r_keys,
+        "r_payload": r_payload,
+        "s_key": s_keys,
+        "s_payload": s_payload,
+    }
 
 
 def workload_a(

@@ -23,11 +23,16 @@ Four 4-byte columns give 16 bytes/row: SF100 = 8.9 GiB, SF1000 =
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.data.relation import (
+    Column,
+    DeferredColumns,
+    executed_cardinality,
+    read_column,
+)
 from repro.hardware.memory import MemoryKind
 
 ROWS_PER_SF = 6_000_000
@@ -47,22 +52,56 @@ Q6_PREDICATE = (
 )
 
 
-@dataclass
 class Q6Workload:
-    """Generated lineitem columns plus modeled cardinality."""
+    """Lineitem columns plus modeled cardinality.
 
-    shipdate: np.ndarray  # int32 days since 1992-01-01
-    discount: np.ndarray  # float32, {0.00, 0.01, ..., 0.10}
-    quantity: np.ndarray  # int32 in [1, 50]
-    extendedprice: np.ndarray  # float32
-    scale_factor: float
-    modeled_rows: int
-    location: str = "cpu0-mem"
-    kind: MemoryKind = MemoryKind.PAGEABLE
+    The four columns are given as arrays or as deferred columns (what
+    :func:`lineitem_q6` returns); reading a column attribute returns its
+    array.  The row count, dtypes, location and kind are known without
+    reading a column.
+    """
+
+    def __init__(
+        self,
+        shipdate: Column,  # int32 days since 1992-01-01
+        discount: Column,  # float32, {0.00, 0.01, ..., 0.10}
+        quantity: Column,  # int32 in [1, 50]
+        extendedprice: Column,  # float32
+        scale_factor: float,
+        modeled_rows: int,
+        location: str = "cpu0-mem",
+        kind: MemoryKind = MemoryKind.PAGEABLE,
+    ) -> None:
+        self._columns: Dict[str, Column] = {
+            "l_shipdate": shipdate,
+            "l_discount": discount,
+            "l_quantity": quantity,
+            "l_extendedprice": extendedprice,
+        }
+        self.scale_factor = scale_factor
+        self.modeled_rows = modeled_rows
+        self.location = location
+        self.kind = kind
+
+    @property
+    def shipdate(self) -> np.ndarray:
+        return read_column(self._columns["l_shipdate"])
+
+    @property
+    def discount(self) -> np.ndarray:
+        return read_column(self._columns["l_discount"])
+
+    @property
+    def quantity(self) -> np.ndarray:
+        return read_column(self._columns["l_quantity"])
+
+    @property
+    def extendedprice(self) -> np.ndarray:
+        return read_column(self._columns["l_extendedprice"])
 
     @property
     def executed_rows(self) -> int:
-        return len(self.shipdate)
+        return len(self._columns["l_shipdate"])
 
     @property
     def modeled_bytes(self) -> int:
@@ -74,14 +113,26 @@ class Q6Workload:
             return 1.0
         return self.modeled_rows / self.executed_rows
 
-    def columns(self) -> Dict[str, np.ndarray]:
-        """The four lineitem columns, keyed by TPC-H name."""
-        return {
-            "l_shipdate": self.shipdate,
-            "l_discount": self.discount,
-            "l_quantity": self.quantity,
-            "l_extendedprice": self.extendedprice,
-        }
+    def columns(self) -> Dict[str, Column]:
+        """The four lineitem columns, keyed by TPC-H name, as held:
+        arrays, or deferred columns not yet read."""
+        return dict(self._columns)
+
+    def placed(
+        self, location: str, kind: Optional[MemoryKind] = None
+    ) -> "Q6Workload":
+        """The same columns placed in another memory region or kind."""
+        return Q6Workload(
+            *self._columns.values(),
+            scale_factor=self.scale_factor,
+            modeled_rows=self.modeled_rows,
+            location=location,
+            kind=kind or self.kind,
+        )
+
+
+#: fewest executed rows, however small the scale.
+MIN_EXECUTED_ROWS = 4096
 
 
 def lineitem_q6(
@@ -90,7 +141,7 @@ def lineitem_q6(
     seed: int = 7,
     shipdate_jitter_days: int = 60,
 ) -> Q6Workload:
-    """Generate a Q6 lineitem table.
+    """A Q6 lineitem table whose columns are generated on first read.
 
     Args:
         scale_factor: TPC-H scale factor; modeled rows = 6M x SF.
@@ -101,30 +152,50 @@ def lineitem_q6(
     """
     if scale_factor <= 0:
         raise ValueError(f"scale factor must be positive: {scale_factor}")
-    if not 0 < scale <= 1:
-        raise ValueError(f"scale must be in (0, 1], got {scale}")
     modeled_rows = int(ROWS_PER_SF * scale_factor)
-    executed_rows = max(4096, min(modeled_rows, int(round(modeled_rows * scale))))
-    rng = np.random.default_rng(seed)
-
-    base = np.sort(rng.integers(0, SHIPDATE_DAYS, size=executed_rows))
-    if shipdate_jitter_days > 0:
-        jitter = rng.integers(
-            -shipdate_jitter_days, shipdate_jitter_days + 1, size=executed_rows
-        )
-        shipdate = np.clip(base + jitter, 0, SHIPDATE_DAYS - 1).astype(np.int32)
-    else:
-        shipdate = base.astype(np.int32)
-
-    discount = (rng.integers(0, 11, size=executed_rows) / 100.0).astype(np.float32)
-    quantity = rng.integers(1, 51, size=executed_rows).astype(np.int32)
-    extendedprice = (rng.random(executed_rows, dtype=np.float32) * 90000.0) + 900.0
-
+    rows = executed_cardinality(modeled_rows, scale, MIN_EXECUTED_ROWS)
+    columns = DeferredColumns(
+        {
+            "l_shipdate": (rows, np.int32),
+            "l_discount": (rows, np.float32),
+            "l_quantity": (rows, np.int32),
+            "l_extendedprice": (rows, np.float32),
+        },
+        lambda: _lineitem_columns(rows, seed, shipdate_jitter_days),
+    )
     return Q6Workload(
-        shipdate=shipdate,
-        discount=discount,
-        quantity=quantity,
-        extendedprice=extendedprice.astype(np.float32),
+        shipdate=columns.column("l_shipdate"),
+        discount=columns.column("l_discount"),
+        quantity=columns.column("l_quantity"),
+        extendedprice=columns.column("l_extendedprice"),
         scale_factor=scale_factor,
         modeled_rows=modeled_rows,
     )
+
+
+def _lineitem_columns(
+    rows: int, seed: int, shipdate_jitter_days: int
+) -> Dict[str, np.ndarray]:
+    """Generate the four columns from one rng stream, in place where the
+    ``rng`` calls (which fix the stream) leave a choice."""
+    rng = np.random.default_rng(seed)
+
+    shipdate = rng.integers(0, SHIPDATE_DAYS, size=rows)
+    shipdate.sort()
+    if shipdate_jitter_days > 0:
+        shipdate += rng.integers(
+            -shipdate_jitter_days, shipdate_jitter_days + 1, size=rows
+        )
+        np.clip(shipdate, 0, SHIPDATE_DAYS - 1, out=shipdate)
+
+    discount = (rng.integers(0, 11, size=rows) / 100.0).astype(np.float32)
+    quantity = rng.integers(1, 51, size=rows).astype(np.int32)
+    extendedprice = rng.random(rows, dtype=np.float32)
+    extendedprice *= 90000.0
+    extendedprice += 900.0
+    return {
+        "l_shipdate": shipdate.astype(np.int32),
+        "l_discount": discount,
+        "l_quantity": quantity,
+        "l_extendedprice": extendedprice,
+    }

@@ -1,7 +1,5 @@
 """TPC-H Q6 operator (branching and predicated variants)."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -103,7 +101,7 @@ class TestPerformanceShapes:
 
     def test_nvlink_multiples_over_pcie(self, ibm, intel, workload):
         nv = TpchQ6(ibm, variant="predicated").run(workload, "gpu0")
-        pinned = dataclasses.replace(workload, kind=MemoryKind.PINNED)
+        pinned = workload.placed(workload.location, kind=MemoryKind.PINNED)
         pcie = TpchQ6(
             intel, variant="predicated", transfer_method="zero_copy"
         ).run(pinned, "gpu0")
