@@ -17,24 +17,25 @@ not know about:
 * lock discipline must hold across module boundaries — attributes a
   class guards with its lock must never be touched without it, and
   lock acquisition order must be cycle-free (``lock-discipline``);
-* every worker loop, allocation site, and transfer path must call its
-  ``repro.faults`` hook so chaos testing covers it
-  (``fault-hook-coverage``);
-* keys written into run manifests must match the declared
-  ``MANIFEST_SCHEMA``, and key-set changes must bump the schema
-  version (``manifest-schema``).
+* only the sanctioned layers price phases, build plans, or drive the
+  discrete-event simulator (``executor-boundary``).
+
+Two invariants once checked here are now checked at runtime instead,
+where a test sees the real behaviour: manifest writers emit exactly the
+declared ``MANIFEST_SCHEMA`` keys (``tests/obs/test_manifest_schema.py``)
+and every worker loop, allocation site and transfer path reaches its
+``repro.faults`` hook (``tests/faults/test_hook_coverage.py``).
 
 The framework has two tiers: per-module passes see one
 :class:`ModuleContext`; interprocedural passes see a
 :class:`ProjectContext` — all modules of the run, cross-linked into a
 symbol table, call graph, and lock-annotated attribute-access graph.
-Runs are incrementally cached (``--cache``), baselined with a ratchet
-(``--ratchet``), and runnable as ``python -m repro.analysis <paths>``.
+Runs are baselined with a ratchet (``--ratchet``) and runnable as
+``python -m repro.analysis <paths>``.
 """
 
 from repro.analysis.base import AnalysisPass, ModuleContext, ProjectPass
 from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.finding import Finding, Severity
 from repro.analysis.passes import ALL_PASSES, get_passes
 from repro.analysis.project import ProjectContext
@@ -43,7 +44,6 @@ from repro.analysis.runner import AnalysisReport, analyze_paths, analyze_source
 
 __all__ = [
     "ALL_PASSES",
-    "AnalysisCache",
     "AnalysisPass",
     "AnalysisReport",
     "Baseline",

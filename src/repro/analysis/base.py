@@ -145,8 +145,6 @@ class AnalysisPass:
     description: str = ""
     severity: Severity = Severity.ERROR
     scope: Tuple[str, ...] = ()
-    #: True for whole-project passes (see :class:`ProjectPass`).
-    project: bool = False
 
     def in_scope(self, posix_path: str) -> bool:
         if not self.scope:
@@ -192,17 +190,9 @@ class ProjectPass(AnalysisPass):
     :meth:`check`; the runner builds one project context per run and
     invokes every project pass exactly once.  Scoping still applies,
     but *per finding* — a project pass analyzes every module it needs
-    and reports only into the paths its ``scope`` covers (the
-    :meth:`project_finding` helper enforces this).
-
-    ``invalidates_on`` lists path fragments whose modules carry global
-    contracts (e.g. a schema declaration): when such a module changes,
-    the incremental cache re-analyzes the whole project instead of
-    just the import-graph dependents.
+    and reports only into the paths its ``scope`` covers
+    (:meth:`run_project` filters the rest).
     """
-
-    project: bool = True
-    invalidates_on: Tuple[str, ...] = ()
 
     def run(self, ctx: ModuleContext) -> List[Finding]:
         return []  # project passes never run per-module
@@ -227,26 +217,6 @@ class ProjectPass(AnalysisPass):
             findings.append(finding)
         findings.sort(key=lambda f: (f.path, f.line, f.column))
         return findings
-
-    def project_finding(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-    ) -> Finding:
-        """A finding anchored in one module of the project."""
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0) + 1
-        return Finding(
-            rule=self.name,
-            severity=severity if severity is not None else self.severity,
-            path=ctx.posix_path,
-            line=line,
-            column=column,
-            message=message,
-            context=ctx.line_text(line),
-        )
 
     def finding_at(
         self,

@@ -33,9 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Domain-specific static analysis: unit-safety, determinism, "
-            "vectorization, simulated-coherence, and interprocedural "
-            "lock-discipline / fault-hook / manifest-schema rules for "
-            "the reproduction codebase."
+            "vectorization, simulated-coherence, executor-boundary, and "
+            "the interprocedural lock-discipline rule for the "
+            "reproduction codebase."
         ),
     )
     parser.add_argument("paths", nargs="*", help="files or directories to scan")
@@ -86,14 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
             "enforce the baseline ratchet: fail if the baseline has "
             "more entries than its ratchet_limit (new debt) or fewer "
             "(lower the limit to lock in the win)"
-        ),
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        help=(
-            "incremental-analysis cache file: re-analyze only changed "
-            "files and their import-graph dependents"
         ),
     )
     parser.add_argument(
@@ -186,7 +178,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             passes=passes,
             baseline=baseline,
             exclude=args.exclude,
-            cache_path=args.cache,
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -68,23 +68,6 @@ class Finding:
             "suppression_reason": self.suppression_reason,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache replay).
-
-        Baseline state is *not* restored — the baseline is re-applied
-        to every run's merged finding list, cached or fresh.
-        """
-        return cls(
-            rule=str(payload["rule"]),
-            severity=Severity(str(payload["severity"])),
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            column=int(payload["column"]),  # type: ignore[arg-type]
-            message=str(payload["message"]),
-            context=str(payload.get("context", "")),
-        )
-
     def __str__(self) -> str:
         mark = " (baselined)" if self.baselined else ""
         return f"{self.location}: {self.severity} [{self.rule}] {self.message}{mark}"

@@ -8,9 +8,7 @@ from repro.analysis.base import AnalysisPass
 from repro.analysis.passes.coherence import SimulatedCoherencePass
 from repro.analysis.passes.determinism import DeterminismPass
 from repro.analysis.passes.executor_boundary import ExecutorBoundaryPass
-from repro.analysis.passes.fault_hooks import FaultHookCoveragePass
 from repro.analysis.passes.lock_discipline import LockDisciplinePass
-from repro.analysis.passes.manifest_schema import ManifestSchemaPass
 from repro.analysis.passes.unit_safety import UnitSafetyPass
 from repro.analysis.passes.vectorization import VectorizationPass
 
@@ -21,8 +19,6 @@ ALL_PASSES: List[AnalysisPass] = [
     SimulatedCoherencePass(),
     ExecutorBoundaryPass(),
     LockDisciplinePass(),
-    FaultHookCoveragePass(),
-    ManifestSchemaPass(),
 ]
 
 
@@ -42,9 +38,7 @@ __all__ = [
     "ALL_PASSES",
     "DeterminismPass",
     "ExecutorBoundaryPass",
-    "FaultHookCoveragePass",
     "LockDisciplinePass",
-    "ManifestSchemaPass",
     "SimulatedCoherencePass",
     "UnitSafetyPass",
     "VectorizationPass",

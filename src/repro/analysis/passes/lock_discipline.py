@@ -39,7 +39,6 @@ from repro.analysis.project import (
     AttrAccess,
     ClassInfo,
     FunctionInfo,
-    LockAcquire,
     ModuleInfo,
     ProjectContext,
 )

@@ -13,9 +13,7 @@ passes need:
   ``__init__`` assignments and parameter annotations;
 * a **call graph** over best-effort resolved callees (module functions,
   ``self.method()``, constructor calls, attribute chains stepped
-  through inferred types, ``threading.Thread(target=...)`` edges), with
-  every call site also recording its *name* so name-based matching
-  still works when resolution fails;
+  through inferred types, ``threading.Thread(target=...)`` edges);
 * an **attribute-access graph**: every ``self.attr`` (and guarded
   module-global) read/write/mutate, annotated with the set of locks
   held at the access — the input of the lock-discipline pass.
@@ -131,13 +129,11 @@ class AttrAccess:
 
 @dataclass(frozen=True)
 class CallSite:
-    """One call expression inside a function."""
+    """One resolved call expression inside a function."""
 
-    name: str  # last component of the called name ("next_batch")
-    targets: Tuple[str, ...]  # resolved callee qualnames (may be empty)
+    targets: Tuple[str, ...]  # resolved callee qualnames
     lineno: int
     locks: FrozenSet[str]
-    in_loop: bool
 
 
 @dataclass(frozen=True)
@@ -158,7 +154,6 @@ class FunctionInfo:
     module: str
     class_name: Optional[str]
     node: ast.AST
-    lineno: int
     calls: List[CallSite] = field(default_factory=list)
     accesses: List[AttrAccess] = field(default_factory=list)
     acquires: List[LockAcquire] = field(default_factory=list)
@@ -172,7 +167,6 @@ class ClassInfo:
     name: str
     module: str
     node: ast.ClassDef
-    bases: Tuple[str, ...] = ()
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     lock_attrs: Set[str] = field(default_factory=set)
     #: attr -> dotted class name as written at the assignment site.
@@ -196,8 +190,8 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)  # local -> dotted
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level ``NAME = <literal>`` constants (the AST value node).
-    constants: Dict[str, ast.AST] = field(default_factory=dict)
+    #: names assigned at module level (``NAME = ...``).
+    global_names: Set[str] = field(default_factory=set)
     global_locks: Set[str] = field(default_factory=set)
 
     @property
@@ -214,14 +208,6 @@ class ProjectContext:
             info.path: info for info in modules.values()
         }
         self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
-        for info in modules.values():
-            for fn in info.functions.values():
-                self.functions[fn.qualname] = fn
-            for cls in info.classes.values():
-                self.classes[cls.qualname] = cls
-                for method in cls.methods.values():
-                    self.functions[method.qualname] = method
         self._closure_cache: Dict[str, FrozenSet[str]] = {}
 
     # -- construction ---------------------------------------------------
@@ -242,14 +228,8 @@ class ProjectContext:
         # Second phase needs every class's lock/type tables populated:
         for info in modules.values():
             for fn_info, owner in _iter_functions(info):
+                project.functions[fn_info.qualname] = fn_info
                 _FunctionWalker(project, info, owner, fn_info).walk()
-        project.functions = {}
-        for info in modules.values():
-            for fn in info.functions.values():
-                project.functions[fn.qualname] = fn
-            for cls_info in info.classes.values():
-                for method in cls_info.methods.values():
-                    project.functions[method.qualname] = method
         return project
 
     # -- import/name resolution ----------------------------------------
@@ -335,21 +315,6 @@ class ProjectContext:
         self._closure_cache[qualname] = result
         return result
 
-    def called_names(self, qualname: str) -> FrozenSet[str]:
-        """Call-site *names* in ``qualname`` and its transitive callees.
-
-        Name-based matching is resolution-proof: an unresolved
-        ``self.plan.check_morsel(...)`` still contributes
-        ``check_morsel``.
-        """
-        names: Set[str] = set()
-        for fn_name in {qualname} | set(self.transitive_callees(qualname)):
-            fn = self.functions.get(fn_name)
-            if fn is None:
-                continue
-            names.update(call.name for call in fn.calls)
-        return frozenset(names)
-
     def reachable_from(self, entry_points: Sequence[str]) -> FrozenSet[str]:
         """Entry points plus everything they transitively call."""
         out: Set[str] = set()
@@ -358,21 +323,6 @@ class ProjectContext:
                 out.add(entry)
                 out.update(self.transitive_callees(entry))
         return frozenset(out)
-
-    # -- file-dependency graph (for the incremental cache) ---------------
-    def file_dependencies(self) -> Dict[str, Set[str]]:
-        """posix path -> set of scanned posix paths it imports."""
-        deps: Dict[str, Set[str]] = {}
-        for info in self.modules.values():
-            targets: Set[str] = set()
-            for dotted in info.imports.values():
-                target = self.resolve_module(dotted)
-                if target is None and "." in dotted:
-                    target = self.resolve_module(dotted.rpartition(".")[0])
-                if target is not None and target.path != info.path:
-                    targets.add(target.path)
-            deps[info.path] = targets
-        return deps
 
 
 def module_name_for(posix_path: str, roots: Sequence[str] = ()) -> str:
@@ -433,19 +383,18 @@ class _ModuleCollector:
                 module=self.info.name,
                 class_name=None,
                 node=node,
-                lineno=node.lineno,
             )
         elif isinstance(node, ast.ClassDef):
             self._collect_class(node)
         elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
-                self.info.constants[target.id] = node.value
+                self.info.global_names.add(target.id)
                 if _is_lock_construction(node.value):
                     self.info.global_locks.add(target.id)
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
             if isinstance(node.target, ast.Name):
-                self.info.constants[node.target.id] = node.value
+                self.info.global_names.add(node.target.id)
                 if _is_lock_construction(node.value):
                     self.info.global_locks.add(node.target.id)
         elif isinstance(node, (ast.If, ast.Try)):
@@ -469,7 +418,6 @@ class _ModuleCollector:
             name=node.name,
             module=self.info.name,
             node=node,
-            bases=tuple(filter(None, (_dotted(b) for b in node.bases))),
         )
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -479,7 +427,6 @@ class _ModuleCollector:
                     module=self.info.name,
                     class_name=node.name,
                     node=stmt,
-                    lineno=stmt.lineno,
                 )
             elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
@@ -596,7 +543,6 @@ class _FunctionWalker(ast.NodeVisitor):
         self.owner = owner
         self.fn = fn
         self.lock_stack: List[str] = []
-        self.loop_depth = 0
         self.in_nested = False
         self.in_init = owner is not None and fn.name in INIT_METHODS
         self.local_types: Dict[str, str] = {}
@@ -622,7 +568,7 @@ class _FunctionWalker(ast.NodeVisitor):
     # -- nested definitions: descend for *calls only* -------------------
     # A nested def is usually a local helper closure invoked inline
     # (``take`` in allocate_hybrid), so its calls belong to the
-    # enclosing function's closure for hook-coverage purposes.  But it
+    # enclosing function's call-graph edges.  But it
     # may also run later, on another thread, outside the current lock
     # scope — so the lock stack is cleared (no false lock-order edges)
     # and attribute accesses are not recorded (no false discipline
@@ -686,22 +632,6 @@ class _FunctionWalker(ast.NodeVisitor):
             return f"{self.info.name}:{expr.id}"
         return None
 
-    # -- loops -----------------------------------------------------------
-    def visit_For(self, node: ast.For) -> None:
-        self._loop(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._loop(node)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop(node)
-
-    def _loop(self, node: ast.stmt) -> None:
-        self.loop_depth += 1
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
-        self.loop_depth -= 1
-
     # -- local type environment -----------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
@@ -712,33 +642,24 @@ class _FunctionWalker(ast.NodeVisitor):
 
     # -- calls ------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        name = self._call_name(node.func)
         targets = self._resolve_call(node)
-        if name is not None:
+        if targets:
             self.fn.calls.append(
                 CallSite(
-                    name=name,
                     targets=tuple(sorted(targets)),
                     lineno=node.lineno,
                     locks=self._held(),
-                    in_loop=self.loop_depth > 0,
                 )
             )
-        self._thread_target_edges(node, name)
+        self._thread_target_edges(node)
         self.generic_visit(node)
 
-    @staticmethod
-    def _call_name(func: ast.AST) -> Optional[str]:
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        if isinstance(func, ast.Name):
-            return func.id
-        return None
-
-    def _thread_target_edges(
-        self, node: ast.Call, name: Optional[str]
-    ) -> None:
+    def _thread_target_edges(self, node: ast.Call) -> None:
         """``Thread(target=self._worker_loop)`` creates a call edge."""
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else (
+            func.id if isinstance(func, ast.Name) else None
+        )
         if name != "Thread":
             return
         for kw in node.keywords:
@@ -749,11 +670,9 @@ class _FunctionWalker(ast.NodeVisitor):
                 target_fn.is_thread_target = True
                 self.fn.calls.append(
                     CallSite(
-                        name=target_fn.name,
                         targets=(target_fn.qualname,),
                         lineno=node.lineno,
                         locks=self._held(),
-                        in_loop=self.loop_depth > 0,
                     )
                 )
 
@@ -875,7 +794,7 @@ class _FunctionWalker(ast.NodeVisitor):
             self.owner is None
             and not self.in_nested
             and self.info.global_locks
-            and node.id in self.info.constants
+            and node.id in self.info.global_names
             and node.id not in self.info.global_locks
         ):
             kind = (
@@ -898,7 +817,7 @@ class _FunctionWalker(ast.NodeVisitor):
     def visit_Global(self, node: ast.Global) -> None:
         # ``global X`` inside a function makes later plain-name writes
         # module-global writes; the Name visitor above records them
-        # because the names already appear in ``constants``.
+        # because the names already appear in ``global_names``.
         pass
 
     def _record_self_access(self, node: ast.Attribute) -> None:

@@ -12,9 +12,9 @@ from typing import Dict, List
 from repro.analysis.runner import AnalysisReport
 
 #: v2: findings carry a stable ``id``; the summary splits
-#: ``errors``/``warnings``; ``files_parsed``/``files_from_cache``
-#: expose the incremental cache's work split.
-SCHEMA_VERSION = 2
+#: ``errors``/``warnings``.  v3: the incremental cache's
+#: ``files_parsed``/``files_from_cache`` counters are gone.
+SCHEMA_VERSION = 3
 TOOL_NAME = "repro.analysis"
 
 
@@ -55,8 +55,6 @@ def render_json(report: AnalysisReport) -> str:
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "files_scanned": report.files_scanned,
-        "files_parsed": report.files_parsed,
-        "files_from_cache": report.files_from_cache,
         "summary": {
             "total": len(report.findings),
             "unbaselined": len(report.unbaselined),

@@ -31,16 +31,15 @@ from repro.obs.explain import bottleneck_chain, utilization
 #: schema changelog in docs/observability.md.
 MANIFEST_SCHEMA_VERSION = "1.4"
 
-#: The *declared* manifest schema, enforced statically by the
-#: ``manifest-schema`` analysis pass: every key a writer function puts
-#: into a manifest section must be listed here, and the section key
-#: sets are pinned by ``checksum`` (a BLAKE2b digest of the sorted
-#: ``sections`` mapping).  Adding, renaming, or removing a key
-#: therefore requires editing this declaration, recomputing the
-#: checksum (the pass prints the expected value on mismatch), bumping
-#: :data:`MANIFEST_SCHEMA_VERSION`, and recording the bump in the
-#: docs/observability.md changelog (enforced by :func:`check_changelog`
-#: in CI) — a new key cannot drift in silently.
+#: The *declared* manifest schema, checked against real runs by
+#: ``tests/obs/test_manifest_schema.py``: each section must emit exactly
+#: the keys listed here, and the key sets are pinned by ``checksum`` (a
+#: BLAKE2b digest of the sorted ``sections`` mapping).  Adding, renaming,
+#: or removing a key therefore requires editing this declaration,
+#: recomputing the checksum (the test prints the expected value),
+#: bumping :data:`MANIFEST_SCHEMA_VERSION`, and recording the bump in
+#: the docs/observability.md changelog (enforced by
+#: :func:`check_changelog` in CI) — a new key cannot drift in silently.
 #:
 #: ``version`` must equal :data:`MANIFEST_SCHEMA_VERSION`; each section
 #: names its writer (``Class.method`` or a module-level function) and

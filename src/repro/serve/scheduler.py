@@ -558,9 +558,10 @@ class ContentionScheduler:
                 phase = record.phase()
                 if record.remaining > _REMAINING_EPSILON * max(
                     1.0, phase.seconds
-                ):
+                ) and now + record.remaining / record.rate > now:
                     # Drift between the scheduled eta and accumulated
-                    # progress; re-solve and let a fresh event land it.
+                    # progress; re-solve and let a fresh event land it
+                    # (an eta that rounds to ``now`` would re-fire forever).
                     resolve(simulator)
                     return
                 record.phase_index += 1

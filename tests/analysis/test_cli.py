@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.analysis.cli import main
 
 from tests.analysis.conftest import REPO_ROOT, fixture_path
@@ -70,14 +72,38 @@ def test_malformed_baseline_exits_two(tmp_path, capsys):
     assert "missing or empty field" in err
 
 
+KEPT_RULES = [
+    "unit-safety",
+    "determinism",
+    "vectorization",
+    "simulated-coherence",
+    "executor-boundary",
+    "lock-discipline",
+]
+
+
 def test_list_rules(capsys):
     code = main(["--list-rules"])
     out = capsys.readouterr().out
     assert code == 0
-    for rule in (
-        "unit-safety",
-        "determinism",
-        "vectorization",
-        "simulated-coherence",
-    ):
-        assert rule in out
+    listed = [line.split(":")[0] for line in out.splitlines()
+              if not line.startswith(" ")]
+    assert listed == KEPT_RULES
+
+
+def test_cache_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--cache", "x", "src"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rule", ["fault-hook-coverage", "manifest-schema"])
+def test_retired_rules_are_unknown(capsys, rule):
+    """These invariants moved to runtime tests; selecting them fails and
+    names every rule that still exists."""
+    code = main([BAD_UNITS, "--rules", rule])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"unknown rule(s) ['{rule}']" in err
+    assert "valid rules: " + ", ".join(sorted(KEPT_RULES)) in err

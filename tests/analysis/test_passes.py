@@ -25,8 +25,6 @@ BAD_FIXTURES = {
         fixture_path("core", "ops", "bad_direct_pricing.py"),
         4,
     ),
-    "fault-hook-coverage": (fixture_path("exec", "bad_worker_loop.py"), 1),
-    "manifest-schema": (fixture_path("obs", "bad_manifest.py"), 2),
 }
 
 GOOD_FIXTURES = {
@@ -37,9 +35,7 @@ GOOD_FIXTURES = {
         "core", "join", "coop_good_accessors.py"
     ),
     "executor-boundary": fixture_path("core", "ops", "good_plan_compile.py"),
-    "lock-discipline": fixture_path("exec", "good_pool.py"),
-    "fault-hook-coverage": fixture_path("exec", "good_pool.py"),
-    "manifest-schema": fixture_path("obs", "good_manifest.py"),
+    "lock-discipline": fixture_path("exec", "good_locks.py"),
 }
 
 
@@ -79,8 +75,6 @@ def test_fixture_tree_total_counts():
         "simulated-coherence": 4,
         "executor-boundary": 4,
         "lock-discipline": 4,
-        "fault-hook-coverage": 1,
-        "manifest-schema": 2,
     }
 
 
@@ -108,25 +102,17 @@ def test_lock_order_cycle_detected():
     assert "LOCK_A" in finding.message and "LOCK_B" in finding.message
 
 
-def test_manifest_schema_severities():
-    path = fixture_path("obs", "bad_manifest.py")
-    report = analyze_paths([path], passes=get_passes(["manifest-schema"]))
-    by_severity = {f.severity.value: f.message for f in report.findings}
-    assert "latency_ns" in by_severity["error"]
-    assert "seconds" in by_severity["warning"]
-
-
 def test_finding_ids_are_stable_across_line_shifts():
     """The finding id hashes rule|path|context|message — inserting lines
     above a violation must not change its id (baselines survive)."""
-    path = fixture_path("exec", "bad_worker_loop.py")
-    report = analyze_paths([path], passes=get_passes(["fault-hook-coverage"]))
+    path = fixture_path("exec", "bad_lock_order.py")
+    report = analyze_paths([path], passes=get_passes(["lock-discipline"]))
     (finding,) = report.findings
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
     shifted = '"""Shifted."""\n\n\n' + source.split('"""', 2)[2].lstrip("\n")
     findings = analyze_source(
-        shifted, path=path, passes=get_passes(["fault-hook-coverage"])
+        shifted, path=path, passes=get_passes(["lock-discipline"])
     )
     (moved,) = findings
     assert moved.line != finding.line
@@ -230,8 +216,6 @@ def test_rule_registry_is_stable():
         "simulated-coherence",
         "executor-boundary",
         "lock-discipline",
-        "fault-hook-coverage",
-        "manifest-schema",
     ]
     for p in ALL_PASSES:
         assert p.description

@@ -16,8 +16,6 @@ TOP_LEVEL_KEYS = [
     "schema_version",
     "tool",
     "files_scanned",
-    "files_parsed",
-    "files_from_cache",
     "summary",
     "stale_baseline_entries",
     "findings",
@@ -54,7 +52,7 @@ def _report():
 def test_json_schema_is_stable():
     payload = json.loads(render_json(_report()))
     assert list(payload) == TOP_LEVEL_KEYS
-    assert payload["schema_version"] == SCHEMA_VERSION == 2
+    assert payload["schema_version"] == SCHEMA_VERSION == 3
     assert payload["tool"] == TOOL_NAME == "repro.analysis"
     assert list(payload["summary"]) == SUMMARY_KEYS
     assert payload["findings"], "fixture should produce findings"

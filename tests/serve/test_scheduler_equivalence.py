@@ -196,3 +196,40 @@ class TestOneLiveCompletion:
         assert outcome.peak_concurrency == 30
         assert simulator.fired == 60  # one arrival + one completion each
         assert outcome.makespan == pytest.approx(30.0)
+
+
+class _CappedSimulator(_CountingSimulator):
+    """A counting simulator that fails a run firing more than ``CAP``
+    events, so a scheduler that spins fails fast instead of hanging."""
+
+    CAP = 100
+
+    def step(self):
+        assert self.fired < self.CAP, (
+            f"scheduler spun: {self.fired} events fired, clock stuck at "
+            f"t={self.now!r}"
+        )
+        return super().step()
+
+
+class TestLateClockTermination:
+    @pytest.mark.parametrize("arrival", [1e6, 1e9])
+    def test_lone_query_lands_where_the_clock_ulp_swallows_its_eta(
+        self, monkeypatch, arrival
+    ):
+        # Past ~8,192 s, ulp(now)/2 exceeds the completion tolerance:
+        # the event fires with work left, and a re-solved eta rounds
+        # back to ``now``.  The completion must land, not re-fire.
+        created = []
+
+        def factory():
+            created.append(_CappedSimulator())
+            return created[-1]
+
+        monkeypatch.setattr(scheduler_module, "Simulator", factory)
+        phase = PhaseCost(0.3001, "mem:cpu0-mem", {"mem:cpu0-mem": 0.3001})
+        outcome = ContentionScheduler().run([make_query(0, arrival, [phase])])
+        (query,) = outcome.finished
+        assert created[0].fired == 2  # the arrival and one completion
+        assert query.finish == pytest.approx(arrival + 0.3001, rel=1e-15)
+        assert outcome.makespan == query.finish
