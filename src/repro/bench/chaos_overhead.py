@@ -1,28 +1,27 @@
-"""Chaos benchmark: hook overhead + priced manifests of the CI seed set.
+"""Chaos benchmark: hook overhead + priced runs of the CI seed set.
 
 Usage::
 
     python -m repro.bench.chaos_overhead                  # full sizes
-    python -m repro.bench.chaos_overhead --quick          # CI smoke
-    python -m repro.bench.chaos_overhead --out BENCH_pr5.json
+    python -m repro.bench.chaos_overhead --quick          # smoke sizes
     python -m repro.bench.chaos_overhead --check-overhead
 
-Three sections land in the output document:
+Two things are measured:
 
-* ``runs`` — priced run manifests: one fault-free serial baseline
-  (``nopa[chaos-baseline]``) plus one NOPA run per canonical chaos seed
-  (``nopa[chaos-s101]`` ...), each carrying its ``resilience`` section.
-  The priced phases are deterministic — crashes and transients are
-  recovered invisibly and the OOM seed degrades to the (deterministic)
-  hybrid placement — so ``repro.bench.diff_manifest`` compares them
-  against the committed ``BENCH_pr5.json`` baseline in CI.
-* ``chaos`` — per-seed summary: what each plan injected, which recovery
-  actions answered it, and whether the results matched the fault-free
-  baseline bit-for-bit.
-* ``overhead`` — wall-clock cost of the injection *hooks* on the hot
-  path: the functional build+probe with no plan installed versus with
-  an **empty** plan installed (every hook site active but no rule
-  matching).  Informational wall clock, ignored by the manifest diff.
+* :func:`chaos_runs` — priced run manifests: one fault-free serial
+  baseline (``nopa[chaos-baseline]``) plus one NOPA run per canonical
+  chaos seed (``nopa[chaos-s101]`` ...), each carrying its
+  ``resilience`` section, and a per-seed summary of what each plan
+  injected, which recovery actions answered it, and whether the results
+  matched the fault-free baseline bit-for-bit.  The priced phases are
+  deterministic — crashes and transients are recovered invisibly and
+  the OOM seed degrades to the (deterministic) hybrid placement — so
+  the ``--quick`` runs are the ``chaos_overhead`` entry of
+  :mod:`repro.bench.baselines`.
+* the hook overhead — wall-clock cost of the injection *hooks* on the
+  hot path: the functional build+probe with no plan installed versus
+  with an **empty** plan installed (every hook site active but no rule
+  matching).  Informational wall clock, never committed.
 
 ``--check-overhead`` asserts the empty-plan overhead stays under
 ``OVERHEAD_TARGET``.  Wall clock is noisy, so the check takes the best
@@ -34,7 +33,6 @@ regression inflates every round.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -48,7 +46,7 @@ from repro.exec import MorselExecutor, execute_build, execute_probe
 from repro.faults import CHAOS_SEEDS, FaultPlan, RetryPolicy, chaos_plan
 from repro.hardware.topology import ibm_ac922
 from repro.obs import Observability
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, build_manifest
+from repro.obs.manifest import build_manifest
 from repro.workloads.builders import workload_a
 
 #: acceptance threshold: an installed-but-empty plan may slow the
@@ -78,6 +76,11 @@ def _chaos_join(machine, **overrides) -> NoPartitioningJoin:
     return NoPartitioningJoin(machine, **config)
 
 
+def chaos_scale(quick: bool) -> float:
+    """Execution scale of workload A in the chaos runs."""
+    return 2.0**-14 if quick else 2.0**-12
+
+
 def _run_manifest(join, workload, result, kind, resilience) -> Dict[str, Any]:
     manifest = build_manifest(
         kind=kind,
@@ -103,16 +106,16 @@ def _run_manifest(join, workload, result, kind, resilience) -> Dict[str, Any]:
     return manifest.to_dict()
 
 
-def _chaos_runs(scale: float) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+def chaos_runs(quick: bool) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
     """One fault-free baseline + one priced run per canonical chaos seed.
 
     Returns ``(manifests, summaries)``: the manifests are deterministic
     (recovery never changes the priced phases; the OOM seed's hybrid
-    degradation is itself deterministic) and feed the baseline diff; the
-    summaries account for the injected faults and recovery actions.
+    degradation is itself deterministic); the summaries account for the
+    injected faults and recovery actions.
     """
     machine = ibm_ac922()
-    workload = workload_a(scale=scale)
+    workload = workload_a(scale=chaos_scale(quick))
 
     base_join = _chaos_join(machine, backend="serial", obs=Observability.create())
     base = base_join.run(workload.r, workload.s)
@@ -203,24 +206,20 @@ def _hook_overhead(quick: bool, rounds: int = OVERHEAD_ROUNDS) -> Dict[str, Any]
 
 def run_benchmark(quick: bool = False) -> Dict[str, Any]:
     """Execute the chaos sweep + overhead measurement; return the document."""
-    scale = 2.0**-14 if quick else 2.0**-12
-    manifests, summaries = _chaos_runs(scale)
+    _manifests, summaries = chaos_runs(quick)
     return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "generator": "repro.bench.chaos_overhead",
-        "quick": quick,
         "cpu_count": os.cpu_count() or 1,
-        "workload": {"name": "A", "scale": scale, "seeds": list(CHAOS_SEEDS)},
+        "workload": {
+            "name": "A", "scale": chaos_scale(quick), "seeds": list(CHAOS_SEEDS)
+        },
         "chaos": summaries,
         "overhead": _hook_overhead(quick),
-        "runs": manifests,
     }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--out", default=None, help="write the JSON document here")
     parser.add_argument(
         "--check-overhead",
         action="store_true",
@@ -257,10 +256,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check_overhead:
         if overhead["overhead_fraction"] < OVERHEAD_TARGET:
-            document["overhead_check"] = {
-                "status": "passed",
-                "overhead_fraction": overhead["overhead_fraction"],
-            }
             print("  overhead check passed")
         else:
             print(
@@ -268,12 +263,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"{overhead['overhead_fraction']:.2%} >= {OVERHEAD_TARGET:.0%}"
             )
             return 1
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
     return 0
 
 

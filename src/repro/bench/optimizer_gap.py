@@ -18,17 +18,20 @@ stats.  This benchmark pins that error:
 * **gap** — ``|predicted - actual| / actual``, gated under
   :data:`GAP_THRESHOLD` by CI (``--check-gap``).
 
+Every scenario is seeded, so the full table of :func:`run_scenarios`
+is the ``optimizer_gap`` entry of :mod:`repro.bench.baselines`: each
+row is a run whose ``results`` hold the chosen plan, the candidate
+counts, and the predicted/actual seconds and gap.
+
 Usage::
 
     python -m repro.bench.optimizer_gap                  # full table
     python -m repro.bench.optimizer_gap --quick --check-gap
-    python -m repro.bench.optimizer_gap --out BENCH_pr8.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.join.coop import CoopJoin
@@ -53,13 +56,10 @@ from repro.workloads.builders import (
 )
 from repro.workloads.tpch import lineitem_q6
 
-#: version of the BENCH_pr8 gap-document layout.
-GAP_SCHEMA_VERSION = "1.0"
-
 #: CI gate: the worst per-scenario relative gap must stay under this.
-#: The observed gaps (see BENCH_pr8.json) come from estimation error
-#: only — hinted match rates vs sampled ones, survival hints vs
-#: measured survival — and everything is seeded, so the observed
+#: The observed gaps (see ``baselines/optimizer_gap.json``) come from
+#: estimation error only — hinted match rates vs sampled ones, survival
+#: hints vs measured survival — and everything is seeded, so the observed
 #: maximum is deterministic (currently ~1e-5 on join-sel; the other
 #: canonical workloads are estimated exactly).  The gate sits far
 #: above that but far below any real estimator drift, which moves
@@ -169,12 +169,14 @@ def run_scenario(name: str, machine_name: str) -> Dict[str, Any]:
         "kind": f"optgap[{name}@{machine_name}]",
         "workload": name,
         "machine": machine_name,
-        "chosen": decision.chosen.config.describe(),
-        "considered": len(decision.candidates),
-        "rejected": len(decision.rejected),
-        "predicted_seconds": predicted,
-        "actual_seconds": actual,
-        "gap": gap,
+        "results": {
+            "chosen": decision.chosen.config.describe(),
+            "considered": len(decision.candidates),
+            "rejected": len(decision.rejected),
+            "predicted_seconds": predicted,
+            "actual_seconds": actual,
+            "gap": gap,
+        },
     }
 
 
@@ -183,17 +185,6 @@ def run_scenarios(
 ) -> List[Dict[str, Any]]:
     """Gap rows for every scenario, in declaration order."""
     return [run_scenario(name, machine) for name, machine in scenarios]
-
-
-def gap_document(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """The BENCH_pr8.json layout: rows plus the gate that judges them."""
-    return {
-        "schema_version": GAP_SCHEMA_VERSION,
-        "generator": "repro.bench.optimizer_gap",
-        "gap_threshold": GAP_THRESHOLD,
-        "max_gap": max((row["gap"] for row in rows), default=0.0),
-        "runs": rows,
-    }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -208,11 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help=f"exit non-zero if any gap exceeds {GAP_THRESHOLD}",
     )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the gap document (BENCH_pr8.json layout)",
-    )
     args = parser.parse_args(argv)
     scenarios = QUICK_SCENARIOS if args.quick else SCENARIOS
     rows = run_scenarios(scenarios)
@@ -222,21 +208,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(header)
     print("-" * len(header))
     for row in rows:
+        result = row["results"]
         print(
-            f"{row['kind']:30s} {row['predicted_seconds']:12.6f} "
-            f"{row['actual_seconds']:12.6f} {row['gap']:10.2e}"
+            f"{row['kind']:30s} {result['predicted_seconds']:12.6f} "
+            f"{result['actual_seconds']:12.6f} {result['gap']:10.2e}"
         )
-    document = gap_document(rows)
-    print(
-        f"max gap {document['max_gap']:.2e} "
-        f"(threshold {GAP_THRESHOLD})"
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    if args.check_gap and document["max_gap"] > GAP_THRESHOLD:
+    max_gap = max(row["results"]["gap"] for row in rows)
+    print(f"max gap {max_gap:.2e} (threshold {GAP_THRESHOLD})")
+    if args.check_gap and max_gap > GAP_THRESHOLD:
         print("FAIL: predicted-vs-actual gap exceeds the pinned threshold")
         return 1
     return 0

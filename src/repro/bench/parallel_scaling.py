@@ -3,21 +3,19 @@
 Usage::
 
     python -m repro.bench.parallel_scaling                 # full sweep
-    python -m repro.bench.parallel_scaling --quick         # CI smoke
-    python -m repro.bench.parallel_scaling --out run_pr4.json
+    python -m repro.bench.parallel_scaling --quick         # smoke sizes
     python -m repro.bench.parallel_scaling --check-speedup
 
-Two independent sections land in the output document:
+The sweep times the *functional* build+probe at each worker count and
+prints speedups relative to the serial path, plus an equivalence check
+(identical outputs, ``TableStats`` and table size).  Wall clock depends
+on the host (core count, load), so nothing here is committed.
 
-* ``runs`` — priced run manifests of the reference NOPA join executed
-  once per backend (``nopa[serial]`` / ``nopa[threads]``).  These are
-  fully deterministic — the whole point of the backend's determinism
-  contract — and are what ``repro.bench.diff_manifest`` compares
-  against the committed ``BENCH_pr4.json`` baseline in CI.
-* ``scaling`` — wall-clock seconds of the *functional* build+probe at
-  each worker count, with speedups relative to the serial path.  Wall
-  clock depends on the host (core count, load), so this section is
-  informational and deliberately ignored by the manifest diff.
+:func:`priced_runs` is the deterministic half: the reference NOPA join
+priced once per backend (``nopa[serial]`` / ``nopa[threads]``).
+Identical ``TableStats`` across backends make the two runs' phases
+identical; they are the ``parallel_scaling`` entry of
+:mod:`repro.bench.baselines`.
 
 ``--check-speedup`` asserts the threads speedup exceeds the threshold
 at the largest swept worker count the host has cores for.  It skips
@@ -30,7 +28,6 @@ whose sizes are dominated by dispatch overhead.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -48,7 +45,7 @@ from repro.exec import (
 )
 from repro.hardware.topology import ibm_ac922
 from repro.obs import Observability
-from repro.obs.manifest import MANIFEST_SCHEMA_VERSION, build_manifest
+from repro.obs.manifest import RunManifest, build_manifest
 from repro.workloads.builders import workload_a
 
 #: acceptance threshold: the threads backend must beat serial by this
@@ -57,6 +54,10 @@ SPEEDUP_TARGET = 1.5
 
 #: worker counts of the sweep.
 DEFAULT_WORKER_COUNTS = (1, 2, 4)
+
+#: execution scale and ``threads`` worker count of :func:`priced_runs`.
+PRICED_SCALE = 2.0**-14
+PRICED_WORKERS = max(DEFAULT_WORKER_COUNTS)
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -84,15 +85,10 @@ def _functional_seconds(
     return _best_of(repeats, run)
 
 
-def _reference_manifests(scale: float, workers: int) -> List[Any]:
-    """The deterministic section: one priced NOPA run per backend.
-
-    Identical ``TableStats`` across backends make the priced phases (and
-    therefore these manifests) byte-identical; the diff against the
-    committed baseline enforces that on every CI run.
-    """
+def priced_runs() -> List[RunManifest]:
+    """One priced NOPA run of workload A per backend."""
     machine = ibm_ac922()
-    workload = workload_a(scale=scale)
+    workload = workload_a(scale=PRICED_SCALE)
     manifests = []
     for backend in ("serial", "threads"):
         obs = Observability.create()
@@ -102,7 +98,7 @@ def _reference_manifests(scale: float, workers: int) -> List[Any]:
             transfer_method="coherence",
             obs=obs,
             backend=backend,
-            workers=workers,
+            workers=PRICED_WORKERS,
         )
         result = join.run(workload.r, workload.s)
         manifests.append(
@@ -119,7 +115,7 @@ def _reference_manifests(scale: float, workers: int) -> List[Any]:
                 },
                 config={
                     "backend": backend,
-                    "workers": workers if backend == "threads" else 1,
+                    "workers": PRICED_WORKERS if backend == "threads" else 1,
                     "hash_table_placement": "gpu",
                     "transfer_method": "coherence",
                 },
@@ -165,7 +161,7 @@ def run_benchmark(
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     scheme: str = "perfect",
 ) -> Dict[str, Any]:
-    """Execute the sweep and return the output document."""
+    """Execute the sweep; return its scaling rows and equivalence flags."""
     build_tuples = 1 << 18 if quick else 1 << 21
     probe_tuples = 1 << 19 if quick else 1 << 22
     repeats = 2 if quick else 3
@@ -202,35 +198,22 @@ def run_benchmark(
         )
 
     return {
-        "schema_version": MANIFEST_SCHEMA_VERSION,
-        "generator": "repro.bench.parallel_scaling",
-        "quick": quick,
         "cpu_count": os.cpu_count() or 1,
         "workload": {
             "scheme": scheme,
             "build_tuples": build_tuples,
             "probe_tuples": probe_tuples,
-            "morsel_tuples": morsel_tuples,
-            "repeats": repeats,
         },
         "scaling": scaling,
         "equivalence": _equivalence(
             keys, values, probe, scheme, max(worker_counts), morsel_tuples
         ),
-        "runs": [
-            m.to_dict()
-            for m in _reference_manifests(
-                scale=2.0**-14 if quick else 2.0**-12,
-                workers=max(worker_counts),
-            )
-        ],
     }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument("--out", default=None, help="write the JSON document here")
     parser.add_argument(
         "--check-speedup",
         action="store_true",
@@ -286,12 +269,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.check_speedup:
         if not gateable:
-            note = (
-                f"speedup check skipped: host has {cores} core(s); "
+            print(
+                f"  speedup check skipped: host has {cores} core(s); "
                 "need >= 2 to demonstrate parallel speedup"
             )
-            document["speedup_check"] = {"status": "skipped", "note": note}
-            print(f"  {note}")
         else:
             gated = max(gateable)
             row = next(
@@ -306,21 +287,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f"{cores}-core host"
                 )
                 return 1
-            document["speedup_check"] = {
-                "status": "passed",
-                "workers": gated,
-                "speedup": row["speedup"],
-            }
             print(
                 f"  speedup check passed: threads workers={gated} "
                 f"{row['speedup']:.2f}x"
             )
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {args.out}")
     return 0
 
 

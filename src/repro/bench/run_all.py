@@ -3,15 +3,11 @@
 Usage::
 
     python -m repro.bench.run_all                      # all figures
-    python -m repro.bench.run_all --quick              # CI smoke subset
-    python -m repro.bench.run_all --manifest-out m.json
+    python -m repro.bench.run_all --quick              # smoke subset
 
 :data:`FIGURES` is the one ordered list of figure runners: ``python -m
 repro figures`` / ``figure KEY``, this sweep, ``repro.bench.report``,
 ``repro.bench.export`` and the paper-anchors test all read it.
-``--manifest-out`` runs the two reference joins (NOPA + cooperative
-Het) with observability enabled and writes their schema-versioned run
-manifests.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ class Figure:
     #: the anchors the runner's result carries (its module's dict); the
     #: paper-anchors test budgets every entry that has them.
     paper: Optional[Dict[str, Dict[str, float]]] = None
-    #: in ``run_all --quick``, the CI smoke subset: one figure per
+    #: in ``run_all --quick``, the smoke subset: one figure per
     #: subsystem (bandwidth model, placement tree, transfer methods,
     #: co-processing).
     quick: bool = False
@@ -101,47 +97,17 @@ def sweep_results(quick: bool = False) -> Iterator[FigureResult]:
             yield figure.runner()
 
 
-def _collect_manifests(scale: float):
-    from repro.hardware.topology import ibm_ac922
-    from repro.obs.report import report_coop, report_nopa
-    from repro.workloads.builders import workload_a
-
-    machine = ibm_ac922()
-    workload = workload_a(scale=scale)
-    _, nopa = report_nopa(machine, workload, method="coherence")
-    print()
-    _, coop = report_coop(machine, workload, strategy="het")
-    return [nopa, coop]
-
-
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--quick", action="store_true",
         help="run only the fast smoke subset of figures",
     )
-    parser.add_argument(
-        "--manifest-out", default=None, metavar="PATH",
-        help="write observability run manifests for the reference joins",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=2.0**-13,
-        help="execution scale for the manifest reference joins",
-    )
     args = parser.parse_args(argv)
 
     for result in sweep_results(quick=args.quick):
         print(result.render())
         print()
-
-    if args.manifest_out:
-        from repro.obs.manifest import write_manifest_file
-
-        manifests = _collect_manifests(scale=args.scale)
-        path = write_manifest_file(
-            args.manifest_out, manifests, generator="repro.bench.run_all"
-        )
-        print(f"\nwrote {path} ({len(manifests)} runs)")
 
 
 if __name__ == "__main__":

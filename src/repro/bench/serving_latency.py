@@ -7,32 +7,27 @@ multiplexed over one simulated machine, what do the p50/p99
 memory channels and interconnect bandwidth?
 
 The load is open-loop (arrivals don't wait for completions), seeded,
-and entirely virtual — the numbers are deterministic and committed as
-``BENCH_pr9.json``, which CI regenerates with ``--quick`` and diffs
-via ``repro.bench.diff_manifest``.  The document also embeds the
-``nopa``/``coop[het]`` reference manifests so a second diff against
-the PR-2 baseline (``--ignore-new-runs``) proves the serving layer
-left single-query pricing untouched.
+and entirely virtual — the numbers are deterministic, and the
+``--quick`` runs (one served manifest per workload plus the latency
+percentiles) are the ``serving_latency`` entry of
+:mod:`repro.bench.baselines`.
 
 Usage::
 
     python -m repro.bench.serving_latency                # full load
     python -m repro.bench.serving_latency --quick --check-serving
-    python -m repro.bench.serving_latency --quick --out BENCH_pr9.json
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel.model import PhaseCost
 from repro.logical.explain import MACHINES
-from repro.obs.manifest import RunManifest, build_manifest, write_manifest_file
+from repro.obs.manifest import RunManifest, build_manifest
 from repro.serve import QueryService, ServingReport, TenantQuota, percentile
 
 #: deterministic arrival/workload sampling.
@@ -107,9 +102,9 @@ def latency_summary(report: ServingReport) -> Dict[str, Any]:
 
 
 def latency_manifest(summary: Dict[str, Any], n_queries: int) -> RunManifest:
-    """Tail latencies as a diffable run: percentiles become phases.
+    """Tail latencies as a run whose phases are the percentiles.
 
-    ``diff_manifest`` compares phases by label with a relative seconds
+    The baseline diff compares phases by label with a relative seconds
     tolerance, so encoding p50/p99 as phase seconds turns the committed
     baseline into a tail-latency regression gate.
     """
@@ -183,19 +178,6 @@ def representative_manifests(report: ServingReport) -> List[RunManifest]:
     return manifests
 
 
-def reference_manifests() -> List[RunManifest]:
-    """The PR-2 nopa/coop[het] reference joins, silenced.
-
-    Embedding them lets CI diff this document against the PR-2
-    baseline (``--ignore-new-runs``) to prove single-query pricing is
-    untouched by the serving layer.
-    """
-    from repro.bench.run_all import _collect_manifests
-
-    with contextlib.redirect_stdout(io.StringIO()):
-        return list(_collect_manifests(scale=2.0**-13))
-
-
 def run_benchmark(
     n_queries: int,
 ) -> Tuple[ServingReport, Dict[str, Any], List[RunManifest]]:
@@ -205,7 +187,6 @@ def run_benchmark(
     summary = latency_summary(report)
     manifests = representative_manifests(report)
     manifests.append(latency_manifest(summary, n_queries))
-    manifests.extend(reference_manifests())
     return report, summary, manifests
 
 
@@ -248,14 +229,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="exit non-zero unless rejections and cache hits occurred",
     )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the manifest document (BENCH_pr9.json layout)",
-    )
     args = parser.parse_args(argv)
     n_queries = QUICK_QUERIES if args.quick else N_QUERIES
-    report, summary, manifests = run_benchmark(n_queries)
+    report, summary, _manifests = run_benchmark(n_queries)
 
     print(f"open-loop serving, {n_queries} queries over {MACHINE}")
     print(
@@ -274,12 +250,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{summary['cache']['misses']} misses)"
     )
     print(f"  virtual makespan {summary['makespan']:.6f}s")
-
-    if args.out:
-        path = write_manifest_file(
-            args.out, manifests, generator="repro.bench.serving_latency"
-        )
-        print(f"wrote {path} ({len(manifests)} runs)")
 
     if args.check_serving:
         failures = check_serving(report)

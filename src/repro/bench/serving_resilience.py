@@ -19,18 +19,15 @@ is not:
   its queries burn the retry budget into terminal failures and the
   per-workload circuit breaker must open and fast-fail the rest.
 
-The document embeds the fault-free ``serving_latency`` runs unchanged,
-so ``diff_manifest BENCH_pr10.json BENCH_pr9.json --ignore-new-runs``
-proves the resilience layer reproduces PR 9 behavior bit-for-bit when
-no fault plan or policy is active.  Everything is virtual-time and
-seeded: ``--check-resilience`` also replays the chaos scenario twice
-and fails unless the two reports are bit-identical.
+Everything is virtual-time and seeded: the ``--quick`` runs are the
+``serving_resilience`` entry of :mod:`repro.bench.baselines`, and
+``--check-resilience`` also replays the chaos scenario twice and fails
+unless the two reports are bit-identical.
 
 Usage::
 
     python -m repro.bench.serving_resilience                 # full load
     python -m repro.bench.serving_resilience --quick --check-resilience
-    python -m repro.bench.serving_resilience --quick --out BENCH_pr10.json
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from repro.bench import serving_latency
 from repro.costmodel.model import PhaseCost
 from repro.faults.scenarios import serving_chaos_plan
 from repro.logical.explain import MACHINES
-from repro.obs.manifest import RunManifest, build_manifest, write_manifest_file
+from repro.obs.manifest import RunManifest, build_manifest
 from repro.serve import (
     QueryService,
     ServicePolicy,
@@ -132,7 +129,7 @@ def _scenario_manifest(
 ) -> RunManifest:
     """Percentiles as phases, resilience counts as results.
 
-    Same trick as ``serving_latency``: ``diff_manifest`` compares
+    Same trick as ``serving_latency``: the baseline diff compares
     phases by label with a relative seconds tolerance, so the
     committed p50/p99/makespan gate tail regressions under overload
     and chaos.
@@ -199,23 +196,15 @@ def run_chaos_breaker(n_queries: int) -> Dict[str, Any]:
 def run_benchmark(
     quick: bool,
 ) -> Tuple[Dict[str, Dict[str, Any]], List[RunManifest]]:
-    """All scenarios plus the embedded fault-free latency runs."""
-    n_latency = (
-        serving_latency.QUICK_QUERIES if quick else serving_latency.N_QUERIES
-    )
+    """All three scenarios: their summaries and one run each."""
     n_overload = OVERLOAD_QUICK if quick else OVERLOAD_QUERIES
     n_chaos = CHAOS_QUICK if quick else CHAOS_QUERIES
-
-    # Fault-free baseline runs, embedded unchanged: the diff against
-    # BENCH_pr9.json (--ignore-new-runs) proves the resilience layer
-    # reproduces PR 9 behavior exactly when inactive.
-    _report, _summary, manifests = serving_latency.run_benchmark(n_latency)
 
     overload = run_overload(n_overload)
     transients = run_chaos_transients(n_chaos)
     breaker = run_chaos_breaker(n_chaos)
 
-    manifests.append(
+    manifests = [
         _scenario_manifest(
             "serving[overload]",
             overload,
@@ -232,9 +221,7 @@ def run_benchmark(
                 "stretch_limit": OVERLOAD_POLICY.stretch_limit,
                 "default_deadline": OVERLOAD_POLICY.default_deadline,
             },
-        )
-    )
-    manifests.append(
+        ),
         _scenario_manifest(
             "serving[chaos-transients]",
             transients,
@@ -245,9 +232,7 @@ def run_benchmark(
                 "seed": CHAOS_SEED,
             },
             config={"machine": MACHINE, "fault_seed": 404},
-        )
-    )
-    manifests.append(
+        ),
         _scenario_manifest(
             "serving[chaos-breaker]",
             breaker,
@@ -263,8 +248,8 @@ def run_benchmark(
                 "breaker_threshold": BREAKER_POLICY.breaker_threshold,
                 "breaker_cooldown": BREAKER_POLICY.breaker_cooldown,
             },
-        )
-    )
+        ),
+    ]
     summaries = {
         "overload": overload,
         "chaos-transients": transients,
@@ -347,13 +332,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "replay is bit-identical"
         ),
     )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        help="write the manifest document (BENCH_pr10.json layout)",
-    )
     args = parser.parse_args(argv)
-    summaries, manifests = run_benchmark(args.quick)
+    summaries, _manifests = run_benchmark(args.quick)
 
     for name, summary in summaries.items():
         outcomes = summary["outcomes"]
@@ -370,12 +350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"p99 {summary['p99_seconds']:.6f}s  "
             f"makespan {summary['makespan']:.6f}s"
         )
-
-    if args.out:
-        path = write_manifest_file(
-            args.out, manifests, generator="repro.bench.serving_resilience"
-        )
-        print(f"wrote {path} ({len(manifests)} runs)")
 
     if args.check_resilience:
         failures = check_resilience(summaries, args.quick)

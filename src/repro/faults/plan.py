@@ -8,10 +8,12 @@ label/region, transfer method), and *when* (a deterministic ordinal or a
 seeded probability draw).
 
 Determinism: probability draws are keyed by the *site identity* — e.g.
-``(seed, rule, worker, morsel start, attempt)`` hashed with BLAKE2b —
-not by a shared RNG stream, so whether a given morsel faults does not
-depend on thread interleaving or on how many other sites drew before
-it.  Ordinal counters are kept under one lock.
+``(seed, rule, morsel start, attempt)`` hashed with BLAKE2b — not by a
+shared RNG stream or by the worker that pulled the morsel, so whether a
+given morsel faults does not depend on thread interleaving or on how
+many other sites drew before it.  A rule's ``worker`` only filters
+which receipts it sees; ordinal rules count receipts per worker by
+design.  Ordinal counters are kept under one lock.
 
 The plan is installed as a context manager::
 
@@ -120,7 +122,7 @@ class TransientError:
     """Raise a retryable :class:`TransientKernelFault` at morsel receipt.
 
     Args:
-        probability: seeded per-(worker, range, attempt) firing chance
+        probability: seeded per-(range, attempt) firing chance
             (ignored when ``ordinal`` is given).
         ordinal: fire on the k-th (0-based) matching morsel receipt.
         attempts: attempt numbers the rule may fire on.  The default
@@ -345,7 +347,7 @@ class FaultPlan:
                         continue
                     if rule.probability is not None:
                         fire = (
-                            self.uniform(index, "crash", worker, start, attempt)
+                            self.uniform(index, "crash", start, attempt)
                             < rule.probability
                         )
                     else:
@@ -378,7 +380,7 @@ class FaultPlan:
                         fire = visits == rule.ordinal
                     else:
                         fire = (
-                            self.uniform(index, "transient", worker, start, attempt)
+                            self.uniform(index, "transient", start, attempt)
                             < rule.probability
                         )
                     if fire:

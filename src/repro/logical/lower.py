@@ -29,8 +29,8 @@ measured statistics from their functional execution, and call
 way the plan is priced by the one :class:`repro.plan.PlanExecutor`.
 
 Stream construction order and float expression order are load-bearing:
-the PR-3 golden-equivalence harness and the committed ``BENCH_pr*``
-manifests pin every priced number bit for bit.
+the golden-equivalence harness (``tests/plan/test_golden_equivalence.py``)
+and the committed ``baselines/`` pin every priced number bit for bit.
 """
 
 from __future__ import annotations

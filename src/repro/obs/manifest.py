@@ -5,8 +5,9 @@ which machine and calibration produced it, what the workload was, how
 long each phase took, which resource was each phase's bottleneck (and
 how close the contenders were), plus the metric and span dumps of the
 observability layer.  Manifests are deterministic — no wall-clock
-timestamps — so they can be committed as bench baselines
-(``BENCH_pr2.json``) and diffed across PRs.
+timestamps — so their phases and results can be committed as bench
+baselines (``baselines/``, see :mod:`repro.bench.baselines`) and
+diffed across changes.
 
 Bump :data:`MANIFEST_SCHEMA_VERSION` whenever a field is added,
 renamed, or changes meaning, and record the bump in the schema

@@ -3,7 +3,7 @@
 The CLI answer to "which resource explains this number?": runs a NOPA
 join and a cooperative (Het) join with a shared observability bundle,
 prints each phase's occupancy table and bottleneck chain, and writes a
-schema-versioned JSON run manifest for diffing across PRs.
+schema-versioned JSON run manifest.
 
 Usage::
 
@@ -156,6 +156,29 @@ def report_coop(
     return result, manifest
 
 
+def reference_manifests(
+    machine_name: str = "ibm", scale: float = DEFAULT_SCALE
+) -> List[RunManifest]:
+    """Run and print the NOPA and cooperative reference joins.
+
+    On the IBM machine these are NOPA over coherence and the Het
+    strategy; PCI-e has no coherence and no shared mutable table, so
+    the Intel pair uses the Zero-Copy pull method and the
+    replicated-table strategy.  The IBM pair at the default scale is
+    the ``reference_joins`` entry of :mod:`repro.bench.baselines`.
+    """
+    if machine_name == "ibm":
+        nopa_method, coop_strategy = "coherence", "het"
+    else:
+        nopa_method, coop_strategy = "zero_copy", "gpu+het"
+    machine = _machine(machine_name)
+    workload = workload_a(scale=scale)
+    _, nopa = report_nopa(machine, workload, method=nopa_method)
+    print()
+    _, coop = report_coop(machine, workload, strategy=coop_strategy)
+    return [nopa, coop]
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--machine", default="ibm", choices=("ibm", "intel"))
@@ -165,22 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    machine = _machine(args.machine)
-    workload = workload_a(scale=args.scale)
-    manifests: List[RunManifest] = []
-
-    if args.machine == "ibm":
-        nopa_method, coop_strategy = "coherence", "het"
-    else:
-        # PCI-e: no coherence, no shared mutable table — use the
-        # Zero-Copy pull method and the replicated-table strategy.
-        nopa_method, coop_strategy = "zero_copy", "gpu+het"
-
-    _, manifest = report_nopa(machine, workload, method=nopa_method)
-    manifests.append(manifest)
-    print()
-    _, manifest = report_coop(machine, workload, strategy=coop_strategy)
-    manifests.append(manifest)
+    manifests = reference_manifests(args.machine, args.scale)
 
     if args.out:
         path = write_manifest_file(

@@ -1,28 +1,30 @@
-"""The manifest diff tool: identity passes, perturbations fail."""
+"""The baseline comparison: identity passes, perturbations fail.
+
+Unit cases of :func:`repro.bench.baselines.iter_differences` over the
+committed ``reference_joins`` records; ``test_baselines.py`` diffs
+every registry entry end to end.
+"""
 
 import copy
-import json
-import os
 
-from repro.bench.diff_manifest import diff_files, iter_differences, main
+from repro.bench.baselines import (
+    BASELINES,
+    check,
+    iter_differences,
+    load,
+    path_of,
+    records,
+)
 
-from tests.analysis.conftest import REPO_ROOT
-
-BASELINE = os.path.join(REPO_ROOT, "BENCH_pr2.json")
+NAME = "reference_joins"
 
 
 def _runs():
-    with open(BASELINE) as handle:
-        return json.load(handle)["runs"]
+    return load(path_of(NAME))
 
 
 def test_baseline_matches_itself():
-    assert diff_files(BASELINE, BASELINE) == []
-
-
-def test_cli_identity_exit_zero(capsys):
-    assert main([BASELINE, BASELINE]) == 0
-    assert "match" in capsys.readouterr().out
+    assert check(NAME, _runs()) == []
 
 
 def test_seconds_drift_detected():
@@ -58,8 +60,8 @@ def test_occupancy_resource_changes_detected():
     occupancy[resource] *= 2.0
     occupancy["link:phantom"] = 1.0
     diffs = list(iter_differences(drifted, runs))
-    assert any(resource in d for d in diffs)
-    assert any("gained resource" in d for d in diffs)
+    assert any(f"occupancy.{resource}:" in d for d in diffs)
+    assert any("occupancy.link:phantom: not in baseline" in d for d in diffs)
 
 
 def test_missing_phase_and_run_detected():
@@ -69,7 +71,7 @@ def test_missing_phase_and_run_detected():
     dropped_run = drifted.pop()
     diffs = list(iter_differences(drifted, runs))
     assert any(
-        f"phase {dropped_phase['label']!r}: missing" in d for d in diffs
+        f"phases.{dropped_phase['label']}: missing" in d for d in diffs
     )
     assert any(
         f"run {dropped_run['kind']!r}: missing" in d for d in diffs
@@ -77,44 +79,30 @@ def test_missing_phase_and_run_detected():
 
 
 def test_new_populated_section_flagged_in_strict_mode():
+    # There is no lenient mode: a section the baseline lacks is a
+    # difference until the baseline is refreshed.
     runs = _runs()
     extended = copy.deepcopy(runs)
-    extended[0]["optimizer"] = {"schema_version": "1.0", "strategy": "single"}
+    extended[0]["sections"] = sorted(extended[0]["sections"] + ["optimizer"])
     diffs = list(iter_differences(extended, runs))
     assert len(diffs) == 1
     assert "'optimizer'" in diffs[0] and "new section" in diffs[0]
 
 
-def test_new_populated_section_tolerated_with_allow_new_runs():
-    runs = _runs()
-    extended = copy.deepcopy(runs)
-    extended[0]["optimizer"] = {"schema_version": "1.0", "strategy": "single"}
-    assert list(iter_differences(extended, runs, allow_new_runs=True)) == []
-
-
 def test_null_section_is_not_a_difference():
-    # Optional sections serialize as null when unused; a schema bump
-    # that adds the key with a null value must not perturb old diffs.
-    runs = _runs()
-    extended = copy.deepcopy(runs)
-    extended[0]["optimizer"] = None
-    assert list(iter_differences(extended, runs)) == []
+    # Optional sections serialize as null when unused; only a populated
+    # section is recorded.
+    manifests = [manifest.to_dict() for manifest in BASELINES[NAME]()]
+    assert manifests[0]["optimizer"] is None
+    extended = copy.deepcopy(manifests)
+    del extended[0]["optimizer"]
+    assert records(extended) == records(manifests)
 
 
 def test_lost_section_always_detected():
     runs = _runs()
     baseline = copy.deepcopy(runs)
-    baseline[0]["optimizer"] = {"schema_version": "1.0"}
-    diffs = list(iter_differences(runs, baseline, allow_new_runs=True))
+    baseline[0]["sections"] = sorted(baseline[0]["sections"] + ["optimizer"])
+    diffs = list(iter_differences(runs, baseline))
     assert len(diffs) == 1
     assert "'optimizer'" in diffs[0] and "lost" in diffs[0]
-
-
-def test_cli_reports_failure(tmp_path, capsys):
-    with open(BASELINE) as handle:
-        document = json.load(handle)
-    document["runs"][0]["phases"][0]["seconds"] *= 2.0
-    drifted_path = tmp_path / "drifted.json"
-    drifted_path.write_text(json.dumps(document))
-    assert main([str(drifted_path), BASELINE]) == 1
-    assert "difference" in capsys.readouterr().out

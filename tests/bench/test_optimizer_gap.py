@@ -1,20 +1,8 @@
 """The predicted-vs-actual gap stays under the CI gate, and the
-committed ``BENCH_pr8.json`` is consistent with the generator."""
+committed ``baselines/optimizer_gap.json`` is consistent with it."""
 
-import json
-from pathlib import Path
-
-import pytest
-
-from repro.bench.optimizer_gap import (
-    GAP_SCHEMA_VERSION,
-    GAP_THRESHOLD,
-    SCENARIOS,
-    gap_document,
-    run_scenario,
-)
-
-BENCH_PATH = Path(__file__).resolve().parents[2] / "BENCH_pr8.json"
+from repro.bench.baselines import load, path_of
+from repro.bench.optimizer_gap import GAP_THRESHOLD, SCENARIOS, run_scenario
 
 
 def test_join_sel_gap_is_live_but_small():
@@ -22,7 +10,7 @@ def test_join_sel_gap_is_live_but_small():
     (hinted 50% match rate vs the sampled one): the gap must be
     non-zero — proving the benchmark measures something — yet orders
     of magnitude under the gate."""
-    row = run_scenario("join-sel", "ibm-ac922")
+    row = run_scenario("join-sel", "ibm-ac922")["results"]
     assert row["predicted_seconds"] > 0.0
     assert row["actual_seconds"] > 0.0
     assert 0.0 < row["gap"] < GAP_THRESHOLD
@@ -31,22 +19,17 @@ def test_join_sel_gap_is_live_but_small():
 def test_exactly_estimated_scenario_has_zero_gap():
     """Workload A's uniform all-match join is estimated exactly, so
     predicted and actual prices coincide bit-for-bit."""
-    row = run_scenario("join-a", "ibm-ac922")
+    row = run_scenario("join-a", "ibm-ac922")["results"]
     assert row["gap"] == 0.0
     assert row["predicted_seconds"] == row["actual_seconds"]
 
 
 def test_gap_document_layout():
-    rows = [run_scenario("join-a", "ibm-ac922")]
-    document = gap_document(rows)
-    assert document["schema_version"] == GAP_SCHEMA_VERSION
-    assert document["generator"] == "repro.bench.optimizer_gap"
-    assert document["gap_threshold"] == GAP_THRESHOLD
-    assert document["max_gap"] == rows[0]["gap"]
-    assert set(rows[0]) == {
-        "kind",
-        "workload",
-        "machine",
+    """A gap row is a run: its numbers sit in ``results``."""
+    row = run_scenario("join-a", "ibm-ac922")
+    assert set(row) == {"kind", "workload", "machine", "results"}
+    assert row["kind"] == "optgap[join-a@ibm-ac922]"
+    assert set(row["results"]) == {
         "chosen",
         "considered",
         "rejected",
@@ -57,17 +40,10 @@ def test_gap_document_layout():
 
 
 def test_committed_baseline_is_consistent():
-    """BENCH_pr8.json must be a full run of the current scenario list
-    with its max_gap under the gate it declares."""
-    if not BENCH_PATH.exists():  # pragma: no cover
-        pytest.skip("BENCH_pr8.json not committed in this checkout")
-    with open(BENCH_PATH, encoding="utf-8") as handle:
-        document = json.load(handle)
-    assert document["schema_version"] == GAP_SCHEMA_VERSION
-    assert document["gap_threshold"] == GAP_THRESHOLD
-    assert document["max_gap"] <= GAP_THRESHOLD
-    kinds = [row["kind"] for row in document["runs"]]
-    assert kinds == [
+    """The committed gap rows are a full run of the current scenario
+    list, every gap under the gate."""
+    runs = load(path_of("optimizer_gap"))
+    assert [run["kind"] for run in runs] == [
         f"optgap[{name}@{machine}]" for name, machine in SCENARIOS
     ]
-    assert document["max_gap"] == max(row["gap"] for row in document["runs"])
+    assert max(run["results"]["gap"] for run in runs) <= GAP_THRESHOLD

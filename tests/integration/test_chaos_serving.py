@@ -9,21 +9,19 @@ Two invariants gate this suite in CI:
    seeded draws.
 2. **Fault-free identity** — with no fault plan installed and the
    default (inert) policy, the resilience-aware serving path prices
-   and schedules exactly as PR 9 did: the solo-priced phases of a
-   served query match the committed ``BENCH_pr9.json`` baseline bit
-   for bit, and the new schema-1.4 serving fields sit at their inert
+   exactly as the fault-free engine: the solo-priced phases of a
+   served query match the committed ``baselines/serving_latency.json``
+   bit for bit, and the schema-1.4 serving fields sit at their inert
    defaults.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
+from repro.bench.baselines import load, path_of
 from repro.faults import SERVING_CHAOS_SEEDS, serving_chaos_plan
 from repro.serve import QueryService, ServicePolicy
-
-BENCH_PR9 = Path(__file__).resolve().parents[2] / "BENCH_pr9.json"
 
 #: per-seed serving scenario: the 404 transients and 505 degrade runs
 #: use the plain service; 606 drives join-b into the breaker.
@@ -128,10 +126,9 @@ class TestDegradeScenario:
 
 class TestFaultFreeIdentity:
     def test_served_phases_match_pr9_baseline_bit_for_bit(self):
-        baseline = json.loads(BENCH_PR9.read_text())
         reference = {
             run["kind"]: run
-            for run in baseline["runs"]
+            for run in load(path_of("serving_latency"))
             if run["kind"].startswith("serve[")
         }
         service = QueryService()

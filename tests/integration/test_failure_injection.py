@@ -230,6 +230,23 @@ class TestChaosEquivalence:
             base_join, base, "nopa[chaos]"
         )
 
+    def test_fault_draws_do_not_depend_on_the_pulling_worker(self, ibm, wl_a):
+        # A probability draw is keyed by the morsel, not by whichever
+        # worker pulled it: every worker count, on every repeat, faults
+        # the same morsels.
+        injected = set()
+        for workers in (1, 2, 4, 1, 2, 4):
+            plan = chaos_plan(101)
+            with plan.install():
+                chaos_join(ibm, workers=workers).run(wl_a.r, wl_a.s)
+            injected.add(
+                tuple(
+                    sorted((r.site["start"], r.site["attempt"]) for r in plan.injected)
+                )
+            )
+        assert len(injected) == 1
+        assert next(iter(injected)), "seed 101 injected nothing"
+
     def test_oom_seed_degrades_to_hybrid_with_identical_results(self, ibm, wl_a):
         baseline = chaos_join(ibm, backend="serial").run(wl_a.r, wl_a.s)
         join = chaos_join(ibm)

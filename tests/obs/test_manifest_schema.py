@@ -1,12 +1,12 @@
 """Every manifest section a run writes matches ``MANIFEST_SCHEMA``.
 
-Consumers parse manifests by key (bench baseline diffs, the figure
+Consumers parse manifests by key (the committed baselines, the figure
 scripts, CI's changelog guard), so a key a writer adds without
 declaring it is silent schema drift.  This test builds every declared
 section for real and compares keys in both directions:
 
-* a ``run_all --quick`` manifest document (``__document__``,
-  ``__top__``, ``phases``, ``machine``);
+* the reference joins written by ``write_manifest_file``
+  (``__document__``, ``__top__``, ``phases``, ``machine``);
 * a short serving pass (``serving`` and the served ``optimizer``);
 * a chaos join under a :mod:`repro.faults.scenarios` plan
   (``resilience``);
@@ -22,7 +22,6 @@ import json
 
 import pytest
 
-from repro.bench import run_all
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.faults import RetryPolicy, chaos_plan
 from repro.hardware.topology import ibm_ac922
@@ -32,7 +31,9 @@ from repro.obs.manifest import (
     MANIFEST_SCHEMA,
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
+    write_manifest_file,
 )
+from repro.obs.report import reference_manifests
 from repro.serve import QueryService, ServingRecord
 from repro.workloads.builders import workload_a
 
@@ -65,9 +66,9 @@ def assert_matches_schema(section, instances):
         )
 
 
-def _run_all_document(path):
-    run_all.main(
-        ["--quick", "--manifest-out", str(path), "--scale", str(SCALE)]
+def _reference_document(path):
+    write_manifest_file(
+        path, reference_manifests(scale=SCALE), generator="test_manifest_schema"
     )
     return json.loads(path.read_text())
 
@@ -107,8 +108,8 @@ def _chaos_manifest():
 @pytest.fixture(scope="module")
 def emitted(tmp_path_factory):
     """Section name -> every dict a real run emitted for it."""
-    document = _run_all_document(
-        tmp_path_factory.mktemp("manifest") / "run_all.json"
+    document = _reference_document(
+        tmp_path_factory.mktemp("manifest") / "reference.json"
     )
     runs = document["runs"] + _served_manifests() + [_chaos_manifest()]
     sections = {
