@@ -3,8 +3,7 @@
 Orchestration has three layers:
 
 * **discovery** — walk the given paths for ``.py`` files, pruning
-  cache/VCS directories, ``*scratch*`` output directories, and
-  ``BENCH_*`` artifacts, plus any ``--exclude`` globs;
+  cache/VCS directories and any ``--exclude`` globs;
 * **per-module passes** — parse each file once into a
   :class:`~repro.analysis.base.ModuleContext` and run the classic
   single-file passes;
@@ -39,13 +38,6 @@ _SKIP_DIRS = {
     "venv",
     "node_modules",
 }
-
-#: Default glob excludes: bench-output scratch artifacts.  ``BENCH_*``
-#: files are committed bench baselines (JSON, plus any scratch helper
-#: dumped next to them) and ``*scratch*`` directories hold run output —
-#: neither is source code this tool should parse.
-_DEFAULT_EXCLUDES = ("BENCH_*", "*scratch*")
-
 
 @dataclass
 class AnalysisReport:
@@ -97,14 +89,11 @@ def iter_python_files(
 
     ``exclude`` globs match the full posix path, the basename, or any
     path suffix (``--exclude 'fixtures/*'`` prunes every fixtures
-    directory).  Explicitly named files bypass the default scratch
-    excludes but still honor user globs.
+    directory).
     """
-    patterns = list(exclude)
-    default_patterns = patterns + list(_DEFAULT_EXCLUDES)
     for path in paths:
         if os.path.isfile(path):
-            if path.endswith(".py") and not _excluded(_posix(path), patterns):
+            if path.endswith(".py") and not _excluded(_posix(path), exclude):
                 yield path
             continue
         if not os.path.isdir(path):
@@ -115,13 +104,13 @@ def iter_python_files(
                 for d in dirs
                 if d not in _SKIP_DIRS
                 and not d.startswith(".")
-                and not _excluded(_posix(os.path.join(root, d)), default_patterns)
+                and not _excluded(_posix(os.path.join(root, d)), exclude)
             )
             for name in sorted(files):
                 if not name.endswith(".py"):
                     continue
                 full = os.path.join(root, name)
-                if _excluded(_posix(full), default_patterns):
+                if _excluded(_posix(full), exclude):
                     continue
                 yield full
 

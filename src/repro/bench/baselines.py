@@ -1,9 +1,9 @@
 """Committed virtual-time baselines: one registry, one format, one diff.
 
 Every bench whose priced output is deterministic has one entry in
-:data:`BASELINES`: a zero-argument producer returning that bench's runs
-in its ``--quick`` configuration.  ``baselines/<name>.json`` holds, per
-run, only what is compared:
+:data:`BASELINES`: a zero-argument producer returning that bench's
+runs (each bench has one configuration).  ``baselines/<name>.json``
+holds, per run, only what is compared:
 
 * ``kind`` — runs are matched by it, and each kind lives in one file;
 * ``sections`` — the sorted names of the run's populated top-level keys;
@@ -13,7 +13,9 @@ run, only what is compared:
 :func:`iter_differences` compares floats within :data:`REL_TOL` /
 :data:`ABS_TOL` and everything else exactly.  The tier-1 test
 ``tests/bench/test_baselines.py`` diffs a fresh run of every producer
-against its committed file.
+against its committed file, and ``tests/bench/test_liveness.py``
+asserts on the committed files that the serving, resilience, chaos and
+optimizer-gap mechanisms fired.
 
 Usage::
 
@@ -68,14 +70,10 @@ def _reference_joins() -> List[RunManifest]:
 BASELINES: Dict[str, Callable[[], Iterable[Any]]] = {
     "reference_joins": _reference_joins,
     "parallel_scaling": parallel_scaling.priced_runs,
-    "chaos_overhead": lambda: chaos_overhead.chaos_runs(quick=True)[0],
+    "chaos_overhead": chaos_overhead.chaos_runs,
     "optimizer_gap": optimizer_gap.run_scenarios,
-    "serving_latency": lambda: serving_latency.run_benchmark(
-        serving_latency.QUICK_QUERIES
-    )[2],
-    "serving_resilience": lambda: serving_resilience.run_benchmark(
-        quick=True
-    )[1],
+    "serving_latency": serving_latency.run_benchmark,
+    "serving_resilience": serving_resilience.run_benchmark,
 }
 
 

@@ -1,30 +1,27 @@
-"""Chaos benchmark: hook overhead + priced runs of the CI seed set.
+"""Chaos benchmark: priced runs of the CI seed set + hook overhead.
 
 Usage::
 
-    python -m repro.bench.chaos_overhead                  # full sizes
-    python -m repro.bench.chaos_overhead --quick          # smoke sizes
-    python -m repro.bench.chaos_overhead --check-overhead
+    python -m repro.bench.chaos_overhead     # hook-overhead gate
 
 Two things are measured:
 
 * :func:`chaos_runs` — priced run manifests: one fault-free serial
   baseline (``nopa[chaos-baseline]``) plus one NOPA run per canonical
   chaos seed (``nopa[chaos-s101]`` ...), each carrying its
-  ``resilience`` section, and a per-seed summary of what each plan
-  injected, which recovery actions answered it, and whether the results
-  matched the fault-free baseline bit-for-bit.  The priced phases are
-  deterministic — crashes and transients are recovered invisibly and
-  the OOM seed degrades to the (deterministic) hybrid placement — so
-  the ``--quick`` runs are the ``chaos_overhead`` entry of
-  :mod:`repro.bench.baselines`.
+  ``resilience`` section.  The priced phases are deterministic —
+  crashes and transients are recovered invisibly and the OOM seed
+  degrades to the (deterministic) hybrid placement — so the runs are
+  the ``chaos_overhead`` entry of :mod:`repro.bench.baselines`, and
+  ``tests/bench/test_liveness.py`` asserts on the committed file that
+  every seed recovered the baseline's results.
 * the hook overhead — wall-clock cost of the injection *hooks* on the
   hot path: the functional build+probe with no plan installed versus
   with an **empty** plan installed (every hook site active but no rule
-  matching).  Informational wall clock, never committed.
+  matching).  Wall clock, never committed.
 
-``--check-overhead`` asserts the empty-plan overhead stays under
-``OVERHEAD_TARGET``.  Wall clock is noisy, so the check takes the best
+The command line fails unless the empty-plan overhead stays under
+``OVERHEAD_TARGET``.  Wall clock is noisy, so the gate takes the best
 (minimum) overhead across interleaved measurement rounds — a scheduler
 hiccup in one round cannot fail the gate, while a real hot-path
 regression inflates every round.
@@ -36,7 +33,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -76,11 +73,6 @@ def _chaos_join(machine, **overrides) -> NoPartitioningJoin:
     return NoPartitioningJoin(machine, **config)
 
 
-def chaos_scale(quick: bool) -> float:
-    """Execution scale of workload A in the chaos runs."""
-    return 2.0**-14 if quick else 2.0**-12
-
-
 def _run_manifest(join, workload, result, kind, resilience) -> Dict[str, Any]:
     manifest = build_manifest(
         kind=kind,
@@ -106,24 +98,20 @@ def _run_manifest(join, workload, result, kind, resilience) -> Dict[str, Any]:
     return manifest.to_dict()
 
 
-def chaos_runs(quick: bool) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]:
+def chaos_runs() -> List[Dict[str, Any]]:
     """One fault-free baseline + one priced run per canonical chaos seed.
 
-    Returns ``(manifests, summaries)``: the manifests are deterministic
-    (recovery never changes the priced phases; the OOM seed's hybrid
-    degradation is itself deterministic); the summaries account for the
-    injected faults and recovery actions.
+    Deterministic: recovery never changes the priced phases, and the
+    OOM seed's hybrid degradation is itself deterministic.
     """
     machine = ibm_ac922()
-    workload = workload_a(scale=chaos_scale(quick))
+    workload = workload_a(scale=2.0**-14)
 
     base_join = _chaos_join(machine, backend="serial", obs=Observability.create())
     base = base_join.run(workload.r, workload.s)
     manifests = [
         _run_manifest(base_join, workload, base, "nopa[chaos-baseline]", None)
     ]
-
-    summaries = []
     for seed in CHAOS_SEEDS:
         join = _chaos_join(machine, obs=Observability.create())
         plan = chaos_plan(seed)
@@ -133,20 +121,7 @@ def chaos_runs(quick: bool) -> Tuple[List[Dict[str, Any]], List[Dict[str, Any]]]
         manifests.append(
             _run_manifest(join, workload, result, f"nopa[chaos-s{seed}]", section)
         )
-        summaries.append(
-            {
-                "seed": seed,
-                "plan": plan.name,
-                "injected_counts": plan.injected_counts(),
-                "recovery_counters": join.last_resilience.counts(),
-                "placement": result.placement.label,
-                "results_identical": bool(
-                    result.matches == base.matches
-                    and result.aggregate == base.aggregate
-                ),
-            }
-        )
-    return manifests, summaries
+    return manifests
 
 
 def _functional_seconds(
@@ -162,7 +137,7 @@ def _functional_seconds(
     return time.perf_counter() - start
 
 
-def _hook_overhead(quick: bool, rounds: int = OVERHEAD_ROUNDS) -> Dict[str, Any]:
+def _hook_overhead() -> Dict[str, Any]:
     """Best-of interleaved timing: no plan vs installed-but-empty plan.
 
     An empty plan keeps every hook site live (the morsel-receipt check,
@@ -170,20 +145,19 @@ def _hook_overhead(quick: bool, rounds: int = OVERHEAD_ROUNDS) -> Dict[str, Any]
     purest measure of what chaos-readiness costs a production run.
     Rounds are interleaved so a load spike hits both arms equally.
     """
-    build_tuples = 1 << 18 if quick else 1 << 20
-    probe_tuples = 1 << 19 if quick else 1 << 21
-    morsel_tuples = 1 << 13
+    build_tuples = 1 << 18
+    probe_tuples = 1 << 19
 
     rng = np.random.default_rng(5)
     keys = rng.permutation(build_tuples).astype(np.int64)
     values = (keys * 3 + 1).astype(np.int64)
     probe = rng.integers(0, build_tuples, size=probe_tuples).astype(np.int64)
 
-    executor = MorselExecutor(workers=4, morsel_tuples=morsel_tuples)
+    executor = MorselExecutor(workers=4, morsel_tuples=1 << 13)
     empty_plan = FaultPlan(seed=0, rules=[], name="empty")
 
     best_off = best_on = float("inf")
-    for _ in range(rounds):
+    for _ in range(OVERHEAD_ROUNDS):
         best_off = min(
             best_off, _functional_seconds(keys, values, probe, executor)
         )
@@ -191,78 +165,35 @@ def _hook_overhead(quick: bool, rounds: int = OVERHEAD_ROUNDS) -> Dict[str, Any]
             best_on = min(
                 best_on, _functional_seconds(keys, values, probe, executor)
             )
-    overhead = best_on / best_off - 1.0 if best_off else 0.0
     return {
         "build_tuples": build_tuples,
         "probe_tuples": probe_tuples,
-        "morsel_tuples": morsel_tuples,
-        "rounds": rounds,
         "seconds_without_plan": best_off,
         "seconds_with_empty_plan": best_on,
-        "overhead_fraction": overhead,
-        "target": OVERHEAD_TARGET,
-    }
-
-
-def run_benchmark(quick: bool = False) -> Dict[str, Any]:
-    """Execute the chaos sweep + overhead measurement; return the document."""
-    _manifests, summaries = chaos_runs(quick)
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "workload": {
-            "name": "A", "scale": chaos_scale(quick), "seeds": list(CHAOS_SEEDS)
-        },
-        "chaos": summaries,
-        "overhead": _hook_overhead(quick),
+        "overhead_fraction": best_on / best_off - 1.0 if best_off else 0.0,
     }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument(
-        "--check-overhead",
-        action="store_true",
-        help=f"fail if the empty-plan hook overhead exceeds "
-        f"{OVERHEAD_TARGET:.0%} of the functional build+probe",
-    )
-    args = parser.parse_args(argv)
-
-    document = run_benchmark(quick=args.quick)
-
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    overhead = _hook_overhead()
     print(
-        f"== chaos overhead (workload A scale {document['workload']['scale']}, "
-        f"seeds {document['workload']['seeds']}, "
-        f"{document['cpu_count']} cores) =="
+        f"== chaos hook overhead ({overhead['build_tuples']} build / "
+        f"{overhead['probe_tuples']} probe tuples, {os.cpu_count() or 1} cores) =="
     )
-    for row in document["chaos"]:
-        print(
-            f"  seed {row['seed']} ({row['plan']}): injected "
-            f"{row['injected_counts']} -> recovered {row['recovery_counters']}, "
-            f"placement {row['placement']}, "
-            f"identical={row['results_identical']}"
-        )
-    if not all(row["results_identical"] for row in document["chaos"]):
-        print("FAIL: a chaos run did not recover to baseline-identical results")
-        return 1
-
-    overhead = document["overhead"]
     print(
-        f"  hooks: {overhead['seconds_without_plan'] * 1e3:.1f} ms bare, "
+        f"  {overhead['seconds_without_plan'] * 1e3:.1f} ms bare, "
         f"{overhead['seconds_with_empty_plan'] * 1e3:.1f} ms with empty plan "
         f"-> overhead {overhead['overhead_fraction']:+.2%} "
-        f"(target < {overhead['target']:.0%})"
+        f"(target < {OVERHEAD_TARGET:.0%})"
     )
-
-    if args.check_overhead:
-        if overhead["overhead_fraction"] < OVERHEAD_TARGET:
-            print("  overhead check passed")
-        else:
-            print(
-                f"FAIL: empty-plan hook overhead "
-                f"{overhead['overhead_fraction']:.2%} >= {OVERHEAD_TARGET:.0%}"
-            )
-            return 1
+    if overhead["overhead_fraction"] >= OVERHEAD_TARGET:
+        print(
+            f"FAIL: empty-plan hook overhead "
+            f"{overhead['overhead_fraction']:.2%} >= {OVERHEAD_TARGET:.0%}"
+        )
+        return 1
+    print("  overhead check passed")
     return 0
 
 

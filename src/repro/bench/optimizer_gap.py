@@ -15,24 +15,18 @@ stats.  This benchmark pins that error:
   ``NoPartitioningJoin``, ``CoopJoin``, ``StarJoin``) run with the
   *chosen* physical configuration on the same functional data; its
   priced runtime.
-* **gap** — ``|predicted - actual| / actual``, gated under
-  :data:`GAP_THRESHOLD` by CI (``--check-gap``).
+* **gap** — ``|predicted - actual| / actual``.
 
-Every scenario is seeded, so the full table of :func:`run_scenarios`
-is the ``optimizer_gap`` entry of :mod:`repro.bench.baselines`: each
-row is a run whose ``results`` hold the chosen plan, the candidate
-counts, and the predicted/actual seconds and gap.
-
-Usage::
-
-    python -m repro.bench.optimizer_gap                  # full table
-    python -m repro.bench.optimizer_gap --quick --check-gap
+Every scenario is seeded, so the table of :func:`run_scenarios` is the
+``optimizer_gap`` entry of :mod:`repro.bench.baselines`: each row is a
+run whose ``results`` hold the chosen plan, the candidate counts, and
+the predicted/actual seconds and gap.  ``tests/bench/test_liveness.py``
+gates every committed gap under a fixed threshold.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.join.coop import CoopJoin
 from repro.core.join.multiway import Dimension, StarJoin
@@ -56,31 +50,12 @@ from repro.workloads.builders import (
 )
 from repro.workloads.tpch import lineitem_q6
 
-#: CI gate: the worst per-scenario relative gap must stay under this.
-#: The observed gaps (see ``baselines/optimizer_gap.json``) come from
-#: estimation error only — hinted match rates vs sampled ones, survival
-#: hints vs measured survival — and everything is seeded, so the observed
-#: maximum is deterministic (currently ~1e-5 on join-sel; the other
-#: canonical workloads are estimated exactly).  The gate sits far
-#: above that but far below any real estimator drift, which moves
-#: phase costs by percents.
-GAP_THRESHOLD = 0.05
-
 #: (workload registry name, machine registry name) per scenario.
 SCENARIOS: Tuple[Tuple[str, str], ...] = (
     ("q6", "ibm-ac922"),
     ("join-a", "ibm-ac922"),
     ("join-a", "intel-xeon-v100"),
     ("join-b", "ibm-ac922"),
-    ("join-sel", "ibm-ac922"),
-    ("star", "ibm-ac922"),
-)
-
-#: the --quick CI subset: one scenario per facade family, plus the
-#: one whose estimation is inexact (join-sel) so the gate is live.
-QUICK_SCENARIOS: Tuple[Tuple[str, str], ...] = (
-    ("q6", "ibm-ac922"),
-    ("join-a", "ibm-ac922"),
     ("join-sel", "ibm-ac922"),
     ("star", "ibm-ac922"),
 )
@@ -180,46 +155,6 @@ def run_scenario(name: str, machine_name: str) -> Dict[str, Any]:
     }
 
 
-def run_scenarios(
-    scenarios: Tuple[Tuple[str, str], ...] = SCENARIOS
-) -> List[Dict[str, Any]]:
+def run_scenarios() -> List[Dict[str, Any]]:
     """Gap rows for every scenario, in declaration order."""
-    return [run_scenario(name, machine) for name, machine in scenarios]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI subset: one scenario per facade family",
-    )
-    parser.add_argument(
-        "--check-gap",
-        action="store_true",
-        help=f"exit non-zero if any gap exceeds {GAP_THRESHOLD}",
-    )
-    args = parser.parse_args(argv)
-    scenarios = QUICK_SCENARIOS if args.quick else SCENARIOS
-    rows = run_scenarios(scenarios)
-    header = (
-        f"{'scenario':30s} {'predicted':>12s} {'actual':>12s} {'gap':>10s}"
-    )
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        result = row["results"]
-        print(
-            f"{row['kind']:30s} {result['predicted_seconds']:12.6f} "
-            f"{result['actual_seconds']:12.6f} {result['gap']:10.2e}"
-        )
-    max_gap = max(row["results"]["gap"] for row in rows)
-    print(f"max gap {max_gap:.2e} (threshold {GAP_THRESHOLD})")
-    if args.check_gap and max_gap > GAP_THRESHOLD:
-        print("FAIL: predicted-vs-actual gap exceeds the pinned threshold")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return [run_scenario(name, machine) for name, machine in SCENARIOS]

@@ -2,9 +2,7 @@
 
 Usage::
 
-    python -m repro.bench.parallel_scaling                 # full sweep
-    python -m repro.bench.parallel_scaling --quick         # smoke sizes
-    python -m repro.bench.parallel_scaling --check-speedup
+    python -m repro.bench.parallel_scaling     # sweep + speedup gate
 
 The sweep times the *functional* build+probe at each worker count and
 prints speedups relative to the serial path, plus an equivalence check
@@ -17,12 +15,11 @@ Identical ``TableStats`` across backends make the two runs' phases
 identical; they are the ``parallel_scaling`` entry of
 :mod:`repro.bench.baselines`.
 
-``--check-speedup`` asserts the threads speedup exceeds the threshold
-at the largest swept worker count the host has cores for.  It skips
-(with an explicit note in the output) only on a 1-core host, which
-cannot demonstrate parallel speedup — only parallel *correctness*,
-which the equivalence section always verifies — and refuses ``--quick``,
-whose sizes are dominated by dispatch overhead.
+The command line fails unless the threads speedup exceeds
+``SPEEDUP_TARGET`` at the largest swept worker count the host has cores
+for.  It skips that gate (with an explicit note in the output) only on
+a 1-core host, which cannot demonstrate parallel speedup — only
+parallel *correctness*, which the equivalence section always verifies.
 """
 
 from __future__ import annotations
@@ -49,15 +46,15 @@ from repro.obs.manifest import RunManifest, build_manifest
 from repro.workloads.builders import workload_a
 
 #: acceptance threshold: the threads backend must beat serial by this
-#: factor at the gated worker count (see ``--check-speedup``).
+#: factor at the gated worker count.
 SPEEDUP_TARGET = 1.5
 
 #: worker counts of the sweep.
-DEFAULT_WORKER_COUNTS = (1, 2, 4)
+WORKER_COUNTS = (1, 2, 4)
 
 #: execution scale and ``threads`` worker count of :func:`priced_runs`.
 PRICED_SCALE = 2.0**-14
-PRICED_WORKERS = max(DEFAULT_WORKER_COUNTS)
+PRICED_WORKERS = max(WORKER_COUNTS)
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -73,16 +70,14 @@ def _functional_seconds(
     keys: np.ndarray,
     values: np.ndarray,
     probe: np.ndarray,
-    scheme: str,
     executor: Optional[MorselExecutor],
-    repeats: int,
 ) -> float:
     def run() -> None:
-        table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
+        table = create_hash_table("perfect", len(keys), keys.dtype, values.dtype)
         execute_build(table, keys, values, executor)
         execute_probe(table, probe, executor)
 
-    return _best_of(repeats, run)
+    return _best_of(3, run)
 
 
 def priced_runs() -> List[RunManifest]:
@@ -133,16 +128,15 @@ def _equivalence(
     keys: np.ndarray,
     values: np.ndarray,
     probe: np.ndarray,
-    scheme: str,
-    workers: int,
-    morsel_tuples: int,
 ) -> Dict[str, bool]:
-    serial_table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
+    serial_table = create_hash_table("perfect", len(keys), keys.dtype, values.dtype)
     execute_build(serial_table, keys, values, None)
     serial_found, serial_values = execute_probe(serial_table, probe, None)
 
-    executor = MorselExecutor(workers=workers, morsel_tuples=morsel_tuples)
-    table = create_hash_table(scheme, len(keys), keys.dtype, values.dtype)
+    executor = MorselExecutor(
+        workers=max(WORKER_COUNTS), morsel_tuples=DEFAULT_EXEC_MORSEL_TUPLES
+    )
+    table = create_hash_table("perfect", len(keys), keys.dtype, values.dtype)
     execute_build(table, keys, values, executor)
     found, looked_up = execute_probe(table, probe, executor)
     return {
@@ -156,25 +150,17 @@ def _equivalence(
     }
 
 
-def run_benchmark(
-    quick: bool = False,
-    worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
-    scheme: str = "perfect",
-) -> Dict[str, Any]:
+def run_benchmark() -> Dict[str, Any]:
     """Execute the sweep; return its scaling rows and equivalence flags."""
-    build_tuples = 1 << 18 if quick else 1 << 21
-    probe_tuples = 1 << 19 if quick else 1 << 22
-    repeats = 2 if quick else 3
-    morsel_tuples = 1 << 14 if quick else DEFAULT_EXEC_MORSEL_TUPLES
+    build_tuples = 1 << 21
+    probe_tuples = 1 << 22
 
     rng = np.random.default_rng(4)
     keys = rng.permutation(build_tuples).astype(np.int64)
     values = (keys * 3 + 1).astype(np.int64)
     probe = rng.integers(0, build_tuples, size=probe_tuples).astype(np.int64)
 
-    serial_seconds = _functional_seconds(
-        keys, values, probe, scheme, None, repeats
-    )
+    serial_seconds = _functional_seconds(keys, values, probe, None)
     scaling = [
         {
             "backend": "serial",
@@ -183,11 +169,11 @@ def run_benchmark(
             "speedup": 1.0,
         }
     ]
-    for workers in worker_counts:
-        executor = MorselExecutor(workers=workers, morsel_tuples=morsel_tuples)
-        seconds = _functional_seconds(
-            keys, values, probe, scheme, executor, repeats
+    for workers in WORKER_COUNTS:
+        executor = MorselExecutor(
+            workers=workers, morsel_tuples=DEFAULT_EXEC_MORSEL_TUPLES
         )
+        seconds = _functional_seconds(keys, values, probe, executor)
         scaling.append(
             {
                 "backend": "threads",
@@ -200,62 +186,23 @@ def run_benchmark(
     return {
         "cpu_count": os.cpu_count() or 1,
         "workload": {
-            "scheme": scheme,
             "build_tuples": build_tuples,
             "probe_tuples": probe_tuples,
         },
         "scaling": scaling,
-        "equivalence": _equivalence(
-            keys, values, probe, scheme, max(worker_counts), morsel_tuples
-        ),
+        "equivalence": _equivalence(keys, values, probe),
     }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="CI smoke sizes")
-    parser.add_argument(
-        "--check-speedup",
-        action="store_true",
-        help=f"fail unless the threads speedup > {SPEEDUP_TARGET}x at the "
-        "largest swept worker count <= the host's cores (skipped only on "
-        "a 1-core host; not allowed with --quick)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_WORKER_COUNTS),
-        help="worker counts to sweep",
-    )
-    parser.add_argument(
-        "--scheme",
-        default="perfect",
-        choices=("perfect", "chaining", "open_addressing"),
-    )
-    args = parser.parse_args(argv)
-    cores = os.cpu_count() or 1
-    # swept worker counts the speed-up gate may be evaluated at
-    gateable = [w for w in args.workers if 1 < w <= cores]
-    if args.check_speedup and args.quick:
-        parser.error(
-            "--check-speedup needs the full sweep: at --quick sizes "
-            "dispatch overhead dominates and the gate measures nothing"
-        )
-    if args.check_speedup and cores > 1 and not gateable:
-        parser.error(
-            f"--check-speedup: no swept worker count in {args.workers} "
-            f"is between 2 and the host's {cores} cores"
-        )
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    document = run_benchmark()
 
-    document = run_benchmark(
-        quick=args.quick, worker_counts=args.workers, scheme=args.scheme
-    )
-
-    print(f"== parallel scaling ({document['workload']['scheme']}, "
+    cores = document["cpu_count"]
+    print(f"== parallel scaling (perfect, "
           f"{document['workload']['build_tuples']} build / "
           f"{document['workload']['probe_tuples']} probe tuples, "
-          f"{document['cpu_count']} cores) ==")
+          f"{cores} cores) ==")
     for row in document["scaling"]:
         print(
             f"  {row['backend']:>7} workers={row['workers']}  "
@@ -267,30 +214,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("FAIL: parallel backend is not equivalent to serial")
         return 1
 
-    if args.check_speedup:
-        if not gateable:
-            print(
-                f"  speedup check skipped: host has {cores} core(s); "
-                "need >= 2 to demonstrate parallel speedup"
-            )
-        else:
-            gated = max(gateable)
-            row = next(
-                row
-                for row in document["scaling"]
-                if row["backend"] == "threads" and row["workers"] == gated
-            )
-            if row["speedup"] <= SPEEDUP_TARGET:
-                print(
-                    f"FAIL: threads workers={gated} speedup "
-                    f"{row['speedup']:.2f}x <= {SPEEDUP_TARGET}x on a "
-                    f"{cores}-core host"
-                )
-                return 1
-            print(
-                f"  speedup check passed: threads workers={gated} "
-                f"{row['speedup']:.2f}x"
-            )
+    # the largest swept worker count the host has cores for
+    gateable = [w for w in WORKER_COUNTS if 1 < w <= cores]
+    if not gateable:
+        print(
+            f"  speedup check skipped: host has {cores} core(s); "
+            "need >= 2 to demonstrate parallel speedup"
+        )
+        return 0
+    gated = max(gateable)
+    row = next(
+        row
+        for row in document["scaling"]
+        if row["backend"] == "threads" and row["workers"] == gated
+    )
+    if row["speedup"] <= SPEEDUP_TARGET:
+        print(
+            f"FAIL: threads workers={gated} speedup "
+            f"{row['speedup']:.2f}x <= {SPEEDUP_TARGET}x on a "
+            f"{cores}-core host"
+        )
+        return 1
+    print(f"  speedup check passed: threads workers={gated} {row['speedup']:.2f}x")
     return 0
 
 

@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro.bench.run_all                      # all figures
-    python -m repro.bench.run_all --quick              # smoke subset
 
 :data:`FIGURES` is the one ordered list of figure runners: ``python -m
 repro figures`` / ``figure KEY``, this sweep, ``repro.bench.report``,
@@ -49,23 +48,16 @@ class Figure:
     #: the anchors the runner's result carries (its module's dict); the
     #: paper-anchors test budgets every entry that has them.
     paper: Optional[Dict[str, Dict[str, float]]] = None
-    #: in ``run_all --quick``, the smoke subset: one figure per
-    #: subsystem (bandwidth model, placement tree, transfer methods,
-    #: co-processing).
-    quick: bool = False
     #: in the full sweep (so in the report and the export); the others
     #: run only by key.
     sweep: bool = True
 
 
 FIGURES = (
-    Figure("1", fig01_bandwidth.run, fig01_bandwidth.PAPER, quick=True),
+    Figure("1", fig01_bandwidth.run, fig01_bandwidth.PAPER),
     Figure("3", fig03_microbench.run, fig03_microbench.PAPER),
-    Figure("11", fig11_placement.run, quick=True),
-    Figure(
-        "12", fig12_transfer_methods.run, fig12_transfer_methods.PAPER,
-        quick=True,
-    ),
+    Figure("11", fig11_placement.run),
+    Figure("12", fig12_transfer_methods.run, fig12_transfer_methods.PAPER),
     Figure("13", fig13_data_locality.run, fig13_data_locality.PAPER),
     Figure("14", fig14_hashtable_locality.run, fig14_hashtable_locality.PAPER),
     Figure("15", fig15_tpch_q6.run, fig15_tpch_q6.PAPER),
@@ -75,10 +67,9 @@ FIGURES = (
     Figure("19", fig19_skew.run, fig19_skew.PAPER),
     Figure("19", fig19_skew.run_splits),
     Figure("20", fig20_selectivity.run, fig20_selectivity.PAPER),
-    Figure("21", fig21_coprocessing.run, fig21_coprocessing.PAPER, quick=True),
+    Figure("21", fig21_coprocessing.run, fig21_coprocessing.PAPER),
     Figure(
-        "21b", fig21_coprocessing.run_phases, fig21_coprocessing.PAPER_PHASES,
-        quick=True,
+        "21b", fig21_coprocessing.run_phases, fig21_coprocessing.PAPER_PHASES
     ),
     Figure("ablations", ablations.run_batch_size),
     Figure("ablations", ablations.run_layout),
@@ -90,22 +81,16 @@ FIGURES = (
 )
 
 
-def sweep_results(quick: bool = False) -> Iterator[FigureResult]:
+def sweep_results() -> Iterator[FigureResult]:
     """Run the sweep's figures in registry order, yielding each result."""
     for figure in FIGURES:
-        if figure.sweep and (figure.quick or not quick):
+        if figure.sweep:
             yield figure.runner()
 
 
 def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="run only the fast smoke subset of figures",
-    )
-    args = parser.parse_args(argv)
-
-    for result in sweep_results(quick=args.quick):
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    for result in sweep_results():
         print(result.render())
         print()
 

@@ -7,27 +7,19 @@ multiplexed over one simulated machine, what do the p50/p99
 memory channels and interconnect bandwidth?
 
 The load is open-loop (arrivals don't wait for completions), seeded,
-and entirely virtual — the numbers are deterministic, and the
-``--quick`` runs (one served manifest per workload plus the latency
-percentiles) are the ``serving_latency`` entry of
-:mod:`repro.bench.baselines`.
-
-Usage::
-
-    python -m repro.bench.serving_latency                # full load
-    python -m repro.bench.serving_latency --quick --check-serving
+and entirely virtual — the numbers are deterministic, and
+:func:`run_benchmark` (one served manifest per workload plus the
+``serving[latency]`` summary run) is the ``serving_latency`` entry of
+:mod:`repro.bench.baselines`.  ``tests/bench/test_liveness.py`` asserts
+the summary's liveness conditions on the committed file.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.costmodel.model import PhaseCost
-from repro.logical.explain import MACHINES
-from repro.obs.manifest import RunManifest, build_manifest
 from repro.serve import QueryService, ServingReport, TenantQuota, percentile
 
 #: deterministic arrival/workload sampling.
@@ -51,8 +43,7 @@ GREEDY_BURST = 8
 MEAN_GAP = 0.45
 
 #: open-loop queries (greedy burst on top).
-N_QUERIES = 400
-QUICK_QUERIES = 120
+QUERIES = 120
 
 #: headline percentile fractions.
 P50 = 0.5
@@ -101,164 +92,19 @@ def latency_summary(report: ServingReport) -> Dict[str, Any]:
     }
 
 
-def latency_manifest(summary: Dict[str, Any], n_queries: int) -> RunManifest:
-    """Tail latencies as a run whose phases are the percentiles.
-
-    The baseline diff compares phases by label with a relative seconds
-    tolerance, so encoding p50/p99 as phase seconds turns the committed
-    baseline into a tail-latency regression gate.
-    """
-    machine = MACHINES[MACHINE]()
-    phases = [
-        PhaseCost(
-            seconds=summary["p50_seconds"],
-            bottleneck="virtual-latency",
-            occupancy={},
-            label="p50",
-        ),
-        PhaseCost(
-            seconds=summary["p99_seconds"],
-            bottleneck="virtual-latency",
-            occupancy={},
-            label="p99",
-        ),
-        PhaseCost(
-            seconds=summary["makespan"],
-            bottleneck="virtual-latency",
-            occupancy={},
-            label="makespan",
-        ),
-    ]
-    return build_manifest(
-        kind="serving[latency]",
-        machine=machine,
-        phases=phases,
-        workload={
-            "queries": n_queries,
-            "greedy_burst": GREEDY_BURST,
-            "mix": list(MIX),
-            "tenants": list(TENANTS),
-            "mean_gap": MEAN_GAP,
-            "seed": SEED,
-        },
-        config={
-            "machine": MACHINE,
-            "greedy_quota_in_flight": GREEDY_QUOTA.max_in_flight,
-        },
-        results=summary,
-    )
-
-
-def representative_manifests(report: ServingReport) -> List[RunManifest]:
+def representative_manifests(report: ServingReport) -> List[Dict[str, Any]]:
     """One served manifest per workload kind (first occurrence)."""
-    manifests: List[RunManifest] = []
-    seen: set = set()
-    for query in sorted(
-        report.served, key=lambda q: q.request.request_id
-    ):
-        name = query.request.workload
-        if name in seen:
-            continue
-        seen.add(name)
-        manifest = RunManifest(
-            kind=query.manifest["kind"],
-            machine=query.manifest["machine"],
-            workload=query.manifest["workload"],
-            config=query.manifest["config"],
-            phases=query.manifest["phases"],
-            results=query.manifest["results"],
-            metrics=query.manifest["metrics"],
-            spans=query.manifest["spans"],
-            calibration=query.manifest["calibration"],
-            resilience=query.manifest["resilience"],
-            optimizer=query.manifest["optimizer"],
-            serving=query.manifest["serving"],
-        )
-        manifests.append(manifest)
-    return manifests
+    manifests: Dict[str, Dict[str, Any]] = {}
+    for query in sorted(report.served, key=lambda q: q.request.request_id):
+        manifests.setdefault(query.request.workload, query.manifest)
+    return list(manifests.values())
 
 
-def run_benchmark(
-    n_queries: int,
-) -> Tuple[ServingReport, Dict[str, Any], List[RunManifest]]:
+def run_benchmark() -> List[Dict[str, Any]]:
+    """The served manifests and the ``serving[latency]`` summary run."""
     service = build_service()
-    submit_load(service, n_queries)
+    submit_load(service, QUERIES)
     report = service.serve()
-    summary = latency_summary(report)
-    manifests = representative_manifests(report)
-    manifests.append(latency_manifest(summary, n_queries))
-    return report, summary, manifests
-
-
-def check_serving(report: ServingReport) -> List[str]:
-    """Liveness gates on the headline numbers (CI ``--check-serving``)."""
-    summary = latency_summary(report)
-    failures = []
-    # Fault-free, so a request ends at its finish or its rejected arrival.
-    last_terminal = max(
-        [q.finish for q in report.served]
-        + [r.request.arrival for r in report.rejections]
-    )
-    if report.makespan != last_terminal:
-        failures.append(
-            f"makespan {report.makespan!r} is not the last terminal "
-            f"event ({last_terminal!r}): a superseded event fired"
-        )
-    if summary["queries"] < 100:
-        failures.append(
-            f"expected >= 100 served queries, got {summary['queries']}"
-        )
-    if summary["rejected"] < 1:
-        failures.append("expected the greedy tenant to be rejected")
-    if summary["cache"]["hit_rate"] <= 0:
-        failures.append("expected plan-cache hits on the repeated mix")
-    if summary["p99_seconds"] < summary["p50_seconds"]:
-        failures.append("p99 below p50: percentile arithmetic broken")
-    return failures
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help=f"CI subset: {QUICK_QUERIES} open-loop queries",
-    )
-    parser.add_argument(
-        "--check-serving",
-        action="store_true",
-        help="exit non-zero unless rejections and cache hits occurred",
-    )
-    args = parser.parse_args(argv)
-    n_queries = QUICK_QUERIES if args.quick else N_QUERIES
-    report, summary, _manifests = run_benchmark(n_queries)
-
-    print(f"open-loop serving, {n_queries} queries over {MACHINE}")
-    print(
-        f"  served {summary['queries']} "
-        f"(rejected {summary['rejected']}), "
-        f"peak concurrency {summary['peak_concurrency']}"
-    )
-    print(
-        f"  latency p50 {summary['p50_seconds']:.6f}s  "
-        f"p99 {summary['p99_seconds']:.6f}s  "
-        f"max {summary['max_seconds']:.6f}s"
-    )
-    print(
-        f"  cache hit rate {summary['cache']['hit_rate']:.3f} "
-        f"({summary['cache']['hits']} hits / "
-        f"{summary['cache']['misses']} misses)"
-    )
-    print(f"  virtual makespan {summary['makespan']:.6f}s")
-
-    if args.check_serving:
-        failures = check_serving(report)
-        if failures:
-            for failure in failures:
-                print(f"FAIL: {failure}")
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return representative_manifests(report) + [
+        {"kind": "serving[latency]", "results": latency_summary(report)}
+    ]

@@ -9,7 +9,7 @@ admitted queries over one machine — co-running phases contend for
 memory channels and interconnect bandwidth through the max-min fair
 rate solver instead of each pretending to own the hardware.  Headline
 number: tail latency under concurrency, not single-query makespan
-(``python -m repro.bench.serving_latency``).
+(``repro.bench.serving_latency``).
 
 The serving path is resilient, not just fair-weather: per-request
 deadlines are enforced inside the DES (cancellable events, mid-phase
@@ -18,7 +18,7 @@ in-flight queries (retried with capped virtual-time backoff, guarded
 by a per-workload circuit breaker) or degrade link capacity
 mid-serving, and overload beyond the :class:`ServicePolicy` bounds is
 load-shed with typed reasons instead of unbounded latency
-(``python -m repro.bench.serving_resilience``).
+(``repro.bench.serving_resilience``).
 """
 
 from repro.serve.admission import (

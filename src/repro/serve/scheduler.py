@@ -61,8 +61,9 @@ layer's *resilience* contract:
 Under the inert default policy with no hooks, every per-query
 timestamp and outcome, ``resolves`` and ``peak_concurrency`` are
 bit-identical to the PR 9 scheduler (pinned by the chaos-serving and
-scheduler equivalence suites); ``makespan`` is not — until PR 17 it was
-the clock of the last *superseded* completion, which overstated it.
+scheduler equivalence suites); ``makespan`` is not — that scheduler
+reported the clock of the last *superseded* completion, which
+overstated it; ``makespan`` is now the last terminal event.
 
 Arrivals are scheduled at *absolute* virtual timestamps
 (``schedule_at``), and completion times are ``now + remaining/rate``
@@ -233,9 +234,6 @@ def _check_queries(queries: Sequence[ServedQuery]) -> None:
 class ContentionScheduler:
     """Multiplexes admitted queries over one simulated machine."""
 
-    def __init__(self, tolerance: float = 1e-9) -> None:
-        self.tolerance = tolerance
-
     def run(
         self,
         queries: Sequence[ServedQuery],
@@ -315,9 +313,7 @@ class ContentionScheduler:
                 # Workers are the request ids; zip() drops the extra
                 # "candidate" key when there is no candidate vector.
                 demands = dict(zip([*active, "candidate"], inputs))
-                by_worker = solve_concurrent_rates(
-                    demands, tolerance=self.tolerance
-                )
+                by_worker = solve_concurrent_rates(demands)
                 rates = solved[key] = [by_worker[w] for w in demands]
             return rates
 

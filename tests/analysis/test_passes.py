@@ -5,6 +5,9 @@ under ``tests/analysis/fixtures/`` are each detected by their pass, and
 idiomatic code in the same scope produces zero findings.
 """
 
+import os
+import shutil
+
 import pytest
 
 from repro.analysis import analyze_paths, get_passes
@@ -76,6 +79,24 @@ def test_fixture_tree_total_counts():
         "executor-boundary": 4,
         "lock-discipline": 4,
     }
+
+
+def test_scratch_path_is_scanned_like_any_other(tmp_path):
+    """No directory name is skipped by default: a copy of the ``sim``
+    fixtures under a ``scratch`` directory yields the same findings."""
+
+    def findings(path):
+        report = analyze_paths([path])
+        assert report.files_scanned == 2
+        return sorted(
+            (os.path.basename(f.path), f.rule, f.line, f.column, f.message)
+            for f in report.findings
+        )
+
+    copy = shutil.copytree(fixture_path("sim"), tmp_path / "scratch" / "sim")
+    expected = findings(fixture_path("sim"))
+    assert len(expected) == 5
+    assert findings(str(copy)) == expected
 
 
 def test_lock_discipline_race_severities():

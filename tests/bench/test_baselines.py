@@ -87,7 +87,7 @@ def _drop_section(runs):
     "mutate", (_scale_seconds, _change_result, _drop_section),
     ids=("seconds", "result", "section"),
 )
-@pytest.mark.parametrize("name", ("reference_joins", "serving_resilience"))
+@pytest.mark.parametrize("name", ("reference_joins", "serving_latency"))
 def test_mutation_is_caught_naming_file_kind_and_field(name, mutate):
     runs = copy.deepcopy(load(path_of(name)))
     kind, field = mutate(runs)

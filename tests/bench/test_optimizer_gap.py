@@ -1,19 +1,20 @@
-"""The predicted-vs-actual gap stays under the CI gate, and the
-committed ``baselines/optimizer_gap.json`` is consistent with it."""
+"""The predicted-vs-actual gap rows, and the committed
+``baselines/optimizer_gap.json`` is a full run of the scenario list.
+``tests/bench/test_liveness.py`` gates the committed gaps."""
 
 from repro.bench.baselines import load, path_of
-from repro.bench.optimizer_gap import GAP_THRESHOLD, SCENARIOS, run_scenario
+from repro.bench.optimizer_gap import SCENARIOS, run_scenario
 
 
 def test_join_sel_gap_is_live_but_small():
     """join-sel is the scenario whose estimate is genuinely inexact
     (hinted 50% match rate vs the sampled one): the gap must be
     non-zero — proving the benchmark measures something — yet orders
-    of magnitude under the gate."""
+    of magnitude below one percent."""
     row = run_scenario("join-sel", "ibm-ac922")["results"]
     assert row["predicted_seconds"] > 0.0
     assert row["actual_seconds"] > 0.0
-    assert 0.0 < row["gap"] < GAP_THRESHOLD
+    assert 0.0 < row["gap"] < 1e-3
 
 
 def test_exactly_estimated_scenario_has_zero_gap():
@@ -41,9 +42,8 @@ def test_gap_document_layout():
 
 def test_committed_baseline_is_consistent():
     """The committed gap rows are a full run of the current scenario
-    list, every gap under the gate."""
+    list."""
     runs = load(path_of("optimizer_gap"))
     assert [run["kind"] for run in runs] == [
         f"optgap[{name}@{machine}]" for name, machine in SCENARIOS
     ]
-    assert max(run["results"]["gap"] for run in runs) <= GAP_THRESHOLD

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler.morsel import MorselDispatcher
+from repro.plan.overlap import chunk_sizes, pipeline_makespan
 from repro.sim.engine import Simulator
 from repro.sim.resources import solve_concurrent_rates
-from repro.transfer.pipeline import chunk_sizes, pipeline_makespan
 
 
 class TestDispatcherProperties:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transfer.pipeline import pipeline_makespan
+from repro.plan.overlap import pipeline_makespan
 from repro.transfer.stream import simulate_pipeline, stream_chunks
 
 
