@@ -24,12 +24,12 @@ generic selection scan included — goes through ``compile_query``, so
 the repo carries no baseline entry for this rule.
 
 The serving engine adds a third boundary: the discrete-event
-:class:`repro.sim.Simulator` itself.  Its clock semantics
-(``run(until=...)`` landing exactly on ``until``, the epsilon clamp in
-``schedule_at``) are load-bearing for multi-query scheduling, and two
-components driving private simulators over the same logical workload
-would disagree about virtual time.  Multi-query workloads may only be
-driven by ``repro.serve.scheduler`` (the ``ContentionScheduler``);
+:class:`repro.sim.Simulator` itself.  Its clock semantics (``(time,
+seq)`` order, a past time is fatal) are load-bearing for multi-query
+scheduling, and two components driving private simulators over the
+same logical workload would disagree about virtual time.  Multi-query
+workloads may only be driven by ``repro.serve.scheduler`` (the
+``ContentionScheduler``);
 single-operator DES usage stays inside ``repro.plan`` and the
 ``repro.transfer`` stream cross-check.  A ``Simulator(...)``
 constructed anywhere else is flagged.

@@ -27,6 +27,7 @@ from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
+from repro.core.ops.selection import line_any
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -47,10 +48,7 @@ from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
 from repro.plan import Plan, PlanExecutor
-from repro.utils.units import MIB
-
-#: coherence/cache-line granularity used for payload-column line skipping.
-LINE_BYTES = 128
+from repro.utils.units import LINE_BYTES, MIB
 
 
 def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
@@ -61,19 +59,10 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     matches (Section 7.2.9: "at 10% selectivity, 81.5% of values are
     loaded").
     """
-    n = len(match_mask)
-    if n == 0:
+    if len(match_mask) == 0:
         return 0.0
     per_line = max(1, LINE_BYTES // payload_bytes)
-    full_lines = n // per_line
-    if full_lines == 0:
-        return float(match_mask.any())
-    head = match_mask[: full_lines * per_line].reshape(full_lines, per_line)
-    line_hits = head.any(axis=1).sum()
-    tail = match_mask[full_lines * per_line :]
-    lines = full_lines + (1 if len(tail) else 0)
-    line_hits += 1 if (len(tail) and tail.any()) else 0
-    return float(line_hits / lines)
+    return float(line_any(match_mask, per_line).mean())
 
 
 def join_query(r: Relation, s: Relation) -> Query:

@@ -18,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-LINE_BYTES = 128
+from repro.utils.units import LINE_BYTES
 
 
 def line_any(mask: np.ndarray, values_per_line: int) -> np.ndarray:

@@ -20,11 +20,11 @@ from repro.faults.plan import (
     TransientError,
 )
 
-#: the fixed seed set CI's chaos job sweeps; collectively the three runs
+#: the fixed seed set the chaos suite sweeps; collectively the three runs
 #: must exercise >=1 retry, >=1 re-dispatch, and >=1 hybrid spill.
 CHAOS_SEEDS = (101, 202, 303)
 
-#: the fixed seed set CI's chaos-*serving* step sweeps; collectively the
+#: the fixed seed set the chaos-*serving* suite sweeps; collectively the
 #: three plans must exercise >=1 serving retry (transients), >=1
 #: contention re-solve under degraded link capacity, and >=1 opened
 #: circuit breaker (a workload that fails on every attempt).

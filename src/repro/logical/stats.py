@@ -21,10 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro.hardware.cache import HotSetProfile
-
-#: coherence/cache-line granularity for payload line skipping; must
-#: match ``repro.core.join.nopa.LINE_BYTES`` (asserted by tests).
-LINE_BYTES = 128
+from repro.utils.units import LINE_BYTES
 
 #: analytic hash-scheme constants for pre-execution estimation: average
 #: slot inspections per insert and per lookup at the library's default

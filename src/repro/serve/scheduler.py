@@ -33,12 +33,12 @@ layer's *resilience* contract:
 
 * **deadlines** — a request carrying a latency budget gets one
   cancellable deadline event at ``arrival + deadline``; if it fires
-  before completion the query is cancelled mid-phase (its accumulated
-  progress is advanced first, its admission share released via
-  ``on_evict``), and the follow-up resolve repairs the remaining-work
-  drift for every survivor.  Queries that finish in time cancel the
-  event (:meth:`Simulator.cancel_event`), so the fault-free event
-  stream is untouched.
+  before completion the query is cancelled mid-phase (every active
+  query's progress is banked first, its admission share released via
+  ``on_evict``), and the follow-up resolve re-times the survivors.
+  Queries that finish in time cancel the event
+  (:meth:`Simulator.cancel_event`), so the fault-free event stream is
+  untouched.
 * **serving faults + retry** — an optional ``fault`` hook runs at
   every phase boundary; when it reports a :class:`PhaseFault` the
   query is evicted and either resubmitted at ``now + retry_delay``
@@ -63,12 +63,19 @@ timestamp and outcome, ``resolves`` and ``peak_concurrency`` are
 bit-identical to the PR 9 scheduler (pinned by the chaos-serving and
 scheduler equivalence suites); ``makespan`` is not — that scheduler
 reported the clock of the last *superseded* completion, which
-overstated it; ``makespan`` is now the last terminal event.
+overstated it; ``makespan`` is now the last terminal event.  Past
+~1e5 virtual seconds, where that scheduler re-solved a completion
+that fired with ULP-sized work left, a timestamp can also differ by
+one or two ULPs.
 
-Arrivals are scheduled at *absolute* virtual timestamps
-(``schedule_at``), and completion times are ``now + remaining/rate``
-sums — both paths that motivated the simulator-clock epsilon fixes
-this layer is built on.
+The clock needs no tolerance.  Banked progress floors ``remaining``
+at zero, so every completion eta ``now + remaining/rate`` is at or
+after ``now``; the soonest one is the only live completion, and every
+change to the active set revokes it.  A completion that fires therefore
+finishes its phase — the work float rounding leaves is worth about one
+ULP of the clock — so completion events fired equal phases landed, at
+any virtual time.  ``tests/serve/test_clock_oracle.py`` checks the
+finish times against an exact-arithmetic twin of this loop.
 
 This module is the only sanctioned driver of ``Simulator.run`` for
 multi-query workloads (enforced by the ``executor-boundary`` analysis
@@ -85,7 +92,7 @@ from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.model import PhaseCost
-from repro.sim.engine import CLOCK_EPSILON, Event, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.resources import solve_concurrent_rates
 
 from repro.serve.policy import (
@@ -96,10 +103,6 @@ from repro.serve.policy import (
     ServicePolicy,
 )
 from repro.serve.request import ServedQuery, ShedQuery
-
-#: remaining work below this fraction of a phase counts as finished
-#: (absorbs the float error of progress-accumulation across events).
-_REMAINING_EPSILON = 1e-12
 
 #: admission callback: (query, now) -> admitted?  Returning False drops
 #: the query (the service records the typed rejection).
@@ -216,13 +219,26 @@ class ScheduleOutcome:
 
 def _check_queries(queries: Sequence[ServedQuery]) -> None:
     """Reject input that would be silently mis-served: a repeated request
-    id (queries are tracked by it) or NaN/negative/infinite phase work."""
+    id (queries are tracked by it), an arrival that is not a finite
+    time >= 0, a deadline that is not finite and > 0, or NaN/negative/
+    infinite phase work."""
     seen: set = set()
     for query in queries:
-        request_id = query.request.request_id
+        request = query.request
+        request_id = request.request_id
         if request_id in seen:
             raise ValueError(f"request id #{request_id} appears twice")
         seen.add(request_id)
+        if not 0.0 <= request.arrival < math.inf:
+            raise ValueError(
+                f"request #{request_id}: arrival must be finite and >= 0, "
+                f"got {request.arrival}"
+            )
+        if request.deadline is not None and not 0.0 < request.deadline < math.inf:
+            raise ValueError(
+                f"request #{request_id}: deadline must be finite and > 0, "
+                f"got {request.deadline}"
+            )
         for phase_index, phase in enumerate(query.phases):
             if not 0.0 <= phase.seconds < math.inf:
                 raise ValueError(
@@ -254,8 +270,9 @@ class ContentionScheduler:
         (deadline cancellation, fault eviction).  With every optional
         hook absent and the default (inert) policy, every per-query
         result is bit-identical to the fair-weather PR 9 scheduler.
-        A repeated request id or non-finite/negative phase seconds
-        raise ``ValueError`` before any event is scheduled.
+        A repeated request id, a non-finite or negative arrival, a
+        non-finite or non-positive deadline, or non-finite/negative
+        phase seconds raise ``ValueError`` before any event is scheduled.
         """
         policy = policy if policy is not None else ServicePolicy()
         _check_queries(queries)
@@ -321,7 +338,9 @@ class ContentionScheduler:
             for record in active.values():
                 elapsed = now - record.updated
                 if elapsed > 0:
-                    record.remaining -= elapsed * record.rate
+                    record.remaining = max(
+                        0.0, record.remaining - elapsed * record.rate
+                    )
                 record.updated = now
 
         def release(query: ServedQuery, now: float) -> None:
@@ -517,9 +536,8 @@ class ContentionScheduler:
                 return
             now = simulator.now
             advance_progress(now)
-            slop = CLOCK_EPSILON * max(1.0, now)
             soonest: Optional[_Active] = None
-            soonest_eta = soonest_stamp = 0.0
+            soonest_eta = 0.0
             for (request_id, record), solved_rate in zip(
                 active.items(), contended_rates()
             ):
@@ -532,14 +550,11 @@ class ContentionScheduler:
                         [(request_id, record.phase_index, record.remaining)],
                         now,
                     )
+                # ``remaining >= 0``, so ``eta >= now``; the first in
+                # ``active`` order wins a tie.
                 eta = now + record.remaining / record.rate
-                # Order completions by the time ``schedule_at`` would
-                # stamp on them (ULP-late etas clamp to ``now``), first
-                # in ``active`` order on ties.
-                delta = eta - now
-                stamp = now if -slop <= delta < 0 else now + delta
-                if soonest is None or stamp < soonest_stamp:
-                    soonest, soonest_eta, soonest_stamp = record, eta, stamp
+                if soonest is None or eta < soonest_eta:
+                    soonest, soonest_eta = record, eta
             completion_event = simulator.schedule_at(
                 soonest_eta, make_completion(soonest)
             )
@@ -548,18 +563,10 @@ class ContentionScheduler:
             def completion(simulator: Simulator) -> None:
                 # Every change to the active set ends in resolve(),
                 # which revokes this event: if it fires, ``record`` is
-                # active and in the phase it was scheduled for.
+                # active, in the phase it was scheduled for, and done
+                # with it up to float rounding.
                 now = simulator.now
                 advance_progress(now)
-                phase = record.phase()
-                if record.remaining > _REMAINING_EPSILON * max(
-                    1.0, phase.seconds
-                ) and now + record.remaining / record.rate > now:
-                    # Drift between the scheduled eta and accumulated
-                    # progress; re-solve and let a fresh event land it
-                    # (an eta that rounds to ``now`` would re-fire forever).
-                    resolve(simulator)
-                    return
                 record.phase_index += 1
                 record.remaining = 0.0
                 enter_phase(record, now)

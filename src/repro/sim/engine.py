@@ -19,17 +19,7 @@ from repro.obs.trace import Tracer
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduling (negative delays, running twice)."""
-
-
-#: Relative clock slop absorbed by :meth:`Simulator.schedule_at`.
-#: Absolute timestamps are typically computed outside the event loop
-#: (cumulative sums of inter-arrival gaps, precomputed schedules), so
-#: float accumulation can leave a target a few ULPs behind ``now`` even
-#: though it is logically "now or later"; deltas within
-#: ``CLOCK_EPSILON * max(1, now)`` of zero are clamped to zero while
-#: genuinely past times stay fatal.
-CLOCK_EPSILON = 1e-9
+    """Raised for invalid scheduling (past times, running twice)."""
 
 
 @dataclass(frozen=True)
@@ -39,9 +29,6 @@ class Event:
     time: float
     seq: int
     callback: Callable[["Simulator"], None]
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Simulator:
@@ -66,12 +53,8 @@ class Simulator:
         self._seq = itertools.count()
         self._fired = 0
         self._running = False
-        #: seqs of scheduled-but-cancelled events; purged lazily when
-        #: they reach the heap head, so cancellation is O(1).
-        self._cancelled: Set[int] = set()
         #: seqs currently live in the queue (scheduled, not yet fired
-        #: or cancelled) — lets :meth:`cancel_event` distinguish "still
-        #: pending" from "already fired / already cancelled".
+        #: or cancelled); a queued seq missing here was cancelled.
         self._live: Set[int] = set()
 
     def schedule(self, delay: float, callback: Callable[["Simulator"], None]) -> Event:
@@ -86,19 +69,9 @@ class Simulator:
         return event
 
     def schedule_at(self, time: float, callback: Callable[["Simulator"], None]) -> Event:
-        """Schedule ``callback`` at an absolute virtual time.
-
-        Epsilon-negative deltas — ``|time - now|`` within
-        :data:`CLOCK_EPSILON` relative to the clock — are clamped to
-        zero, so absolute timestamps that drifted a few ULPs behind the
-        clock through float accumulation fire immediately instead of
-        raising; times genuinely in the past remain a
-        :class:`SimulationError`.
-        """
-        delta = time - self.now
-        if delta < 0 and -delta <= CLOCK_EPSILON * max(1.0, self.now):
-            delta = 0.0
-        return self.schedule(delta, callback)
+        """Schedule ``callback`` at an absolute virtual time; any time
+        before ``now``, by however little, is a :class:`SimulationError`."""
+        return self.schedule(time - self.now, callback)
 
     def cancel_event(self, event: Event) -> bool:
         """Cancel a scheduled event before it fires.
@@ -117,14 +90,7 @@ class Simulator:
         if event.seq not in self._live:
             return False
         self._live.discard(event.seq)
-        self._cancelled.add(event.seq)
         return True
-
-    def _purge_cancelled(self) -> None:
-        """Drop cancelled events sitting at the heap head."""
-        while self._queue and self._queue[0][1] in self._cancelled:
-            _time, seq, _dead = heapq.heappop(self._queue)
-            self._cancelled.discard(seq)
 
     @property
     def pending(self) -> int:
@@ -132,10 +98,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the next live event; returns False when none remain."""
-        self._purge_cancelled()
-        if not self._queue:
+        queue = self._queue
+        while queue and queue[0][1] not in self._live:
+            heapq.heappop(queue)  # cancelled
+        if not queue:
             return False
-        time, seq, event = heapq.heappop(self._queue)
+        time, seq, event = heapq.heappop(queue)
         self._live.discard(seq)
         if time < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
@@ -144,18 +112,12 @@ class Simulator:
         event.callback(self)
         return True
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drain the event queue (optionally stopping at ``until``).
+    def run(self) -> float:
+        """Drain the event queue; returns the final virtual time.
 
-        Returns the final virtual time.  ``run(until=T)`` always leaves
-        the clock at ``T`` when ``T`` exceeds the last fired event's
-        time — whether the queue still holds later events or drained
-        early — so callers observe consistent final-clock semantics on
-        both paths; the clock never moves backwards (``until`` earlier
-        than ``now`` leaves the clock where it is).  When a tracer is
-        attached, the run is recorded as a ``sim.run`` span and the
-        tracer's sim-clock advances by the elapsed virtual time, so
-        discrete-event phases land on the same timeline as
+        When a tracer is attached, the run is recorded as a ``sim.run``
+        span and the tracer's sim-clock advances by the elapsed virtual
+        time, so discrete-event phases land on the same timeline as
         cost-model-priced ones.
         """
         if self._running:
@@ -164,15 +126,8 @@ class Simulator:
         start = self.now
         fired_before = self._fired
         try:
-            while self._queue:
-                self._purge_cancelled()
-                if not self._queue:
-                    break
-                if until is not None and self._queue[0][0] > until:
-                    break
-                self.step()
-            if until is not None and until > self.now:
-                self.now = until
+            while self.step():
+                pass
         finally:
             self._running = False
         if self.tracer is not None:

@@ -19,6 +19,11 @@ KB = 1000
 MB = 1000 * KB
 GB = 1000 * MB
 
+#: cache-line / coherence granularity of column loads: a line moves
+#: when any value in it is needed (NVLink 2.0 is coherent at 128 B,
+#: Section 2.2.2).
+LINE_BYTES = 128
+
 # --- time units (seconds) ---------------------------------------------------
 NS = 1e-9
 US = 1e-6

@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.join.nopa import (
-    LINE_BYTES,
-    NoPartitioningJoin,
-    payload_line_fraction,
-)
+from repro.core.join.nopa import NoPartitioningJoin, payload_line_fraction
 from repro.memory.allocator import OutOfMemoryError
+from repro.utils.units import LINE_BYTES
 from repro.workloads.builders import workload_a, workload_selectivity
 
 SCALE = 2.0**-14

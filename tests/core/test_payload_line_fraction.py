@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.join.nopa import LINE_BYTES, payload_line_fraction
+from repro.core.join.nopa import payload_line_fraction
+from repro.utils.units import LINE_BYTES
 
 
 class TestEdgeCases:

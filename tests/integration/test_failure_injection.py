@@ -11,7 +11,7 @@ Two families:
   run must recover to *bit-identical* results (and, for pricing-neutral
   faults, bit-identical manifests minus the ``resilience`` section),
   with the resilience section accounting for every injected fault.
-  ``CHAOS_SEEDS`` is the fixed set CI's chaos job sweeps.
+  ``CHAOS_SEEDS`` is the fixed seed set this suite sweeps.
 """
 
 import numpy as np

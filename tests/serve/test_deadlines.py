@@ -1,4 +1,4 @@
-"""Deadline enforcement: cancellation mid-phase, drift repair, records.
+"""Deadline enforcement: cancellation mid-phase, survivor re-timing, records.
 
 Scheduler-level tests use synthetic ServedQuery fixtures (hand-written
 phase costs) so the cancellation arithmetic is pinned exactly; the
@@ -151,8 +151,12 @@ class TestSchedulerError:
         from repro.sim.engine import Simulator
 
         class HaltingSimulator(Simulator):
-            def run(self, until=0.5):
-                return super().run(until=until)
+            def run(self):
+                halted = []
+                self.schedule_at(0.5, halted.append)
+                while not halted and self.step():
+                    pass
+                return self.now
 
         monkeypatch.setattr(
             scheduler_module, "Simulator", HaltingSimulator

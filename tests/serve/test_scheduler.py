@@ -9,12 +9,10 @@ accumulated float timestamps never trip the simulator clock.
 
 import pytest
 
-import repro.serve.scheduler as scheduler_module
 from repro.costmodel.model import PhaseCost
 from repro.serve.policy import OUTCOME_DEADLINE
 from repro.serve.request import QueryRequest, ServedQuery
 from repro.serve.scheduler import ContentionScheduler
-from repro.sim.engine import Simulator
 
 
 def _phase(seconds, occupancy=None, label="work"):
@@ -283,26 +281,6 @@ class TestTies:
             assert outcome.makespan == 1.0
             assert not outcome.finished
 
-    def test_drifted_completion_re_solves_and_lands(self, monkeypatch):
-        # A simulator that fires the first completion a quarter second
-        # early leaves work beyond _REMAINING_EPSILON: the completion
-        # must re-solve, schedule a successor, and land on time.
-        class EarlySimulator(Simulator):
-            shaved = False
-
-            def schedule_at(self, time, callback):
-                if callback.__name__ == "completion" and not self.shaved:
-                    self.shaved = True
-                    time -= 0.25
-                return super().schedule_at(time, callback)
-
-        monkeypatch.setattr(scheduler_module, "Simulator", EarlySimulator)
-        query = _query(0, 0.0, [_phase(1.0), _phase(0.5)])
-        outcome = ContentionScheduler().run([query])
-        assert query.finish == 1.5
-        assert outcome.resolves == 4  # begin, drift, two phase ends
-        assert outcome.makespan == 1.5
-
 
 class TestInputValidation:
     """Inputs the scheduler used to accept and silently mis-serve."""
@@ -333,3 +311,36 @@ class TestInputValidation:
                 queries, admit=lambda q, now: admitted.append(q) or True
             )
         assert not admitted  # rejected before the first event fired
+
+    @pytest.mark.parametrize(
+        "arrival", [float("nan"), float("inf"), -1e-12], ids=str
+    )
+    def test_unusable_arrival_is_rejected(self, arrival):
+        # NaN started the query at nan, inf finished it at nan (and made
+        # the makespan NaN), and -1e-12 was clamped to t=0.
+        admitted = []
+        queries = [
+            _query(3, 0.0, [_phase(1.0)]),
+            _query(7, arrival, [_phase(1.0)]),
+        ]
+        with pytest.raises(ValueError, match=r"#7: arrival.*" + str(arrival)):
+            ContentionScheduler().run(
+                queries, admit=lambda q, now: admitted.append(q) or True
+            )
+        assert not admitted
+
+    @pytest.mark.parametrize(
+        "deadline", [float("nan"), float("inf"), 0.0, -1.0], ids=str
+    )
+    def test_unusable_deadline_is_rejected(self, deadline):
+        # A NaN deadline cancelled the query at t=nan.
+        admitted = []
+        queries = [
+            _query(3, 0.0, [_phase(1.0)]),
+            _query(7, 0.5, [_phase(1.0)], deadline=deadline),
+        ]
+        with pytest.raises(ValueError, match=r"#7: deadline.*" + str(deadline)):
+            ContentionScheduler().run(
+                queries, admit=lambda q, now: admitted.append(q) or True
+            )
+        assert not admitted

@@ -1,5 +1,7 @@
 """Discrete-event simulator."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Simulator, SimulationError
@@ -58,20 +60,6 @@ class TestCascades:
         sim.run()
         assert hops == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-        fired = []
-
-        def tick(s):
-            fired.append(s.now)
-            s.schedule(1.0, tick)
-
-        sim.schedule(0.0, tick)
-        sim.run(until=2.5)
-        assert fired == [0.0, 1.0, 2.0]
-        assert sim.now == 2.5
-        assert sim.pending == 1
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
@@ -81,40 +69,8 @@ class TestCascades:
 
 
 class TestScheduleAtClockSlop:
-    """Regression: absolute-time scheduling vs float accumulation.
-
-    The serving scheduler computes arrival timestamps outside the event
-    loop (cumulative sums of inter-arrival gaps); float accumulation can
-    leave a target a few ULPs behind the clock even though it is
-    logically "now or later".
-    """
-
-    def test_epsilon_negative_delta_clamps_to_now(self):
-        sim = Simulator()
-        fired = []
-
-        def at_one(s):
-            # sum of ten 0.1 gaps accumulates to 0.9999999999999999,
-            # a hair behind the clock's exact 1.0.
-            target = sum([0.1] * 10)
-            assert target < 1.0
-            s.schedule_at(target, lambda s2: fired.append(s2.now))
-
-        sim.schedule(1.0, at_one)
-        sim.run()
-        assert fired == [1.0]
-
-    def test_epsilon_scales_with_clock_magnitude(self):
-        sim = Simulator()
-        fired = []
-
-        def late(s):
-            # At now=1e6 a few-ULP error is ~1e-10 absolute; still slop.
-            s.schedule_at(1e6 * (1.0 - 2e-16), lambda s2: fired.append(s2.now))
-
-        sim.schedule(1e6, late)
-        sim.run()
-        assert fired == [1e6]
+    """Absolute-time scheduling has no slop: a time before the clock,
+    by however little, is fatal."""
 
     def test_genuinely_past_time_still_fatal(self):
         sim = Simulator()
@@ -137,46 +93,21 @@ class TestScheduleAtClockSlop:
         sim.run()
         assert len(errors) == 1
 
-
-class TestRunUntilClockSemantics:
-    """Regression: run(until=T) leaves the clock at T on both paths."""
-
-    def test_queue_drains_early_clock_still_reaches_until(self):
+    @pytest.mark.parametrize("now", [1.0, 1e6])
+    def test_one_ulp_past_is_fatal(self, now):
         sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda s: fired.append(s.now))
-        end = sim.run(until=5.0)
-        assert fired == [1.0]
-        assert end == 5.0
-        assert sim.now == 5.0
+        errors = []
 
-    def test_pending_event_beyond_until_clock_stops_at_until(self):
-        sim = Simulator()
-        sim.schedule(10.0, lambda s: None)
-        end = sim.run(until=2.5)
-        assert end == 2.5
-        assert sim.now == 2.5
-        assert sim.pending == 1
+        def late(s):
+            try:
+                s.schedule_at(math.nextafter(now, 0.0), lambda s2: None)
+            except SimulationError as exc:
+                errors.append(exc)
+            s.schedule_at(now, lambda s2: None)  # ``now`` itself is fine
 
-    def test_empty_queue_run_until_advances_clock(self):
-        sim = Simulator()
-        assert sim.run(until=3.0) == 3.0
-        assert sim.now == 3.0
-
-    def test_until_in_the_past_never_rewinds_clock(self):
-        sim = Simulator()
-        sim.schedule(2.0, lambda s: None)
-        sim.run()
-        assert sim.now == 2.0
-        assert sim.run(until=1.0) == 2.0
-        assert sim.now == 2.0
-
-    def test_event_exactly_at_until_fires(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(2.5, lambda s: fired.append(s.now))
-        assert sim.run(until=2.5) == 2.5
-        assert fired == [2.5]
+        sim.schedule(now, late)
+        assert sim.run() == now
+        assert len(errors) == 1
 
 
 class TestCancellableEvents:
@@ -227,17 +158,18 @@ class TestCancellableEvents:
         assert fired == []
         assert sim.now == 1.0
 
-    def test_cancelled_head_does_not_mask_later_event_under_until(self):
-        # A cancelled event before `until` must not let run(until=T)
-        # fire a live event scheduled beyond T.
+    def test_cancelled_head_does_not_mask_later_event(self):
+        # The cancelled head is skipped without moving the clock to it;
+        # the live event behind it fires at its own time.
         sim = Simulator()
         fired = []
         dead = sim.schedule(1.0, lambda s: fired.append("dead"))
-        sim.schedule(10.0, lambda s: fired.append("late"))
+        sim.schedule(10.0, lambda s: fired.append(("late", s.now)))
         sim.cancel_event(dead)
-        assert sim.run(until=2.0) == 2.0
-        assert fired == []
         assert sim.pending == 1
+        assert sim.run() == 10.0
+        assert fired == [("late", 10.0)]
+        assert sim.pending == 0
 
     def test_step_skips_cancelled_events(self):
         sim = Simulator()
