@@ -28,22 +28,26 @@ class PerfectHashTable(HashTableBase):
         self._check_batch(keys, values)
         if len(keys) == 0:
             return
-        if int(keys.max()) >= self.capacity:
+        lo, hi = int(keys.min()), int(keys.max())
+        if hi >= self.capacity:
             raise ValueError(
-                f"key {int(keys.max())} outside the perfect-hash domain "
-                f"[0, {self.capacity})"
+                f"key {hi} outside the perfect-hash domain [0, {self.capacity})"
             )
         # Within-batch duplicates both map to the same slot, both see it
         # EMPTY, and the scatter keeps the last writer — while size and
         # stats.inserts would count every copy.  Reject them before any
-        # mutation (mirroring the open-addressing contract).
-        unique, counts = np.unique(keys, return_counts=True)
-        if len(unique) != len(keys):
+        # mutation (mirroring the open-addressing contract): scattered
+        # over the batch's key span, unique keys mark one cell each.
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[keys - lo] = True
+        if np.count_nonzero(seen) != len(keys):
+            unique, counts = np.unique(keys, return_counts=True)
             raise ValueError(
                 "perfect hashing requires unique keys; duplicate insert for "
                 f"key {int(unique[counts > 1][0])}"
             )
-        slots = keys.astype(np.int64)
+        # Read-only index: an int64 batch is used as is, not copied.
+        slots = keys.astype(np.int64, copy=False)
         occupied = self.keys[slots] != self.EMPTY
         if occupied.any():
             raise ValueError(

@@ -27,7 +27,7 @@ from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
-from repro.core.ops.selection import line_any
+from repro.core.ops.selection import line_fraction
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -59,10 +59,8 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     matches (Section 7.2.9: "at 10% selectivity, 81.5% of values are
     loaded").
     """
-    if len(match_mask) == 0:
-        return 0.0
     per_line = max(1, LINE_BYTES // payload_bytes)
-    return float(line_any(match_mask, per_line).mean())
+    return line_fraction(match_mask, per_line)
 
 
 def join_query(r: Relation, s: Relation) -> Query:

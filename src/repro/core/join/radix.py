@@ -7,7 +7,9 @@ join into a PRA join" (Section 7.1), tuned with 12 radix bits, huge
 pages, SMT and software write-combine (SWWC) buffers.
 
 The functional layer really partitions both relations by the low radix
-bits and joins partition pairs with cache-resident sort-probe kernels.
+bits and joins partition pairs with sort-probe kernels: each key is
+rotated so that its radix bits lead, and one stable sort of the rotated
+keys is both the partition pass and the per-partition sort.
 The cost model prices:
 
 * the **partition pass** — one read+write round trip over both
@@ -88,53 +90,54 @@ class RadixJoin:
         self.cost_model = CostModel(machine, calibration, obs=self.obs)
         self.calibration = calibration
         self.radix_bits = radix_bits
-        self.executed_radix_bits = (
-            executed_radix_bits
-            if executed_radix_bits is not None
-            else min(radix_bits, 8)
-        )
+        if executed_radix_bits is None:
+            executed_radix_bits = min(radix_bits, 8)
+        if not 0 <= executed_radix_bits <= radix_bits:
+            raise ValueError(
+                f"executed radix bits out of range: {executed_radix_bits} "
+                f"(valid: 0..{radix_bits})"
+            )
+        self.executed_radix_bits = executed_radix_bits
 
     # ------------------------------------------------------------------
     # Functional execution
     # ------------------------------------------------------------------
     @staticmethod
-    def _partition(
-        keys: np.ndarray, payloads: np.ndarray, bits: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stable radix partition; returns (keys, payloads, boundaries)."""
-        fanout = 1 << bits
-        buckets = (keys.astype(np.int64)) & (fanout - 1)
-        order = np.argsort(buckets, kind="stable")
-        sorted_buckets = buckets[order]
-        boundaries = np.searchsorted(sorted_buckets, np.arange(fanout + 1))
-        return keys[order], payloads[order], boundaries
+    def _partition_major(keys: np.ndarray, bits: int) -> np.ndarray:
+        """Keys as ``uint64`` rotated right by ``bits``: the radix bits
+        lead, so ascending order is partition by partition, and by key
+        within a partition.  The rotation is a bijection, so equal
+        rotated keys are equal keys."""
+        rotated = keys.astype(np.uint64)
+        if bits:
+            rotated = (rotated << np.uint64(64 - bits)) | (rotated >> np.uint64(bits))
+        return rotated
 
     def _execute(self, r: Relation, s: Relation) -> Tuple[int, int, float]:
         bits = self.executed_radix_bits
-        r_keys, r_vals, r_bounds = self._partition(r.key, r.payload, bits)
-        s_keys, _, s_bounds = self._partition(s.key, s.payload, bits)
+        fanout = 1 << bits
+        # One stable sort is the partition pass and the per-partition
+        # sort; stability keeps a duplicate R key's first copy first, so
+        # a probe matches that copy as a partition's searchsorted did.
+        r_keys = self._partition_major(r.key, bits)
+        order = np.argsort(r_keys, kind="stable")
+        r_keys = r_keys[order]
+        # Sorted probes walk the build keys forward in one searchsorted.
+        s_keys = np.sort(self._partition_major(s.key, bits))
         matches = 0
         aggregate = 0
-        fanout = 1 << bits
-        largest = 0
-        for p in range(fanout):
-            rk = r_keys[r_bounds[p] : r_bounds[p + 1]]
-            rv = r_vals[r_bounds[p] : r_bounds[p + 1]]
-            sk = s_keys[s_bounds[p] : s_bounds[p + 1]]
-            largest = max(largest, len(rk) + len(sk))
-            if len(rk) == 0 or len(sk) == 0:
-                continue
-            order = np.argsort(rk, kind="stable")
-            rk_sorted = rk[order]
-            rv_sorted = rv[order]
-            pos = np.searchsorted(rk_sorted, sk)
-            pos_clamped = np.minimum(pos, len(rk_sorted) - 1)
-            hit = rk_sorted[pos_clamped] == sk
-            matches += int(hit.sum())
-            aggregate += int(rv_sorted[pos_clamped[hit]].astype(np.int64).sum())
-        total = r.executed_tuples + s.executed_tuples
-        avg = total / fanout if fanout else 0
-        skew = largest / avg if avg else 0.0
+        if len(r_keys) and len(s_keys):
+            pos = np.searchsorted(r_keys, s_keys)
+            np.minimum(pos, len(r_keys) - 1, out=pos)
+            hit = r_keys.take(pos) == s_keys
+            matches = int(np.count_nonzero(hit))
+            aggregate = int(
+                r.payload.take(order).take(pos).sum(where=hit, dtype=np.int64)
+            )
+        sizes = np.bincount(r.key & (fanout - 1), minlength=fanout)
+        sizes += np.bincount(s.key & (fanout - 1), minlength=fanout)
+        avg = (r.executed_tuples + s.executed_tuples) / fanout
+        skew = int(sizes.max()) / avg if avg else 0.0
         return matches, aggregate, skew
 
     # ------------------------------------------------------------------

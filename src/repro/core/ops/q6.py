@@ -136,14 +136,14 @@ class TpchQ6:
             self._predicate_evaluators(workload),
             executor,
         )
-        qualifies = masks[0] & masks[1] & masks[2]
+        rows = np.flatnonzero(masks[0] & masks[1] & masks[2])
         revenue = float(
             (
-                workload.extendedprice[qualifies].astype(np.float64)
-                * workload.discount[qualifies].astype(np.float64)
+                workload.extendedprice.take(rows).astype(np.float64)
+                * workload.discount.take(rows).astype(np.float64)
             ).sum()
         )
-        return revenue, qualifies, masks
+        return revenue, len(rows), masks
 
     # ------------------------------------------------------------------
     def _column_fractions(self, masks: List[np.ndarray]) -> List[float]:
@@ -216,7 +216,7 @@ class TpchQ6:
     # ------------------------------------------------------------------
     def run(self, workload: Q6Workload, processor: str = "gpu0") -> Q6Result:
         """Execute Q6 functionally and price it."""
-        revenue, qualifies, masks = self._execute(workload)
+        revenue, qualifying, masks = self._execute(workload)
         fractions = self._column_fractions(masks)
         plan = self.compile_plan(workload, processor, fractions)
         executed_plan = PlanExecutor(self.cost_model).execute(plan)
@@ -224,8 +224,8 @@ class TpchQ6:
         executed = max(1, workload.executed_rows)
         return Q6Result(
             revenue=revenue,
-            qualifying_rows=int(qualifies.sum()),
-            selectivity=float(qualifies.sum() / executed),
+            qualifying_rows=qualifying,
+            selectivity=qualifying / executed,
             cost=cost,
             modeled_rows=workload.modeled_rows,
             variant=self.variant,

@@ -25,18 +25,29 @@ def line_any(mask: np.ndarray, values_per_line: int) -> np.ndarray:
     """Per-line OR of a row mask (which lines have a surviving row)."""
     if values_per_line <= 0:
         raise ValueError(f"values per line must be positive: {values_per_line}")
-    n = len(mask)
-    full = n // values_per_line
-    lines: List[np.ndarray] = []
-    if full:
-        head = mask[: full * values_per_line].reshape(full, values_per_line)
-        lines.append(head.any(axis=1))
-    tail = mask[full * values_per_line :]
-    if len(tail):
-        lines.append(np.array([tail.any()]))
-    if not lines:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(lines)
+    full, rest = divmod(len(mask), values_per_line)
+    lines = np.empty(full + (rest > 0), dtype=bool)
+    head = mask[: full * values_per_line]
+    words_per_line, odd = divmod(values_per_line, 8)
+    if full and not odd and mask.dtype == bool and head.flags.c_contiguous:
+        # A line of 8k bools is k uint64 words; OR the k strided word
+        # columns instead of reducing each line's bytes.
+        words = head.view(np.uint64)
+        acc = words[::words_per_line].copy()
+        for j in range(1, words_per_line):
+            acc |= words[j::words_per_line]
+        np.not_equal(acc, 0, out=lines[:full])
+    elif full:
+        head.reshape(full, values_per_line).any(axis=1, out=lines[:full])
+    if rest:
+        lines[full] = mask[full * values_per_line :].any()
+    return lines
+
+
+def line_fraction(mask: np.ndarray, values_per_line: int) -> float:
+    """Fraction of lines with a surviving row (0.0 for an empty mask)."""
+    lines = line_any(mask, values_per_line)
+    return np.count_nonzero(lines) / len(lines) if len(lines) else 0.0
 
 
 def selection_line_fractions(
@@ -60,10 +71,8 @@ def selection_line_fractions(
     fractions: List[float] = [1.0]
     alive = masks[0]
     for mask in masks[1:]:
-        lines = line_any(alive, per_line)
-        fractions.append(float(lines.mean()) if len(lines) else 0.0)
+        fractions.append(line_fraction(alive, per_line))
         alive = alive & mask
     # Fraction for columns read only by fully-surviving rows (aggregates).
-    lines = line_any(alive, per_line)
-    fractions.append(float(lines.mean()) if len(lines) else 0.0)
+    fractions.append(line_fraction(alive, per_line))
     return fractions

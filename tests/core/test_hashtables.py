@@ -4,6 +4,8 @@ Shared behavioural tests run against all three; scheme-specific tests
 cover their individual contracts.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from repro.core.hashtable.chaining import ChainingHashTable
 from repro.core.hashtable.hash_functions import bucket_of
 from repro.core.hashtable.open_addressing import OpenAddressingHashTable
 from repro.core.hashtable.perfect import PerfectHashTable
+from repro.exec.functional import execute_build
+from repro.exec.pool import MorselExecutor
 
 SCHEMES = ("perfect", "open_addressing", "chaining")
 
@@ -340,6 +344,82 @@ class TestInvariantRegressions:
         assert table.size == 1
         found, got = table.lookup_batch(np.array([3], dtype=np.int64))
         assert found.all() and got[0] == 30
+
+
+class TestPerfectBuildCheck:
+    """The perfect build's duplicate check scatters over the batch's key
+    span instead of sorting it; what it accepts, rejects and reports must
+    be what ``np.unique`` decided."""
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64))
+    def test_rejects_exactly_what_unique_rejects(self, dtype):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n = int(rng.integers(1, 300))
+            low = int(rng.integers(0, 2000))
+            span = int(rng.choice([n, 2 * n, 50 * n]))
+            keys = rng.integers(low, low + span, n).astype(dtype)
+            unique, counts = np.unique(keys, return_counts=True)
+            table = PerfectHashTable(low + span, dtype, dtype)
+            if len(unique) == n:
+                table.insert_batch(keys, keys)
+                assert table.size == n
+                continue
+            with pytest.raises(
+                ValueError, match=f"duplicate insert for key {unique[counts > 1][0]}$"
+            ):
+                table.insert_batch(keys, keys)
+            assert table.size == 0
+
+    @pytest.mark.parametrize(
+        "batch",
+        (
+            [40, 17, 33, 40],  # within the batch, away from key 0
+            [60, 61, 5, 62],  # 5 is already stored
+            [63, 64],  # outside the domain
+            [9, 41, 9, 41, 9],  # several duplicated keys
+        ),
+    )
+    def test_rejected_batch_leaves_table_bit_identical(self, batch):
+        table = PerfectHashTable(64, np.int64, np.int32)
+        first = np.array([5, 2, 50, 12], dtype=np.int64)
+        table.insert_batch(first, (first * 7).astype(np.int32))
+        table.lookup_batch(np.arange(10, dtype=np.int64))
+        before_keys = table.keys.copy()
+        before_values = table.values.copy()
+        before_stats = table.stats.as_tuple()
+        keys = np.array(batch, dtype=np.int64)
+        with pytest.raises(ValueError):
+            table.insert_batch(keys, keys.astype(np.int32))
+        assert np.array_equal(table.keys, before_keys)
+        assert np.array_equal(table.values, before_values)
+        assert table.stats.as_tuple() == before_stats
+        assert table.size == 4
+
+    def test_one_worker_build_rejects_a_duplicate_in_a_later_morsel(self):
+        table = PerfectHashTable(8)
+        keys = np.array([3, 1, 3, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="duplicate insert for key 3"):
+            execute_build(table, keys, keys, MorselExecutor(1, morsel_tuples=2))
+
+    def test_racing_morsels_are_caught_by_the_occupancy_audit(self):
+        # Two morsels carry key 3.  Each batch is duplicate-free, and a
+        # barrier after the occupancy gather makes both see slot 3 EMPTY
+        # before either writes: only the post-build audit can catch it.
+        class GatherBarrier(np.ndarray):
+            barrier = threading.Barrier(2, timeout=10)
+
+            def __getitem__(self, index):
+                gathered = super().__getitem__(index)
+                if isinstance(index, np.ndarray):
+                    self.barrier.wait()
+                return gathered
+
+        table = PerfectHashTable(8)
+        table.keys = table.keys.view(GatherBarrier)
+        keys = np.array([3, 1, 3, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="claimed 4 inserts but occupies 3"):
+            execute_build(table, keys, keys, MorselExecutor(2, morsel_tuples=2))
 
 
 def scalar_probe(table, key):
