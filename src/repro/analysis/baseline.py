@@ -11,33 +11,32 @@ File format (JSON, kept at the repository root as
 
     {
       "version": 1,
-      "ratchet_limit": 3,
       "suppressions": [
         {
-          "path": "src/repro/core/join/radix.py",
-          "rule": "vectorization",
-          "context": "for p in range(fanout):",
+          "path": "src/repro/faults/runtime.py",
+          "rule": "lock-discipline",
+          "context": "return _active",
           "reason": "why this is acceptable",
           "count": 1
         }
       ]
     }
 
-``ratchet_limit`` is the baseline ratchet: under ``--ratchet`` the run
-fails if the baseline holds *more* entries than the limit (debt grew)
-or *fewer* (debt was paid off — lower the limit to lock in the win).
+An entry's ``path`` matches a finding's path when the two are equal or
+the finding's path ends in ``/`` + ``path``: ``faults/runtime.py``
+covers ``src/repro/faults/runtime.py`` but not
+``src/repro/myfaults/runtime.py``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.finding import Finding
 
 BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = "analysis-baseline.json"
 
 
 class BaselineError(ValueError):
@@ -62,7 +61,9 @@ class BaselineEntry:
             return False
         if finding.context != self.context:
             return False
-        return finding.path.endswith(self.path)
+        return finding.path == self.path or finding.path.endswith(
+            "/" + self.path
+        )
 
 
 @dataclass
@@ -71,8 +72,6 @@ class Baseline:
 
     entries: List[BaselineEntry] = field(default_factory=list)
     source: str = "<memory>"
-    #: Ratchet ceiling for ``--ratchet`` runs; None = no ratchet declared.
-    ratchet_limit: Optional[int] = None
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
@@ -96,14 +95,7 @@ class Baseline:
         raw_entries = payload.get("suppressions", [])
         if not isinstance(raw_entries, list):
             raise BaselineError(f"{source}: 'suppressions' must be a list")
-        ratchet_limit = payload.get("ratchet_limit")
-        if ratchet_limit is not None and (
-            not isinstance(ratchet_limit, int) or ratchet_limit < 0
-        ):
-            raise BaselineError(
-                f"{source}: ratchet_limit must be a non-negative integer"
-            )
-        unknown = set(payload) - {"version", "suppressions", "ratchet_limit"}
+        unknown = set(payload) - {"version", "suppressions"}
         if unknown:
             raise BaselineError(
                 f"{source}: unknown field(s): {', '.join(sorted(unknown))}"
@@ -111,7 +103,7 @@ class Baseline:
         entries: List[BaselineEntry] = []
         for index, raw in enumerate(raw_entries):
             entries.append(_parse_entry(raw, index, source))
-        return cls(entries=entries, source=source, ratchet_limit=ratchet_limit)
+        return cls(entries=entries, source=source)
 
     def apply(self, findings: Sequence[Finding]) -> None:
         """Mark findings covered by an entry as baselined (in place)."""
@@ -126,33 +118,6 @@ class Baseline:
     def unused_entries(self) -> List[BaselineEntry]:
         """Entries that matched nothing — stale, a hard failure."""
         return [entry for entry in self.entries if entry.used == 0]
-
-    def ratchet_violation(self) -> Optional[str]:
-        """Why the ratchet fails, or None if it holds.
-
-        The ratchet is two-sided: more entries than the limit means
-        new debt slipped in; fewer means debt was paid off and the
-        limit must be lowered so it cannot silently grow back.
-        """
-        if self.ratchet_limit is None:
-            return (
-                f"{self.source}: --ratchet requires a 'ratchet_limit' "
-                "field in the baseline"
-            )
-        count = len(self.entries)
-        if count > self.ratchet_limit:
-            return (
-                f"{self.source}: baseline has {count} entries but the "
-                f"ratchet limit is {self.ratchet_limit} — fix the new "
-                "findings instead of baselining them"
-            )
-        if count < self.ratchet_limit:
-            return (
-                f"{self.source}: baseline has {count} entries but the "
-                f"ratchet limit is {self.ratchet_limit} — lower "
-                f"ratchet_limit to {count} to lock in the improvement"
-            )
-        return None
 
 
 def _parse_entry(raw: object, index: int, source: str) -> BaselineEntry:

@@ -49,7 +49,7 @@ import ast
 from typing import Iterator, List
 
 from repro.analysis.base import AnalysisPass, ModuleContext, dotted_name
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 
 #: CostModel pricing entry points reserved for the plan executor.
 _PRICING_METHODS = {"phase_cost", "phases_cost", "occupancy_per_unit"}
@@ -72,7 +72,6 @@ class ExecutorBoundaryPass(AnalysisPass):
         "construct Simulator instances or drive its "
         "schedule_at/cancel_event event APIs"
     )
-    severity = Severity.ERROR
     #: everything is in scope except the pricing layer itself; see
     #: :meth:`in_scope`.
     scope = ()

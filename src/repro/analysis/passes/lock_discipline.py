@@ -10,23 +10,17 @@ pass checks that discipline holds across module boundaries:
 * **guard-set inference** — for every class owning a ``threading``
   lock, the attributes *written or mutated* while the lock is held
   (outside ``__init__``) form the class's guard set;
-* **inconsistent access** — a write/mutate of a guarded attribute with
-  no lock held is an ERROR; an unguarded *read* is an ERROR when the
-  enclosing function is reachable from a ``repro.exec`` worker entry
-  point (a real thread runs it) and a WARNING otherwise (torn or stale
-  reads, e.g. a multi-field snapshot);
+* **inconsistent access** — any read, write or mutate of a guarded
+  attribute with no lock held is a finding (writers race; readers see
+  torn or stale state, e.g. a multi-field snapshot);
 * **module-global discipline** — the same rule for module globals
   guarded by a module-level lock (the ``repro.faults.runtime``
   pattern);
 * **lock-order cycles** — acquiring lock B while holding lock A adds
   the edge A→B (directly nested ``with`` blocks, or calls made while
   holding A into functions that may acquire B, propagated to a
-  fixpoint over the call graph); any cycle in that graph is a deadlock
-  candidate and an ERROR.
-
-Worker entry points are functions reachable as
-``threading.Thread(target=...)`` plus functions under ``exec/`` whose
-name contains ``worker``.
+  fixpoint over the call graph, ``threading.Thread(target=...)``
+  edges included); any cycle in that graph is a deadlock candidate.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 from repro.analysis.base import ProjectPass
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.project import (
     AttrAccess,
     ClassInfo,
@@ -50,7 +44,6 @@ class LockDisciplinePass(ProjectPass):
         "attributes guarded by a class (or module) lock must be accessed "
         "holding it, and lock acquisition order must be cycle-free"
     )
-    severity = Severity.ERROR
     scope = (
         "exec/",
         "obs/",
@@ -63,23 +56,17 @@ class LockDisciplinePass(ProjectPass):
     def check_project(self, project: ProjectContext) -> Sequence[Finding]:  # type: ignore[override]
         assert isinstance(project, ProjectContext)
         findings: List[Finding] = []
-        reachable = worker_reachable(project)
         for info in project.modules.values():
             if not self.in_scope(info.path):
                 continue
             for cls in info.classes.values():
-                findings.extend(self._check_class(info, cls, reachable))
-            findings.extend(self._check_module_globals(info, reachable))
+                findings.extend(self._check_class(info, cls))
+            findings.extend(self._check_module_globals(info))
         findings.extend(self._check_lock_order(project))
         return findings
 
     # -- guard-set consistency -------------------------------------------
-    def _check_class(
-        self,
-        info: ModuleInfo,
-        cls: ClassInfo,
-        reachable: FrozenSet[str],
-    ) -> Iterator[Finding]:
+    def _check_class(self, info: ModuleInfo, cls: ClassInfo) -> Iterator[Finding]:
         if not cls.lock_attrs:
             return
         accesses = list(cls.accesses())
@@ -89,11 +76,9 @@ class LockDisciplinePass(ProjectPass):
         for access in accesses:
             if access.attr not in guard_set or access.in_init or access.locks:
                 continue
-            yield from self._flag(info, cls.name, access, reachable)
+            yield self._flag(info, cls.name, access)
 
-    def _check_module_globals(
-        self, info: ModuleInfo, reachable: FrozenSet[str]
-    ) -> Iterator[Finding]:
+    def _check_module_globals(self, info: ModuleInfo) -> Iterator[Finding]:
         if not info.global_locks:
             return
         accesses = [a for fn in info.functions.values() for a in fn.accesses]
@@ -101,32 +86,17 @@ class LockDisciplinePass(ProjectPass):
         for access in accesses:
             if access.attr not in guard_set or access.locks:
                 continue
-            yield from self._flag(info, "<module>", access, reachable)
+            yield self._flag(info, "<module>", access)
 
-    def _flag(
-        self,
-        info: ModuleInfo,
-        owner: str,
-        access: AttrAccess,
-        reachable: FrozenSet[str],
-    ) -> Iterator[Finding]:
-        worker_path = access.function in reachable
-        if access.kind == "read" and not worker_path:
-            severity = Severity.WARNING
+    def _flag(self, info: ModuleInfo, owner: str, access: AttrAccess) -> Finding:
+        if access.kind == "read":
             detail = "a concurrent writer can interleave (torn/stale read)"
-        elif access.kind == "read":
-            severity = Severity.ERROR
-            detail = (
-                "this function is reachable from a repro.exec worker "
-                "entry point"
-            )
         else:
-            severity = Severity.ERROR
             detail = "concurrent writers race on it"
         attr = (
             f"self.{access.attr}" if owner != "<module>" else access.attr
         )
-        yield self.finding_at(
+        return self.finding_at(
             path=info.path,
             line=access.lineno,
             column=access.col + 1,
@@ -136,7 +106,6 @@ class LockDisciplinePass(ProjectPass):
                 f"no lock — {detail}"
             ),
             context=info.ctx.line_text(access.lineno),
-            severity=severity,
         )
 
     # -- lock-order cycles -------------------------------------------------
@@ -182,7 +151,6 @@ class LockDisciplinePass(ProjectPass):
                     f"{chain}; pick one global order for these locks"
                 ),
                 context=info.ctx.line_text(line) if info else "",
-                severity=Severity.ERROR,
             )
 
 
@@ -207,34 +175,21 @@ def _fn_path(project: ProjectContext, fn: FunctionInfo) -> str:
     return info.path if info is not None else ""
 
 
-def worker_reachable(project: ProjectContext) -> FrozenSet[str]:
-    """Functions reachable from repro.exec worker entry points."""
-    entries: List[str] = []
-    for fn in project.functions.values():
-        if fn.is_thread_target:
-            entries.append(fn.qualname)
-            continue
-        info = project.modules.get(fn.module)
-        if (
-            info is not None
-            and "exec/" in info.path
-            and "worker" in fn.name.lower()
-        ):
-            entries.append(fn.qualname)
-    return project.reachable_from(entries)
-
-
 def _may_acquire(project: ProjectContext) -> Dict[str, FrozenSet[str]]:
-    """Fixpoint: locks each function may acquire, directly or via calls."""
+    """Fixpoint: locks each function may acquire, directly or via calls.
+
+    A caller defined before its callee learns the callee's locks one
+    round later, so a deep call chain needs as many rounds as it has
+    levels.  The sets only grow, over a finite set of locks, so
+    iterating until nothing changes terminates.
+    """
     direct: Dict[str, Set[str]] = {}
     for qualname, fn in project.functions.items():
         direct[qualname] = {acquire.lock for acquire in fn.acquires}
     result: Dict[str, Set[str]] = {q: set(locks) for q, locks in direct.items()}
     changed = True
-    iterations = 0
-    while changed and iterations < 50:
+    while changed:
         changed = False
-        iterations += 1
         for qualname, fn in project.functions.items():
             current = result[qualname]
             before = len(current)

@@ -157,7 +157,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     accesses: List[AttrAccess] = field(default_factory=list)
     acquires: List[LockAcquire] = field(default_factory=list)
-    is_thread_target: bool = False
 
 
 @dataclass
@@ -208,7 +207,6 @@ class ProjectContext:
             info.path: info for info in modules.values()
         }
         self.functions: Dict[str, FunctionInfo] = {}
-        self._closure_cache: Dict[str, FrozenSet[str]] = {}
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -287,42 +285,6 @@ class ProjectContext:
                 parts = parts[1:]
             return sub.classes.get(parts[-1]) if len(parts) == 1 else None
         return target_module.classes.get(name)
-
-    # -- call-graph queries ---------------------------------------------
-    def callees(self, qualname: str) -> FrozenSet[str]:
-        fn = self.functions.get(qualname)
-        if fn is None:
-            return frozenset()
-        out: Set[str] = set()
-        for call in fn.calls:
-            out.update(call.targets)
-        return frozenset(out)
-
-    def transitive_callees(self, qualname: str) -> FrozenSet[str]:
-        """Every function reachable from ``qualname`` (excl. itself)."""
-        cached = self._closure_cache.get(qualname)
-        if cached is not None:
-            return cached
-        seen: Set[str] = set()
-        stack = list(self.callees(qualname))
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self.callees(current))
-        result = frozenset(seen)
-        self._closure_cache[qualname] = result
-        return result
-
-    def reachable_from(self, entry_points: Sequence[str]) -> FrozenSet[str]:
-        """Entry points plus everything they transitively call."""
-        out: Set[str] = set()
-        for entry in entry_points:
-            if entry in self.functions:
-                out.add(entry)
-                out.update(self.transitive_callees(entry))
-        return frozenset(out)
 
 
 def module_name_for(posix_path: str, roots: Sequence[str] = ()) -> str:
@@ -667,7 +629,6 @@ class _FunctionWalker(ast.NodeVisitor):
                 continue
             target_fn = self._function_reference(kw.value)
             if target_fn is not None:
-                target_fn.is_thread_target = True
                 self.fn.calls.append(
                     CallSite(
                         targets=(target_fn.qualname,),

@@ -3,7 +3,7 @@
 Orchestration has three layers:
 
 * **discovery** — walk the given paths for ``.py`` files, pruning
-  cache/VCS directories and any ``--exclude`` globs;
+  cache/VCS directories;
 * **per-module passes** — parse each file once into a
   :class:`~repro.analysis.base.ModuleContext` and run the classic
   single-file passes;
@@ -15,14 +15,13 @@ Orchestration has three layers:
 from __future__ import annotations
 
 import ast
-import fnmatch
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
 from repro.analysis.base import AnalysisPass, ModuleContext, ProjectPass
 from repro.analysis.baseline import Baseline, BaselineEntry
-from repro.analysis.finding import Finding, Severity
+from repro.analysis.finding import Finding
 from repro.analysis.passes import ALL_PASSES
 from repro.analysis.project import ProjectContext
 
@@ -39,6 +38,7 @@ _SKIP_DIRS = {
     "node_modules",
 }
 
+
 @dataclass
 class AnalysisReport:
     """Everything one analysis run produced."""
@@ -51,74 +51,32 @@ class AnalysisReport:
     def unbaselined(self) -> List[Finding]:
         return [f for f in self.findings if not f.baselined]
 
-    @property
-    def errors(self) -> List[Finding]:
-        return [f for f in self.unbaselined if f.severity is Severity.ERROR]
-
-    @property
-    def warnings(self) -> List[Finding]:
-        return [f for f in self.unbaselined if f.severity is Severity.WARNING]
-
-    @property
-    def ok(self) -> bool:
-        """True when the run should exit 0."""
-        return not self.unbaselined and not self.unused_baseline_entries
-
 
 def _posix(path: str) -> str:
     return path.replace(os.sep, "/")
 
 
-def _excluded(posix_path: str, patterns: Sequence[str]) -> bool:
-    """True if a path (or its basename) matches an exclude glob."""
-    name = posix_path.rsplit("/", 1)[-1]
-    for pattern in patterns:
-        if (
-            fnmatch.fnmatch(posix_path, pattern)
-            or fnmatch.fnmatch(name, pattern)
-            or fnmatch.fnmatch(posix_path, f"*/{pattern}")
-        ):
-            return True
-    return False
-
-
-def iter_python_files(
-    paths: Sequence[str], exclude: Sequence[str] = ()
-) -> Iterator[str]:
-    """Yield .py files under the given files/directories, sorted.
-
-    ``exclude`` globs match the full posix path, the basename, or any
-    path suffix (``--exclude 'fixtures/*'`` prunes every fixtures
-    directory).
-    """
+def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
+    """Yield .py files under the given files/directories, sorted."""
     for path in paths:
         if os.path.isfile(path):
-            if path.endswith(".py") and not _excluded(_posix(path), exclude):
+            if path.endswith(".py"):
                 yield path
             continue
         if not os.path.isdir(path):
             raise FileNotFoundError(f"no such file or directory: {path}")
         for root, dirs, files in os.walk(path):
             dirs[:] = sorted(
-                d
-                for d in dirs
-                if d not in _SKIP_DIRS
-                and not d.startswith(".")
-                and not _excluded(_posix(os.path.join(root, d)), exclude)
+                d for d in dirs if d not in _SKIP_DIRS and not d.startswith(".")
             )
             for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                full = os.path.join(root, name)
-                if _excluded(_posix(full), exclude):
-                    continue
-                yield full
+                if name.endswith(".py"):
+                    yield os.path.join(root, name)
 
 
 def _syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
     return Finding(
         rule="syntax-error",
-        severity=Severity.ERROR,
         path=path,
         line=exc.lineno or 1,
         column=(exc.offset or 0) + 1,
@@ -169,11 +127,10 @@ def analyze_paths(
     paths: Sequence[str],
     passes: Optional[Sequence[AnalysisPass]] = None,
     baseline: Optional[Baseline] = None,
-    exclude: Sequence[str] = (),
 ) -> AnalysisReport:
     """Analyze files/trees, apply the baseline, and build a report."""
     active = list(ALL_PASSES) if passes is None else list(passes)
-    files = [_posix(f) for f in iter_python_files(paths, exclude)]
+    files = [_posix(f) for f in iter_python_files(paths)]
     roots = sorted(
         (_posix(p).rstrip("/") for p in paths if os.path.isdir(p)),
         key=len,

@@ -4,8 +4,8 @@ Observability spans are timed against *simulated* seconds, never the
 wall clock: the cost model prices a phase and advances a
 :class:`SimClock` by exactly that many virtual seconds, so traces are
 bit-identical across runs (the same discipline the discrete-event
-simulator enforces with its ``(time, seq)`` event ordering — see the
-determinism pass in :mod:`repro.analysis`).
+simulator enforces with its ``(time, seq)`` event ordering; the plan
+goldens and ``baselines/`` pin every priced number bit for bit).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Seeded lock-order cycle: ``forward`` acquires LOCK_A then LOCK_B,
 ``backward`` acquires LOCK_B then LOCK_A.  Expected findings
-(lock-discipline): exactly one lock-acquisition-order cycle ERROR.
+(lock-discipline): exactly one lock-acquisition-order cycle.
 """
 
 import threading

@@ -2,11 +2,10 @@
 (``items``/``closed`` are written under ``self.lock``) accessed
 lock-free elsewhere.  Expected findings (lock-discipline):
 
-1. ``drain_unsafe`` reads ``self.items`` without the lock (WARNING —
-   not worker-reachable);
-2. ``drain_unsafe`` writes ``self.items`` without the lock (ERROR);
-3. ``is_closed_unsafe`` reads ``self.closed`` without the lock, and it
-   is reachable from ``worker_main`` — a worker entry point (ERROR).
+1. ``drain_unsafe`` reads ``self.items`` without the lock;
+2. ``drain_unsafe`` writes ``self.items`` without the lock;
+3. ``is_closed_unsafe`` reads ``self.closed`` without the lock (the
+   worker loop ``worker_main`` polls it).
 """
 
 import threading

@@ -1,12 +1,16 @@
 """Tier-1 gate: the shipped source tree passes its own static analysis.
 
-This is the enforcement point for the paper-derived invariants: raw
-bandwidth/size literals, unseeded randomness, per-tuple Python loops in
-join inner paths, and unpriced shared-table writes may not re-enter
-``src/`` without either a fix or a justified baseline entry.
+This is the one place the analyzer runs: operator code may not price
+phases, build plans or drive the simulator behind the plan executor's
+back (``executor-boundary``), and lock-guarded state may not be touched
+lock-free or locked in a cycle (``lock-discipline``) without either a
+fix or a justified baseline entry.  One module-scoped scan of ``src/``
+serves every test here.
 """
 
 import os
+
+import pytest
 
 from repro.analysis import Baseline, analyze_paths
 
@@ -16,9 +20,14 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "analysis-baseline.json")
 SRC = os.path.join(REPO_ROOT, "src")
 
 
-def test_src_tree_has_no_unbaselined_findings():
+@pytest.fixture(scope="module")
+def scan():
     baseline = Baseline.load(BASELINE_PATH)
-    report = analyze_paths([SRC], baseline=baseline)
+    return baseline, analyze_paths([SRC], baseline=baseline)
+
+
+def test_src_tree_has_no_unbaselined_findings(scan):
+    _, report = scan
     assert report.files_scanned > 50, "scan should cover the whole src tree"
     offenders = [str(f) for f in report.unbaselined]
     assert offenders == [], "\n".join(
@@ -27,9 +36,8 @@ def test_src_tree_has_no_unbaselined_findings():
     )
 
 
-def test_baseline_has_no_stale_entries():
-    baseline = Baseline.load(BASELINE_PATH)
-    analyze_paths([SRC], baseline=baseline)
+def test_baseline_has_no_stale_entries(scan):
+    baseline, _ = scan
     stale = [f"{e.path} [{e.rule}] {e.context!r}" for e in baseline.unused_entries()]
     assert stale == [], "\n".join(
         ["analysis-baseline.json has entries matching nothing — delete:"]
