@@ -12,11 +12,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Tuple
 
 from repro.bench.common import FigureResult
 from repro.core.join.coop import CoopJoin
-from repro.core.join.nopa import NoPartitioningJoin
+from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import (
     workload_a,
@@ -72,16 +72,20 @@ def run_layout(scale: float = 2.0**-12) -> FigureResult:
     machine = ibm_ac922()
     for selectivity in (0.0, 0.1, 0.5, 1.0):
         workload = workload_selectivity(selectivity, scale=scale)
-        values: Dict[str, float] = {}
-        for layout in ("soa", "aos"):
-            join = NoPartitioningJoin(
-                machine, hash_table_placement="cpu", layout=layout
-            )
-            values[layout] = join.run(
-                workload.r, workload.s
-            ).throughput_gtuples
-        result.add(f"sel={selectivity}", **values)
+        result.add(f"sel={selectivity}", **_layouts(machine, workload))
     return result
+
+
+def _layouts(machine, workload) -> Dict[str, float]:
+    """One row: both layouts priced from one execution (the layout
+    changes what a probe costs, not what it finds)."""
+    r, s = workload.r, workload.s
+    execution = NoPartitioningJoin(machine).execute(r, s)
+    values: Dict[str, float] = {}
+    for layout in ("soa", "aos"):
+        join = NoPartitioningJoin(machine, hash_table_placement="cpu", layout=layout)
+        values[layout] = join.price(execution, r, s).throughput_gtuples
+    return values
 
 
 def run_hash_scheme(scale: float = 2.0**-12) -> FigureResult:
@@ -120,12 +124,7 @@ def run_hybrid_vs_spill(scale: float = 2.0**-13) -> FigureResult:
     machine = ibm_ac922()
     for millions in (1024, 1280, 1536, 2048, 3072, 4096):
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
-        hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid").run(
-            workload.r, workload.s
-        )
-        spill = NoPartitioningJoin(machine, hash_table_placement="cpu").run(
-            workload.r, workload.s
-        )
+        hybrid, spill = _hybrid_and_spill(machine, workload)
         result.add(
             f"{millions}M",
             hybrid=hybrid.throughput_gtuples,
@@ -133,3 +132,16 @@ def run_hybrid_vs_spill(scale: float = 2.0**-13) -> FigureResult:
             gpu_fraction=hybrid.placement.gpu_fraction(machine),
         )
     return result
+
+
+def _hybrid_and_spill(machine, workload) -> Tuple[JoinResult, JoinResult]:
+    """The hybrid and the CPU-spill table, priced from one execution."""
+    r, s = workload.r, workload.s
+    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
+    execution = hybrid.execute(r, s)
+    return (
+        hybrid.price(execution, r, s),
+        NoPartitioningJoin(machine, hash_table_placement="cpu").price(
+            execution, r, s
+        ),
+    )

@@ -34,24 +34,23 @@ SWEEP = (
 def _strategies(machine, workload) -> Dict[str, float]:
     """Throughput of every applicable strategy."""
     out: Dict[str, float] = {}
+    r, s = workload.r, workload.s
+    gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
+    execution = gpu.execute(r, s)
     try:
-        out["gpu"] = (
-            NoPartitioningJoin(machine, hash_table_placement="gpu")
-            .run(workload.r, workload.s)
-            .throughput_gtuples
-        )
+        out["gpu"] = gpu.price(execution, r, s).throughput_gtuples
     except OutOfMemoryError:
         pass
     out["gpu-hybrid"] = (
         NoPartitioningJoin(machine, hash_table_placement="hybrid")
-        .run(workload.r, workload.s)
+        .price(execution, r, s)
         .throughput_gtuples
     )
     for strategy in ("het", "gpu+het"):
         try:
             out[strategy] = (
                 CoopJoin(machine, strategy=strategy)
-                .run(workload.r, workload.s, workers=("cpu0", "gpu0"))
+                .run(r, s, workers=("cpu0", "gpu0"))
                 .throughput_gtuples
             )
         except OutOfMemoryError:

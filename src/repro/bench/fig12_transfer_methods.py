@@ -52,24 +52,32 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     )
     workload = workload_a(scale=scale)
     machines = {"nvlink2": ibm_ac922(), "pcie3": intel_xeon_v100()}
+    # Every method and link prices the same join of the same columns.
+    execution = NoPartitioningJoin(machines["nvlink2"]).execute(
+        workload.r, workload.s
+    )
     for method_name in METHOD_ORDER:
         method = TRANSFER_METHODS[method_name]
         values = {}
         for link_name, machine in machines.items():
-            throughput = _join_throughput(machine, method_name, method, workload)
+            throughput = _join_throughput(
+                machine, method_name, method, workload, execution
+            )
             if throughput is not None:
                 values[link_name] = throughput
         result.add(method_name, **values)
     return result
 
 
-def _join_throughput(machine, method_name, method, workload) -> Optional[float]:
+def _join_throughput(
+    machine, method_name, method, workload, execution
+) -> Optional[float]:
     r = workload.r.placed("cpu0-mem", kind=method.required_kind)
     s = workload.s.placed("cpu0-mem", kind=method.required_kind)
     join = NoPartitioningJoin(
         machine, hash_table_placement="gpu", transfer_method=method_name
     )
     try:
-        return join.run(r, s, processor="gpu0").throughput_gtuples
+        return join.price(execution, r, s, processor="gpu0").throughput_gtuples
     except UnsupportedTransferError:
         return None

@@ -8,6 +8,8 @@ remote GPU memory (3 hops).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.bench.common import FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
@@ -56,13 +58,22 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     )
     machine = ibm_ac922(gpus=2)
     for name, workload in _workloads(scale).items():
-        values = {}
-        for label, location in LOCATIONS.items():
-            r = workload.r.placed(location)
-            s = workload.s.placed(location)
-            join = NoPartitioningJoin(
-                machine, hash_table_placement="gpu", transfer_method="coherence"
-            )
-            values[label] = join.run(r, s, processor="gpu0").throughput_gtuples
-        result.add(name, **values)
+        result.add(name, **_by_location(machine, workload))
     return result
+
+
+def _by_location(machine, workload) -> Dict[str, float]:
+    """One row: every location priced from one execution (placed copies
+    share their columns)."""
+    execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+    values = {}
+    for label, location in LOCATIONS.items():
+        r = workload.r.placed(location)
+        s = workload.s.placed(location)
+        join = NoPartitioningJoin(
+            machine, hash_table_placement="gpu", transfer_method="coherence"
+        )
+        values[label] = join.price(
+            execution, r, s, processor="gpu0"
+        ).throughput_gtuples
+    return values

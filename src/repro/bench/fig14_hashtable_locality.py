@@ -7,6 +7,8 @@ memory, remote CPU memory, and remote GPU memory.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.bench.common import FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
@@ -44,15 +46,22 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "C": workload_c(scale=scale),
     }
     for name, workload in workloads.items():
-        values = {}
-        for label, region in PLACEMENTS.items():
-            join = NoPartitioningJoin(
-                machine,
-                hash_table_placement=region,
-                transfer_method="coherence",
-            )
-            values[label] = join.run(
-                workload.r, workload.s, processor="gpu0"
-            ).throughput_gtuples
-        result.add(name, **values)
+        result.add(name, **_by_placement(machine, workload))
     return result
+
+
+def _by_placement(machine, workload) -> Dict[str, float]:
+    """One row: every table placement priced from one execution."""
+    r, s = workload.r, workload.s
+    execution = NoPartitioningJoin(machine).execute(r, s)
+    values = {}
+    for label, region in PLACEMENTS.items():
+        join = NoPartitioningJoin(
+            machine,
+            hash_table_placement=region,
+            transfer_method="coherence",
+        )
+        values[label] = join.price(
+            execution, r, s, processor="gpu0"
+        ).throughput_gtuples
+    return values

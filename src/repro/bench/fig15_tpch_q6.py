@@ -7,6 +7,8 @@ from CPU memory (nothing cached in GPU memory).
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.bench.common import FigureResult
 from repro.core.ops.q6 import TpchQ6
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
@@ -54,13 +56,19 @@ def run(scale: float = 2.0**-10, scale_factors=SCALE_FACTORS) -> FigureResult:
     ]
     for sf in scale_factors:
         workload = lineitem_q6(scale_factor=sf, scale=scale)
-        values = {}
-        for series, machine, proc, variant, method in configs:
-            op = TpchQ6(machine, variant=variant, transfer_method=method)
-            # Allocate lineitem as the transfer method requires (Table 1).
-            wl = workload.placed(
-                workload.location, kind=get_method(method).required_kind
-            )
-            values[series] = op.run(wl, processor=proc).throughput_gtuples
-        result.add(f"SF{sf}", **values)
+        result.add(f"SF{sf}", **_series(ibm, workload, configs))
     return result
+
+
+def _series(ibm, workload, configs) -> Dict[str, float]:
+    """One row: every configuration priced from one execution."""
+    execution = TpchQ6(ibm).execute(workload)
+    values = {}
+    for series, machine, proc, variant, method in configs:
+        op = TpchQ6(machine, variant=variant, transfer_method=method)
+        # Allocate lineitem as the transfer method requires (Table 1).
+        wl = workload.placed(
+            workload.location, kind=get_method(method).required_kind
+        )
+        values[series] = op.price(execution, wl, processor=proc).throughput_gtuples
+    return values

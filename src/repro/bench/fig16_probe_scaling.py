@@ -8,9 +8,13 @@ GPU over NVLink 2.0.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Dict, List
+
 from repro.bench.common import FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
+from repro.data.relation import Relation
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_ratio
 
@@ -37,35 +41,72 @@ def run(scale: float = 2.0**-13, probe_millions=PROBE_MILLIONS) -> FigureResult:
     )
     ibm = ibm_ac922()
     intel = intel_xeon_v100()
+    # Rows of one |R|:|S| ratio join the same generated relations (the
+    # sub-1:1 rows price a shorter modeled S over them), so each ratio
+    # is generated and executed once.
+    by_ratio: Dict[int, List[int]] = {}
     for millions in probe_millions:
-        ratio = max(1, millions // BUILD_MILLIONS)
-        if millions >= BUILD_MILLIONS:
-            workload = workload_ratio(
-                ratio, scale=scale, modeled_r=BUILD_MILLIONS * 10**6
-            )
-        else:
-            # sub-1:1 points: shrink S below R by generating at ratio 1
-            # and truncating the modeled probe cardinality.
-            workload = workload_ratio(
-                1, scale=scale, modeled_r=BUILD_MILLIONS * 10**6
-            )
-            workload.s.modeled_tuples = millions * 10**6
-        values = {}
-        values["nvlink2"] = (
-            NoPartitioningJoin(ibm, hash_table_placement="gpu")
-            .run(workload.r, workload.s)
-            .throughput_gtuples
+        by_ratio.setdefault(max(1, millions // BUILD_MILLIONS), []).append(millions)
+    rows: Dict[int, Dict[str, float]] = {}
+    for ratio, group in by_ratio.items():
+        workload = workload_ratio(
+            ratio, scale=scale, modeled_r=BUILD_MILLIONS * 10**6
         )
-        pinned = workload.placed_for("zero_copy")
-        values["pcie3"] = (
-            NoPartitioningJoin(
+        nopa = _nopa_rows(ibm, intel, workload, group)
+        radix = _radix_rows(ibm, workload, group)
+        for millions in group:
+            rows[millions] = {**nopa[millions], "cpu-pra": radix[millions]}
+    for millions in probe_millions:
+        result.add(f"{millions}M", **rows[millions])
+    return result
+
+
+def _nopa_rows(ibm, intel, workload, probe_millions) -> Dict[int, Dict[str, float]]:
+    """The NOPA series of one generated workload's rows, priced from one
+    execution."""
+    execution = NoPartitioningJoin(ibm).execute(workload.r, workload.s)
+    rows = {}
+    for millions in probe_millions:
+        wl = _probing(workload, millions)
+        pinned = wl.placed_for("zero_copy")
+        rows[millions] = {
+            "nvlink2": NoPartitioningJoin(ibm, hash_table_placement="gpu")
+            .price(execution, wl.r, wl.s)
+            .throughput_gtuples,
+            "pcie3": NoPartitioningJoin(
                 intel, hash_table_placement="gpu", transfer_method="zero_copy"
             )
-            .run(pinned.r, pinned.s)
-            .throughput_gtuples
-        )
-        values["cpu-pra"] = (
-            RadixJoin(ibm).run(workload.r, workload.s).throughput_gtuples
-        )
-        result.add(f"{millions}M", **values)
-    return result
+            .price(execution, pinned.r, pinned.s)
+            .throughput_gtuples,
+        }
+    return rows
+
+
+def _radix_rows(ibm, workload, probe_millions) -> Dict[int, float]:
+    """The CPU baseline of one generated workload's rows, priced from
+    one execution."""
+    radix = RadixJoin(ibm)
+    execution = radix.execute(workload.r, workload.s)
+    rows = {}
+    for millions in probe_millions:
+        wl = _probing(workload, millions)
+        rows[millions] = radix.price(execution, wl.r, wl.s).throughput_gtuples
+    return rows
+
+
+def _probing(workload, millions: int):
+    """``workload`` with S's modeled cardinality cut to ``millions``
+    million tuples when that is below R's (the columns stay shared)."""
+    if millions >= BUILD_MILLIONS:
+        return workload
+    s = workload.s
+    columns = s.columns()
+    truncated = Relation(
+        s.name,
+        columns["key"],
+        columns["payload"],
+        millions * 10**6,
+        s.location,
+        s.kind,
+    )
+    return replace(workload, s=truncated)

@@ -10,6 +10,8 @@ hybrid hash table.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.bench.common import FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
@@ -43,21 +45,27 @@ def run(scale: float = 2.0**-13, tuple_millions=TUPLE_MILLIONS) -> FigureResult:
     intel = intel_xeon_v100()
     for millions in tuple_millions:
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
-        r, s = workload.r, workload.s
-        values = {}
-        values["nvlink2"] = _gpu_or_spill(ibm, r, s, "coherence")
-        values["pcie3"] = _gpu_or_spill(intel, r, s, "zero_copy")
-        values["nvlink2-hybrid"] = (
-            NoPartitioningJoin(ibm, hash_table_placement="hybrid")
-            .run(r, s)
-            .throughput_gtuples
+        values = _nopa_series(ibm, intel, workload)
+        values["cpu-pra"] = (
+            RadixJoin(ibm).run(workload.r, workload.s).throughput_gtuples
         )
-        values["cpu-pra"] = RadixJoin(ibm).run(r, s).throughput_gtuples
         result.add(f"{millions}M", **values)
     return result
 
 
-def _gpu_or_spill(machine, r, s, method) -> float:
+def _nopa_series(ibm, intel, workload) -> Dict[str, float]:
+    """One row's NOPA series, priced from one execution."""
+    r, s = workload.r, workload.s
+    hybrid = NoPartitioningJoin(ibm, hash_table_placement="hybrid")
+    execution = hybrid.execute(r, s)
+    return {
+        "nvlink2": _gpu_or_spill(ibm, execution, r, s, "coherence"),
+        "pcie3": _gpu_or_spill(intel, execution, r, s, "zero_copy"),
+        "nvlink2-hybrid": hybrid.price(execution, r, s).throughput_gtuples,
+    }
+
+
+def _gpu_or_spill(machine, execution, r, s, method) -> float:
     """GPU placement while it fits, whole-table CPU spill afterwards.
 
     This is the non-hybrid behaviour the paper plots as "NVLink 2.0" /
@@ -70,9 +78,9 @@ def _gpu_or_spill(machine, r, s, method) -> float:
         join = NoPartitioningJoin(
             machine, hash_table_placement="gpu", transfer_method=method
         )
-        return join.run(r, s).throughput_gtuples
+        return join.price(execution, r, s).throughput_gtuples
     except OutOfMemoryError:
         join = NoPartitioningJoin(
             machine, hash_table_placement="cpu", transfer_method=method
         )
-        return join.run(r, s).throughput_gtuples
+        return join.price(execution, r, s).throughput_gtuples

@@ -54,32 +54,37 @@ def run(
     intel = intel_xeon_v100()
     for exponent in exponents:
         workload = workload_skewed(exponent, scale=scale)
-        hot = workload.hot_set_profile()
-        values = {}
-        values["cpu"] = (
-            NoPartitioningJoin(ibm, hash_table_placement="cpu")
-            .run(workload.r, workload.s, processor="cpu0", hot_set=hot)
+        result.add(f"zipf={exponent}", **_series(ibm, intel, workload, gpu_split))
+    return result
+
+
+def _series(ibm, intel, workload, gpu_split: float) -> Dict[str, float]:
+    """One row: every series priced from one execution."""
+    hot = workload.hot_set_profile()
+    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
+    execution = cpu.execute(workload.r, workload.s)
+    values = {}
+    values["cpu"] = cpu.price(
+        execution, workload.r, workload.s, processor="cpu0", hot_set=hot
+    ).throughput_gtuples
+    for series, machine, method in (
+        ("nvlink2", ibm, "coherence"),
+        ("pcie3", intel, "zero_copy"),
+    ):
+        wl = workload.placed_for(method)
+        values[series] = (
+            NoPartitioningJoin(machine, transfer_method=method)
+            .price(
+                execution,
+                wl.r,
+                wl.s,
+                processor="gpu0",
+                hot_set=hot,
+                placement_fractions=_fractions(machine, gpu_split),
+            )
             .throughput_gtuples
         )
-        for series, machine, method in (
-            ("nvlink2", ibm, "coherence"),
-            ("pcie3", intel, "zero_copy"),
-        ):
-            fractions = _fractions(machine, gpu_split)
-            wl = workload.placed_for(method)
-            values[series] = (
-                NoPartitioningJoin(machine, transfer_method=method)
-                .run(
-                    wl.r,
-                    wl.s,
-                    processor="gpu0",
-                    hot_set=hot,
-                    placement_fractions=fractions,
-                )
-                .throughput_gtuples
-            )
-        result.add(f"zipf={exponent}", **values)
-    return result
+    return values
 
 
 def run_splits(
@@ -97,8 +102,10 @@ def run_splits(
     ibm = ibm_ac922()
     workload = workload_skewed(exponent, scale=scale)
     hot = workload.hot_set_profile()
+    execution = NoPartitioningJoin(ibm).execute(workload.r, workload.s)
     for split in splits:
-        res = NoPartitioningJoin(ibm).run(
+        res = NoPartitioningJoin(ibm).price(
+            execution,
             workload.r,
             workload.s,
             processor="gpu0",

@@ -10,7 +10,7 @@ loaded" effect, which the functional layer measures exactly.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Dict, Iterable
 
 from repro.bench.common import FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
@@ -45,38 +45,42 @@ def run(
     intel = intel_xeon_v100()
     for selectivity in selectivities:
         workload = workload_selectivity(selectivity, scale=scale)
-        values = {}
-        values["cpu"] = (
-            NoPartitioningJoin(ibm, hash_table_placement="cpu")
-            .run(workload.r, workload.s, processor="cpu0")
-            .throughput_gtuples
-        )
-        nv_gpu = NoPartitioningJoin(
-            ibm, hash_table_placement="gpu", transfer_method="coherence"
-        ).run(workload.r, workload.s)
-        values["nvlink2-gpu-ht"] = nv_gpu.throughput_gtuples
-        values["value_lines_loaded_pct"] = 100.0 * nv_gpu.payload_lines_loaded
-        values["nvlink2-cpu-ht"] = (
-            NoPartitioningJoin(
-                ibm, hash_table_placement="cpu", transfer_method="coherence"
-            )
-            .run(workload.r, workload.s)
-            .throughput_gtuples
-        )
-        pinned = workload.placed_for("zero_copy")
-        values["pcie3-gpu-ht"] = (
-            NoPartitioningJoin(
-                intel, hash_table_placement="gpu", transfer_method="zero_copy"
-            )
-            .run(pinned.r, pinned.s)
-            .throughput_gtuples
-        )
-        values["pcie3-cpu-ht"] = (
-            NoPartitioningJoin(
-                intel, hash_table_placement="cpu", transfer_method="zero_copy"
-            )
-            .run(pinned.r, pinned.s)
-            .throughput_gtuples
-        )
-        result.add(f"sel={selectivity}", **values)
+        result.add(f"sel={selectivity}", **_series(ibm, intel, workload))
     return result
+
+
+def _series(ibm, intel, workload) -> Dict[str, float]:
+    """One row: every series priced from one execution."""
+    r, s = workload.r, workload.s
+    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
+    execution = cpu.execute(r, s)
+    values = {}
+    values["cpu"] = cpu.price(execution, r, s, processor="cpu0").throughput_gtuples
+    nv_gpu = NoPartitioningJoin(
+        ibm, hash_table_placement="gpu", transfer_method="coherence"
+    ).price(execution, r, s)
+    values["nvlink2-gpu-ht"] = nv_gpu.throughput_gtuples
+    values["value_lines_loaded_pct"] = 100.0 * nv_gpu.payload_lines_loaded
+    values["nvlink2-cpu-ht"] = (
+        NoPartitioningJoin(
+            ibm, hash_table_placement="cpu", transfer_method="coherence"
+        )
+        .price(execution, r, s)
+        .throughput_gtuples
+    )
+    pinned = workload.placed_for("zero_copy")
+    values["pcie3-gpu-ht"] = (
+        NoPartitioningJoin(
+            intel, hash_table_placement="gpu", transfer_method="zero_copy"
+        )
+        .price(execution, pinned.r, pinned.s)
+        .throughput_gtuples
+    )
+    values["pcie3-cpu-ht"] = (
+        NoPartitioningJoin(
+            intel, hash_table_placement="cpu", transfer_method="zero_copy"
+        )
+        .price(execution, pinned.r, pinned.s)
+        .throughput_gtuples
+    )
+    return values

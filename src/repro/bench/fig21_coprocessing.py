@@ -8,9 +8,11 @@ build and probe phases of workload C.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.bench.common import FigureResult
 from repro.core.join.coop import CoopJoin
-from repro.core.join.nopa import NoPartitioningJoin
+from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a, workload_b, workload_c
 
@@ -47,18 +49,14 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "C": workload_c(scale=scale),
     }
     for name, workload in workloads.items():
-        values = {}
-        values["cpu"] = (
-            NoPartitioningJoin(machine, hash_table_placement="cpu")
-            .run(workload.r, workload.s, processor="cpu0")
-            .throughput_gtuples
-        )
+        cpu, gpu = _cpu_and_gpu_only(machine, workload)
+        values = {"cpu": cpu.throughput_gtuples}
         for strategy in ("het", "gpu+het"):
             coop = CoopJoin(machine, strategy=strategy)
             values[strategy] = coop.run(
                 workload.r, workload.s, workers=("cpu0", "gpu0")
             ).throughput_gtuples
-        values["gpu"] = _gpu_only(machine, workload)
+        values["gpu"] = gpu.throughput_gtuples
         result.add(name, **values)
     return result
 
@@ -78,25 +76,25 @@ def run_phases(scale: float = 2.0**-12) -> FigureResult:
     )
     machine = ibm_ac922()
     workload = workload_c(scale=scale)
-    cpu = NoPartitioningJoin(machine, hash_table_placement="cpu").run(
-        workload.r, workload.s, processor="cpu0"
-    )
+    cpu, gpu = _cpu_and_gpu_only(machine, workload)
     result.add("cpu", build=cpu.build_cost.seconds, probe=cpu.probe_cost.seconds)
     for strategy in ("het", "gpu+het"):
         res = CoopJoin(machine, strategy=strategy).run(
             workload.r, workload.s, workers=("cpu0", "gpu0")
         )
         result.add(strategy, build=res.build_seconds, probe=res.probe_seconds)
-    gpu = NoPartitioningJoin(machine, hash_table_placement="gpu").run(
-        workload.r, workload.s
-    )
     result.add("gpu", build=gpu.build_cost.seconds, probe=gpu.probe_cost.seconds)
     return result
 
 
-def _gpu_only(machine, workload) -> float:
+def _cpu_and_gpu_only(machine, workload) -> Tuple[JoinResult, JoinResult]:
+    """The CPU-only and GPU-only NOPA joins, priced from one execution."""
+    r, s = workload.r, workload.s
+    cpu = NoPartitioningJoin(machine, hash_table_placement="cpu")
+    execution = cpu.execute(r, s)
     return (
-        NoPartitioningJoin(machine, hash_table_placement="gpu")
-        .run(workload.r, workload.s)
-        .throughput_gtuples
+        cpu.price(execution, r, s, processor="cpu0"),
+        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
+            execution, r, s
+        ),
     )

@@ -53,17 +53,7 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     # Large table (24 GiB): exceeds one GPU; interleaving over two GPUs
     # keeps it in GPU memory where the single GPU must spill.
     big = workload_ratio(1, scale=2.0**-13, modeled_r=2048 * 10**6)
-    values = {}
-    try:
-        NoPartitioningJoin(machine, hash_table_placement="gpu").run(big.r, big.s)
-        raise AssertionError("32 GiB table unexpectedly fit one GPU")
-    except OutOfMemoryError:
-        pass
-    values["one-gpu"] = (
-        NoPartitioningJoin(machine, hash_table_placement="hybrid")
-        .run(big.r, big.s)
-        .throughput_gtuples
-    )
+    values = {"one-gpu": _one_gpu_spill(machine, big)}
     values["interleaved"] = (
         MultiGpuJoin(machine, placement="interleaved")
         .run(big.r, big.s, workers=("gpu0", "gpu1"))
@@ -84,3 +74,19 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         )
     result.add("C 2048M scaling", **values)
     return result
+
+
+def _one_gpu_spill(machine, workload) -> float:
+    """The single GPU's throughput on a table it cannot hold: the GPU
+    placement runs out of memory, so the hybrid table spills."""
+    r, s = workload.r, workload.s
+    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
+    execution = hybrid.execute(r, s)
+    try:
+        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
+            execution, r, s
+        )
+        raise AssertionError("32 GiB table unexpectedly fit one GPU")
+    except OutOfMemoryError:
+        pass
+    return hybrid.price(execution, r, s).throughput_gtuples

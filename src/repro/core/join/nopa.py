@@ -13,6 +13,10 @@ cost model with the configured transfer method and hash-table placement:
 * placement ``cpu``  — build-side scalable, spilled table (Figure 7a),
 * placement ``hybrid`` — the hybrid hash table (Figures 7b and 8),
 * any region name — the locality experiments (Figures 13 and 14).
+
+``run`` is :meth:`~NoPartitioningJoin.execute` then
+:meth:`~NoPartitioningJoin.price`; a sweep that prices one input under
+many configurations executes it once and prices each.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
 from repro.core.ops.selection import line_fraction
-from repro.data.relation import Relation
+from repro.data.relation import Column, Relation, check_same_columns
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
@@ -71,6 +75,41 @@ def join_query(r: Relation, s: Relation) -> Query:
         .join(scan(r), build_key="key", probe_key="key")
         .aggregate(agg=("build_payload", "sum"))
     )
+
+
+def join_columns(r: Relation, s: Relation) -> Dict[str, Column]:
+    """The columns a join of ``r`` and ``s`` reads, as the relations hold
+    them, keyed ``R.key`` .. ``S.payload``."""
+    return {
+        f"{side}.{name}": column
+        for side, relation in (("R", r), ("S", s))
+        for name, column in relation.columns().items()
+    }
+
+
+@dataclass(frozen=True)
+class JoinExecution:
+    """What one functional NOPA execution leaves for pricing.
+
+    It holds the built table, the probe's scalars and (for the
+    ``materialize`` output) its result rows, not the probe's row-sized
+    masks; one execution can be priced under any number of machines,
+    transfer methods and placements.  ``hash_scheme`` and
+    ``output`` are those of the facade that executed it, and ``columns``
+    the column objects it read; :meth:`NoPartitioningJoin.price` checks
+    all three.  ``resilience`` holds the execution's recovery events,
+    which every ``price`` copies into ``last_resilience``.
+    """
+
+    table: HashTableBase
+    matches: int
+    aggregate: int
+    payload_lines_loaded: float
+    materialized: Optional[Dict[str, np.ndarray]]
+    hash_scheme: str
+    output: str
+    columns: Dict[str, Column]
+    resilience: ResilienceLog
 
 
 @dataclass
@@ -209,7 +248,10 @@ class NoPartitioningJoin:
     # ------------------------------------------------------------------
     # Functional execution
     # ------------------------------------------------------------------
-    def _execute(self, r: Relation, s: Relation) -> tuple:
+    def execute(self, r: Relation, s: Relation) -> JoinExecution:
+        """Build the hash table from ``r`` and probe it with ``s`` on the
+        real columns.  Nothing here depends on the machine, placement or
+        transfer method, so one execution serves every :meth:`price`."""
         table = create_hash_table(
             self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
         )
@@ -235,7 +277,17 @@ class NoPartitioningJoin:
                 "s_payload": s.payload[found],
                 "r_payload": values[found],
             }
-        return table, matches, aggregate, lines, materialized
+        return JoinExecution(
+            table=table,
+            matches=matches,
+            aggregate=aggregate,
+            payload_lines_loaded=lines,
+            materialized=materialized,
+            hash_scheme=self.hash_scheme,
+            output=self.output,
+            columns=join_columns(r, s),
+            resilience=self.last_resilience,
+        )
 
     # ------------------------------------------------------------------
     # Placement and plan compilation
@@ -352,7 +404,7 @@ class NoPartitioningJoin:
             return placement
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
     def run(
         self,
@@ -362,15 +414,41 @@ class NoPartitioningJoin:
         hot_set: Optional[HotSetProfile] = None,
         placement_fractions: Optional[Dict[str, float]] = None,
     ) -> JoinResult:
-        """Execute the join functionally and price it on the machine.
+        """Execute the join functionally and price it on the machine."""
+        return self.price(
+            self.execute(r, s), r, s, processor, hot_set, placement_fractions
+        )
+
+    def price(
+        self,
+        execution: JoinExecution,
+        r: Relation,
+        s: Relation,
+        processor: str = "gpu0",
+        hot_set: Optional[HotSetProfile] = None,
+        placement_fractions: Optional[Dict[str, float]] = None,
+    ) -> JoinResult:
+        """Place, compile and price one execution of ``r`` ⋈ ``s``.
 
         ``placement_fractions`` overrides the placement strategy with an
         explicit region->fraction split (Figure 19 sweeps the hybrid
-        table's GPU/CPU ratio directly).
+        table's GPU/CPU ratio directly).  ``last_resilience`` becomes the
+        execution's recovery events plus any placement spill.
+
+        Raises:
+            ValueError: if ``execution`` was made with another hash
+                scheme or output mode, or from other columns than ``r``
+                and ``s`` hold.
         """
-        table, matches, aggregate, lines_loaded, materialized = self._execute(
-            r, s
-        )
+        for name in ("hash_scheme", "output"):
+            if getattr(execution, name) != getattr(self, name):
+                raise ValueError(
+                    f"the execution's {name} is {getattr(execution, name)!r}, "
+                    f"this join's is {getattr(self, name)!r}"
+                )
+        check_same_columns(execution.columns, join_columns(r, s))
+        self.last_resilience = execution.resilience.copy()
+        table = execution.table
         if placement_fractions is not None:
             unknown = [
                 name
@@ -392,19 +470,20 @@ class NoPartitioningJoin:
         else:
             placement = self._place_with_oom_policy(table, r, processor)
         plan = self.compile_plan(
-            r, s, processor, table, placement, lines_loaded, hot_set,
-            matches=matches,
+            r, s, processor, table, placement,
+            execution.payload_lines_loaded, hot_set,
+            matches=execution.matches,
         )
         executed = PlanExecutor(self.cost_model).execute(plan)
         return JoinResult(
-            matches=matches,
-            aggregate=aggregate,
+            matches=execution.matches,
+            aggregate=execution.aggregate,
             build_cost=executed.cost("build"),
             probe_cost=executed.cost("probe"),
             modeled_tuples=r.modeled_tuples + s.modeled_tuples,
             placement=placement,
-            payload_lines_loaded=lines_loaded,
+            payload_lines_loaded=execution.payload_lines_loaded,
             table_stats_probe_factor=table.stats.probe_factor,
             processor=processor,
-            materialized=materialized,
+            materialized=execution.materialized,
         )

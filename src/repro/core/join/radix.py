@@ -22,19 +22,32 @@ The cost model prices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
-from repro.core.join.nopa import join_query
-from repro.data.relation import Relation
+from repro.core.join.nopa import join_columns, join_query
+from repro.data.relation import Column, Relation, check_same_columns
 from repro.hardware.processor import Cpu
 from repro.hardware.topology import Machine
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.obs import Observability
 from repro.plan import Plan, PlanExecutor
+
+
+@dataclass(frozen=True)
+class RadixExecution:
+    """What one functional radix join leaves for pricing: the answer,
+    the executed partitions' skew, the executed fan-out and the column
+    objects read."""
+
+    matches: int
+    aggregate: int
+    skew: float
+    executed_radix_bits: int
+    columns: Dict[str, Column]
 
 
 @dataclass
@@ -113,7 +126,8 @@ class RadixJoin:
             rotated = (rotated << np.uint64(64 - bits)) | (rotated >> np.uint64(bits))
         return rotated
 
-    def _execute(self, r: Relation, s: Relation) -> Tuple[int, int, float]:
+    def execute(self, r: Relation, s: Relation) -> RadixExecution:
+        """Partition and join the real columns (no machine involved)."""
         bits = self.executed_radix_bits
         fanout = 1 << bits
         # One stable sort is the partition pass and the per-partition
@@ -138,7 +152,13 @@ class RadixJoin:
         sizes += np.bincount(s.key & (fanout - 1), minlength=fanout)
         avg = (r.executed_tuples + s.executed_tuples) / fanout
         skew = int(sizes.max()) / avg if avg else 0.0
-        return matches, aggregate, skew
+        return RadixExecution(
+            matches=matches,
+            aggregate=aggregate,
+            skew=skew,
+            executed_radix_bits=self.executed_radix_bits,
+            columns=join_columns(r, s),
+        )
 
     # ------------------------------------------------------------------
     def compile_plan(self, r: Relation, s: Relation, processor: str) -> Plan:
@@ -154,22 +174,44 @@ class RadixJoin:
 
     def run(self, r: Relation, s: Relation, processor: str = "cpu0") -> RadixJoinResult:
         """Partition, join, and price the baseline."""
+        return self.price(self.execute(r, s), r, s, processor)
+
+    def price(
+        self,
+        execution: RadixExecution,
+        r: Relation,
+        s: Relation,
+        processor: str = "cpu0",
+    ) -> RadixJoinResult:
+        """Price one execution of ``r`` ⋈ ``s`` on a CPU of the machine.
+
+        Raises:
+            ValueError: for a non-CPU processor, or an execution made at
+                another executed fan-out or from other columns than
+                ``r`` and ``s`` hold.
+        """
         proc = self.machine.processor(processor)
         if not isinstance(proc, Cpu):
             raise ValueError("the radix baseline runs on CPUs only")
-        matches, aggregate, skew = self._execute(r, s)
+        if execution.executed_radix_bits != self.executed_radix_bits:
+            raise ValueError(
+                f"the execution's executed_radix_bits is "
+                f"{execution.executed_radix_bits}, this join's is "
+                f"{self.executed_radix_bits}"
+            )
+        check_same_columns(execution.columns, join_columns(r, s))
         executed = PlanExecutor(self.cost_model).execute(
             self.compile_plan(r, s, processor)
         )
         partition_cost = executed.cost("partition")
         join_cost = executed.cost("join")
         return RadixJoinResult(
-            matches=matches,
-            aggregate=aggregate,
+            matches=execution.matches,
+            aggregate=execution.aggregate,
             partition_cost=partition_cost,
             join_cost=join_cost,
             modeled_tuples=r.modeled_tuples + s.modeled_tuples,
             partitions=1 << self.radix_bits,
-            max_partition_skew=skew,
+            max_partition_skew=execution.skew,
             processor=processor,
         )

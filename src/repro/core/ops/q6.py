@@ -15,13 +15,14 @@ Two kernel variants (Section 7.2.4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.ops.selection import selection_line_fractions
+from repro.data.relation import Column, check_same_columns
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
@@ -45,6 +46,19 @@ from repro.workloads.tpch import (
 )
 
 VARIANTS = ("branching", "predicated")
+
+
+@dataclass(frozen=True)
+class Q6Execution:
+    """What one functional Q6 execution leaves for pricing: the answer,
+    the branching cascade's line fractions (shipdate, discount,
+    quantity, extendedprice) and the column objects read — no row
+    masks."""
+
+    revenue: float
+    qualifying_rows: int
+    cascade_line_fractions: Tuple[float, ...]
+    columns: Dict[str, Column]
 
 
 @dataclass
@@ -126,7 +140,10 @@ class TpchQ6:
             lambda lo, hi: workload.quantity[lo:hi] < Q6_QUANTITY_LT,
         ]
 
-    def _execute(self, workload: Q6Workload):
+    def execute(self, workload: Q6Workload) -> Q6Execution:
+        """Evaluate the predicate cascade and the revenue on the real
+        columns.  Both variants compute the same answer, so one
+        execution prices either on any machine."""
         executor = make_executor(
             self.backend, self.workers, self.exec_morsel_tuples, name="q6"
         )
@@ -143,10 +160,17 @@ class TpchQ6:
                 * workload.discount.take(rows).astype(np.float64)
             ).sum()
         )
-        return revenue, len(rows), masks
+        return Q6Execution(
+            revenue=revenue,
+            qualifying_rows=len(rows),
+            cascade_line_fractions=tuple(
+                selection_line_fractions(masks, value_bytes=4)
+            ),
+            columns=workload.columns(),
+        )
 
     # ------------------------------------------------------------------
-    def _column_fractions(self, masks: List[np.ndarray]) -> List[float]:
+    def _column_fractions(self, execution: Q6Execution) -> List[float]:
         """Per-column line-load fractions for this variant.
 
         Column order: shipdate, discount, quantity, extendedprice.
@@ -154,7 +178,7 @@ class TpchQ6:
         """
         if self.variant == "predicated":
             return [1.0, 1.0, 1.0, 1.0]
-        fractions = selection_line_fractions(masks, value_bytes=4)
+        fractions = execution.cascade_line_fractions
         # fractions = [shipdate, discount-after-shipdate, quantity-after-
         # shipdate&discount, extendedprice-after-all]. Divergence and
         # prefetch still pull part of every skippable column.
@@ -216,16 +240,27 @@ class TpchQ6:
     # ------------------------------------------------------------------
     def run(self, workload: Q6Workload, processor: str = "gpu0") -> Q6Result:
         """Execute Q6 functionally and price it."""
-        revenue, qualifying, masks = self._execute(workload)
-        fractions = self._column_fractions(masks)
+        return self.price(self.execute(workload), workload, processor)
+
+    def price(
+        self, execution: Q6Execution, workload: Q6Workload, processor: str = "gpu0"
+    ) -> Q6Result:
+        """Price one execution of ``workload`` as this variant.
+
+        Raises:
+            ValueError: if ``execution`` read other columns than
+                ``workload`` holds.
+        """
+        check_same_columns(execution.columns, workload.columns())
+        fractions = self._column_fractions(execution)
         plan = self.compile_plan(workload, processor, fractions)
         executed_plan = PlanExecutor(self.cost_model).execute(plan)
         cost = executed_plan.cost("scan")
         executed = max(1, workload.executed_rows)
         return Q6Result(
-            revenue=revenue,
-            qualifying_rows=qualifying,
-            selectivity=qualifying / executed,
+            revenue=execution.revenue,
+            qualifying_rows=execution.qualifying_rows,
+            selectivity=execution.qualifying_rows / executed,
             cost=cost,
             modeled_rows=workload.modeled_rows,
             variant=self.variant,

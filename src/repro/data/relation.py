@@ -123,6 +123,24 @@ def read_column(column: Column) -> np.ndarray:
     return column
 
 
+def check_same_columns(
+    read: Mapping[str, Column], given: Mapping[str, Column]
+) -> None:
+    """Raise ``ValueError`` naming the first of the ``given`` columns that
+    is not the very column object an execution ``read``.
+
+    Placed copies hold their source's column objects, so an execution of
+    a relation prices any of its placements; a regenerated or sliced
+    relation holds new objects and does not.
+    """
+    for name, column in given.items():
+        if read.get(name) is not column:
+            raise ValueError(
+                f"the execution did not read the given column {name!r}; "
+                "execute the relations being priced"
+            )
+
+
 class Relation:
     """A two-column (key, payload) relation.
 

@@ -78,6 +78,13 @@ class ResilienceLog:
             self.events.append(event)
             return event
 
+    def copy(self) -> "ResilienceLog":
+        """A new log holding this log's events so far."""
+        log = ResilienceLog()
+        with self._lock:
+            log.events = list(self.events)
+        return log
+
     def counts(self) -> Dict[str, int]:
         """Recovery actions per kind (zero-filled for stable schemas)."""
         counts = {action: 0 for action in RESILIENCE_ACTIONS}

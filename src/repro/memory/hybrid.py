@@ -49,7 +49,7 @@ class HybridAllocation:
         return gpu_bytes / self.nbytes
 
     def bytes_per_region(self) -> Dict[str, int]:
-        """Mapped bytes per memory region.
+        """Reserved bytes per memory region (the pieces' sizes summed).
 
         Raises:
             RuntimeError: if the allocation has been freed — the address
@@ -60,7 +60,11 @@ class HybridAllocation:
                 f"hybrid allocation {self.label!r} has been freed; "
                 "its address space maps no bytes"
             )
-        return self.address_space.bytes_per_region()
+        totals: Dict[str, int] = {}
+        for piece in self.pieces:
+            name = piece.region.name
+            totals[name] = totals.get(name, 0) + piece.nbytes
+        return totals
 
     def free(self, allocator: Allocator) -> None:
         """Release every physical piece and invalidate the address space."""
@@ -158,33 +162,57 @@ def allocate_interleaved(
     Multi-GPU systems distribute large hash tables by interleaving pages
     over all GPUs, the same strategy NUMA systems use; GPUs tolerate the
     remote-access latency. Pages are dealt round-robin at ``page_bytes``
-    granularity.
+    granularity (the last page may be partial); the address space maps
+    every page, and each GPU's pages are reserved as one piece.
+
+    Raises:
+        OutOfMemoryError: when some GPU cannot hold its share; nothing
+            stays reserved.
     """
     if not gpu_names:
         raise ValueError("need at least one GPU to interleave over")
     if nbytes < 0:
         raise ValueError(f"allocation size must be non-negative: {nbytes}")
+    if page_bytes <= 0:
+        raise ValueError(f"page_bytes must be positive: {page_bytes}")
     machine = allocator.machine
     regions = [machine.processor(name).local_memory for name in gpu_names]
-    space = AddressSpace()
-    pieces: List[Allocation] = []
-    remaining = nbytes
-    index = 0
-    while remaining > 0:
-        region = regions[index % len(regions)]
-        amount = min(page_bytes, remaining)
-        if region.free_bytes < amount:
-            for piece in pieces:
-                allocator.free(piece)
+    count = len(regions)
+    pages, last_page = divmod(nbytes, page_bytes)
+    if last_page:
+        pages += 1
+    # Position i is dealt pages i, i + count, ...; the partial last page
+    # is short by page_bytes - last_page.
+    shares: Dict[str, int] = {}
+    for i, region in enumerate(regions):
+        share = (pages // count + (i < pages % count)) * page_bytes
+        if last_page and (pages - 1) % count == i:
+            share -= page_bytes - last_page
+        shares[region.name] = shares.get(region.name, 0) + share
+    for name, share in shares.items():
+        free = machine.memory(name).free_bytes
+        if free < share:
             raise OutOfMemoryError(
-                f"interleaved allocation: {region.name} is full with "
-                f"{remaining} bytes still to place"
+                f"interleaved allocation: {name} has {free} bytes free for "
+                f"its {share}-byte share of {nbytes} bytes"
             )
-        piece = allocator.alloc(region.name, amount, MemoryKind.DEVICE, label=label)
-        pieces.append(piece)
-        space.append(amount, region.name)
-        remaining -= amount
-        index += 1
+    pieces: List[Allocation] = []
+    try:
+        for name, share in shares.items():
+            if share:
+                pieces.append(
+                    allocator.alloc(name, share, MemoryKind.DEVICE, label=label)
+                )
+    except OutOfMemoryError:
+        for piece in pieces:
+            allocator.free(piece)
+        raise
+    space = AddressSpace()
+    for page in range(pages):
+        space.append(
+            min(page_bytes, nbytes - page * page_bytes),
+            regions[page % count].name,
+        )
     return HybridAllocation(
         nbytes=nbytes, address_space=space, pieces=pieces, label=label
     )

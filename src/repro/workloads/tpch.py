@@ -152,6 +152,10 @@ def lineitem_q6(
     """
     if scale_factor <= 0:
         raise ValueError(f"scale factor must be positive: {scale_factor}")
+    if shipdate_jitter_days < 0:
+        raise ValueError(
+            f"shipdate_jitter_days must be non-negative: {shipdate_jitter_days}"
+        )
     modeled_rows = int(ROWS_PER_SF * scale_factor)
     rows = executed_cardinality(modeled_rows, scale, MIN_EXECUTED_ROWS)
     columns = DeferredColumns(
@@ -180,21 +184,31 @@ def _lineitem_columns(
     ``rng`` calls (which fix the stream) leave a choice."""
     rng = np.random.default_rng(seed)
 
-    shipdate = rng.integers(0, SHIPDATE_DAYS, size=rows)
-    shipdate.sort()
+    # Bounded draws over ranges below 2**32 yield the same values and
+    # consume the same stream whether drawn as int32 or int64.
+    days = rng.integers(0, SHIPDATE_DAYS, size=rows, dtype=np.int32)
+    # Sorting by counting: the shipdates take only SHIPDATE_DAYS values.
+    shipdate = np.repeat(
+        np.arange(SHIPDATE_DAYS, dtype=np.int32),
+        np.bincount(days, minlength=SHIPDATE_DAYS),
+    )
     if shipdate_jitter_days > 0:
         shipdate += rng.integers(
-            -shipdate_jitter_days, shipdate_jitter_days + 1, size=rows
+            -shipdate_jitter_days,
+            shipdate_jitter_days + 1,
+            size=rows,
+            dtype=np.int32,
         )
         np.clip(shipdate, 0, SHIPDATE_DAYS - 1, out=shipdate)
 
-    discount = (rng.integers(0, 11, size=rows) / 100.0).astype(np.float32)
-    quantity = rng.integers(1, 51, size=rows).astype(np.int32)
+    discount_levels = (np.arange(11) / 100.0).astype(np.float32)
+    discount = discount_levels[rng.integers(0, 11, size=rows, dtype=np.int32)]
+    quantity = rng.integers(1, 51, size=rows, dtype=np.int32)
     extendedprice = rng.random(rows, dtype=np.float32)
     extendedprice *= 90000.0
     extendedprice += 900.0
     return {
-        "l_shipdate": shipdate.astype(np.int32),
+        "l_shipdate": shipdate,
         "l_discount": discount,
         "l_quantity": quantity,
         "l_extendedprice": extendedprice,

@@ -12,8 +12,14 @@ from repro.workloads.builders import workload_ratio, workload_selectivity
 SCALE = 2.0**-14
 
 
+def answer(join, r, s):
+    """``(matches, aggregate, skew)`` of one ``RadixJoin.execute``."""
+    execution = join.execute(r, s)
+    return execution.matches, execution.aggregate, execution.skew
+
+
 def reference_execute(r, s, bits):
-    """The per-partition kernel ``RadixJoin._execute`` replaced: a stable
+    """The per-partition kernel ``RadixJoin.execute`` replaced: a stable
     radix partition of both sides, then a stable sort and a searchsorted
     per partition pair.  Kept verbatim as the equivalence oracle."""
 
@@ -66,7 +72,7 @@ def random_relations(rng, dtype, n_r, n_s, key_range):
 
 
 class TestExecuteEquivalence:
-    """``_execute`` (one sort of rotated keys) equals the per-partition
+    """``execute`` (one sort of rotated keys) equals the per-partition
     loop it replaced, bit for bit, on every executed fan-out."""
 
     SHAPES = (
@@ -88,7 +94,7 @@ class TestExecuteEquivalence:
         join = RadixJoin(ibm, executed_radix_bits=bits)
         for n_r, n_s, key_range in self.SHAPES:
             r, s = random_relations(rng, dtype, n_r, n_s, key_range)
-            assert join._execute(r, s) == reference_execute(r, s, bits), (
+            assert answer(join, r, s) == reference_execute(r, s, bits), (
                 n_r, n_s, key_range,
             )
 
@@ -99,7 +105,7 @@ class TestExecuteEquivalence:
                      np.concatenate([s.payload, r.payload[::3]]))
         for bits in (0, 5, 8):
             join = RadixJoin(ibm, executed_radix_bits=bits)
-            assert join._execute(r, s) == reference_execute(r, s, bits)
+            assert answer(join, r, s) == reference_execute(r, s, bits)
 
     def test_duplicate_build_key_matches_its_first_copy(self, ibm):
         r = Relation("R", np.array([9, 4, 9, 9], dtype=np.int64),
@@ -107,10 +113,8 @@ class TestExecuteEquivalence:
         s = Relation("S", np.array([9, 9, 5], dtype=np.int64),
                      np.array([0, 0, 0], dtype=np.int64))
         for bits in range(9):
-            matches, aggregate, _ = RadixJoin(
-                ibm, executed_radix_bits=bits
-            )._execute(r, s)
-            assert (matches, aggregate) == (2, 2)
+            execution = RadixJoin(ibm, executed_radix_bits=bits).execute(r, s)
+            assert (execution.matches, execution.aggregate) == (2, 2)
 
 
 class TestFigureCellsUnchanged:

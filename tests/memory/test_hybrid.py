@@ -1,10 +1,19 @@
 """Hybrid (Figure 8) and interleaved (Section 6.3) allocation."""
 
+from typing import List
+
 import pytest
 
+from repro.faults import FaultPlan, OomAt
 from repro.hardware.memory import MemoryKind
-from repro.memory.allocator import Allocator, OutOfMemoryError
-from repro.memory.hybrid import allocate_hybrid, allocate_interleaved
+from repro.hardware.topology import ibm_ac922
+from repro.memory.address_space import AddressSpace
+from repro.memory.allocator import Allocation, Allocator, OutOfMemoryError
+from repro.memory.hybrid import (
+    HybridAllocation,
+    allocate_hybrid,
+    allocate_interleaved,
+)
 from repro.utils.units import GIB, MIB
 
 
@@ -121,3 +130,122 @@ class TestInterleaved:
             allocate_interleaved(allocator, ["gpu0", "gpu1"], 40 * GIB)
         for memory in ibm.memories.values():
             assert memory.allocated == 0
+
+
+def reference_allocate_interleaved(
+    allocator, gpu_names, nbytes, page_bytes=2 * MIB, label="interleaved"
+):
+    """The page-by-page loop ``allocate_interleaved`` replaced (one
+    ``alloc`` per page).  Kept verbatim as the equivalence oracle."""
+    if not gpu_names:
+        raise ValueError("need at least one GPU to interleave over")
+    if nbytes < 0:
+        raise ValueError(f"allocation size must be non-negative: {nbytes}")
+    machine = allocator.machine
+    regions = [machine.processor(name).local_memory for name in gpu_names]
+    space = AddressSpace()
+    pieces: List[Allocation] = []
+    remaining = nbytes
+    index = 0
+    while remaining > 0:
+        region = regions[index % len(regions)]
+        amount = min(page_bytes, remaining)
+        if region.free_bytes < amount:
+            for piece in pieces:
+                allocator.free(piece)
+            raise OutOfMemoryError(
+                f"interleaved allocation: {region.name} is full with "
+                f"{remaining} bytes still to place"
+            )
+        piece = allocator.alloc(region.name, amount, MemoryKind.DEVICE, label=label)
+        pieces.append(piece)
+        space.append(amount, region.name)
+        remaining -= amount
+        index += 1
+    return HybridAllocation(
+        nbytes=nbytes, address_space=space, pieces=pieces, label=label
+    )
+
+
+def _interleave(allocate, gpus, nbytes, page_bytes, taken):
+    """Run one allocator over a fresh 4-GPU machine whose GPU memories
+    already hold ``taken`` bytes each; returns the outcome."""
+    machine = ibm_ac922(gpus=4, gpu_mesh=True)
+    allocator = Allocator(machine)
+    if taken:
+        for i in range(4):
+            allocator.alloc(f"gpu{i}-mem", taken, MemoryKind.DEVICE)
+    names = [f"gpu{i}" for i in range(gpus)]
+    try:
+        allocation = allocate(allocator, names, nbytes, page_bytes=page_bytes)
+    except OutOfMemoryError:
+        outcome = "oom"
+        segments = per_region = None
+    else:
+        outcome = "ok"
+        segments = allocation.address_space.segments
+        per_region = allocation.address_space.bytes_per_region()
+        assert allocation.bytes_per_region() == per_region
+    allocated = {name: m.allocated for name, m in machine.memories.items()}
+    return outcome, segments, per_region, allocated
+
+
+PAGE_SIZES = (4096, MIB, 2 * MIB, 3 * MIB + 7)
+
+
+@pytest.mark.parametrize("gpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("page_bytes", PAGE_SIZES)
+@pytest.mark.parametrize("pages,partial", [(0, 0), (0, 1), (1, 0), (5, 0), (5, 3), (9, 1)])
+def test_interleaved_equals_page_loop(gpus, page_bytes, pages, partial):
+    nbytes = pages * page_bytes + partial
+    got = _interleave(allocate_interleaved, gpus, nbytes, page_bytes, 0)
+    want = _interleave(reference_allocate_interleaved, gpus, nbytes, page_bytes, 0)
+    assert got == want
+
+
+@pytest.mark.parametrize("gpus", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "nbytes,page_bytes,free",
+    [
+        (40 * GIB, GIB, None),  # over every GPU's capacity together
+        (17 * MIB, 2 * MIB, 5 * MIB),  # one page short on each GPU
+        (17 * MIB, 2 * MIB, 9 * MIB),  # fits with 1 GPU short, else room
+        # On 2 GPUs gpu0 holds a full and the partial last page: 4 MiB.
+        (7 * MIB, 3 * MIB, 4 * MIB),
+        (7 * MIB, 3 * MIB, 4 * MIB - 1),
+    ],
+)
+def test_interleaved_oom_equals_page_loop(gpus, nbytes, page_bytes, free):
+    taken = 0 if free is None else 16 * GIB - free
+    got = _interleave(allocate_interleaved, gpus, nbytes, page_bytes, taken)
+    want = _interleave(reference_allocate_interleaved, gpus, nbytes, page_bytes, taken)
+    assert got == want
+
+
+@pytest.mark.parametrize("page_bytes", [0, -MIB])
+def test_interleaved_rejects_non_positive_pages(allocator, page_bytes):
+    with pytest.raises(ValueError, match="page_bytes"):
+        allocate_interleaved(allocator, ["gpu0", "gpu1"], 4 * MIB, page_bytes)
+    assert allocator.live == {}
+
+
+def test_interleaved_reserves_one_piece_per_gpu(allocator):
+    allocation = allocate_interleaved(
+        allocator, ["gpu0", "gpu1"], 7 * MIB, page_bytes=2 * MIB
+    )
+    assert [(p.region.name, p.nbytes) for p in allocation.pieces] == [
+        ("gpu0-mem", 4 * MIB),
+        ("gpu1-mem", 3 * MIB),
+    ]
+    assert len(allocation.address_space.segments) == 4
+
+
+def test_interleaved_injected_oom_rolls_back(allocator, ibm):
+    # OomAt ordinals count per-GPU reservations: ordinal 1 is gpu1's.
+    plan = FaultPlan(seed=1, rules=[OomAt(ordinal=1, label="interleaved")])
+    with plan.install():
+        with pytest.raises(OutOfMemoryError):
+            allocate_interleaved(allocator, ["gpu0", "gpu1"], 8 * MIB)
+    assert allocator.live == {}
+    for memory in ibm.memories.values():
+        assert memory.allocated == 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro.workloads.tpch import (
     BYTES_PER_ROW,
+    MIN_EXECUTED_ROWS,
     Q6_DISCOUNT_HI,
     Q6_DISCOUNT_LO,
     Q6_QUANTITY_LT,
@@ -12,6 +13,7 @@ from repro.workloads.tpch import (
     Q6_SHIPDATE_LO,
     ROWS_PER_SF,
     SHIPDATE_DAYS,
+    _lineitem_columns,
     lineitem_q6,
 )
 
@@ -84,6 +86,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             lineitem_q6(scale_factor=0)
 
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(ValueError, match="shipdate_jitter_days"):
+            lineitem_q6(scale_factor=1, shipdate_jitter_days=-5)
+
     def test_bad_scale(self):
         with pytest.raises(ValueError):
             lineitem_q6(scale_factor=1, scale=0)
@@ -93,3 +99,42 @@ class TestValidation:
         b = lineitem_q6(scale_factor=1, scale=2**-6, seed=9)
         assert np.array_equal(a.shipdate, b.shipdate)
         assert np.array_equal(a.extendedprice, b.extendedprice)
+
+
+def reference_lineitem_columns(rows, seed, shipdate_jitter_days):
+    """The generator ``_lineitem_columns`` replaced (int64 draws, a
+    comparison sort, a per-row discount division).  Kept verbatim as
+    the equivalence oracle."""
+    rng = np.random.default_rng(seed)
+
+    shipdate = rng.integers(0, SHIPDATE_DAYS, size=rows)
+    shipdate.sort()
+    if shipdate_jitter_days > 0:
+        shipdate += rng.integers(
+            -shipdate_jitter_days, shipdate_jitter_days + 1, size=rows
+        )
+        np.clip(shipdate, 0, SHIPDATE_DAYS - 1, out=shipdate)
+
+    discount = (rng.integers(0, 11, size=rows) / 100.0).astype(np.float32)
+    quantity = rng.integers(1, 51, size=rows).astype(np.int32)
+    extendedprice = rng.random(rows, dtype=np.float32)
+    extendedprice *= 90000.0
+    extendedprice += 900.0
+    return {
+        "l_shipdate": shipdate.astype(np.int32),
+        "l_discount": discount,
+        "l_quantity": quantity,
+        "l_extendedprice": extendedprice,
+    }
+
+
+@pytest.mark.parametrize("rows", [1, MIN_EXECUTED_ROWS, 12_345, 100_000])
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("jitter", [0, 5, 60, 2000])
+def test_generator_bytes_equal_reference(rows, seed, jitter):
+    got = _lineitem_columns(rows, seed, jitter)
+    want = reference_lineitem_columns(rows, seed, jitter)
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype, name
+        assert got[name].tobytes() == array.tobytes(), name
