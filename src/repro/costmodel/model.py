@@ -70,6 +70,9 @@ class CostModel:
     a span per priced phase on the deterministic sim-clock and deposits
     per-stream metrics — bytes per link, atomic ops, cache hit rates —
     so every priced stream is attributable after the fact.
+
+    Each distinct stream is priced once: its occupancy is memoised on the
+    (frozen, hashable) stream until the machine's topology changes.
     """
 
     def __init__(
@@ -81,6 +84,10 @@ class CostModel:
         self.machine = machine
         self.calibration = calibration
         self.obs = obs if obs is not None else Observability.create()
+        #: stream -> occupancy, valid while the machine's generation
+        #: equals ``_priced_generation``.
+        self._priced: Dict[Stream, Dict[str, float]] = {}
+        self._priced_generation = machine.generation
 
     # ------------------------------------------------------------------
     # Primitive queries
@@ -237,9 +244,22 @@ class CostModel:
     # ------------------------------------------------------------------
     def stream_occupancy(self, stream: Stream) -> Dict[str, float]:
         """Busy-seconds deposited by one stream on each resource."""
-        if stream.pattern is AccessPattern.SEQUENTIAL:
-            return self._sequential_occupancy(stream)
-        return self._random_occupancy(stream)
+        return dict(self._stream_occupancy(stream))
+
+    def _stream_occupancy(self, stream: Stream) -> Dict[str, float]:
+        """The memoised :meth:`stream_occupancy`; callers must not
+        mutate the returned dict."""
+        if self._priced_generation != self.machine.generation:
+            self._priced.clear()
+            self._priced_generation = self.machine.generation
+        occupancy = self._priced.get(stream)
+        if occupancy is None:
+            if stream.pattern is AccessPattern.SEQUENTIAL:
+                occupancy = self._sequential_occupancy(stream)
+            else:
+                occupancy = self._random_occupancy(stream)
+            self._priced[stream] = occupancy
+        return occupancy
 
     def _sequential_occupancy(self, stream: Stream) -> Dict[str, float]:
         region = self.machine.memory(stream.memory)
@@ -310,7 +330,7 @@ class CostModel:
         """
         occupancy: Dict[str, float] = defaultdict(float)
         for stream in profile.streams:
-            for resource, busy in self.stream_occupancy(stream).items():
+            for resource, busy in self._stream_occupancy(stream).items():
                 occupancy[resource] += busy
         if profile.compute_tuples > 0:
             if profile.processor is not None:

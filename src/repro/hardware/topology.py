@@ -40,12 +40,23 @@ class TopologyError(ValueError):
 
 @dataclass
 class Machine:
-    """A heterogeneous machine: the unit the executor and benches run on."""
+    """A heterogeneous machine: the unit the executor and benches run on.
+
+    Grow a machine only through :meth:`add_cpu`, :meth:`add_gpu` and
+    :meth:`connect`: they bump :attr:`generation` and drop the memoised
+    routes, so anything derived from the topology (routes here, stream
+    prices in a cost model) knows to recompute.
+    """
 
     name: str
     processors: Dict[str, Processor] = field(default_factory=dict)
     memories: Dict[str, MemoryRegion] = field(default_factory=dict)
     links: List[Interconnect] = field(default_factory=list)
+    #: bumped by every topology change.
+    generation: int = field(default=0, init=False, compare=False)
+    _paths: Dict[Tuple[str, str], Tuple[Interconnect, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,6 +86,7 @@ class Machine:
             raise TopologyError(f"duplicate memory name: {memory.name}")
         self.processors[processor.name] = processor
         self.memories[memory.name] = memory
+        self._changed()
 
     def connect(self, a: str, b: str, spec: LinkSpec) -> Interconnect:
         """Add a link between two processors (by name)."""
@@ -83,7 +95,12 @@ class Machine:
                 raise TopologyError(f"unknown processor: {end}")
         link = Interconnect(spec=spec, endpoint_a=a, endpoint_b=b)
         self.links.append(link)
+        self._changed()
         return link
+
+    def _changed(self) -> None:
+        self.generation += 1
+        self._paths.clear()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -133,8 +150,19 @@ class Machine:
         Local memory yields an empty path.  Routing is breadth-first over
         the processor graph, then the memory hangs off its owner at zero
         link cost (the memory's own bandwidth/latency is accounted for by
-        the cost model separately).
+        the cost model separately).  Routes are computed once per
+        topology; every call returns a fresh list.
         """
+        key = (processor_name, memory_name)
+        route = self._paths.get(key)
+        if route is None:
+            route = self._paths[key] = tuple(
+                self._route(processor_name, memory_name)
+            )
+        return list(route)
+
+    def _route(self, processor_name: str, memory_name: str) -> List[Interconnect]:
+        """Breadth-first route behind :meth:`path` (uncached)."""
         self.processor(processor_name)
         memory = self.memory(memory_name)
         target = memory.owner

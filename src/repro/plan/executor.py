@@ -28,16 +28,21 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.costmodel.model import CostModel, PhaseCost
-from repro.obs import Observability
+from repro.obs import INERT, Observability
 from repro.obs.manifest import phase_record
+from repro.obs.metrics import Counter, Histogram
 from repro.obs.trace import Timeline
 from repro.plan.overlap import pipeline_makespan
 from repro.plan.spec import PhaseKind, PhaseSpec, Plan, PlanError
 from repro.sim.engine import Simulator
 from repro.sim.resources import solve_concurrent_rates
+
+
+#: one morsel grant: ``(worker, start, end, tuples)`` on the phase's clock.
+Grant = Tuple[str, float, float, int]
 
 
 @dataclass
@@ -52,12 +57,28 @@ class PhaseOutcome:
     #: solved per-worker rates/shares (CONCURRENT and MORSEL phases).
     rates: Dict[str, float] = field(default_factory=dict)
     shares: Dict[str, float] = field(default_factory=dict)
-    #: per-worker morsel timeline (MORSEL phases).
-    timeline: Optional[Timeline] = None
+    #: morsel grants in dispatch order (MORSEL phases).
+    grants: Optional[List[Grant]] = field(default=None, repr=False)
+    _timeline: Optional[Timeline] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def seconds(self) -> float:
         return self.cost.seconds
+
+    @property
+    def timeline(self) -> Optional[Timeline]:
+        """Per-worker morsel timeline (MORSEL phases), built from the
+        grants on first read."""
+        if self.grants is None:
+            return None
+        if self._timeline is None:
+            timeline = Timeline()
+            for worker, start, end, tuples in self.grants:
+                timeline.record(worker, self.name, start, end, tuples)
+            self._timeline = timeline
+        return self._timeline
 
 
 @dataclass
@@ -292,57 +313,72 @@ class PlanExecutor:
         )
 
     def _run_morsel(self, phase: PhaseSpec) -> PhaseOutcome:
+        """Replay the central morsel dispatcher (Section 6.1) on a
+        discrete-event clock.
+
+        Each worker, whenever it is idle, takes the next ``batch``
+        morsels from a read cursor over ``shared_units`` tuples and
+        stays busy for its dispatch latency plus the batch at its solved
+        rate.  The cursor is a local integer and every grant is one
+        ``(worker, start, end, tuples)`` log entry; shares, dispatch
+        metrics and the lazily built timeline all derive from that log.
+        """
         # Imported here: repro.core packages compile plans, so a
         # module-level import would be circular.
         from repro.core.scheduler.batch import tune_batch_morsels
-        from repro.core.scheduler.morsel import MorselDispatcher
 
         demands = self._solve(phase)
         rates = solve_concurrent_rates(demands)
         total_tuples = int(phase.shared_units or 0)
-        dispatcher = MorselDispatcher(
-            total_tuples, phase.morsel_tuples, metrics=self.obs.metrics
-        )
+        morsel_tuples = phase.morsel_tuples
+        if total_tuples < 0:
+            raise ValueError(f"total tuples must be non-negative: {total_tuples}")
+        if morsel_tuples <= 0:
+            raise ValueError(f"morsel size must be positive: {morsel_tuples}")
         sim = Simulator(tracer=self.obs.tracer)
-        timeline = Timeline()
+        grants: List[Grant] = []
+        cursor = 0
 
         def make_worker(name: str, rate: float, batch: int, latency: float):
+            step = batch * morsel_tuples
+
             def work(simulator: Simulator) -> None:
-                grant = dispatcher.next_batch(batch, worker=name)
-                if grant is None:
+                nonlocal cursor
+                start = cursor
+                if start >= total_tuples:
                     return
-                duration = latency + grant.tuples / rate
-                timeline.record(
-                    name,
-                    phase.name,
-                    simulator.now,
-                    simulator.now + duration,
-                    grant.tuples,
-                )
+                cursor = min(total_tuples, start + step)
+                tuples = cursor - start
+                now = simulator.now
+                duration = latency + tuples / rate
+                grants.append((name, now, now + duration, tuples))
                 simulator.schedule(duration, work)
 
             return work
 
         for key in phase.loads:
             rate = rates[key]
-            if rate <= 0 or rate == float("inf"):
+            if not 0 < rate < float("inf"):
                 raise RuntimeError(f"degenerate probe rate for {key}: {rate}")
             worker = phase.morsel_workers[key]
             batch = worker.batch_morsels or tune_batch_morsels(
-                phase.morsel_tuples, rate, worker.dispatch_latency
+                morsel_tuples, rate, worker.dispatch_latency
             )
+            if batch < 1:
+                raise ValueError(f"must request at least one morsel: {batch}")
             sim.schedule(
                 0.0, make_worker(key, rate, batch, worker.dispatch_latency)
             )
         seconds = sim.run()
+        dispatched = dict.fromkeys(phase.loads, 0)
+        for name, _start, _end, tuples in grants:
+            dispatched[name] += tuples
         shares = {
-            key: dispatcher.dispatched_tuples(key) / max(1, total_tuples)
-            for key in phase.loads
+            key: dispatched[key] / max(1, total_tuples) for key in phase.loads
         }
-        units_done = {
-            key: float(dispatcher.dispatched_tuples(key))
-            for key in phase.loads
-        }
+        units_done = {key: float(dispatched[key]) for key in phase.loads}
+        if self.obs is not INERT:
+            self._record_dispatch_metrics(grants, morsel_tuples)
         cost = self._aggregate_cost(demands, units_done, seconds, phase.name)
         self._record_load_metrics(phase, shares)
         return PhaseOutcome(
@@ -352,8 +388,25 @@ class PlanExecutor:
             end=0.0,
             rates=dict(rates),
             shares=shares,
-            timeline=timeline,
+            grants=grants,
         )
+
+    def _record_dispatch_metrics(
+        self, grants: List[Grant], morsel_tuples: int
+    ) -> None:
+        """Per-grant dispatcher metrics, deposited in grant order."""
+        metrics = self.obs.metrics
+        cells: Dict[str, Tuple[Counter, Histogram]] = {}
+        for name, _start, _end, tuples in grants:
+            cell = cells.get(name)
+            if cell is None:
+                cell = cells[name] = (
+                    metrics.counter("morsels_dispatched_total", worker=name),
+                    metrics.histogram("dispatch_batch_tuples", worker=name),
+                )
+            morsels, batch_tuples = cell
+            morsels.inc(-(-tuples // morsel_tuples))
+            batch_tuples.observe(tuples)
 
     def _run_fixed(self, phase: PhaseSpec) -> PhaseOutcome:
         assert phase.fixed_cost is not None

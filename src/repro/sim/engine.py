@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set
 
 from repro.obs.trace import Tracer
 
@@ -22,9 +21,13 @@ class SimulationError(RuntimeError):
     """Raised for invalid scheduling (past times, running twice)."""
 
 
-@dataclass(frozen=True)
-class Event:
-    """A scheduled callback; ordering key is (time, seq)."""
+class Event(NamedTuple):
+    """A scheduled callback; ordering key is (time, seq).
+
+    Events go on the heap as they are: ``(time, seq)`` is unique, so the
+    heap orders on native float/int compares and never reaches the
+    callback.
+    """
 
     time: float
     seq: int
@@ -46,10 +49,7 @@ class Simulator:
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.now = 0.0
         self.tracer = tracer
-        #: heap of ``(time, seq, event)``: ``(time, seq)`` is unique, so
-        #: the heap orders on native float/int compares and never
-        #: reaches the event itself.
-        self._queue: List[Tuple[float, int, Event]] = []
+        self._queue: List[Event] = []
         self._seq = itertools.count()
         self._fired = 0
         self._running = False
@@ -58,19 +58,25 @@ class Simulator:
         self._live: Set[int] = set()
 
     def schedule(self, delay: float, callback: Callable[["Simulator"], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        time = self.now + delay
+        """Schedule ``callback`` to fire ``delay`` seconds from now.
+
+        ``delay`` must be non-negative; infinity is allowed, NaN is not
+        (it would fire first and poison the clock).
+        """
+        if not delay >= 0:
+            raise SimulationError(
+                f"delay must be a non-negative time: delay={delay}"
+            )
         seq = next(self._seq)
-        event = Event(time=time, seq=seq, callback=callback)
-        heapq.heappush(self._queue, (time, seq, event))
+        event = Event(self.now + delay, seq, callback)
+        heapq.heappush(self._queue, event)
         self._live.add(seq)
         return event
 
     def schedule_at(self, time: float, callback: Callable[["Simulator"], None]) -> Event:
         """Schedule ``callback`` at an absolute virtual time; any time
-        before ``now``, by however little, is a :class:`SimulationError`."""
+        before ``now``, by however little, or NaN is a
+        :class:`SimulationError`."""
         return self.schedule(time - self.now, callback)
 
     def cancel_event(self, event: Event) -> bool:
@@ -103,13 +109,13 @@ class Simulator:
             heapq.heappop(queue)  # cancelled
         if not queue:
             return False
-        time, seq, event = heapq.heappop(queue)
+        time, seq, callback = heapq.heappop(queue)
         self._live.discard(seq)
         if time < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
         self.now = time
         self._fired += 1
-        event.callback(self)
+        callback(self)
         return True
 
     def run(self) -> float:

@@ -120,3 +120,58 @@ class TestConstruction:
     def test_gpu_link_rejects_cpu(self, ibm):
         with pytest.raises(TopologyError):
             ibm.gpu_link("cpu0")
+
+
+class TestRouteMemo:
+    """Routes are memoised per machine and dropped on every change."""
+
+    def test_path_reflects_a_later_connect(self):
+        machine = Machine(name="m")
+        machine.add_cpu("cpu0", POWER9, "cpu0-mem")
+        machine.add_cpu("cpu1", POWER9, "cpu1-mem")
+        machine.add_gpu("gpu0", V100_SXM2, "gpu0-mem")
+        machine.connect("gpu0", "cpu0", NVLINK2)
+        machine.connect("cpu0", "cpu1", NVLINK2)
+        assert machine.hops("gpu0", "cpu1-mem") == 2
+        before = machine.generation
+        machine.connect("gpu0", "cpu1", NVLINK2)
+        assert machine.generation == before + 1
+        assert machine.hops("gpu0", "cpu1-mem") == 1
+
+    def test_path_reflects_a_later_add_cpu(self):
+        machine = Machine(name="m")
+        machine.add_cpu("cpu0", POWER9, "cpu0-mem")
+        with pytest.raises(TopologyError):
+            machine.path("cpu0", "cpu1-mem")
+        before = machine.generation
+        machine.add_cpu("cpu1", POWER9, "cpu1-mem")
+        assert machine.generation == before + 1
+        with pytest.raises(TopologyError, match="no path"):
+            machine.path("cpu0", "cpu1-mem")
+        machine.connect("cpu0", "cpu1", NVLINK2)
+        assert [link.spec.name for link in machine.path("cpu0", "cpu1-mem")] == [
+            "nvlink2"
+        ]
+
+    def test_mutating_a_returned_path_does_not_leak(self, ibm):
+        first = ibm.path("gpu0", "gpu1-mem")
+        first.clear()
+        assert len(ibm.path("gpu0", "gpu1-mem")) == 3
+        local = ibm.path("cpu0", "cpu0-mem")
+        local.append(ibm.links[0])
+        assert ibm.path("cpu0", "cpu0-mem") == []
+
+    def test_every_call_returns_a_fresh_list(self, ibm):
+        assert ibm.path("gpu0", "cpu1-mem") is not ibm.path("gpu0", "cpu1-mem")
+
+    def test_memoised_route_equals_a_fresh_machine(self):
+        warm = ibm_ac922(gpus=4, gpu_mesh=True)
+        for proc in warm.processors:
+            for mem in warm.memories:
+                warm.path(proc, mem)
+        cold = ibm_ac922(gpus=4, gpu_mesh=True)
+        for proc in warm.processors:
+            for mem in warm.memories:
+                assert [l.name for l in warm.path(proc, mem)] == [
+                    l.name for l in cold.path(proc, mem)
+                ]

@@ -38,6 +38,39 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda s: None)
 
+    def test_nan_delay_rejected_and_named(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda s: fired.append(s.now))
+        with pytest.raises(SimulationError, match="delay=nan"):
+            sim.schedule(math.nan, lambda s: fired.append(s.now))
+        assert sim.pending == 1
+        assert sim.run() == 1.0
+        assert fired == [1.0]
+
+    def test_nan_time_rejected_by_schedule_at(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(math.nan, lambda s: None)
+        assert sim.pending == 0
+
+    def test_infinite_delay_is_legal(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(math.inf, lambda s: fired.append(s.now))
+        sim.schedule(1.0, lambda s: fired.append(s.now))
+        assert sim.run() == math.inf
+        assert fired == [1.0, math.inf]
+
+    def test_events_keep_their_fields(self):
+        sim = Simulator()
+
+        def callback(s):
+            return None
+
+        event = sim.schedule(2.5, callback)
+        assert (event.time, event.seq, event.callback) == (2.5, 0, callback)
+
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
         fired = []
