@@ -24,6 +24,15 @@ Candidates are priced through the same :func:`compile_query` +
 :class:`~repro.plan.PlanExecutor` path the operator facades use, from
 *estimated* statistics (``repro.logical.stats``); the estimation error
 is tracked as the predicted-vs-actual gap benchmark.
+
+The search is branch-and-bound.  Every candidate is compiled, in
+enumeration order, and bounded by :meth:`~repro.plan.PlanExecutor.bound`
+(a closed-form lower bound on its makespan).  Candidates are then
+priced in ascending ``(bound, index)`` order until the next one cannot
+beat the incumbent: its bound exceeds the cheapest price so far, or
+equals it from a later index.  The winner is therefore exactly the
+exhaustive ``min((seconds, index))``; the candidates never priced are
+reported as *pruned*, with their bound.
 """
 
 from __future__ import annotations
@@ -70,7 +79,7 @@ from repro.transfer.methods import (
 )
 
 #: version of the optimizer-decision manifest section.
-OPTIMIZER_SCHEMA_VERSION = "1.0"
+OPTIMIZER_SCHEMA_VERSION = "1.1"
 
 #: Figure-8/11 GPU-fraction sweep for hybrid hash tables.
 FRACTION_SWEEP = (0.75, 0.5, 0.25)
@@ -78,23 +87,42 @@ FRACTION_SWEEP = (0.75, 0.5, 0.25)
 #: cap on enumerated dimension permutations for star shapes.
 MAX_JOIN_ORDERS = 24
 
+#: errors that make a candidate *rejected* (kept, with its reason)
+#: rather than failing the whole optimization.
+REJECTIONS = (
+    UnsupportedTransferError,
+    OutOfMemoryError,
+    LogicalError,
+    ValueError,
+)
+
 
 @dataclass(frozen=True)
 class Candidate:
-    """One priced (or rejected) point of the physical search space."""
+    """One point of the physical search space: priced, pruned (compiled
+    and bounded, never priced) or rejected."""
 
     config: PhysicalConfig
     seconds: Optional[float] = None
     rejected: Optional[str] = None
+    #: lower bound on ``seconds`` (every compiled candidate has one).
+    bound: Optional[float] = None
 
     @property
     def viable(self) -> bool:
         return self.rejected is None and self.seconds is not None
 
+    @property
+    def pruned(self) -> bool:
+        return self.rejected is None and self.seconds is None
+
     def describe(self) -> str:
-        """One explain line: the config plus its price or rejection."""
+        """One explain line: the config plus its price, bound or
+        rejection."""
         if self.rejected is not None:
             return f"{self.config.describe()} — rejected: {self.rejected}"
+        if self.seconds is None:
+            return f"{self.config.describe()} — pruned: bound {self.bound:.6f}s"
         return f"{self.config.describe()} — {self.seconds:.6f}s"
 
     def summary(self) -> Dict[str, object]:
@@ -102,6 +130,7 @@ class Candidate:
         return {
             "config": self.config.describe(),
             "seconds": self.seconds,
+            "bound": self.bound,
             "rejected": self.rejected,
         }
 
@@ -122,9 +151,16 @@ class OptimizerResult:
     def rejected(self) -> Tuple[Candidate, ...]:
         return tuple(c for c in self.candidates if c.rejected is not None)
 
+    @property
+    def pruned(self) -> Tuple[Candidate, ...]:
+        return tuple(c for c in self.candidates if c.pruned)
+
     def explain(self) -> str:
         """Human-readable report of the considered space."""
         viable = [c for c in self.candidates if c.viable]
+        pruned = sorted(
+            self.pruned, key=lambda c: (c.bound, c.config.describe())
+        )
         lines = [
             f"optimize[{self.shape}] on {self.machine}",
             "query:",
@@ -136,7 +172,8 @@ class OptimizerResult:
         )
         lines.append(
             f"considered {len(self.candidates)} candidates "
-            f"({len(viable)} viable, {len(self.rejected)} rejected):"
+            f"({len(viable)} viable, {len(pruned)} pruned, "
+            f"{len(self.rejected)} rejected):"
         )
         ranked = sorted(
             viable, key=lambda c: (c.seconds, c.config.describe())
@@ -144,6 +181,8 @@ class OptimizerResult:
         for cand in ranked:
             marker = "*" if cand is self.chosen else " "
             lines.append(f"  {marker} {cand.describe()}")
+        for cand in pruned:
+            lines.append(f"  - {cand.describe()}")
         for cand in self.rejected:
             lines.append(f"  x {cand.describe()}")
         return "\n".join(lines)
@@ -168,6 +207,7 @@ class OptimizerResult:
             "predicted_seconds": self.chosen.seconds,
             "considered": len(self.candidates),
             "rejected": len(self.rejected),
+            "pruned": len(self.pruned),
             "candidates": self._summaries(),
         }
 
@@ -397,13 +437,19 @@ def _star_candidates(
     label: str,
 ):
     """Yield (config, query, stats) points for a star shape: one
-    candidate per enumerated dimension probe order."""
+    candidate per enumerated dimension probe order.
+
+    Past ``MAX_JOIN_ORDERS`` the enumeration keeps the orders that probe
+    the most selective dimensions first (a missing hint filters
+    nothing; ties go to the lower index), emitted in index order.
+    """
     backend, exec_workers = tier
     query = Query(shape.aggregate)
     hints = [sel for _scan, _key, sel in shape.dimensions]
-    ndims = len(shape.dimensions)
-    orders = itertools.islice(
-        itertools.permutations(range(ndims)), MAX_JOIN_ORDERS
+    survival = [1.0 if sel is None else sel for sel in hints]
+    ranked = sorted(range(len(hints)), key=lambda i: (survival[i], i))
+    orders = sorted(
+        itertools.islice(itertools.permutations(ranked), MAX_JOIN_ORDERS)
     )
     for order in orders:
         stats = estimate_star_stats([hints[i] for i in order])
@@ -429,6 +475,39 @@ def _star_candidates(
         yield star_config, query, stats
 
 
+def _enumerate(
+    query,
+    machine: Machine,
+    calibration: Calibration,
+    gpu_name: str,
+    workers: Optional[Sequence[str]],
+    hash_scheme: str,
+    label: str,
+):
+    """(shape name, candidate points) of a query, in enumeration order;
+    each point is a ``(build_config, query, stats)`` triple."""
+    shape = classify(query)
+    if workers is None:
+        workers = (gpu_name,) + tuple(cpu.name for cpu in machine.cpus())
+    workers = tuple(workers)
+    if isinstance(shape, ScanShape):
+        tier = host_tier(shape.scan.executed_rows)
+        return "scan", _scan_candidates(
+            shape, machine, gpu_name, tier, calibration,
+            label or shape.scan.name,
+        )
+    if isinstance(shape, JoinShape):
+        tier = host_tier(shape.probe.executed_rows)
+        return "join", _join_candidates(
+            shape, machine, gpu_name, workers, tier, hash_scheme,
+            label or "join",
+        )
+    tier = host_tier(shape.fact.executed_rows)
+    return "star", _star_candidates(
+        shape, machine, gpu_name, workers, tier, label or "star"
+    )
+
+
 # ----------------------------------------------------------------------
 # The optimizer entry point
 # ----------------------------------------------------------------------
@@ -448,36 +527,14 @@ def optimize(
     was considered (including rejections with reasons), ready for
     ``explain()`` or the manifest's ``optimizer`` section.
     """
-    shape = classify(query)
-    if workers is None:
-        workers = (gpu_name,) + tuple(cpu.name for cpu in machine.cpus())
-    workers = tuple(workers)
+    shape_name, points = _enumerate(
+        query, machine, calibration, gpu_name, workers, hash_scheme, label
+    )
     # Candidates are priced for their makespan alone: spans and metrics
     # of every rejected alternative would be thrown away, and callers
     # re-execute the chosen plan on a bundle of their own.
     cost_model = CostModel(machine, calibration, obs=INERT)
-
-    if isinstance(shape, ScanShape):
-        shape_name = "scan"
-        tier = host_tier(shape.scan.executed_rows)
-        points = _scan_candidates(
-            shape, machine, gpu_name, tier, calibration,
-            label or shape.scan.name,
-        )
-    elif isinstance(shape, JoinShape):
-        shape_name = "join"
-        tier = host_tier(shape.probe.executed_rows)
-        points = _join_candidates(
-            shape, machine, gpu_name, workers, tier, hash_scheme,
-            label or "join",
-        )
-    else:
-        shape_name = "star"
-        tier = host_tier(shape.fact.executed_rows)
-        points = _star_candidates(
-            shape, machine, gpu_name, workers, tier, label or "star"
-        )
-
+    executor = PlanExecutor(cost_model)
     candidates: List[Candidate] = []
     plans: List[Optional[Plan]] = []
     for build_config, cand_query, stats in points:
@@ -485,13 +542,8 @@ def optimize(
         try:
             config = build_config()
             plan = compile_query(cand_query, config, cost_model, stats)
-            result = PlanExecutor(cost_model).execute(plan)
-        except (
-            UnsupportedTransferError,
-            OutOfMemoryError,
-            LogicalError,
-            ValueError,
-        ) as exc:
+            bound = executor.bound(plan)
+        except REJECTIONS as exc:
             # Building the config itself may be what failed (an
             # unplaceable table, an incoherent route); keep a stand-in
             # so explain() still shows the attempted point.
@@ -502,15 +554,27 @@ def optimize(
             )
             plans.append(None)
             continue
-        candidates.append(Candidate(config=config, seconds=result.makespan))
+        candidates.append(Candidate(config=config, bound=bound))
         plans.append(plan)
 
-    viable = [
-        (cand.seconds, i)
+    # Price cheapest-bound first.  A candidate's price is at least its
+    # bound, so once ``(bound, index)`` passes the incumbent's
+    # ``(seconds, index)`` no later candidate can win the tie rule.
+    best: Optional[Tuple[float, int]] = None
+    for bound, index in sorted(
+        (cand.bound, i)
         for i, cand in enumerate(candidates)
-        if cand.viable
-    ]
-    if not viable:
+        if cand.bound is not None
+    ):
+        if best is not None and (bound, index) > best:
+            break
+        plan = plans[index]
+        assert plan is not None
+        seconds = executor.execute(plan).makespan
+        candidates[index] = replace(candidates[index], seconds=seconds)
+        if best is None or (seconds, index) < best:
+            best = (seconds, index)
+    if best is None:
         reasons = "; ".join(
             c.rejected for c in candidates if c.rejected is not None
         )
@@ -518,7 +582,7 @@ def optimize(
             f"no viable physical plan for this query on {machine.name}: "
             f"{reasons or 'no candidates enumerated'}"
         )
-    _best_seconds, best_index = min(viable)
+    _best_seconds, best_index = best
     chosen = candidates[best_index]
     chosen_plan = plans[best_index]
     assert chosen_plan is not None

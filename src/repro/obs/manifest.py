@@ -47,7 +47,7 @@ MANIFEST_SCHEMA_VERSION = "1.4"
 #: the exact keys that writer may emit.
 MANIFEST_SCHEMA = {
     "version": "1.4",
-    "checksum": "57cf6792e878707a",
+    "checksum": "45ab8d1f09d93715",
     "sections": {
         "__top__": {
             "writer": "RunManifest.to_dict",
@@ -113,6 +113,7 @@ MANIFEST_SCHEMA = {
                 "predicted_seconds",
                 "considered",
                 "rejected",
+                "pruned",
                 "candidates",
             ],
         },

@@ -22,6 +22,10 @@ durations through the discrete-event :class:`~repro.sim.engine.
 Simulator`: phases start when their dependencies finish and their
 claimed resources free up, so independent phases overlap.  For a linear
 chain the makespan equals the sum of phase seconds.
+
+:meth:`PlanExecutor.bound` is the closed-form companion the optimizer
+prunes with: a lower bound on that makespan from the same occupancies,
+with no solver iteration and no discrete-event replay.
 """
 
 from __future__ import annotations
@@ -38,8 +42,14 @@ from repro.obs.trace import Timeline
 from repro.plan.overlap import pipeline_makespan
 from repro.plan.spec import PhaseKind, PhaseSpec, Plan, PlanError
 from repro.sim.engine import Simulator
-from repro.sim.resources import solve_concurrent_rates
+from repro.sim.resources import solo_rate, solve_concurrent_rates
 
+
+#: Relative slack on the solver and morsel phase bounds.  Solved rates
+#: never exceed the solo rates, but the morsel replay accumulates one
+#: float addition per grant, so its makespan may land a few ULPs below
+#: the exact ``units / sum(rates)``; 1e-9 covers ~10^6 such roundings.
+BOUND_MARGIN = 1.0 - 1e-9
 
 #: one morsel grant: ``(worker, start, end, tuples)`` on the phase's clock.
 Grant = Tuple[str, float, float, int]
@@ -161,6 +171,63 @@ class PlanExecutor:
             outcomes[phase.name] = outcome
         makespan = self._schedule_makespan(plan, outcomes)
         return PlanResult(plan=plan, outcomes=outcomes, makespan=makespan)
+
+    def bound(self, plan: Plan) -> float:
+        """A lower bound on ``execute(plan).makespan``, in closed form.
+
+        Each phase is bounded from below by the rule of the runner it
+        mirrors (see :meth:`_phase_bound`), and the plan by the longest
+        dependency path over those bounds: claims only ever delay a
+        phase, so they are ignored.  Float additions along a path are
+        monotone, so the path sum stays at or under the replayed one.
+        The runners' validations are applied too: a plan ``execute``
+        would reject raises the same error here.  Nothing is recorded.
+        """
+        finish: Dict[str, float] = {}
+        for phase in plan:
+            start = max((finish[dep] for dep in phase.deps), default=0.0)
+            finish[phase.name] = start + self._phase_bound(phase)
+        return max(finish.values())
+
+    def _phase_bound(self, phase: PhaseSpec) -> float:
+        """One phase's lower bound, one rule per phase kind.
+
+        * PRICED: ``phase_cost``'s bottleneck term before its fixed
+          overhead.  Chunked overlap replaces the makespan factor with a
+          pipeline makespan of at least the same term, and surcharges
+          and fixed overheads only add non-negative seconds.
+        * FIXED: its seconds.
+        * CONCURRENT / MORSEL: every worker at its solo rate, which the
+          solver only ever scales down: pool and morsel phases drain
+          ``shared_units`` at the summed rates, barrier phases end with
+          the slowest worker.  Dispatch latency and surcharges only add.
+        """
+        if phase.kind is PhaseKind.PRICED:
+            assert phase.profile is not None
+            occupancy = self.cost_model.profile_occupancy(phase.profile)
+            bound = max(occupancy.values(), default=0.0) * (
+                1.0 + self.cost_model.calibration.join_pipeline_overhead
+            )
+            if phase.chunked is None:
+                bound *= phase.profile.makespan_factor
+            return bound
+        if phase.kind is PhaseKind.FIXED:
+            assert phase.fixed_cost is not None
+            return phase.fixed_cost.seconds
+        rates = {
+            key: solo_rate(demand) for key, demand in self._solve(phase).items()
+        }
+        pool = phase.shared_units
+        if phase.kind is PhaseKind.MORSEL:
+            # The dispatcher hands out whole tuples of an integer pool.
+            pool = self._check_morsel(phase, rates)
+        if pool is None:
+            seconds = max(
+                phase.loads[key].units / rate for key, rate in rates.items()
+            )
+        else:
+            seconds = pool / sum(rates.values())
+        return seconds * BOUND_MARGIN
 
     # ------------------------------------------------------------------
     # Phase pricing
@@ -329,12 +396,8 @@ class PlanExecutor:
 
         demands = self._solve(phase)
         rates = solve_concurrent_rates(demands)
-        total_tuples = int(phase.shared_units or 0)
+        total_tuples = self._check_morsel(phase, rates)
         morsel_tuples = phase.morsel_tuples
-        if total_tuples < 0:
-            raise ValueError(f"total tuples must be non-negative: {total_tuples}")
-        if morsel_tuples <= 0:
-            raise ValueError(f"morsel size must be positive: {morsel_tuples}")
         sim = Simulator(tracer=self.obs.tracer)
         grants: List[Grant] = []
         cursor = 0
@@ -358,14 +421,10 @@ class PlanExecutor:
 
         for key in phase.loads:
             rate = rates[key]
-            if not 0 < rate < float("inf"):
-                raise RuntimeError(f"degenerate probe rate for {key}: {rate}")
             worker = phase.morsel_workers[key]
             batch = worker.batch_morsels or tune_batch_morsels(
                 morsel_tuples, rate, worker.dispatch_latency
             )
-            if batch < 1:
-                raise ValueError(f"must request at least one morsel: {batch}")
             sim.schedule(
                 0.0, make_worker(key, rate, batch, worker.dispatch_latency)
             )
@@ -390,6 +449,28 @@ class PlanExecutor:
             shares=shares,
             grants=grants,
         )
+
+    @staticmethod
+    def _check_morsel(phase: PhaseSpec, rates: Dict[str, float]) -> int:
+        """The morsel runner's validations, shared with its bound;
+        returns the dispatcher pool's tuple count.  An unset batch
+        auto-tunes to at least one morsel, so only a negative explicit
+        batch is refused."""
+        total_tuples = int(phase.shared_units or 0)
+        if total_tuples < 0:
+            raise ValueError(f"total tuples must be non-negative: {total_tuples}")
+        if phase.morsel_tuples <= 0:
+            raise ValueError(
+                f"morsel size must be positive: {phase.morsel_tuples}"
+            )
+        for key in phase.loads:
+            rate = rates[key]
+            if not 0 < rate < float("inf"):
+                raise RuntimeError(f"degenerate probe rate for {key}: {rate}")
+            batch = phase.morsel_workers[key].batch_morsels
+            if batch is not None and batch < 0:
+                raise ValueError(f"must request at least one morsel: {batch}")
+        return total_tuples
 
     def _record_dispatch_metrics(
         self, grants: List[Grant], morsel_tuples: int

@@ -71,6 +71,39 @@ def test_star_probes_most_selective_dimension_first():
     assert chosen.join_order == (2, 1, 0)
 
 
+def test_capped_star_orders_probe_the_selective_dimension_first():
+    """Five dimensions have 120 orders and the optimizer keeps 24: they
+    must start with the 5 %-selective dimension, not with dimension 0."""
+    import numpy as np
+
+    from repro.data.relation import Relation
+
+    selectivity = (0.9, 0.9, 0.9, 0.9, 0.05)
+    rng = np.random.default_rng(7)
+    keys = [f"d{i}_key" for i in range(len(selectivity))]
+    fact = {key: rng.integers(0, 256, 1024).astype(np.int64) for key in keys}
+    query = scan(fact, name="fact", modeled_rows=1 << 26, location="cpu0-mem")
+    for key, hint in zip(keys, selectivity):
+        dimension = Relation(
+            name=key,
+            key=np.arange(256, dtype=np.int64),
+            payload=rng.integers(0, 100, 256).astype(np.int64),
+            modeled_tuples=1 << 20,
+        )
+        query = query.join(
+            scan(dimension),
+            build_key="key",
+            probe_key=key,
+            selectivity=hint,
+            output_prefix=f"{key}_",
+        )
+    result = optimize(query.aggregate(star=("d0_key_payload", "sum")), ibm_ac922())
+    orders = [c.config.join_order for c in result.candidates]
+    assert len(orders) == 24 and orders == sorted(orders)
+    assert {order[0] for order in orders} == {4}
+    assert result.chosen.config.join_order[0] == 4
+
+
 def test_chosen_is_globally_cheapest():
     for name in ("join-a", "join-b", "q6", "star"):
         result = explain_workload(name, "ibm-ac922")
@@ -106,6 +139,26 @@ def test_explain_lists_chosen_and_rejected():
     assert "rejected" in text
     assert "x " in text  # rejected candidates are marked
     assert "* " in text  # the winner is marked
+
+
+def test_pruned_candidates_carry_their_bound():
+    """Every compiled candidate is bounded; the ones never priced are
+    reported as pruned, with a bound no lower than the winner's price."""
+    result = explain_workload("join-a", "ibm-ac922")
+    section = result.section()
+    viable = [c for c in result.candidates if c.viable]
+    assert section["pruned"] == len(result.pruned) > 0
+    assert len(viable) + len(result.pruned) + len(result.rejected) == len(
+        result.candidates
+    )
+    for candidate in result.pruned:
+        assert candidate.seconds is None
+        assert candidate.bound >= result.chosen.seconds
+    for candidate in viable:
+        assert candidate.bound <= candidate.seconds
+    text = result.explain()
+    assert f"{len(result.pruned)} pruned" in text
+    assert text.count(" — pruned: bound ") == len(result.pruned)
 
 
 def test_no_viable_plan_is_a_logical_error():

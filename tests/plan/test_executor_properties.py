@@ -8,7 +8,9 @@ Invariants:
   per-chunk overhead), and the chunked phase is never faster than the
   un-overlapped base stage;
 * the DAG validator rejects cycles, dangling dependencies, duplicate
-  names, and self-dependencies.
+  names, and self-dependencies;
+* ``bound`` never exceeds the makespan, is exact where no overhead,
+  overlap or contention applies, and rejects what ``execute`` rejects.
 """
 
 import math
@@ -21,10 +23,13 @@ from repro.costmodel.model import CostModel, PhaseCost
 from repro.hardware.topology import ibm_ac922
 from repro.plan import (
     Chunked,
+    MorselWorker,
     Plan,
     PlanError,
     PlanExecutor,
+    WorkerLoad,
     fixed_phase,
+    morsel_phase,
     pipeline_makespan,
     priced_phase,
 )
@@ -199,3 +204,81 @@ class TestDagValidation:
         for phase in phases:
             for dep in phase.deps:
                 assert position[dep] < position[phase.name]
+
+
+class TestBound:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_never_exceeds_makespan(self, data):
+        n = data.draw(st.integers(1, 6), label="phases")
+        phases = []
+        for i in range(n):
+            deps = data.draw(st.sets(st.integers(0, i - 1)), label="deps") if i else set()
+            claims = data.draw(st.sets(st.sampled_from(["a", "b"])), label="claims")
+            seconds = data.draw(
+                st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+                label="seconds",
+            )
+            phases.append(
+                _fixed(
+                    f"p{i}",
+                    seconds,
+                    deps=tuple(f"p{d}" for d in sorted(deps)),
+                    claims=tuple(sorted(claims)),
+                )
+            )
+        plan = Plan(phases)
+        executor = _executor()
+        assert executor.bound(plan) <= executor.execute(plan).makespan
+
+    def test_linear_chain_is_exact(self):
+        plan = Plan([
+            _fixed("a", 0.1),
+            _fixed("b", 0.2, deps=("a",)),
+            _fixed("c", 0.3, deps=("b",)),
+        ])
+        executor = _executor()
+        assert executor.bound(plan) == executor.execute(plan).makespan
+
+    def _profile(self, fixed_overhead=0.0):
+        return AccessProfile(
+            streams=[seq_stream("gpu0", "cpu0-mem", 1 << 30, "read")],
+            compute_tuples=1e6,
+            label="probe",
+            processor="gpu0",
+            fixed_overhead=fixed_overhead,
+        )
+
+    def test_priced_bound_is_the_price_before_overheads(self):
+        executor = _executor()
+        bare = Plan([priced_phase("probe", self._profile())])
+        assert executor.bound(bare) == executor.execute(bare).makespan
+        for phase in (
+            priced_phase("probe", self._profile(1e-3)),
+            priced_phase("probe", self._profile(), chunked=Chunked(chunks=4)),
+        ):
+            plan = Plan([phase])
+            assert executor.bound(plan) == executor.bound(bare)
+            assert executor.bound(plan) < executor.execute(plan).makespan
+
+    def test_rejects_what_execute_rejects(self):
+        compute_only = AccessProfile(compute_tuples=1e6, label="orphan")
+        load = WorkerLoad(
+            profile=AccessProfile(compute_tuples=1e6, processor="gpu0"),
+            units=1e6,
+        )
+        bad_batch = morsel_phase(
+            "probe",
+            {"gpu0": load},
+            shared_units=1e6,
+            morsel_tuples=64,
+            morsel_workers={"gpu0": MorselWorker(1e-5, batch_morsels=-1)},
+        )
+        executor = _executor()
+        for phase in (priced_phase("p", compute_only), bad_batch):
+            plan = Plan([phase])
+            with pytest.raises(ValueError) as executed:
+                executor.execute(plan)
+            with pytest.raises(ValueError) as bounded:
+                executor.bound(plan)
+            assert str(bounded.value) == str(executed.value)

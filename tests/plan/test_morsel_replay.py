@@ -23,7 +23,7 @@ from repro.hardware.topology import ibm_ac922
 from repro.obs import INERT, Observability
 from repro.obs.inert import InertMetrics
 from repro.obs.trace import Timeline
-from repro.plan import PlanExecutor
+from repro.plan import Plan, PlanExecutor
 from repro.plan.spec import MorselWorker, PhaseSpec, WorkerLoad, morsel_phase
 from repro.sim.engine import Simulator
 from repro.sim.resources import solve_concurrent_rates
@@ -189,6 +189,15 @@ def test_replay_matches_dispatcher_oracle(
     assert got_obs.timeline.to_dicts() == want_obs.timeline.to_dicts()
     (run_span,) = got_obs.timeline.by_label("sim.run")
     assert run_span.duration == got.cost.seconds
+
+
+@pytest.mark.parametrize("count,intensity,total,batches,latency", CASES)
+def test_bound_stays_under_the_replay(count, intensity, total, batches, latency):
+    phase = _phase(WORKERS[:count], INTENSITY[intensity], total, batches, latency)
+    executor = PlanExecutor(CostModel(ibm_ac922(), obs=INERT))
+    assert executor.bound(Plan([phase])) <= executor._run_morsel(phase).seconds
+    phase.shared_units += 0.9  # the replay drains whole tuples only
+    assert executor.bound(Plan([phase])) <= executor._run_morsel(phase).seconds
 
 
 def test_ties_alternate_like_the_dispatcher():

@@ -1,15 +1,20 @@
-"""Cold planning prices statistics only.
+"""Cold planning prices statistics only, and prunes without moving a
+decision.
 
 Building a registry query and optimizing it generate no column, and the
 optimizer's candidates leave nothing behind in its inert observability
-bundle.  The digests were recorded while planning still generated the
-registry's columns and recorded every candidate's spans and metrics:
-neither may move a priced number or a manifest byte.
+bundle.  ``cold_planning_oracle.json`` holds every candidate's
+``(config, seconds, rejected)`` as exhaustive pricing produced them,
+before the optimizer pruned with a bound: every candidate it still
+prices must cost the same bits, every one it prunes must lose to the
+chosen one, and the served manifest outside its ``optimizer`` section
+must hash as it did then.
 """
 
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -29,46 +34,53 @@ PAIRS = [
     if (workload, machine) != ("star", "intel-xeon-v100")
 ]
 
+#: per pair: the chosen index, the served manifest's sha256 without its
+#: ``optimizer`` section, and ``[config, seconds, rejected]`` per
+#: candidate in enumeration order, all from exhaustive pricing.
+ORACLE = json.loads(
+    (Path(__file__).parent / "cold_planning_oracle.json").read_text()
+)
+
 #: sha256 of ``OptimizerResult.section()`` and of the served manifest.
 SECTIONS = {
     "q6@ibm-ac922":
-        "772cffeeb9d89a5abe41edf88d675f56413c1f886e7d40593d77b0f7bab85d7d",
+        "405d9a5a2bdfaa760445f92faad62bfbf66aa2a98fbfdd8df8cc357f75319866",
     "join-a@ibm-ac922":
-        "217f6654eae9243e58e8d8e8c9069d88cda190d9a30106229d9443cce6c30022",
+        "91a91e3d3fcce88aa83d6c003e2f4eb174af8324624dad942c943dc140902831",
     "join-b@ibm-ac922":
-        "6e57e1d09fd8cfc2fc115e44b9258f6b81fbac076e16959fb8ea2cc9b1249220",
+        "e8140c7faea7714d6c3e016c0fa0c1ba0c86ca5f190a8565b314907339596670",
     "join-sel@ibm-ac922":
-        "b384852b6d8c9bc5f7be49e81b843892f4fd2089fe05a1d1397820f2e4d8a076",
+        "dfd2d1a45012d469b3d2b20cdda2b5f8addb5a281bdb711478d992460bd1658b",
     "star@ibm-ac922":
-        "9ad2b777ed3ca86a3086b95f4fcbb83eacb1107eb3c3955f84fe7f8af490c221",
+        "7c9d2ab2320e25355c2736334e117921fe1be46fbbd0830ecbbada721c89727c",
     "q6@intel-xeon-v100":
-        "731f0983a09fe48da97f595a2d16c8ce6c35a6ac92567a93e3b48d935fd86f79",
+        "0d212ac1710105f584bc9dee30e6264e2b3bbdabc203837a826f81af6c25cf55",
     "join-a@intel-xeon-v100":
-        "839dbfa8eab7edfe0eed53d91c47fae4ccb4906ab9666ee78bdadfe670bddfac",
+        "a70c709b544cf7dc14297ff0327172bddafe1e0e9b766a2d7eb407c879696db7",
     "join-b@intel-xeon-v100":
-        "0f6a8c3a9724f9ca57183e6b8235fa10539b06dbbd2f91e81af395343abbb373",
+        "f94b9643949083a53121b054caa8c1e7713456e487bfe4d3ffc51b5d25f5aa43",
     "join-sel@intel-xeon-v100":
-        "2bc1fb279131c7c1ce7e68cca302f72b42c75ae3fb8950ec31784c9c471d1f15",
+        "b890b50a7370964fec21f123b18e55e8e6dc2edc1dbc5319d3986782a1dbdefd",
 }
 MANIFESTS = {
     "q6@ibm-ac922":
-        "a6baef68032286343ecc165e885281798f34e047b05e564f1a6a747c63de345d",
+        "aa2b2e738f19b653f91a28bc43624eabf4e12cbf0b61fafff274ac9a2edd6676",
     "join-a@ibm-ac922":
-        "655834aef150e0c7cb597292490db91871afb87ba20b78638f7a5aa593cb745c",
+        "0038a9ff1e4e7ea3cf852bbc89c9286cdd2cf12e777352a571f5d2aad67a2160",
     "join-b@ibm-ac922":
-        "7e6405491358a4ecdbfd2b9612305cdc0b0786f05debac715ad958ba4a68e2f0",
+        "359b134bd5b7cbf19f8b193b68517ba660425473f6dd284dd8e75fb586cc2142",
     "join-sel@ibm-ac922":
-        "dec94ad0d617ba68d7b7a63ff7e0a0341f51937b087e7751326d2736cda77471",
+        "1b6dc5c8455496ff5aedd07a93cc999e92ec784ee94e7882d18a6214947788de",
     "star@ibm-ac922":
-        "4b5f9e0ecfad6d5fdc5f84ff2884d2171109d2e0557861b336d21c86e7e6c784",
+        "4da9f0ce085dd8b154a4387a9c95ebc6918c4b813da57485ea9a93248e197e05",
     "q6@intel-xeon-v100":
-        "c5ab50a8e1bf2d9ea2cc57e421ca065b7cdfaf6659ab25d17127ce055d62a5eb",
+        "b3b6a5b8c18bd92e8c00e12866da11577488d9b8a0ac267f8ead6ed682ea6138",
     "join-a@intel-xeon-v100":
-        "1cc4a543b1bdfd9669d07b880aebf2e5f683cd4ebf03e753a5c31bc6eb75d829",
+        "93766129e3337188d405b80d4821fcfbc874b823430ab6f56c4c11fb66f70f89",
     "join-b@intel-xeon-v100":
-        "71af6913a37471612745d2ac6e6c106a83fe6cc30ad2ee6357278c32845b7922",
+        "e5a1c3ed1a2db2353887e984fc2d5ecdbd3a1cc34772f3761e9e1fd4245c0183",
     "join-sel@intel-xeon-v100":
-        "d944375576cf754be450a65d0ad3faea99ae2ceefcb313ad75db65a268261f16",
+        "c29480500c04077e33a40634c11d613e77d17bdc64ffa58817281a30563fa818",
 }
 
 PLANNING_PEAK_BYTES = 2 << 20
@@ -97,6 +109,32 @@ def test_optimizer_section_is_unchanged(workload, machine):
 def test_served_manifest_is_unchanged(workload, machine):
     manifest = served_manifest(workload, machine)
     assert sha256(manifest) == MANIFESTS[f"{workload}@{machine}"]
+    del manifest["optimizer"]
+    oracle = ORACLE[f"{workload}@{machine}"]
+    assert sha256(manifest) == oracle["manifest_without_optimizer"]
+
+
+@pytest.mark.parametrize("workload,machine", PAIRS)
+def test_pruning_keeps_every_exhaustive_decision(workload, machine):
+    oracle = ORACLE[f"{workload}@{machine}"]
+    result = explain_workload(workload, machine)
+    chosen = oracle["chosen"]
+    assert result.candidates.index(result.chosen) == chosen
+    best = (oracle["candidates"][chosen][1], chosen)
+    assert len(result.candidates) == len(oracle["candidates"])
+    for index, (candidate, (config, seconds, rejected)) in enumerate(
+        zip(result.candidates, oracle["candidates"])
+    ):
+        assert candidate.config.describe() == config
+        assert candidate.rejected == rejected
+        if rejected is not None:
+            assert candidate.bound is None and candidate.seconds is None
+            continue
+        assert candidate.bound <= seconds
+        if candidate.pruned:
+            assert (seconds, index) > best
+        else:
+            assert repr(candidate.seconds) == repr(seconds)
 
 
 def test_inert_bundle_keeps_nothing():
