@@ -3,16 +3,18 @@
 Every figure module exposes
 
 * ``PAPER`` — the values the paper reports (read off its figures), the
-  one home of that figure's anchors, and
+  one home of that figure's anchors,
+* ``CLAIMS`` — beside ``PAPER``, the *shape* claims (who wins, by
+  roughly what factor, where crossovers fall) as
+  :class:`~repro.bench.common.Claim` predicates over the result, and
 * ``run(...) -> FigureResult`` — regenerates the figure's rows on the
   simulated machines next to those anchors.
 
 ``repro.bench.run_all.FIGURES`` is the one ordered list of runners: the
 CLI, the sweep, the markdown report, the export and the paper-anchors
-test enumerate figures through it.  The pytest-benchmark targets in
-``benchmarks/`` call ``run`` and assert the *shape* claims (who wins, by
-roughly what factor, where crossovers fall); ``docs/report_generated.md``
-records paper-vs-simulated numbers.
+test enumerate figures through it.  The test runs each entry once and
+checks its anchors and claims; ``docs/report_generated.md`` records
+paper-vs-simulated numbers and a verdict per claim.
 """
 
 from repro.bench.common import FigureResult, SeriesRow

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Tuple
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near
 from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
@@ -25,6 +25,41 @@ from repro.workloads.builders import (
 )
 
 BATCHES = (1, 2, 4, 8, 16, 64, 256)
+
+BATCH_SIZE_CLAIMS = (
+    Claim("Tiny batches lose to dispatch latency",
+          lambda r: r.value("batch=1", "throughput") < max(r.series("throughput"))),
+    Claim("The tuned batch is within 2% of the best fixed batch",
+          lambda r: near(r.value("batch=auto", "throughput"), max(r.series("throughput")), 0.02)),
+)
+
+LAYOUT_CLAIMS = (
+    Claim("At zero selectivity the layouts tie (within 2%): only keys are probed",
+          lambda r: near(r.value("sel=0.0", "soa") / r.value("sel=0.0", "aos"), 1.0, 0.02)),
+    Claim("At full selectivity AoS wins by over 1.3x: key and value in one access",
+          lambda r: r.value("sel=1.0", "aos") > 1.3 * r.value("sel=1.0", "soa")),
+)
+
+HASH_SCHEME_CLAIMS = (
+    Claim("Perfect hashing (the paper's setup) is the fastest scheme",
+          lambda r: r.value("perfect", "throughput") > max(
+              r.value("open_addressing", "throughput"), r.value("chaining", "throughput"))),
+    Claim("Open addressing stays within 25% of perfect hashing",
+          lambda r: r.value("open_addressing", "throughput")
+          > 0.75 * r.value("perfect", "throughput")),
+    Claim("Perfect hashing probes once per lookup, open addressing more",
+          lambda r: r.value("perfect", "probes_per_lookup") == 1.0
+          and r.value("open_addressing", "probes_per_lookup") > 1.0),
+)
+
+HYBRID_VS_SPILL_CLAIMS = (
+    Claim("The hybrid table always matches the whole-table spill (1% slack)",
+          lambda r: all(row.values["hybrid"] >= 0.99 * row.values["cpu_spill"]
+                        for row in r.rows)),
+    Claim("The hybrid table's advantage shrinks as its GPU fraction falls",
+          lambda r: r.rows[0].values["hybrid"] / r.rows[0].values["cpu_spill"]
+          > r.rows[-1].values["hybrid"] / r.rows[-1].values["cpu_spill"]),
+)
 
 
 def run_batch_size(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.utils.tables import Table
 
@@ -77,3 +77,34 @@ class FigureResult:
         if self.notes:
             out += f"\n  note: {self.notes}"
         return out
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A shape the paper states about one figure: who wins, by roughly
+    what factor, where curves cross, what stays monotone."""
+
+    #: the paper sentence (or design claim) it encodes.
+    text: str
+    #: whether the claim holds on the figure's result.
+    holds: Callable[[FigureResult], bool]
+
+
+def near(value: float, target: float, rel: float) -> bool:
+    """``value`` strictly within ``rel`` of ``target``, relative to ``target``."""
+    return abs(value - target) < rel * abs(target)
+
+
+def rising(values: Sequence[float], slack: float = 0.0) -> bool:
+    """Each value is at least ``1 - slack`` times the one before it."""
+    return all(b >= a * (1 - slack) for a, b in zip(values, values[1:]))
+
+
+def falling(values: Sequence[float], slack: float = 0.0) -> bool:
+    """Each value is at most ``1 + slack`` times the one before it."""
+    return all(b <= a * (1 + slack) for a, b in zip(values, values[1:]))
+
+
+def missing(result: FigureResult, label: str, series: str) -> bool:
+    """No cell at ``(label, series)``: the configuration cannot run."""
+    return all(row.label != label or series not in row.values for row in result.rows)

@@ -85,7 +85,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     from repro.bench.run_all import sweep_results
 
-    results = list(sweep_results())
+    results = [result for _, result in sweep_results()]
     if args.format == "json":
         print(export_json(results))
     else:

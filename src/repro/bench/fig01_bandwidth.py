@@ -11,7 +11,7 @@ duplex model of :class:`~repro.hardware.interconnect.Interconnect`.
 
 from __future__ import annotations
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.specs import DDR4_POWER9, NVLINK2, PCIE3, theoretical_vs_measured
 from repro.utils.units import GIB
@@ -21,6 +21,16 @@ PAPER = {
     "nvlink2": {"theoretical": 124.6, "measured": 102.6},
     "pcie3": {"theoretical": 24.7, "measured": 20.5},
 }
+
+CLAIMS = (
+    Claim("NVLink 2.0 eliminates the GPU's main-memory disadvantage: over 80% of CPU memory",
+          lambda r: r.value("nvlink2", "measured") > 0.8 * r.value("memory", "measured")),
+    Claim("PCI-e 3.0 does not: it measures below 20% of CPU memory",
+          lambda r: r.value("pcie3", "measured") < 0.2 * r.value("memory", "measured")),
+    Claim("Every measured bar is within 10% of the paper's",
+          lambda r: all(near(r.value(label, "measured"), PAPER[label]["measured"], 0.10)
+                        for label in PAPER)),
+)
 
 #: duplex efficiency of a read+write 1:1 mix (protocol acks and turn-
 #: around): links carry both directions, DRAM interleaves them.

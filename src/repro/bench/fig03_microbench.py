@@ -14,7 +14,7 @@ model.
 
 from __future__ import annotations
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult
 from repro.costmodel.model import CostModel
 from repro.hardware.specs import (
     DDR4_POWER9,
@@ -37,6 +37,20 @@ PAPER = {
     "power9-memory": {"seq": 117.0, "random": 3.6, "latency_ns": 68.0},
     "gpu-memory": {"seq": 729.0, "random": 22.3, "latency_ns": 282.0},
 }
+
+CLAIMS = (
+    Claim("(a) NVLink 2.0 has over 5x PCI-e 3.0's sequential and 10x its random bandwidth",
+          lambda r: r.value("nvlink2", "seq") / r.value("pcie3", "seq") > 5
+          and r.value("nvlink2", "random") / r.value("pcie3", "random") > 10),
+    Claim("(a) NVLink 2.0's latency lies between UPI's and PCI-e 3.0's",
+          lambda r: r.value("upi", "latency_ns") < r.value("nvlink2", "latency_ns")
+          < r.value("pcie3", "latency_ns")),
+    Claim("(b) NVLink 2.0 is within 2x of POWER9 memory bandwidth, at over 5x its latency",
+          lambda r: r.value("power9-memory", "seq") / r.value("nvlink2", "seq") < 2
+          and r.value("nvlink2", "latency_ns") / r.value("power9-memory", "latency_ns") > 5),
+    Claim("(c) GPU memory is an order of magnitude above the link",
+          lambda r: r.value("gpu-memory", "seq") / r.value("nvlink2", "seq") > 10),
+)
 
 
 def run() -> FigureResult:

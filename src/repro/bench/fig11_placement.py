@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, missing, near
 from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.placement import decide_placement
@@ -28,6 +28,25 @@ SWEEP = (
     ("in-GPU (15 GiB)", 960),
     ("beyond-GPU (24 GiB)", 1536),
     ("beyond-GPU (32 GiB)", 2048),
+)
+
+_IN_CORE = ("cache-sized (4 MiB)", "in-GPU (8 GiB)", "in-GPU (15 GiB)")
+_BEYOND = ("beyond-GPU (24 GiB)", "beyond-GPU (32 GiB)")
+
+CLAIMS = (
+    Claim("In-core, the tree's choice is within 2% of the best strategy found",
+          lambda r: all(near(r.value(label, "chosen"), r.value(label, "best"), 0.02)
+                        for label in _IN_CORE)),
+    Claim("The tree's choice is never above the best strategy found",
+          lambda r: all(row.values["chosen"] <= row.values["best"] * 1.001 for row in r.rows)),
+    Claim("A cache-sized table picks the cooperative GPU+Het (Figure 21 B)",
+          lambda r: near(r.value(_IN_CORE[0], "chosen"), r.value(_IN_CORE[0], "gpu+het"), 0.01)),
+    Claim("Beyond GPU memory, neither a GPU table nor a replicated one fits",
+          lambda r: all(missing(r, label, series)
+                        for label in _BEYOND for series in ("gpu", "gpu+het"))),
+    Claim("Beyond GPU memory, the tree picks the robust Het, above the CPU-only rate (0.4)",
+          lambda r: all(near(r.value(label, "chosen"), r.value(label, "het"), 0.01)
+                        and r.value(label, "chosen") > 0.4 for label in _BEYOND)),
 )
 
 

@@ -8,9 +8,9 @@ allocates pageable/pinned/unified memory per method).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, missing, near
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.transfer.methods import TRANSFER_METHODS, UnsupportedTransferError
@@ -37,6 +37,35 @@ METHOD_ORDER = [
     "zero_copy",
     "coherence",
 ]
+
+_UNIFIED = {"um_prefetch", "um_migration"}
+
+
+def _nvlink_over_pcie(r: FigureResult) -> Dict[str, float]:
+    """NVLink 2.0's speed-up over PCI-e 3.0 for each method run on both."""
+    return {
+        row.label: row.values["nvlink2"] / row.values["pcie3"]
+        for row in r.rows
+        if "pcie3" in row.values
+    }
+
+
+CLAIMS = (
+    Claim("Coherence and Zero-Copy are the fastest methods on NVLink 2.0",
+          lambda r: near(r.value("coherence", "nvlink2"), max(r.series("nvlink2")), 0.01)
+          and near(r.value("zero_copy", "nvlink2"), max(r.series("nvlink2")), 0.02)),
+    Claim("Coherence is unsupported on PCI-e 3.0",
+          lambda r: missing(r, "coherence", "pcie3")),
+    Claim("NVLink 2.0 runs Zero-Copy 4-6x faster than PCI-e 3.0",
+          lambda r: 4 < r.value("zero_copy", "nvlink2") / r.value("zero_copy", "pcie3") < 6),
+    Claim("Unified Memory underperforms on POWER9: the only methods NVLink 2.0 loses on",
+          lambda r: {m for m, x in _nvlink_over_pcie(r).items() if x < 1} == _UNIFIED),
+    Claim("Every method but Unified Memory is faster on NVLink 2.0 than on PCI-e 3.0",
+          lambda r: {m for m, x in _nvlink_over_pcie(r).items() if x > 1}
+          == set(_nvlink_over_pcie(r)) - _UNIFIED),
+    Claim("PCI-e 3.0 needs pinned memory for its peak: Zero-Copy is over 2x Pageable Copy",
+          lambda r: r.value("zero_copy", "pcie3") > 2 * r.value("pageable_copy", "pcie3")),
+)
 
 
 def run(scale: float = 2.0**-12) -> FigureResult:

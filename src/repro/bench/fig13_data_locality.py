@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.utils.units import GIB
@@ -35,6 +35,26 @@ _SIZE_SCALES = {
     "B": 12 * GIB / (32 * GIB),
     "C": 10 * GIB / (16.0 * GIB),  # full C at 8-byte tuples is ~15.3 GiB
 }
+
+
+def _by_hops(r: FigureResult, workload: str):
+    return [r.value(workload, location) for location in ("gpu", "cpu", "rcpu", "rgpu")]
+
+
+CLAIMS = (
+    Claim("A: throughput falls with every added hop",
+          lambda r: r.value("A", "gpu") >= r.value("A", "cpu") > r.value("A", "rcpu")
+          >= r.value("A", "rgpu")),
+    Claim("A: three hops keep 30-75% of the local throughput (paper: a 32-46% decrease)",
+          lambda r: 0.3 < r.value("A", "rgpu") / r.value("A", "gpu") < 0.75),
+    Claim("B: the L2-cached table makes GPU-local over 3x one hop",
+          lambda r: r.value("B", "gpu") / r.value("B", "cpu") > 3),
+    Claim("C: flat within 20%, GPU-memory random accesses dominate",
+          lambda r: max(_by_hops(r, "C")) / min(_by_hops(r, "C")) < 1.2),
+    Claim("A one hop and B local are within 15% of the paper's 3.82 and 19.08",
+          lambda r: near(r.value("A", "cpu"), 3.82, 0.15)
+          and near(r.value("B", "gpu"), 19.08, 0.15)),
+)
 
 
 def _workloads(scale: float):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a, workload_b, workload_c
@@ -26,6 +26,21 @@ PLACEMENTS = {
     "rcpu": "cpu1-mem",
     "rgpu": "gpu1-mem",
 }
+
+
+CLAIMS = (
+    Claim("A, B: one NVLink hop to the table costs 70-95% of throughput (paper: 75-85%)",
+          lambda r: all(0.7 < 1 - r.value(wl, "cpu") / r.value(wl, "gpu") < 0.95
+                        for wl in "AB")),
+    Claim("A, B, C: every added hop costs throughput",
+          lambda r: all(r.value(wl, "gpu") > r.value(wl, "cpu") > r.value(wl, "rcpu")
+                        >= r.value(wl, "rgpu") * 0.99 for wl in "ABC")),
+    Claim("B's cache-sized table gets no remote L2 relief: one hop is within 25% of A's",
+          lambda r: near(r.value("B", "cpu"), r.value("A", "cpu"), 0.25)),
+    Claim("A local and one hop are within 10% and 15% of the paper's 3.82 and 0.59",
+          lambda r: near(r.value("A", "gpu"), 3.82, 0.1)
+          and near(r.value("A", "cpu"), 0.59, 0.15)),
+)
 
 
 def run(scale: float = 2.0**-12) -> FigureResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult
 from repro.core.ops.q6 import TpchQ6
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.transfer.methods import get_method
@@ -30,6 +30,28 @@ PAPER = {
 }
 
 SCALE_FACTORS = (100, 250, 500, 750, 1000)
+
+
+def _best(r: FigureResult, processor: str) -> float:
+    """The faster Q6 variant of one processor at SF1000."""
+    return max(r.value("SF1000", f"{processor}-{variant}")
+               for variant in ("branching", "predicated"))
+
+
+CLAIMS = (
+    Claim("The CPU achieves the highest throughput overall",
+          lambda r: _best(r, "cpu") > _best(r, "nvlink")),
+    Claim("NVLink 2.0 considerably closes the gap: within 2x of the CPU (paper: 67%)",
+          lambda r: _best(r, "cpu") / _best(r, "nvlink") < 2.0),
+    Claim("NVLink 2.0 is over 4x PCI-e 3.0 (paper: up to 9.8x)",
+          lambda r: _best(r, "nvlink") / _best(r, "pcie") > 4),
+    Claim("Branching beats predication on the GPU (transfer skipping), not on the CPU (SIMD)",
+          lambda r: r.value("SF1000", "nvlink-branching") > r.value("SF1000", "nvlink-predicated")
+          and r.value("SF1000", "cpu-predicated") > r.value("SF1000", "cpu-branching")),
+    Claim("Throughput is flat (within 5%) across scale factors",
+          lambda r: all(max(r.series(s)) / min(r.series(s)) < 1.05
+                        for s in ("cpu-predicated", "nvlink-predicated", "pcie-predicated"))),
+)
 
 
 def run(scale: float = 2.0**-10, scale_factors=SCALE_FACTORS) -> FigureResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, rising
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.data.relation import Relation
@@ -26,6 +26,22 @@ PAPER = {
 
 PROBE_MILLIONS = (128, 512, 1024, 2048, 4096, 8192)
 BUILD_MILLIONS = 1024
+
+CLAIMS = (
+    Claim("Past the smallest probe side, NVLink 2.0 is 2.5-6.5x PCI-e 3.0 and 2.5-9x the CPU "
+          "(paper: 3-6x and 3.2-7.3x)",
+          lambda r: all(2.5 < row.values["nvlink2"] / row.values["pcie3"] < 6.5
+                        and 2.5 < row.values["nvlink2"] / row.values["cpu-pra"] < 9
+                        for row in r.rows[1:])),
+    Claim("NVLink 2.0 beats PCI-e 3.0 and the CPU at every probe size",
+          lambda r: all(row.values["nvlink2"] > max(row.values["pcie3"], row.values["cpu-pra"])
+                        for row in r.rows)),
+    Claim("NVLink 2.0 improves with larger probe sides",
+          lambda r: rising(r.series("nvlink2"))),
+    Claim("PCI-e 3.0 stays flat (within 5%) at its transfer bottleneck, below 2x the CPU",
+          lambda r: max(r.series("pcie3")) / min(r.series("pcie3")) < 1.05
+          and all(row.values["pcie3"] < 2 * row.values["cpu-pra"] for row in r.rows)),
+)
 
 
 def run(scale: float = 2.0**-13, probe_millions=PROBE_MILLIONS) -> FigureResult:

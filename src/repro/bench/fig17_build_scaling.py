@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, falling, near
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
@@ -27,6 +27,34 @@ PAPER = {
 }
 
 TUPLE_MILLIONS = (128, 256, 512, 768, 1024, 1280, 1536, 1792, 2048)
+
+def _gain(r: FigureResult, label: str) -> float:
+    """The hybrid table's speed-up over the plainly spilled one."""
+    return r.value(label, "nvlink2-hybrid") / r.value(label, "nvlink2")
+
+
+CLAIMS = (
+    Claim("The table outgrows the GPU between 1024M and 1280M tuples: PCI-e 3.0 drops over "
+          "10x, NVLink 2.0 over 2x",
+          lambda r: r.value("1024M", "pcie3") > 10 * r.value("1280M", "pcie3")
+          and r.value("1024M", "nvlink2") > 2 * r.value("1280M", "nvlink2")),
+    Claim("PCI-e 3.0 rides over a cliff: under 5% is left at 2048M (paper: -97%)",
+          lambda r: r.value("2048M", "pcie3") / r.value("512M", "pcie3") < 0.05),
+    Claim("NVLink 2.0 degrades gracefully: 10-45% is left at 2048M (paper: -85%)",
+          lambda r: 0.1 < r.value("2048M", "nvlink2") / r.value("512M", "nvlink2") < 0.45),
+    Claim("Out of core, NVLink 2.0 stays 8-30x above PCI-e 3.0 (paper: 8-18x)",
+          lambda r: 8 < r.value("2048M", "nvlink2") / r.value("2048M", "pcie3") < 30),
+    Claim("Out of core, NVLink 2.0 is within 25% of the CPU (paper: 13%)",
+          lambda r: near(r.value("2048M", "nvlink2"), r.value("2048M", "cpu-pra"), 0.25)),
+    Claim("The hybrid hash table degrades gracefully: it never rises with size",
+          lambda r: falling(r.series("nvlink2-hybrid"), 0.001)),
+    Claim("Spilled (1280M on), the hybrid table adds 1-4x, under 2.5x at 2048M (paper: "
+          "1-2.2x)",
+          lambda r: all(1.0 < _gain(r, f"{m}M") < 4.0 for m in (1280, 1536, 1792, 2048))
+          and _gain(r, "2048M") < 2.5),
+    Claim("The CPU baseline is flat (within 10%)",
+          lambda r: max(r.series("cpu-pra")) / min(r.series("cpu-pra")) < 1.1),
+)
 
 
 def run(scale: float = 2.0**-13, tuple_millions=TUPLE_MILLIONS) -> FigureResult:

@@ -8,7 +8,7 @@ build/probe time breakdown.
 
 from __future__ import annotations
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near, rising
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_ratio
@@ -24,6 +24,17 @@ PAPER = {
 }
 
 RATIOS = (1, 2, 4, 8, 16)
+
+CLAIMS = (
+    Claim("Throughput rises with the probe side's share",
+          lambda r: rising(r.series("throughput"))),
+    Claim("The build phase's share of the time shrinks with every ratio step",
+          lambda r: all(b < a for a, b in zip(r.series("build_pct"), r.series("build_pct")[1:]))),
+    Claim("Building is ~45% slower per tuple than probing: the 1:1 build share implies a "
+          "2.45x cost ratio (within 15%)",
+          lambda r: near(r.value("1:1", "build_pct") / (100 - r.value("1:1", "build_pct")),
+                         2.45, 0.15)),
+)
 
 
 def run(scale: float = 2.0**-11, ratios=RATIOS) -> FigureResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, rising
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_skewed
@@ -24,6 +24,33 @@ PAPER = {
 
 EXPONENTS = (0.0, 0.5, 1.0, 1.25, 1.5, 1.75)
 GPU_SPLITS = (0.0, 0.1, 0.3, 0.5, 1.0)
+
+_SERIES = ("cpu", "nvlink2", "pcie3")
+
+CLAIMS = (
+    Claim("Skew raises throughput for CPU-resident tables: over 2x on the CPU, 2.5x on NVLink "
+          "2.0, 3x on PCI-e 3.0 (paper: 3.5x, 3.6x, 6.1x)",
+          lambda r: all(r.value("zipf=1.75", series) / r.value("zipf=0.0", series) > gain
+                        for series, gain in zip(_SERIES, (2.0, 2.5, 3.0)))),
+    Claim("Throughput is monotone in the Zipf exponent (1% slack)",
+          lambda r: all(rising(r.series(series), 0.01) for series in _SERIES)),
+    Claim("PCI-e 3.0 stays below half of NVLink 2.0 even at peak skew",
+          lambda r: r.value("zipf=1.75", "pcie3") < 0.5 * r.value("zipf=1.75", "nvlink2")),
+)
+
+#: claims of ``run(gpu_split=1.0)``.
+GPU_RESIDENT_CLAIMS = (
+    Claim("Fully GPU-resident tables see (almost) no skew effect: NVLink 2.0 moves under 10% "
+          "from zipf 0 to 1.5",
+          lambda r: abs(r.value("zipf=1.5", "nvlink2") / r.value("zipf=0.0", "nvlink2") - 1)
+          < 0.1),
+)
+
+#: claims of ``run_splits``.
+SPLIT_CLAIMS = (
+    Claim("Throughput rises with the hybrid table's GPU fraction",
+          lambda r: rising(r.series("nvlink2"))),
+)
 
 
 def run(

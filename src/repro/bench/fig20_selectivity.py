@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, falling
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_selectivity
@@ -26,6 +26,28 @@ PAPER = {
 }
 
 SELECTIVITIES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+
+_THROUGHPUTS = ("cpu", "nvlink2-gpu-ht", "nvlink2-cpu-ht", "pcie3-gpu-ht", "pcie3-cpu-ht")
+
+
+def _drop(r: FigureResult, series: str) -> float:
+    return 1 - r.value("sel=1.0", series) / r.value("sel=0.0", series)
+
+
+CLAIMS = (
+    Claim("Throughput never rises with selectivity, in every configuration",
+          lambda r: all(falling(r.series(series)) for series in _THROUGHPUTS)),
+    Claim("NVLink 2.0 with a GPU-memory table drops pronouncedly: 20-60% (paper: ~30%, the "
+          "largest)",
+          lambda r: 0.2 < _drop(r, "nvlink2-gpu-ht") < 0.6),
+    Claim("PCI-e 3.0 with a CPU-memory table drops under 60% (paper: 7%)",
+          lambda r: _drop(r, "pcie3-cpu-ht") < 0.6),
+    Claim("At 10% selectivity 81.5% of the value cache lines are loaded (within 1 point); "
+          "none at 0%, all at 100%",
+          lambda r: abs(r.value("sel=0.1", "value_lines_loaded_pct") - 81.5) <= 1.0
+          and r.value("sel=0.0", "value_lines_loaded_pct") == 0.0
+          and r.value("sel=1.0", "value_lines_loaded_pct") == 100.0),
+)
 
 
 def run(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult, near
 from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
@@ -29,6 +29,39 @@ PAPER_PHASES = {
     "gpu+het": {"build": 0.63, "probe": 0.25},
     "gpu": {"build": 0.24, "probe": 0.25},
 }
+
+CLAIMS = (
+    Claim("Using a GPU never decreases throughput: every strategy is above 85% of CPU-only",
+          lambda r: all(r.value(wl, strategy) > 0.85 * r.value(wl, "cpu")
+                        for wl in "ABC" for strategy in ("het", "gpu+het", "gpu"))),
+    Claim("A: adding a GPU always helps; GPU-only is fastest (within 5%)",
+          lambda r: r.value("A", "cpu") < r.value("A", "het") < r.value("A", "gpu+het")
+          <= r.value("A", "gpu") * 1.05),
+    Claim("A: GPU-only is over 5x CPU-only (paper: 7.3x)",
+          lambda r: r.value("A", "gpu") / r.value("A", "cpu") > 5),
+    Claim("B: cooperative GPU+Het beats GPU-only; Het is over 1.8x CPU-only (paper: 3.2x)",
+          lambda r: r.value("B", "gpu+het") > r.value("B", "gpu")
+          and r.value("B", "het") > 1.8 * r.value("B", "cpu")),
+    Claim("C: build contention eats Het's gain (within 20% of CPU-only); GPU-only is over 3x",
+          lambda r: near(r.value("C", "het"), r.value("C", "cpu"), 0.2)
+          and r.value("C", "gpu") / r.value("C", "cpu") > 3),
+)
+
+#: claims of ``run_phases``.
+PHASE_CLAIMS = (
+    Claim("Every strategy spends time building and probing",
+          lambda r: all(row.values["build"] > 0 and row.values["probe"] > 0 for row in r.rows)),
+    Claim("Build: a shared table (Het) is no faster than one CPU (5% slack), slower than the GPU",
+          lambda r: r.value("het", "build") >= 0.95 * r.value("cpu", "build")
+          and r.value("het", "build") > r.value("gpu", "build")),
+    Claim("Build: GPU+Het pays the synchronous table copy on top of the GPU build",
+          lambda r: r.value("gpu+het", "build") > r.value("gpu", "build")),
+    Claim("Probe: adding a GPU helps, processor-local tables (GPU+Het) beat the shared one "
+          "(Het), the GPU alone is no slower than Het",
+          lambda r: r.value("het", "probe") < r.value("cpu", "probe")
+          and r.value("gpu+het", "probe") < r.value("het", "probe")
+          and r.value("gpu", "probe") <= r.value("het", "probe")),
+)
 
 
 def run(scale: float = 2.0**-12) -> FigureResult:

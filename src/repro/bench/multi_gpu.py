@@ -16,12 +16,24 @@ table larger than one GPU.
 
 from __future__ import annotations
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult
 from repro.core.join.multigpu import MultiGpuJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.memory.allocator import OutOfMemoryError
 from repro.workloads.builders import workload_a, workload_ratio
+
+CLAIMS = (
+    Claim("Small table: replicating it over two GPUs beats one GPU and beats interleaving it",
+          lambda r: r.value("A (2 GiB table)", "replicated") > max(
+              r.value("A (2 GiB table)", "one-gpu"), r.value("A (2 GiB table)", "interleaved"))),
+    Claim("Table of 2x one GPU's memory: interleaving it beats one GPU's hybrid spill",
+          lambda r: r.value("C 2048M (32 GiB table)", "interleaved")
+          > r.value("C 2048M (32 GiB table)", "one-gpu")),
+    Claim("Four GPUs scale the interleaved join over 1.5x past two",
+          lambda r: r.value("C 2048M scaling", "4-gpus")
+          > 1.5 * r.value("C 2048M scaling", "2-gpus")),
+)
 
 
 def run(scale: float = 2.0**-12) -> FigureResult:

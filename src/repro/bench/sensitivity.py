@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.bench.common import FigureResult
+from repro.bench.common import Claim, FigureResult
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.costmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hardware.topology import ibm_ac922
@@ -40,6 +40,23 @@ DICT_CONSTANTS = (
     "atomic_rate",
     "issue_efficiency",
     "dram_concurrency",
+)
+
+
+def _movement(r: FigureResult, constant: str) -> float:
+    """The largest anchor movement (%) one constant's perturbation causes."""
+    return max(next(row for row in r.rows if row.label == constant).values.values())
+
+
+CLAIMS = (
+    Claim("Robust constants: a ±20% perturbation moves no anchor by 2% or more",
+          lambda r: all(_movement(r, constant) < 2.0 for constant in (
+              "shared_build_contention", "per_hop_random_penalty", "l2_random_rate",
+              "join_pipeline_overhead"))),
+    Claim("Stiff constants visibly matter (over 1%), but ±20% moves no anchor by 25% or more: "
+          "shapes survive recalibration",
+          lambda r: all(1.0 < _movement(r, constant) < 25.0 for constant in (
+              "independent_access_factor", "atomic_rate", "issue_efficiency"))),
 )
 
 

@@ -2,7 +2,8 @@
 
 Renders the method matrix (semantics, level, granularity, memory kind)
 from the implementation's own metadata, so the code provably implements
-the paper's taxonomy — the accompanying benchmark asserts every cell.
+the paper's taxonomy — ``tests/bench/test_bench_modules.py`` asserts
+every cell.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ quantities the paper reports only indirectly.  Every constant records the
 paper evidence it was fitted against.
 
 Changing these constants changes simulated absolute numbers but not the
-structure of the model; the reproduction tests in ``benchmarks/`` check
-shapes and ratios, which are robust to modest recalibration.
+structure of the model; the figure modules' ``CLAIMS`` (checked by the
+paper-anchors test) state shapes and ratios, which are robust to modest
+recalibration.
 """
 
 from __future__ import annotations

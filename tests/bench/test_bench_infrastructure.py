@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.common import FigureResult, SeriesRow
+from repro.bench.common import Claim, FigureResult, SeriesRow
 from repro.bench.report import deviation_stats, figure_section, markdown_table
 from repro.obs.explain import explain, explain_join, utilization
 from repro.costmodel.model import PhaseCost
@@ -71,6 +71,12 @@ class TestReport:
         assert section.startswith("## Figure X")
         assert "mean deviation" in section
         assert "> a note" in section
+        claims = (
+            Claim("row2 beats row1", lambda r: r.value("row2", "s1") > r.value("row1", "s1")),
+            Claim("s2 is below 1", lambda r: r.value("row1", "s2") < 1),
+        )
+        section = figure_section(figure, claims)
+        assert section.endswith("- holds: row2 beats row1\n- **fails**: s2 is below 1")
 
 
 class TestExplain:

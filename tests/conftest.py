@@ -4,8 +4,11 @@ Machines are function-scoped (allocators mutate region bookkeeping);
 workloads are session-scoped and must be treated as read-only.
 """
 
+import functools
+
 import pytest
 
+from repro.bench.run_all import FIGURES
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_a, workload_b, workload_c
 
@@ -40,3 +43,10 @@ def wl_b():
 @pytest.fixture(scope="session")
 def wl_c():
     return workload_c(scale=TEST_SCALE)
+
+
+@pytest.fixture(scope="session")
+def registry_result():
+    """``registry_result(i)``: entry ``i`` of ``repro.bench.run_all.FIGURES``,
+    run once per session; every caller shares the result, read-only."""
+    return functools.lru_cache(maxsize=None)(lambda index: FIGURES[index].runner())

@@ -298,3 +298,14 @@ class TestPipelines:
             wl_a.r, wl_a.s
         )
         assert int(total["agg"][0]) == reference.aggregate
+
+        # A filtered probe side: only even keys join (payload = 3 key + 1).
+        even = HashJoinOp(
+            TableScan(wl_a.r),
+            Filter(TableScan(wl_a.s), lambda b: b["key"] % 2 == 0),
+            "key",
+            "key",
+        )
+        total = collect(HashAggregate(even, (), {"agg": ("build_payload", "sum")}))
+        keys = wl_a.s.key[wl_a.s.key % 2 == 0].astype(np.int64)
+        assert int(total["agg"][0]) == int((keys * 3 + 1).sum()) > 0

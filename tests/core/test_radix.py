@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench import fig16_probe_scaling, fig17_build_scaling
+from repro.bench.run_all import FIGURES
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.data.relation import Relation
@@ -134,13 +135,15 @@ class TestFigureCellsUnchanged:
             250000, 93881128480, 1.04704,
         )
 
-    def test_cpu_pra_cells(self):
+    def test_cpu_pra_cells(self, registry_result):
         cells = {}
-        for figure in (fig16_probe_scaling, fig17_build_scaling):
-            for row in figure.run().rows:
-                cells[(figure.__name__, row.label)] = row.values["cpu-pra"]
+        for index, figure in enumerate(FIGURES):
+            if figure.runner in (fig16_probe_scaling.run, fig17_build_scaling.run):
+                result = registry_result(index)
+                for row in result.rows:
+                    cells[(result.figure, row.label)] = row.values["cpu-pra"]
         expected = {key: 0.4553649829796006 for key in cells}
-        expected[("repro.bench.fig17_build_scaling", "1792M")] = 0.45536498297960065
+        expected[("Figure 17", "1792M")] = 0.45536498297960065
         assert len(cells) == 15
         assert cells == expected
 

@@ -1,19 +1,32 @@
-"""Tripwire: every paper-anchored figure stays inside its deviation budget.
+"""Tier 1's paper check: every registry figure, run once, against its
+anchors and its claims.
 
-Each entry of ``repro.bench.run_all.FIGURES`` that carries paper anchors
-runs once, with the arguments the report uses, and its mean and max
-relative deviation from the paper (``repro.bench.report.deviation_stats``,
-the numbers ``docs/report_generated.md`` prints) must stay within the
-committed budget below.  Deviations are deterministic, so each budget is
-the measured value rounded up to the next 0.1 percentage point: tighten
-it freely; loosen it only with a mechanism written down in
-EXPERIMENTS.md.
+Each entry of ``repro.bench.run_all.FIGURES`` runs once with its own
+defaults (the ``registry_result`` fixture caches by registry index,
+because keys such as ``"19"`` and ``"ablations"`` repeat).  On that one
+result:
+
+* it is well formed: a ``FigureResult`` with rows, every value finite
+  and non-negative, and it renders;
+* for an anchored entry, the mean and max relative deviation from the
+  paper (``repro.bench.report.deviation_stats``, the numbers
+  ``docs/report_generated.md`` prints) stay within ``BUDGET``, and every
+  anchor names a simulated cell;
+* every claim its figure module states holds.
+
+Deviations are deterministic, so each budget is the measured value
+rounded up to the next 0.1 percentage point: tighten it freely; loosen
+it only with a mechanism written down in EXPERIMENTS.md.  A claim that
+fails at the registry's defaults is a finding: ``KNOWN_MISSES`` gives
+its reason (EXPERIMENTS.md, "Known deviations", explains it) and it runs
+as a strict xfail, so fixing it fails the test until the entry goes.
 """
 
-import functools
+import math
 
 import pytest
 
+from repro.bench.common import FigureResult
 from repro.bench.report import deviation_stats
 from repro.bench.run_all import FIGURES
 
@@ -34,17 +47,45 @@ BUDGET = {
     "Figure 21b": (8, 0.354, 1.548),
 }
 
-ANCHORED = {figure.key: figure for figure in FIGURES if figure.paper}
+#: claim text -> why it fails at the registry's defaults.
+KNOWN_MISSES = {
+    "Throughput is monotone in the Zipf exponent (1% slack)": (
+        "Figure 19: PCI-e 3.0 reads 0.18087 / 0.17847 / 0.17836 at zipf "
+        "1.25 / 1.5 / 1.75, a 1.3% fall; the mechanism is still to be found"
+    ),
+}
+
+IDS = [f"{index}-{figure.key}" for index, figure in enumerate(FIGURES)]
+ANCHORED = {figure.key: index for index, figure in enumerate(FIGURES) if figure.paper}
+CLAIMS = [
+    pytest.param(
+        index,
+        claim,
+        id=f"{IDS[index]}-claim{number}",
+        marks=[pytest.mark.xfail(strict=True, reason=KNOWN_MISSES[claim.text])]
+        if claim.text in KNOWN_MISSES
+        else [],
+    )
+    for index, figure in enumerate(FIGURES)
+    for number, claim in enumerate(figure.claims)
+]
 
 
-@functools.lru_cache(maxsize=None)
-def _result(key):
-    return ANCHORED[key].runner()
+@pytest.mark.parametrize("index", range(len(FIGURES)), ids=IDS)
+def test_result_is_well_formed(registry_result, index):
+    result = registry_result(index)
+    assert result.render()
+    if FIGURES[index].key == "table1":  # a plain Table: test_table01_rows
+        return
+    assert isinstance(result, FigureResult) and result.rows
+    for row in result.rows:
+        assert row.values, row.label
+        assert all(math.isfinite(v) and v >= 0 for v in row.values.values()), row
 
 
 @pytest.mark.parametrize("key", ANCHORED)
-def test_figure_within_budget(key):
-    result = _result(key)
+def test_figure_within_budget(registry_result, key):
+    result = registry_result(ANCHORED[key])
     count, mean, worst = deviation_stats(result)
     anchors, mean_budget, max_budget = BUDGET[result.figure]
     assert count == anchors, f"{result.figure}: {count} anchors, budget {anchors}"
@@ -55,9 +96,9 @@ def test_figure_within_budget(key):
 
 
 @pytest.mark.parametrize("key", ANCHORED)
-def test_every_anchor_names_a_simulated_cell(key):
-    result = _result(key)
-    assert result.paper is ANCHORED[key].paper
+def test_every_anchor_names_a_simulated_cell(registry_result, key):
+    result = registry_result(ANCHORED[key])
+    assert result.paper is FIGURES[ANCHORED[key]].paper
     cells = {(row.label, series) for row in result.rows for series in row.values}
     missing = [
         (label, series)
@@ -68,5 +109,16 @@ def test_every_anchor_names_a_simulated_cell(key):
     assert not missing, f"{result.figure}: anchors without a cell {missing}"
 
 
-def test_anchored_figures_match_budget():
-    assert {_result(key).figure for key in ANCHORED} == set(BUDGET)
+@pytest.mark.parametrize("index,claim", CLAIMS)
+def test_claim_holds(registry_result, index, claim):
+    assert claim.holds(registry_result(index)), claim.text
+
+
+def test_anchored_figures_match_budget(registry_result):
+    assert {registry_result(index).figure for index in ANCHORED.values()} == set(BUDGET)
+
+
+def test_every_known_miss_names_one_claim():
+    texts = [claim.text for figure in FIGURES for claim in figure.claims]
+    assert len(set(texts)) == len(texts)
+    assert set(KNOWN_MISSES) <= set(texts)

@@ -29,6 +29,8 @@ class TestTable2:
         wl = workload_a(scale=SCALE)
         assert wl.r.modeled_bytes == 2 * 2**30  # 2 GiB
         assert wl.s.modeled_bytes == 32 * 2**30  # 32 GiB
+        for relation in (wl.r, wl.s):  # Table 2: 8/8-byte key/payload
+            assert relation.key_bytes == relation.payload_bytes == 8
 
     def test_workload_b_r_is_cache_sized(self):
         wl = workload_b(scale=SCALE)
@@ -45,7 +47,10 @@ class TestTable2:
         assert wl.r.modeled_tuples == wl.s.modeled_tuples == CARDINALITY_C
 
     def test_workload_c_tuple_widths(self):
-        assert workload_c(scale=SCALE).r.tuple_bytes == 8  # Table 2: 4/4
+        wl = workload_c(scale=SCALE)
+        assert wl.r.tuple_bytes == 8  # Table 2: 4/4
+        for relation in (wl.r, wl.s):
+            assert relation.key_bytes == relation.payload_bytes == 4
         assert workload_c(scale=SCALE, tuple_bytes=16).r.tuple_bytes == 16
 
     def test_workload_c_rejects_other_widths(self):
@@ -55,13 +60,16 @@ class TestTable2:
 
 class TestGenerationInvariants:
     def test_r_keys_are_unique_dense_permutation(self):
-        wl = workload_a(scale=SCALE)
-        keys = np.sort(wl.r.key)
-        assert np.array_equal(keys, np.arange(wl.r.executed_tuples))
+        for builder in (workload_a, workload_b, workload_c):
+            wl = builder(scale=SCALE)
+            keys = np.sort(wl.r.key)
+            assert np.array_equal(keys, np.arange(wl.r.executed_tuples)), builder
 
     def test_every_s_tuple_has_exactly_one_match(self):
-        wl = workload_a(scale=SCALE)
-        assert np.isin(wl.s.key, wl.r.key).all()
+        for builder in (workload_a, workload_b, workload_c):
+            wl = builder(scale=SCALE)
+            assert wl.s.executed_tuples > 0
+            assert np.isin(wl.s.key, wl.r.key).all(), builder
 
     def test_payload_encodes_key(self):
         wl = workload_a(scale=SCALE)
