@@ -181,6 +181,21 @@ class DegradeLink:
     the cost model prices the run at the reduced bandwidth.  Unlike the
     exception-typed rules this one fires on *every* matching bandwidth
     query (``times=None``) so the degradation persists across phases.
+
+    The rule is visited at two sites, and ``times`` counts the fires of
+    both together:
+
+    * pricing (:meth:`FaultPlan.bandwidth_factor`): every matching query
+      is one fire; ``src_memory`` must *equal* the memory-region name
+      the transfer reads from (``"cpu0-mem"``);
+    * serving (:meth:`FaultPlan.resource_factor`): the first ask of each
+      matching ``link:*`` resource is one fire (later asks reuse it
+      without firing); ``src_memory`` is a *substring* of the link name
+      (``"gpu0"`` in ``nvlink2[gpu0<->cpu0]``), and a rule with a
+      ``method`` never matches.
+
+    So a rule whose ``src_memory`` names a memory region degrades
+    pricing only, never a serving link.
     """
 
     factor: float = 0.5
@@ -248,7 +263,7 @@ class FaultRecord:
     """One injected fault: which rule fired, where, and the kind."""
 
     seq: int
-    kind: str  # "crash" | "transient" | "oom" | "degraded_link"
+    kind: str  # "crash" | "transient" | "oom" | "degraded_link" | "query"
     rule: str
     site: Dict[str, Any] = field(default_factory=dict)
 

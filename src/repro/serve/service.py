@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.costmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.costmodel.model import CostModel
@@ -82,7 +82,7 @@ from repro.serve.request import (
     ServedQuery,
     ServingReport,
 )
-from repro.serve.scheduler import ContentionScheduler, PhaseFault
+from repro.serve.scheduler import CapacityHook, ContentionScheduler, PhaseFault
 
 
 def modeled_query_bytes(query: Any) -> float:
@@ -97,6 +97,34 @@ def modeled_query_bytes(query: Any) -> float:
         if isinstance(node, Scan):
             total += node.modeled_rows * sum(node.column_bytes())
     return total
+
+
+def _capacity_hook(plan: FaultPlan) -> CapacityHook:
+    """``plan.resource_factor`` answered from a table for one serve pass.
+
+    ``resource_factor`` reads only the plan's frozen rules and the state
+    its ``_record`` moves, and every record appends one entry to
+    ``plan.injected``.  So an answer from a call that recorded nothing
+    stays exact until ``len(plan.injected)`` grows, and a call that did
+    record is never stored.  The scheduler still calls the hook for every
+    (phase, resource) of every resolve; only the repeat answers are not
+    recomputed.  ``serve`` drives the scheduler from one thread, so the
+    table needs no lock.
+    """
+    answers: Dict[str, Tuple[int, float]] = {}
+    injected = plan.injected
+
+    def capacity(resource: str) -> float:
+        count = len(injected)
+        known = answers.get(resource)
+        if known is not None and known[0] == count:
+            return known[1]
+        factor = plan.resource_factor(resource)
+        if len(injected) == count:
+            answers[resource] = (count, factor)
+        return factor
+
+    return capacity
 
 
 class QueryService:
@@ -360,7 +388,7 @@ class QueryService:
             on_finish=on_finish,
             on_evict=on_evict,
             fault=fault if plan is not None else None,
-            capacity=plan.resource_factor if plan is not None else None,
+            capacity=_capacity_hook(plan) if plan is not None else None,
             policy=self.policy,
         )
 

@@ -142,6 +142,16 @@ class TestResourceFactor:
         plan.resource_factor("link:b")
         assert plan.injected_counts()["degraded_link"] == 2
 
+    def test_times_limited_rule_is_spent_by_its_last_recorded_fire(self):
+        # times counts recorded fires: the first ask of a resource records
+        # one and spends a times=1 rule, so no later ask sees it.
+        plan = _plan([DegradeLink(factor=0.5, times=1)])
+        assert plan.resource_factor("link:a") == 0.5
+        assert len(plan.injected) == 1
+        assert plan.resource_factor("link:a") == 1.0
+        assert plan.resource_factor("link:b") == 1.0
+        assert len(plan.injected) == 1
+
 
 class TestServingChaosScenarios:
     def test_seed_catalogue_is_stable(self):
