@@ -67,12 +67,14 @@ class OpenAddressingHashTable(HashTableBase):
         # ``size`` advanced — a corrupted table after a reported failure.
         # All raises now happen before the first mutation, so a failed
         # insert leaves the table bit-identical to its pre-call state.
-        present = self._contains_any(keys)
-        if present.any():
-            raise ValueError(
-                "duplicate key insert (join build expects unique keys): "
-                f"{int(keys[present][0])}"
-            )
+        # An empty table holds no key, so its first batch skips the probe.
+        if self.size:
+            present = self._contains_any(keys)
+            if present.any():
+                raise ValueError(
+                    "duplicate key insert (join build expects unique keys): "
+                    f"{int(keys[present][0])}"
+                )
         pending_keys = keys.astype(self.keys.dtype, copy=True)
         pending_values = values.astype(self.values.dtype, copy=True)
         slots = self._home_slots(pending_keys)
@@ -82,25 +84,25 @@ class OpenAddressingHashTable(HashTableBase):
             if rounds > self.capacity + 1:
                 raise RuntimeError("insert did not converge; table corrupted?")
             self.stats.insert_probes += len(pending_keys)
-            empty = self.keys[slots] == self.EMPTY
             # Claim empty slots; numpy scatter keeps the *last* writer per
             # slot, so re-read to find the actual winners (emulated CAS).
-            claim = np.flatnonzero(empty)
+            claim = np.flatnonzero(self.keys.take(slots) == self.EMPTY)
             if len(claim):
-                claim_slots = slots[claim]
-                self.keys[claim_slots] = pending_keys[claim]
-                self.values[claim_slots] = pending_values[claim]
-                won = self.keys[slots[claim]] == pending_keys[claim]
+                claim_slots = slots.take(claim)
+                claim_keys = pending_keys.take(claim)
+                self.keys[claim_slots] = claim_keys
+                self.values[claim_slots] = pending_values.take(claim)
+                won = self.keys.take(claim_slots) == claim_keys
                 winners = claim[won]
                 self.size += len(winners)
                 self.stats.inserts += len(winners)
                 lost = np.ones(len(pending_keys), dtype=bool)
                 lost[winners] = False
-            else:
-                lost = np.ones(len(pending_keys), dtype=bool)
-            pending_keys = pending_keys[lost]
-            pending_values = pending_values[lost]
-            slots = (slots[lost] + 1) & self._mask
+                keep = np.flatnonzero(lost)
+                pending_keys = pending_keys.take(keep)
+                pending_values = pending_values.take(keep)
+                slots = slots.take(keep)
+            slots = (slots + 1) & self._mask
 
     def _lookup_block(
         self, keys: np.ndarray, found: np.ndarray, values: np.ndarray

@@ -46,6 +46,10 @@ class Stream:
             streams, used by transfer methods whose ingest rate is below
             the raw route bandwidth (MMIO, staging, UM; Section 4).
         label: human-readable tag for timelines and debugging.
+
+    The cost model memoises prices on streams, so each stream hashes its
+    fields once, at construction; the hash is a plain attribute, not a
+    field, and stays out of ``fields()``, ``repr`` and ``==``.
     """
 
     processor: str
@@ -70,6 +74,30 @@ class Stream:
             raise ValueError(
                 f"bandwidth factor must be positive, got {self.bandwidth_factor}"
             )
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between
+        # processes, so a pickled ``_hash`` would be stale.
+        return (type(self), self._values())
+
+    def _values(self) -> tuple:
+        """The field values in declaration order (what ``==`` compares)."""
+        return (
+            self.processor,
+            self.memory,
+            self.pattern,
+            self.total_bytes,
+            self.accesses,
+            self.access_bytes,
+            self.working_set_bytes,
+            self.hot_set,
+            self.bandwidth_factor,
+            self.label,
+        )
 
     @property
     def payload_bytes(self) -> float:
@@ -150,7 +178,9 @@ def atomic_stream(
     structure concurrently (the Het build phase); the cost model applies
     the coherence-contention penalty then.
     """
-    stream = Stream(
+    if contended:
+        label = (label + " [contended]").strip()
+    return Stream(
         processor=processor,
         memory=memory,
         pattern=AccessPattern.ATOMIC,
@@ -159,9 +189,6 @@ def atomic_stream(
         working_set_bytes=working_set_bytes,
         label=label,
     )
-    if contended:
-        object.__setattr__(stream, "label", (stream.label + " [contended]").strip())
-    return stream
 
 
 @dataclass

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.costmodel.access import AccessPattern, AccessProfile, Stream
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
@@ -72,7 +72,9 @@ class CostModel:
     so every priced stream is attributable after the fact.
 
     Each distinct stream is priced once: its occupancy is memoised on the
-    (frozen, hashable) stream until the machine's topology changes.
+    (frozen, hashable) stream until the machine's topology changes.  The
+    ingest table that :func:`repro.plan.ingest.ingest` answers from
+    lives here too, under the same topology rule.
     """
 
     def __init__(
@@ -84,10 +86,25 @@ class CostModel:
         self.machine = machine
         self.calibration = calibration
         self.obs = obs if obs is not None else Observability.create()
-        #: stream -> occupancy, valid while the machine's generation
-        #: equals ``_priced_generation``.
+        #: stream -> occupancy, and ingest arguments -> ``IngestSpec``;
+        #: both valid while the machine's generation equals
+        #: ``_priced_generation``.
         self._priced: Dict[Stream, Dict[str, float]] = {}
+        self._ingested: Dict[Hashable, Any] = {}
         self._priced_generation = machine.generation
+
+    def _topology_changed(self) -> None:
+        """Drop everything derived from the previous topology."""
+        self._priced.clear()
+        self._ingested.clear()
+        self._priced_generation = self.machine.generation
+
+    def ingest_memo(self) -> Dict[Hashable, Any]:
+        """The table :func:`repro.plan.ingest.ingest` answers from,
+        emptied whenever the machine's topology changes."""
+        if self._priced_generation != self.machine.generation:
+            self._topology_changed()
+        return self._ingested
 
     # ------------------------------------------------------------------
     # Primitive queries
@@ -250,8 +267,7 @@ class CostModel:
         """The memoised :meth:`stream_occupancy`; callers must not
         mutate the returned dict."""
         if self._priced_generation != self.machine.generation:
-            self._priced.clear()
-            self._priced_generation = self.machine.generation
+            self._topology_changed()
         occupancy = self._priced.get(stream)
         if occupancy is None:
             if stream.pattern is AccessPattern.SEQUENTIAL:
@@ -328,10 +344,10 @@ class CostModel:
         compute-only profile without either is rejected: it used to lose
         its compute time silently and price to zero.
         """
-        occupancy: Dict[str, float] = defaultdict(float)
+        occupancy: Dict[str, float] = {}
         for stream in profile.streams:
             for resource, busy in self._stream_occupancy(stream).items():
-                occupancy[resource] += busy
+                occupancy[resource] = occupancy.get(resource, 0.0) + busy
         if profile.compute_tuples > 0:
             if profile.processor is not None:
                 processors = [profile.processor]
@@ -346,10 +362,11 @@ class CostModel:
                 )
             for name in processors:
                 proc = self.machine.processor(name)
-                occupancy[f"compute:{name}"] += (
+                resource = f"compute:{name}"
+                occupancy[resource] = occupancy.get(resource, 0.0) + (
                     profile.compute_tuples / len(processors)
                 ) / proc.tuple_throughput()
-        return dict(occupancy)
+        return occupancy
 
     def occupancy_per_unit(
         self, profile: AccessProfile, units: float

@@ -44,8 +44,9 @@ class Machine:
 
     Grow a machine only through :meth:`add_cpu`, :meth:`add_gpu` and
     :meth:`connect`: they bump :attr:`generation` and drop the memoised
-    routes, so anything derived from the topology (routes here, stream
-    prices in a cost model) knows to recompute.
+    routes and CPU-memory rankings, so anything derived from the
+    topology (routes here, stream prices in a cost model) knows to
+    recompute.
     """
 
     name: str
@@ -55,6 +56,10 @@ class Machine:
     #: bumped by every topology change.
     generation: int = field(default=0, init=False, compare=False)
     _paths: Dict[Tuple[str, str], Tuple[Interconnect, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: processor -> CPU memory regions, nearest first.
+    _cpu_memories: Dict[str, Tuple[MemoryRegion, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -101,6 +106,7 @@ class Machine:
     def _changed(self) -> None:
         self.generation += 1
         self._paths.clear()
+        self._cpu_memories.clear()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -209,23 +215,26 @@ class Machine:
         Used by the hybrid hash table's greedy spill (Figure 8, step 2)
         and the NUMA-recursive fallback of Section 5.3.
         """
-        candidates = [
-            (self.hops(processor_name, cpu.local_memory.name), i, cpu.local_memory)
-            for i, cpu in enumerate(self.cpus())
-        ]
-        if not candidates:
+        ranked = self._ranked_cpu_memories(processor_name)
+        if not ranked:
             raise TopologyError("machine has no CPU memory")
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        return candidates[0][2]
+        return ranked[0]
 
     def cpu_memories_by_distance(self, processor_name: str) -> List[MemoryRegion]:
         """All CPU memory regions ordered by hop distance (NUMA search)."""
-        candidates = [
-            (self.hops(processor_name, cpu.local_memory.name), i, cpu.local_memory)
-            for i, cpu in enumerate(self.cpus())
-        ]
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        return [memory for _, _, memory in candidates]
+        return list(self._ranked_cpu_memories(processor_name))
+
+    def _ranked_cpu_memories(
+        self, processor_name: str
+    ) -> Tuple[MemoryRegion, ...]:
+        """CPU memories by (hops, insertion order), once per topology."""
+        ranked = self._cpu_memories.get(processor_name)
+        if ranked is None:
+            memories = [cpu.local_memory for cpu in self.cpus()]
+            # A stable sort: equal hop counts keep insertion order.
+            memories.sort(key=lambda memory: self.hops(processor_name, memory.name))
+            ranked = self._cpu_memories[processor_name] = tuple(memories)
+        return ranked
 
     def gpu_link(self, gpu_name: str) -> Interconnect:
         """The link that attaches a GPU to its host CPU."""

@@ -337,10 +337,17 @@ def _join_candidates(
                         machine, int(table_bytes), str(strategy),
                         gpu_name=gpu_name,
                     )
-                return replace(
-                    base,
+                # ``base`` plus two fields, built directly: this runs
+                # once per placement candidate, and replace() costs more.
+                return PhysicalConfig(
+                    strategy=base.strategy,
+                    processor=base.processor,
                     transfer_method=method_name,
                     placement=placement,
+                    backend=base.backend,
+                    exec_workers=base.exec_workers,
+                    hash_scheme=base.hash_scheme,
+                    label=base.label,
                 )
             yield build_config, query, stats
 

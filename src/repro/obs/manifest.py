@@ -19,7 +19,7 @@ the version drifts without a changelog entry (see
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -177,9 +177,18 @@ def machine_summary(machine: Machine) -> Dict[str, Any]:
 
 
 def calibration_summary(calibration: Calibration) -> Dict[str, Any]:
-    """The calibration constants, flattened to JSON-ready values."""
+    """The calibration constants, flattened to JSON-ready values.
+
+    Equal to ``asdict(calibration)``, key order included, without its
+    recursive deep copy: the constants are scalars or flat dicts of
+    scalars, so copying each dict one level deep is enough.
+    """
     if is_dataclass(calibration):
-        return asdict(calibration)
+        summary: Dict[str, Any] = {}
+        for item in fields(calibration):
+            value = getattr(calibration, item.name)
+            summary[item.name] = dict(value) if isinstance(value, dict) else value
+        return summary
     return {"repr": repr(calibration)}
 
 

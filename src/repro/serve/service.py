@@ -230,9 +230,10 @@ class QueryService:
             label=workload,
         )
         # Re-execute the chosen plan against a fresh machine, cost
-        # model, and observability bundle: the optimizer's own obs saw
-        # every candidate it enumerated, and per-query manifests must
-        # describe exactly one query's phases.
+        # model, and observability bundle: the optimizer prices on the
+        # inert bundle and records nothing, and the manifest needs the
+        # chosen plan's spans and metrics, recorded on a bundle of its
+        # own so it describes exactly one query's phases.
         machine = MACHINES[self.machine_name]()
         obs = Observability.create()
         model = CostModel(machine, self.calibration, obs=obs)
