@@ -8,8 +8,11 @@ pages, SMT and software write-combine (SWWC) buffers.
 
 The functional layer really partitions both relations by the low radix
 bits and joins partition pairs with sort-probe kernels: each key is
-rotated so that its radix bits lead, and one stable sort of the rotated
-keys is both the partition pass and the per-partition sort.
+rotated so that its radix bits lead, and one sort of the rotated keys
+is both the partition pass and the per-partition sort.  Both sorted
+sides collapse into runs of equal keys; each distinct probe key is
+looked up once among the distinct build keys and counts as often as it
+occurs, matching the lowest row of its build-key run.
 The cost model prices:
 
 * the **partition pass** — one read+write round trip over both
@@ -126,28 +129,48 @@ class RadixJoin:
             rotated = (rotated << np.uint64(64 - bits)) | (rotated >> np.uint64(bits))
         return rotated
 
+    @staticmethod
+    def _run_starts(keys: np.ndarray) -> np.ndarray:
+        """Index of the first element of each run of equal values in the
+        sorted, non-empty ``keys``."""
+        change = np.empty(len(keys), dtype=bool)
+        change[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=change[1:])
+        return np.flatnonzero(change)
+
     def execute(self, r: Relation, s: Relation) -> RadixExecution:
         """Partition and join the real columns (no machine involved)."""
         bits = self.executed_radix_bits
         fanout = 1 << bits
-        # One stable sort is the partition pass and the per-partition
-        # sort; stability keeps a duplicate R key's first copy first, so
-        # a probe matches that copy as a partition's searchsorted did.
-        r_keys = self._partition_major(r.key, bits)
-        order = np.argsort(r_keys, kind="stable")
-        r_keys = r_keys[order]
-        # Sorted probes walk the build keys forward in one searchsorted.
-        s_keys = np.sort(self._partition_major(s.key, bits))
         matches = 0
         aggregate = 0
-        if len(r_keys) and len(s_keys):
+        if len(r.key) and len(s.key):
+            # Sorting the rotated keys is the partition pass and the
+            # per-partition sort.  A duplicate R key's first copy (its
+            # lowest row) is the one a probe matches, taken from each run
+            # of equal keys, so the sort need not be stable.
+            r_keys = self._partition_major(r.key, bits)
+            order = np.argsort(r_keys)
+            r_keys = r_keys[order]
+            r_starts = self._run_starts(r_keys)
+            first = np.minimum.reduceat(order, r_starts)
+            r_keys = r_keys[r_starts]
+            # Each distinct probe key is looked up once and weighted by
+            # its count: one searchsorted walks both sorted key sets.
+            s_keys = np.sort(self._partition_major(s.key, bits))
+            s_starts = self._run_starts(s_keys)
+            counts = np.diff(s_starts, append=len(s_keys))
+            s_keys = s_keys[s_starts]
             pos = np.searchsorted(r_keys, s_keys)
             np.minimum(pos, len(r_keys) - 1, out=pos)
             hit = r_keys.take(pos) == s_keys
-            matches = int(np.count_nonzero(hit))
-            aggregate = int(
-                r.payload.take(order).take(pos).sum(where=hit, dtype=np.int64)
-            )
+            counts = counts[hit]
+            matches = int(counts.sum())
+            # int64 sums wrap mod 2**64, so Σ payload × count equals the
+            # per-tuple sum bit for bit.
+            payloads = r.payload.take(first.take(pos[hit])).astype(np.int64)
+            payloads *= counts
+            aggregate = int(payloads.sum())
         sizes = np.bincount(r.key & (fanout - 1), minlength=fanout)
         sizes += np.bincount(s.key & (fanout - 1), minlength=fanout)
         avg = (r.executed_tuples + s.executed_tuples) / fanout

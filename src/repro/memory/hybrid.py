@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from repro.hardware.memory import MemoryKind
-from repro.memory.address_space import AddressSpace
+from repro.memory.address_space import AddressSpace, RoundRobinAddressSpace
 from repro.memory.allocator import Allocation, Allocator, OutOfMemoryError
 from repro.utils.units import MIB
 
@@ -176,19 +176,12 @@ def allocate_interleaved(
     if page_bytes <= 0:
         raise ValueError(f"page_bytes must be positive: {page_bytes}")
     machine = allocator.machine
-    regions = [machine.processor(name).local_memory for name in gpu_names]
-    count = len(regions)
-    pages, last_page = divmod(nbytes, page_bytes)
-    if last_page:
-        pages += 1
-    # Position i is dealt pages i, i + count, ...; the partial last page
-    # is short by page_bytes - last_page.
-    shares: Dict[str, int] = {}
-    for i, region in enumerate(regions):
-        share = (pages // count + (i < pages % count)) * page_bytes
-        if last_page and (pages - 1) % count == i:
-            share -= page_bytes - last_page
-        shares[region.name] = shares.get(region.name, 0) + share
+    space = RoundRobinAddressSpace(
+        nbytes,
+        page_bytes,
+        [machine.processor(name).local_memory.name for name in gpu_names],
+    )
+    shares = space.bytes_per_region()
     for name, share in shares.items():
         free = machine.memory(name).free_bytes
         if free < share:
@@ -199,20 +192,11 @@ def allocate_interleaved(
     pieces: List[Allocation] = []
     try:
         for name, share in shares.items():
-            if share:
-                pieces.append(
-                    allocator.alloc(name, share, MemoryKind.DEVICE, label=label)
-                )
+            pieces.append(allocator.alloc(name, share, MemoryKind.DEVICE, label=label))
     except OutOfMemoryError:
         for piece in pieces:
             allocator.free(piece)
         raise
-    space = AddressSpace()
-    for page in range(pages):
-        space.append(
-            min(page_bytes, nbytes - page * page_bytes),
-            regions[page % count].name,
-        )
     return HybridAllocation(
         nbytes=nbytes, address_space=space, pieces=pieces, label=label
     )

@@ -20,6 +20,7 @@ only planned never allocates them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -118,6 +119,10 @@ def _build_relations(
     together, from one rng stream, on the first read of any of them."""
     if not 0.0 <= selectivity <= 1.0:
         raise ValueError(f"selectivity must be in [0, 1], got {selectivity}")
+    if not 0.0 <= zipf_exponent < math.inf:
+        raise ValueError(
+            f"Zipf exponent must be finite and non-negative, got {zipf_exponent}"
+        )
     executed_r = executed_cardinality(modeled_r, scale, MIN_EXECUTED_TUPLES)
     executed_s = executed_cardinality(modeled_s, scale, MIN_EXECUTED_TUPLES)
     kdtype = _key_dtype(key_bytes)

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.bench import fig16_probe_scaling, fig17_build_scaling
 from repro.bench.run_all import FIGURES
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.data.relation import Relation
+from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_ratio, workload_selectivity
 
 SCALE = 2.0**-14
@@ -116,6 +120,75 @@ class TestExecuteEquivalence:
         for bits in range(9):
             execution = RadixJoin(ibm, executed_radix_bits=bits).execute(r, s)
             assert (execution.matches, execution.aggregate) == (2, 2)
+
+
+def sorted_probe_execute(r, s, bits):
+    """The one-stable-sort kernel ``RadixJoin.execute`` replaced: every
+    sorted S tuple is searched in R's stably sorted rotated keys.  Kept
+    verbatim but for its comments (it shares only the unchanged key
+    rotation) as the equivalence oracle."""
+    fanout = 1 << bits
+    r_keys = RadixJoin._partition_major(r.key, bits)
+    order = np.argsort(r_keys, kind="stable")
+    r_keys = r_keys[order]
+    s_keys = np.sort(RadixJoin._partition_major(s.key, bits))
+    matches = 0
+    aggregate = 0
+    if len(r_keys) and len(s_keys):
+        pos = np.searchsorted(r_keys, s_keys)
+        np.minimum(pos, len(r_keys) - 1, out=pos)
+        hit = r_keys.take(pos) == s_keys
+        matches = int(np.count_nonzero(hit))
+        aggregate = int(
+            r.payload.take(order).take(pos).sum(where=hit, dtype=np.int64)
+        )
+    sizes = np.bincount(r.key & (fanout - 1), minlength=fanout)
+    sizes += np.bincount(s.key & (fanout - 1), minlength=fanout)
+    avg = (r.executed_tuples + s.executed_tuples) / fanout
+    skew = int(sizes.max()) / avg if avg else 0.0
+    return matches, aggregate, skew
+
+
+#: Payloads near ±2**62: a handful of matches wraps the int64 aggregate.
+WIDE_PAYLOADS = st.one_of(
+    st.integers(-(2**20), 2**20),
+    st.integers(2**62 - 2**20, 2**63 - 1),
+    st.integers(-(2**63), -(2**62) + 2**20),
+)
+
+
+@st.composite
+def relation_pairs(draw):
+    """R and S over one small key window, so both sides hold duplicates
+    and keys the other lacks; either side may be empty."""
+    dtype = draw(st.sampled_from((np.int32, np.int64)))
+    info = np.iinfo(dtype)
+    low = draw(st.sampled_from((-40, 0, info.max - 40, info.min)))
+    keys = st.integers(low, low + 40)
+    payloads = (
+        WIDE_PAYLOADS if dtype is np.int64 else st.integers(info.min, info.max)
+    )
+
+    def relation(name):
+        n = draw(st.integers(0, 60))
+        return Relation(
+            name,
+            draw(arrays(dtype, n, elements=keys)),
+            draw(arrays(dtype, n, elements=payloads)),
+        )
+
+    return relation("R"), relation("S")
+
+
+MACHINE = ibm_ac922()
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations=relation_pairs(), bits=st.integers(0, 8))
+def test_execute_equals_sorted_probe_kernel(relations, bits):
+    r, s = relations
+    join = RadixJoin(MACHINE, executed_radix_bits=bits)
+    assert answer(join, r, s) == sorted_probe_execute(r, s, bits)
 
 
 class TestFigureCellsUnchanged:

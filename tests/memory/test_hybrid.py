@@ -169,7 +169,9 @@ def reference_allocate_interleaved(
 
 def _interleave(allocate, gpus, nbytes, page_bytes, taken):
     """Run one allocator over a fresh 4-GPU machine whose GPU memories
-    already hold ``taken`` bytes each; returns the outcome."""
+    already hold ``taken`` bytes each; returns the outcome, with what the
+    address space answers: queries first, then its page list, then the
+    same after one more appended segment."""
     machine = ibm_ac922(gpus=4, gpu_mesh=True)
     allocator = Allocator(machine)
     if taken:
@@ -180,14 +182,36 @@ def _interleave(allocate, gpus, nbytes, page_bytes, taken):
         allocation = allocate(allocator, names, nbytes, page_bytes=page_bytes)
     except OutOfMemoryError:
         outcome = "oom"
-        segments = per_region = None
+        segments = per_region = queries = appended = None
     else:
         outcome = "ok"
-        segments = allocation.address_space.segments
-        per_region = allocation.address_space.bytes_per_region()
+        space = allocation.address_space
+        per_region = space.bytes_per_region()
         assert allocation.bytes_per_region() == per_region
+        queries = _space_queries(space, machine, page_bytes)
+        segments = space.segments
+        space.append(page_bytes, "cpu0-mem")
+        appended = (
+            _space_queries(space, machine, page_bytes),
+            space.segments,
+            space.bytes_per_region(),
+        )
     allocated = {name: m.allocated for name, m in machine.memories.items()}
-    return outcome, segments, per_region, allocated
+    return outcome, segments, per_region, allocated, queries, appended
+
+
+def _space_queries(space, machine, page_bytes):
+    """Size, the region at every page's first and last byte and each
+    region's fraction; offsets outside the space must raise."""
+    for offset in (-1, space.size):
+        with pytest.raises(IndexError):
+            space.region_of(offset)
+    edges = [
+        (space.region_of(start), space.region_of(min(start + page_bytes, space.size) - 1))
+        for start in range(0, space.size, page_bytes)
+    ]
+    fractions = {name: space.region_fraction(name) for name in machine.memories}
+    return space.size, edges, fractions
 
 
 PAGE_SIZES = (4096, MIB, 2 * MIB, 3 * MIB + 7)

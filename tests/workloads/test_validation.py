@@ -11,6 +11,7 @@ from repro.workloads.builders import (
     workload_skewed,
 )
 from repro.workloads.validation import assert_valid, validate_workload
+from repro.workloads.zipf import zipf_ranks
 
 SCALE = 2.0**-14
 
@@ -33,6 +34,20 @@ class TestGeneratedWorkloadsPass:
 
     def test_assert_valid_passes(self):
         assert_valid(workload_a(scale=SCALE))
+
+
+class TestRejectedParameters:
+    @pytest.mark.parametrize("exponent", [-1.0, float("nan"), float("inf")])
+    def test_bad_zipf_exponent_rejected(self, exponent):
+        # Regression: these built uniform keys labelled "Zipf(...)".
+        with pytest.raises(ValueError, match="Zipf exponent"):
+            workload_skewed(exponent, scale=SCALE)
+
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_zipf_ranks_rejects_non_finite_exponent(self, exponent):
+        # Regression: a NaN exponent sampled all-zero ranks.
+        with pytest.raises(ValueError, match="finite"):
+            zipf_ranks(100, exponent, 10, np.random.default_rng(0))
 
 
 class TestBrokenWorkloadsFail:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads.zipf import empirical_hot_mass, top_k_mass, zipf_ranks
 
@@ -43,6 +45,35 @@ class TestZipfRanks:
 
     def test_empty_sample(self):
         assert len(zipf_ranks(10, 1.0, 0, np.random.default_rng(0))) == 0
+
+
+def searchsorted_ranks(n_items, exponent, size, rng):
+    """Inverse-CDF sampling as ``zipf_ranks`` did before it merged the
+    sorted draws against the CDF: each draw searched in the CDF."""
+    weights = 1.0 / np.power(np.arange(1, n_items + 1, dtype=np.float64), exponent)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_items=st.integers(1, 5_000),
+    # Exponents of 30 and more saturate the CDF to repeated 1.0s.
+    exponent=st.one_of(
+        st.floats(0.0, 2.0, exclude_min=True), st.floats(30.0, 80.0)
+    ),
+    size=st.integers(0, 20_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ranks_equal_searchsorted_oracle(n_items, exponent, size, seed):
+    rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    ranks = zipf_ranks(n_items, exponent, size, rng)
+    want = searchsorted_ranks(n_items, exponent, size, oracle_rng)
+    assert ranks.dtype == want.dtype
+    assert np.array_equal(ranks, want)
+    assert rng.random() == oracle_rng.random()
 
 
 class TestEmpiricalHotMass:
