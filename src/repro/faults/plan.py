@@ -303,6 +303,9 @@ class FaultPlan:
         self.rules: Tuple[FaultRule, ...] = tuple(rules)
         self.name = name
         self.injected: List[FaultRecord] = []
+        #: records made by :class:`DegradeLink` rules so far.  Everything
+        #: :meth:`resource_factor` reads moves only when this count does.
+        self.link_faults = 0
         self._lock = threading.Lock()
         self._fires: Dict[int, int] = {}  # rule index -> total fires
         self._morsel_visits: Dict[Tuple[int, str], int] = {}
@@ -317,9 +320,9 @@ class FaultPlan:
         self._has_link_rules = any(isinstance(r, DegradeLink) for r in self.rules)
         self._has_query_rules = any(isinstance(r, FailQuery) for r in self.rules)
         #: (rule index, resource) pairs already recorded by
-        #: :meth:`resource_factor` — the serving scheduler queries
-        #: capacity at every resolve, so persistent degradation is
-        #: recorded once per (rule, resource) instead of per query.
+        #: :meth:`resource_factor` — the serving scheduler asks again
+        #: whenever ``link_faults`` moves, so persistent degradation is
+        #: recorded once per (rule, resource) instead of per ask.
         self._degraded_resources: set = set()
 
     # -- deterministic randomness ---------------------------------------
@@ -335,6 +338,8 @@ class FaultPlan:
 
     def _record(self, index: int, kind: str, site: Dict[str, Any]) -> FaultRecord:
         self._fires[index] = self._fires.get(index, 0) + 1
+        if isinstance(self.rules[index], DegradeLink):
+            self.link_faults += 1
         record = FaultRecord(
             seq=len(self.injected),
             kind=kind,
@@ -523,7 +528,10 @@ class FaultPlan:
     def resource_factor(self, resource: str) -> float:
         """Capacity factor of one *simulated* resource under this plan.
 
-        The serving scheduler queries this at every rate re-solve; a
+        The answer is a function of the frozen rules, the fires of
+        link rules and the (rule, resource) pairs already recorded, all
+        of which move only when :attr:`link_faults` does; so the serving
+        scheduler asks again only after that count moves.  A
         :class:`DegradeLink` rule with no transfer-method selector
         degrades the matching ``link:*`` resources of the contention
         model, so a mid-serving link degradation stretches every query

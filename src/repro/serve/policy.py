@@ -134,7 +134,7 @@ class CircuitBreaker:
     ) -> None:
         if threshold is not None and threshold < 1:
             raise ValueError(f"breaker threshold must be >= 1: {threshold}")
-        if cooldown < 0:
+        if not cooldown >= 0:  # NaN too: an open circuit would never cool
             raise ValueError(f"breaker cooldown must be >= 0: {cooldown}")
         self.threshold = threshold
         self.cooldown = cooldown
@@ -282,14 +282,23 @@ class ServicePolicy:
             raise ValueError(f"max_active must be >= 1: {self.max_active}")
         if self.queue_depth is not None and self.queue_depth < 0:
             raise ValueError(f"queue_depth must be >= 0: {self.queue_depth}")
-        if self.stretch_limit is not None and self.stretch_limit < 1.0:
+        # ``not x >= bound`` also rejects NaN, which every comparison in
+        # the shedding and breaker paths would silently treat as False.
+        if self.stretch_limit is not None and not self.stretch_limit >= 1.0:
             raise ValueError(
                 f"stretch_limit must be >= 1 (1.0 = solo speed): "
                 f"{self.stretch_limit}"
             )
-        if self.default_deadline is not None and self.default_deadline <= 0:
+        if not self.breaker_cooldown >= 0:
             raise ValueError(
-                f"default_deadline must be positive: {self.default_deadline}"
+                f"breaker_cooldown must be >= 0: {self.breaker_cooldown}"
+            )
+        if self.default_deadline is not None and not (
+            0 < self.default_deadline < math.inf
+        ):
+            raise ValueError(
+                f"default_deadline must be finite and positive: "
+                f"{self.default_deadline}"
             )
         if self.queue_depth is not None and self.max_active is None:
             raise ValueError(

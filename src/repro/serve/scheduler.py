@@ -26,7 +26,11 @@ This scheduler extends that model *across* queries:
   capacity factors) — ``PhaseCost`` objects are shared through the
   plan cache — and a solve whose ordered input vectors were already
   solved is answered from a table: the solver is a pure function of
-  that sequence, so a hit returns the floats a fresh solve would.
+  that sequence, so a hit returns the floats a fresh solve would.  A
+  capacity hook may declare an ``epoch()`` that moves whenever one of
+  its answers could change or an ask could have a side effect; a
+  phase's vector is then derived once per epoch and the hook is not
+  asked again until the epoch moves.
 
 On top of that fair-weather model, the scheduler enforces the serving
 layer's *resilience* contract:
@@ -88,7 +92,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.model import PhaseCost
@@ -118,7 +122,9 @@ EvictHook = Callable[[ServedQuery, float], None]
 FaultHook = Callable[[ServedQuery, int, int, float], Optional["PhaseFault"]]
 #: capacity hook: resource -> factor in (0, 1]; per-unit demands are
 #: scaled by 1/factor (a degraded link makes the same work occupy more
-#: of the resource per second).
+#: of the resource per second).  A hook may also carry ``epoch()``: while
+#: it returns the same value, every ask returns its last answer and has
+#: no side effect, so the scheduler skips the asks.
 CapacityHook = Callable[[str], float]
 #: shed callback: (query, reason, detail, now) — bookkeeping only; the
 #: scheduler already recorded the typed ShedQuery.
@@ -292,13 +298,27 @@ class ContentionScheduler:
         #: (phase, per-unit occupancy vector) by (phase identity, capacity
         #: factors); holding the phase keeps its identity unique.
         vectors: Dict[tuple, Tuple[PhaseCost, Dict[str, float]]] = {}
+        #: (capacity epoch, vector) by phase identity: the vector holds
+        #: until the epoch moves.  With no hook nothing moves; a hook
+        #: without ``epoch`` is one whose epoch moves on every ask.
+        adjusted: Dict[int, Tuple[object, Dict[str, float]]] = {}
+        epoch: Callable[[], object] = (
+            (lambda: 0)
+            if capacity is None
+            else getattr(capacity, "epoch", None) or count().__next__
+        )
         #: solved rates by the identities of the solver's input vectors
         #: in worker order (the solver is a pure function of them).
         solved: Dict[Tuple[int, ...], List[float]] = {}
 
         def per_unit_occupancy(phase: PhaseCost) -> Dict[str, float]:
             """Per-second occupancy of one phase, capacity-adjusted; the
-            hook is asked every time, the division runs once per answer."""
+            hook is asked again only once its epoch has moved, and the
+            division runs once per distinct answer."""
+            at = epoch()
+            known = adjusted.get(id(phase))
+            if known is not None and known[0] == at:
+                return known[1]
             factors = () if capacity is None else tuple(
                 map(capacity, phase.occupancy)
             )
@@ -316,6 +336,10 @@ class ContentionScheduler:
                         )
                     demands[resource] = busy / (phase.seconds * factor)
                 entry = vectors[key] = (phase, demands)
+            if epoch() == at:
+                # Asking moved nothing: an ask before the epoch moves
+                # returns these factors again, with no side effect.
+                adjusted[id(phase)] = (at, entry[1])
             return entry[1]
 
         def contended_rates(candidate: Optional[PhaseCost] = None) -> List[float]:

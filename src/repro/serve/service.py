@@ -103,27 +103,28 @@ def _capacity_hook(plan: FaultPlan) -> CapacityHook:
     """``plan.resource_factor`` answered from a table for one serve pass.
 
     ``resource_factor`` reads only the plan's frozen rules and the state
-    its ``_record`` moves, and every record appends one entry to
-    ``plan.injected``.  So an answer from a call that recorded nothing
-    stays exact until ``len(plan.injected)`` grows, and a call that did
-    record is never stored.  The scheduler still calls the hook for every
-    (phase, resource) of every resolve; only the repeat answers are not
-    recomputed.  ``serve`` drives the scheduler from one thread, so the
-    table needs no lock.
+    a :class:`~repro.faults.plan.DegradeLink` record moves, and each such
+    record bumps ``plan.link_faults``.  So an answer from a call that
+    recorded nothing stays exact until that count moves, and a call that
+    did record is never stored; a ``FailQuery`` record leaves every
+    answer standing.  The hook exposes the count as ``epoch()``, so the
+    scheduler also skips asking again for a phase whose vector it derived
+    at the current epoch.  ``serve`` drives the scheduler from one
+    thread, so the table needs no lock.
     """
     answers: Dict[str, Tuple[int, float]] = {}
-    injected = plan.injected
 
     def capacity(resource: str) -> float:
-        count = len(injected)
+        count = plan.link_faults
         known = answers.get(resource)
         if known is not None and known[0] == count:
             return known[1]
         factor = plan.resource_factor(resource)
-        if len(injected) == count:
+        if plan.link_faults == count:
             answers[resource] = (count, factor)
         return factor
 
+    capacity.epoch = lambda: plan.link_faults  # type: ignore[attr-defined]
     return capacity
 
 

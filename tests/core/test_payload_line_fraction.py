@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.join.nopa import payload_line_fraction
 from repro.utils.units import LINE_BYTES
@@ -67,12 +68,7 @@ class TestEdgeCases:
 @st.composite
 def mask_pairs(draw):
     n = draw(st.integers(min_value=0, max_value=512))
-    bits_a = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    bits_b = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return (
-        np.array(bits_a, dtype=bool),
-        np.array(bits_b, dtype=bool),
-    )
+    return draw(arrays(np.bool_, n)), draw(arrays(np.bool_, n))
 
 
 class TestMonotonicity:

@@ -1,7 +1,10 @@
 """Serving under a fault plan: capacity answers reused, outcomes pinned.
 
 ``QueryService.serve`` answers the scheduler's capacity hook from a
-per-pass table keyed by ``len(plan.injected)``.  Two checks guard it:
+per-pass table keyed by ``plan.link_faults``, the number of
+``DegradeLink`` records so far, and the hook exposes that count as
+``epoch()``.  The scheduler asks the hook for a phase's factors once
+per epoch.  These checks guard it:
 
 * **Pins.**  ``PINNED`` holds one sha256 per case, recorded by
   ``_case_digest`` at the commit before the table existed (when the
@@ -12,10 +15,17 @@ per-pass table keyed by ``len(plan.injected)``.  Two checks guard it:
 * **Exactness.**  Two plans built from the same drawn rules and driven
   by the same drawn script, one asked through ``_capacity_hook`` and one
   through ``resource_factor``, give equal answers, equal records and
-  equal ``QueryFault``s.
+  equal ``QueryFault``s, also when asks are skipped while the epoch
+  holds; the epoch moves exactly when a ``DegradeLink`` record lands.
+* **The scheduler's side.**  Generated scheduler scenarios decide the
+  same with a hook that declares an epoch as with the same hook
+  without one, and the pinned overload pass asks the hook at most
+  ``MAX_HOOK_CALLS`` times.
 """
 
 import hashlib
+import random
+import zlib
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,7 +33,10 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import DegradeLink, FailQuery, FaultPlan, QueryFault
 from repro.serve import PlanCache, QueryService, ServicePolicy, TenantQuota
+from repro.serve import service as service_module
 from repro.serve.service import _capacity_hook
+
+from tests.serve.scenarios import build, fingerprint
 
 # ----------------------------------------------------------------------
 # Pins: serve_overload's policy and fault plan on a 300-request mix
@@ -228,3 +241,145 @@ class TestHookExactness:
             r.to_dict() for r in direct.injected
         ]
         assert len(asked) == len(set(asked))
+
+
+class TestEpochContract:
+    @settings(max_examples=150, deadline=None)
+    @example(
+        rules=[DegradeLink(factor=0.5, times=2), FailQuery(probability=1.0)],
+        script=[
+            ("capacity", LINK),
+            ("query", 0, 0),
+            ("capacity", LINK),
+            ("bandwidth", "coherence", "cpu0-mem"),
+            ("capacity", LINK),
+        ],
+    )
+    @given(
+        rules=st.lists(st.one_of(degrade_rules, fail_rules), min_size=1, max_size=4),
+        script=st.lists(steps, max_size=60),
+    )
+    def test_epoch_moves_exactly_on_link_records(self, rules, script):
+        direct = FaultPlan(7, rules)
+        hooked = FaultPlan(7, rules)
+        capacity = _capacity_hook(hooked)
+        # What the scheduler keeps: each resource's last answer and the
+        # epoch it was asked at, stored only if asking moved nothing.
+        kept = {}
+
+        def skipping(resource):
+            at = capacity.epoch()
+            if resource in kept and kept[resource][0] == at:
+                return kept[resource][1]
+            factor = capacity(resource)
+            if capacity.epoch() == at:
+                kept[resource] = (at, factor)
+            return factor
+
+        for step in script:
+            epoch, records = capacity.epoch(), len(hooked.injected)
+            assert _drive(hooked, skipping, [step]) == _drive(
+                direct, direct.resource_factor, [step]
+            )
+            links = sum(r.kind == "degraded_link" for r in hooked.injected[records:])
+            assert capacity.epoch() - epoch == links, step
+        assert [r.to_dict() for r in hooked.injected] == [
+            r.to_dict() for r in direct.injected
+        ]
+
+
+class _EpochHook:
+    """Capacity answers that depend only on (resource, epoch).
+
+    The epoch bumps at drawn counts of *fresh* asks: the first ask of a
+    resource at an epoch.  A scheduler that skips asks only while the
+    epoch holds skips no fresh ask, so the bumps land at the same point
+    of the run whether or not the scheduler knows the epoch.
+    """
+
+    def __init__(self, seed, log):
+        rng = random.Random(f"epoch:{seed}")
+        self.seed = seed
+        self.log = log
+        self.bumps = set(rng.sample(range(1, 30), rng.randint(1, 6)))
+        self.era = 0
+        self.fresh = 0
+        self.seen = set()
+        self.asks = 0
+
+    def epoch(self):
+        return self.era
+
+    def __call__(self, resource):
+        self.log.append(("capacity", resource))
+        self.asks += 1
+        if (resource, self.era) not in self.seen:
+            self.seen.add((resource, self.era))
+            self.fresh += 1
+            if self.fresh in self.bumps:
+                self.era += 1
+        pick = zlib.crc32(f"{self.seed}:{resource}:{self.era}".encode()) % 3
+        return (1.0, 0.5, 0.25)[pick]
+
+
+def _epoch_run(seed, declare_epoch):
+    scenario = build(seed)
+    hook = _EpochHook(seed, scenario.log)
+    scenario.hooks["capacity"] = hook if declare_epoch else (lambda r: hook(r))
+    outcome = scenario.run()
+    lines = [
+        line
+        for line in fingerprint(scenario, outcome)
+        if not line.startswith("('capacity'")
+    ]
+    return lines, hook
+
+
+class TestSchedulerSkipsAsksWhileTheEpochHolds:
+    def test_generated_scenarios_decide_as_without_an_epoch(self):
+        asked = {True: 0, False: 0}
+        bumped = 0
+        for seed in range(300):
+            with_epoch, hook = _epoch_run(seed, True)
+            without, plain = _epoch_run(seed, False)
+            assert with_epoch == without, seed
+            assert (hook.era, hook.fresh) == (plain.era, plain.fresh), seed
+            asked[True] += hook.asks
+            asked[False] += plain.asks
+            bumped += hook.era > 0
+        assert bumped > 100
+        assert 10 * asked[True] < asked[False]
+
+
+#: capacity-hook calls of the ``("overload", 11)`` pass; each call goes to
+#: ``resource_factor`` only when the epoch moved since that resource's
+#: last answer.
+MAX_HOOK_CALLS = 200
+MAX_RESOURCE_FACTOR_CALLS = 50
+
+
+def test_overload_pass_asks_the_hook_once_per_phase_and_epoch(monkeypatch):
+    calls = {"hook": 0, "resource_factor": 0}
+    resource_factor = FaultPlan.resource_factor
+    capacity_hook = service_module._capacity_hook
+
+    def counted_resource_factor(plan, resource):
+        calls["resource_factor"] += 1
+        return resource_factor(plan, resource)
+
+    def counted_hook(plan):
+        capacity = capacity_hook(plan)
+
+        def counted(resource):
+            calls["hook"] += 1
+            return capacity(resource)
+
+        counted.epoch = capacity.epoch
+        return counted
+
+    monkeypatch.setattr(FaultPlan, "resource_factor", counted_resource_factor)
+    monkeypatch.setattr(service_module, "_capacity_hook", counted_hook)
+    report, plan = _serve("overload", 11)
+    assert _case_digest(report, plan) == PINNED[("overload", 11)]
+    assert 0 < calls["hook"] <= MAX_HOOK_CALLS, calls
+    assert 0 < calls["resource_factor"] <= MAX_RESOURCE_FACTOR_CALLS, calls

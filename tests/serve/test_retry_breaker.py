@@ -85,6 +85,29 @@ class TestServicePolicyValidation:
         with pytest.raises(ValueError):
             ServicePolicy(stretch_limit=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("stretch_limit", float("nan")),
+            ("default_deadline", float("nan")),
+            ("default_deadline", float("inf")),
+            ("breaker_cooldown", float("nan")),
+        ],
+    )
+    def test_values_that_would_silently_break_serving_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServicePolicy(**{field: value})
+
+    def test_breaker_cooldown_nan_rejected(self):
+        with pytest.raises(ValueError, match="cooldown"):
+            CircuitBreaker(threshold=1, cooldown=float("nan"))
+
+    def test_infinite_stretch_limit_and_cooldown_stay_legal(self):
+        policy = ServicePolicy(
+            stretch_limit=float("inf"), breaker_threshold=2, breaker_cooldown=float("inf")
+        )
+        assert policy.build_breaker().cooldown == float("inf")
+
     def test_default_policy_is_inert(self):
         policy = ServicePolicy()
         assert policy.max_active is None
