@@ -27,33 +27,41 @@ def main() -> None:
         ("PCIe branching ", intel, "gpu0", "branching", "zero_copy"),
     ]
 
-    header = f"{'config':>16} |" + "".join(
-        f" SF{sf:>5}" for sf in (100, 500, 1000)
-    )
-    print(header + "   (G Tuples/s)")
-    print("-" * len(header))
-    revenue_checked = False
-    for label, machine, proc, variant, method in configs:
-        cells = []
-        for sf in (100, 500, 1000):
-            workload = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
+    # Execute each scale factor once and price every configuration from
+    # that execution, as the Figure 15 runner does.
+    scale_factors = (100, 500, 1000)
+    cells = {label: [] for label, *_ in configs}
+    check = None
+    for sf in scale_factors:
+        workload = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
+        execution = repro.TpchQ6(ibm).execute(workload)
+        for label, machine, proc, variant, method in configs:
             # Allocate lineitem as the transfer method requires (Table 1).
-            workload = workload.placed(
+            placed = workload.placed(
                 workload.location, kind=repro.get_method(method).required_kind
             )
             op = repro.TpchQ6(machine, variant=variant, transfer_method=method)
-            res = op.run(workload, processor=proc)
-            cells.append(f" {res.throughput_gtuples:>6.2f}")
-            if not revenue_checked:
-                print(f"  [functional check] SF{sf}: revenue "
-                      f"{res.revenue:.2f} from {res.qualifying_rows} rows "
-                      f"({res.selectivity:.1%} selectivity)")
-                revenue_checked = True
-        print(f"{label:>16} |" + "".join(cells))
+            res = op.price(execution, placed, processor=proc)
+            cells[label].append(f" {res.throughput_gtuples:>6.2f}")
+            if check is None:
+                check = (f"  [functional check] SF{sf}: revenue "
+                         f"{res.revenue:.2f} from {res.qualifying_rows} rows "
+                         f"({res.selectivity:.1%} selectivity)")
 
-    # Show the branching kernel's column-level skipping.
-    workload = repro.lineitem_q6(scale_factor=1000, scale=2**-10)
-    res = repro.TpchQ6(ibm, variant="branching").run(workload, processor="gpu0")
+    header = f"{'config':>16} |" + "".join(
+        f" SF{sf:>5}" for sf in scale_factors
+    )
+    print(header + "   (G Tuples/s)")
+    print("-" * len(header))
+    print(check)
+    for label, *_ in configs:
+        print(f"{label:>16} |" + "".join(cells[label]))
+
+    # Show the branching kernel's column-level skipping (the SF1000
+    # execution above).
+    res = repro.TpchQ6(ibm, variant="branching").price(
+        execution, workload, processor="gpu0"
+    )
     names = ("l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
     print("\nbranching variant, fraction of each column's lines loaded:")
     for name, fraction in zip(names, res.column_line_fractions):

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
@@ -32,6 +30,7 @@ from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
     check_backend,
+    exec_tier,
     execute_build,
     execute_probe,
     make_executor,
@@ -39,7 +38,7 @@ from repro.exec import (
 from repro.hardware.cache import HotSetProfile
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
-from repro.core.join.nopa import join_query, payload_line_fraction
+from repro.core.join.nopa import join_query, probe_summary
 from repro.logical.algebra import Query
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import JoinStats, TableProfile
@@ -101,8 +100,11 @@ class CoopJoin:
         morsel_tuples: dispatcher morsel size (modeled tuples) of the
             *simulated* probe-phase dispatcher.
         gpu_batch_morsels: morsels per GPU batch; ``None`` auto-tunes.
-        backend: ``serial`` | ``threads`` — how the functional build and
-            probe execute on the host.  Results and TableStats are
+        backend: ``None`` | ``serial`` | ``threads`` — how the
+            functional build and probe execute on the host; ``None``
+            (the default) runs the host tier of the probe rows
+            (:func:`repro.exec.host_tier`) with its threads capped at
+            the CPUs the process may use.  Results and TableStats are
             identical across backends; the simulated Het schedule is
             priced from the same counters regardless.
         exec_workers: thread count for ``backend="threads"``.
@@ -119,7 +121,7 @@ class CoopJoin:
         gpu_batch_morsels: Optional[int] = None,
         hash_scheme: str = "perfect",
         obs: Optional[Observability] = None,
-        backend: str = "serial",
+        backend: Optional[str] = None,
         exec_workers: int = DEFAULT_WORKERS,
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
     ) -> None:
@@ -135,7 +137,7 @@ class CoopJoin:
         self.morsel_tuples = morsel_tuples
         self.gpu_batch_morsels = gpu_batch_morsels
         self.hash_scheme = hash_scheme
-        self.backend = check_backend(backend)
+        self.backend = None if backend is None else check_backend(backend)
         self.exec_workers = exec_workers
         self.exec_morsel_tuples = exec_morsel_tuples
         self.last_executor = None
@@ -181,15 +183,22 @@ class CoopJoin:
         table = create_hash_table(
             self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
         )
+        backend, exec_workers = exec_tier(
+            self.backend, self.exec_workers, len(s.key)
+        )
         executor = make_executor(
-            self.backend, self.exec_workers, self.exec_morsel_tuples, name="coop"
+            backend,
+            exec_workers,
+            self.exec_morsel_tuples,
+            name="coop",
+            cap_workers=self.backend is None,
         )
         self.last_executor = executor
         execute_build(table, r.key, r.payload, executor)
         found, values = execute_probe(table, s.key, executor)
-        matches = int(found.sum())
-        aggregate = int(values.sum(where=found, dtype=np.int64))
-        lines_loaded = payload_line_fraction(found, s.payload_bytes)
+        matches, aggregate, lines_loaded = probe_summary(
+            found, values, s.payload_bytes
+        )
 
         stats = JoinStats(
             table=TableProfile.from_table(table, r.modeled_tuples),
@@ -202,8 +211,8 @@ class CoopJoin:
             workers=tuple(workers),
             morsel_tuples=self.morsel_tuples,
             gpu_batch_morsels=self.gpu_batch_morsels,
-            backend=self.backend,
-            exec_workers=self.exec_workers,
+            backend=backend,
+            exec_workers=exec_workers,
             hash_scheme=self.hash_scheme,
             label="coop",
         )

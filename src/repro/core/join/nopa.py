@@ -22,7 +22,7 @@ many configurations executes it once and prices each.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
     check_backend,
+    exec_tier,
     execute_build,
     execute_probe,
     make_executor,
@@ -65,6 +66,21 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     """
     per_line = max(1, LINE_BYTES // payload_bytes)
     return line_fraction(match_mask, per_line)
+
+
+def probe_summary(
+    found: np.ndarray, values: np.ndarray, payload_bytes: int
+) -> Tuple[int, int, float]:
+    """(matches, aggregate, payload line fraction) of one probe's output.
+
+    The probe zeroes ``values`` at every miss, so the unmasked int64 sum
+    is the sum over matches (integer sums are exact in any order).
+    """
+    return (
+        int(np.count_nonzero(found)),
+        int(values.sum(dtype=np.int64)),
+        payload_line_fraction(found, payload_bytes),
+    )
 
 
 def join_query(r: Relation, s: Relation) -> Query:
@@ -177,11 +193,14 @@ class NoPartitioningJoin:
             materialization)").
         calibration: cost-model constants.
         gpu_reserve: GPU bytes kept free when placing the table.
-        backend: how the *functional* execution runs — ``serial`` (one
-            thread, the default) or ``threads`` (morsel-parallel via
-            ``repro.exec``).  Results, ``TableStats``, and everything
-            priced from them are identical across backends; only
-            wall-clock behaviour differs.
+        backend: how the *functional* execution runs — ``None`` (the
+            default: the host tier of the probe rows,
+            :func:`repro.exec.host_tier`, with its threads capped at the
+            CPUs the process may use), ``serial`` (one thread) or
+            ``threads`` (morsel-parallel via ``repro.exec``).  Results,
+            ``TableStats``, and everything priced from them are
+            identical across backends; only wall-clock behaviour
+            differs.
         workers: worker count for the ``threads`` backend.
         exec_morsel_tuples: executed-tuple morsel size for the
             ``threads`` backend's dispatcher.
@@ -205,7 +224,7 @@ class NoPartitioningJoin:
         layout: str = "soa",
         output: str = "aggregate",
         obs: Optional[Observability] = None,
-        backend: str = "serial",
+        backend: Optional[str] = None,
         workers: int = DEFAULT_WORKERS,
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
         oom_policy: str = "raise",
@@ -231,7 +250,7 @@ class NoPartitioningJoin:
         self.gpu_name = gpu_name
         self.layout = layout
         self.output = output
-        self.backend = check_backend(backend)
+        self.backend = None if backend is None else check_backend(backend)
         self.workers = workers
         self.exec_morsel_tuples = exec_morsel_tuples
         self.oom_policy = oom_policy
@@ -256,20 +275,20 @@ class NoPartitioningJoin:
             self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
         )
         self.last_resilience = ResilienceLog()
+        backend, workers = exec_tier(self.backend, self.workers, len(s.key))
         executor = make_executor(
-            self.backend,
-            self.workers,
+            backend,
+            workers,
             self.exec_morsel_tuples,
             name="nopa",
             retry=self.retry_policy,
             resilience=self.last_resilience,
+            cap_workers=self.backend is None,
         )
         self.last_executor = executor
         execute_build(table, r.key, r.payload, executor)
         found, values = execute_probe(table, s.key, executor)
-        matches = int(found.sum())
-        aggregate = int(values.sum(where=found, dtype=np.int64))
-        lines = payload_line_fraction(found, s.payload_bytes)
+        matches, aggregate, lines = probe_summary(found, values, s.payload_bytes)
         materialized = None
         if self.output == "materialize":
             materialized = {
@@ -318,8 +337,9 @@ class NoPartitioningJoin:
         )
 
     def _physical_config(
-        self, processor: str, placement: HashTablePlacement
+        self, processor: str, placement: HashTablePlacement, probe_rows: int
     ) -> PhysicalConfig:
+        backend, workers = exec_tier(self.backend, self.workers, probe_rows)
         return PhysicalConfig(
             strategy="single",
             processor=processor,
@@ -327,8 +347,8 @@ class NoPartitioningJoin:
             placement=placement,
             layout=self.layout,
             output=self.output,
-            backend=self.backend,
-            exec_workers=self.workers,
+            backend=backend,
+            exec_workers=workers,
             hash_scheme=self.hash_scheme,
             label="nopa",
         )
@@ -369,7 +389,7 @@ class NoPartitioningJoin:
         the logical join through :func:`repro.logical.compile_query`."""
         return compile_query(
             self.logical_query(r, s),
-            self._physical_config(processor, placement),
+            self._physical_config(processor, placement, len(s.key)),
             self.cost_model,
             self._join_stats(table, r, s, lines_loaded, hot_set, matches),
         )

@@ -7,7 +7,11 @@ with results merged deterministically so parallel output is
 bit-identical to serial and the measured TableStats (hence every priced
 manifest) are the same at any worker count.
 
-Operators expose it through a ``backend="serial" | "threads"`` knob.
+The join facades (``NoPartitioningJoin``, ``CoopJoin``) take a
+``backend`` of ``None`` (the default: the host tier of the executed
+probe rows, :func:`host_tier`, with its threads capped at the CPUs the
+process may use), ``"serial"`` or ``"threads"``; the scan and TPC-H Q6
+operators take ``"serial"`` (their default) or ``"threads"``.
 """
 
 from repro.exec.functional import (
@@ -24,6 +28,8 @@ from repro.exec.pool import (
     MorselFailedError,
     MorselOutcome,
     check_backend,
+    exec_tier,
+    host_tier,
     make_executor,
 )
 
@@ -39,5 +45,7 @@ __all__ = [
     "execute_build",
     "execute_masks",
     "execute_probe",
+    "exec_tier",
+    "host_tier",
     "make_executor",
 ]

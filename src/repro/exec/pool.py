@@ -44,6 +44,7 @@ land in a :class:`~repro.faults.ResilienceLog` for the manifest's
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -77,6 +78,9 @@ DEFAULT_EXEC_MORSEL_TUPLES = HashTableBase.PROBE_BLOCK
 #: default worker count of the thread backend.
 DEFAULT_WORKERS = 4
 
+#: executed rows from which the host tier runs on threads.
+HOST_TIER_ROWS = 1 << 18
+
 
 def check_backend(backend: str) -> str:
     """Validate a ``backend`` knob: serial | threads."""
@@ -86,6 +90,42 @@ def check_backend(backend: str) -> str:
             f"valid: {', '.join(EXEC_BACKENDS)}"
         )
     return backend
+
+
+def host_tier(executed_rows: int) -> Tuple[str, int]:
+    """(backend, workers) for a functional execution of ``executed_rows``.
+
+    Backend choice cannot be priced — the modeled plan cost is
+    backend-invariant by construction — so the tier scales with the
+    *executed* data size: serial below 2¹⁸ rows (dispatch overhead
+    dominates), threads from there up.  The tier is nominal: plans
+    record it as is, and a facade's default run under it
+    (:func:`make_executor` with ``cap_workers``) starts no more threads
+    than the process has usable CPUs.
+    """
+    if executed_rows >= HOST_TIER_ROWS:
+        return ("threads", DEFAULT_WORKERS)
+    return ("serial", 0)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def exec_tier(
+    backend: Optional[str], workers: int, executed_rows: int
+) -> Tuple[str, int]:
+    """The (backend, workers) of one execution, as its plan records it:
+    an explicit (already validated) knob as given, ``None`` as
+    :func:`host_tier`."""
+    if backend is None:
+        return host_tier(executed_rows)
+    return backend, workers
 
 
 class AbortedError(RuntimeError):
@@ -574,10 +614,19 @@ def make_executor(
     name: str = "exec",
     retry: Optional[RetryPolicy] = None,
     resilience: Optional[ResilienceLog] = None,
-):
-    """Executor for ``backend`` — ``None`` selects the serial fast path."""
+    cap_workers: bool = False,
+) -> Optional[MorselExecutor]:
+    """Executor for ``backend``; a return of ``None`` selects the serial
+    fast path.
+
+    ``cap_workers`` (how the facades run their default tier, see
+    :func:`exec_tier`) starts no more threads than :func:`usable_cpus`;
+    one usable CPU means a serial run.
+    """
     check_backend(backend)
-    if backend == "serial":
+    if cap_workers:
+        workers = min(workers, usable_cpus())
+    if backend == "serial" or (cap_workers and workers < 2):
         return None
     return MorselExecutor(
         workers=workers,

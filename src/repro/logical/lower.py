@@ -196,7 +196,9 @@ class PhysicalConfig:
             parts.append(f"table={self.placement.label}")
         if self.join_order:
             parts.append("order=" + ">".join(str(i) for i in self.join_order))
-        parts.append(f"backend={self.backend}x{max(1, self.exec_workers)}")
+        # A serial run starts no workers, whatever count the facade holds.
+        workers = 1 if self.backend == "serial" else max(1, self.exec_workers)
+        parts.append(f"backend={self.backend}x{workers}")
         return " ".join(parts)
 
 

@@ -18,7 +18,8 @@ The search space is exactly the paper's knob set:
 * **host tier** — serial or threads backend and worker count.
   Results and modeled plan costs are backend-invariant (pinned by the
   equivalence suite), so the tier is chosen by a deterministic
-  data-size heuristic rather than by price.
+  data-size heuristic (:func:`repro.exec.host_tier`, the rule the join
+  facades run by default) rather than by price.
 
 Candidates are priced through the same :func:`compile_query` +
 :class:`~repro.plan.PlanExecutor` path the operator facades use, from
@@ -48,6 +49,7 @@ from repro.core.hashtable.placement import (
     place_hash_table,
 )
 from repro.data.relation import Relation
+from repro.exec import host_tier
 from repro.hardware.topology import Machine
 from repro.logical.algebra import (
     Aggregate,
@@ -213,22 +215,6 @@ class OptimizerResult:
 
     def _summaries(self) -> List[Dict[str, object]]:
         return [c.summary() for c in self.candidates]
-
-
-# ----------------------------------------------------------------------
-# Host-tier heuristic
-# ----------------------------------------------------------------------
-def host_tier(executed_rows: int) -> Tuple[str, int]:
-    """(backend, workers) for the functional execution.
-
-    Backend choice cannot be priced — the modeled plan cost is
-    backend-invariant by construction — so the tier scales with the
-    *executed* data size: serial below ~256 K rows (dispatch overhead
-    dominates), threads from there up.
-    """
-    if executed_rows >= 1 << 18:
-        return ("threads", 4)
-    return ("serial", 0)
 
 
 # ----------------------------------------------------------------------

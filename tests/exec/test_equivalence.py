@@ -1,9 +1,10 @@
 """Backend equivalence: ``threads`` output is bit-identical to serial.
 
 The determinism contract of ``repro.exec``: for every operator and
-every worker count, the parallel backend produces the same functional
-results, the same ``TableStats``, and therefore the same priced phase
-costs and metric snapshots as the serial path.
+every worker count, the parallel backend — and the join facades' default
+``backend=None``, which runs the host tier — produces the same
+functional results, the same ``TableStats``, and therefore the same
+priced phase costs and metric snapshots as the serial path.
 """
 
 import numpy as np
@@ -11,11 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.join.coop as coop_module
+import repro.exec.pool as pool
 from repro.core.hashtable import create_hash_table
+from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.ops.q6 import TpchQ6
 from repro.core.ops.scan import Predicate, SelectionScan
-from repro.exec import MorselExecutor, execute_build, execute_probe
+from repro.exec import (
+    DEFAULT_WORKERS,
+    MorselExecutor,
+    execute_build,
+    execute_probe,
+)
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a
 from repro.workloads.tpch import lineitem_q6
@@ -44,6 +53,7 @@ def serial_results(machine, workload):
             hash_table_placement="gpu",
             hash_scheme=scheme,
             output="materialize",
+            backend="serial",
         )
         results[scheme] = join.run(workload.r, workload.s)
     return results
@@ -79,6 +89,69 @@ class TestNopaEquivalence:
             assert np.array_equal(
                 parallel.materialized[column], serial.materialized[column]
             )
+
+
+@pytest.fixture
+def coop_tables(monkeypatch):
+    """Every hash table ``CoopJoin`` creates, in creation order."""
+    tables = []
+
+    def record(*args, _create=coop_module.create_hash_table):
+        tables.append(_create(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(coop_module, "create_hash_table", record)
+    return tables
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestDefaultBackendEquivalence:
+    """``backend=None`` runs the host tier: threads at this workload's
+    2^18 probe rows (``usable_cpus`` is pinned so it does on any host)."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(pool, "usable_cpus", lambda: DEFAULT_WORKERS)
+
+    def test_nopa(self, machine, workload, serial_results, scheme):
+        def join(**backend):
+            return NoPartitioningJoin(
+                machine,
+                hash_table_placement="gpu",
+                hash_scheme=scheme,
+                output="materialize",
+                **backend,
+            )
+
+        default = join()
+        execution = default.execute(workload.r, workload.s)
+        got = default.price(execution, workload.r, workload.s)
+        want_table = join(backend="serial").execute(workload.r, workload.s).table
+        want = serial_results[scheme]
+        assert default.last_executor.workers == DEFAULT_WORKERS
+        assert (got.matches, got.aggregate) == (want.matches, want.aggregate)
+        assert execution.table.stats.as_tuple() == want_table.stats.as_tuple()
+        assert got.build_cost == want.build_cost
+        assert got.probe_cost == want.probe_cost
+        assert got.payload_lines_loaded == want.payload_lines_loaded
+        for column in want.materialized:
+            assert np.array_equal(
+                got.materialized[column], want.materialized[column]
+            )
+
+    def test_coop(self, machine, workload, coop_tables, scheme):
+        default = CoopJoin(machine, hash_scheme=scheme)
+        got = default.run(workload.r, workload.s)
+        want = CoopJoin(machine, hash_scheme=scheme, backend="serial").run(
+            workload.r, workload.s
+        )
+        assert default.last_executor.workers == DEFAULT_WORKERS
+        assert (got.matches, got.aggregate) == (want.matches, want.aggregate)
+        got_table, want_table = coop_tables
+        assert got_table.stats.as_tuple() == want_table.stats.as_tuple()
+        assert got.build_cost == want.build_cost
+        assert got.probe_cost == want.probe_cost
+        assert got.worker_shares == want.worker_shares
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
