@@ -76,18 +76,20 @@ def run_batch_size(
     )
     machine = ibm_ac922()
     workload = workload_a(scale=scale)
+    r, s = workload.r, workload.s
     # Small morsels make the dispatch-latency / end-of-input-skew
     # trade-off visible (with multi-million-tuple morsels every batch
     # size amortizes the 20 us round trip).
     morsel = 1 << 16
+    auto = CoopJoin(machine, strategy="het", morsel_tuples=morsel)
+    execution = auto.execute(r, s)
     for batch in batches:
         coop = CoopJoin(
             machine, strategy="het", gpu_batch_morsels=batch, morsel_tuples=morsel
         )
-        res = coop.run(workload.r, workload.s, workers=("cpu0", "gpu0"))
+        res = coop.price(execution, r, s, workers=("cpu0", "gpu0"))
         result.add(f"batch={batch}", throughput=res.throughput_gtuples)
-    auto = CoopJoin(machine, strategy="het", morsel_tuples=morsel)
-    res = auto.run(workload.r, workload.s, workers=("cpu0", "gpu0"))
+    res = auto.price(execution, r, s, workers=("cpu0", "gpu0"))
     result.add("batch=auto", throughput=res.throughput_gtuples)
     return result
 

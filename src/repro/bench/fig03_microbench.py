@@ -82,9 +82,7 @@ def run() -> FigureResult:
             label,
             seq=min(cm.sequential_bandwidth(proc, mem), spec.seq_bw) / GIB,
             random=spec.random_bw_4b / GIB,
-            latency_ns=(spec.latency + _memory_of(mem).latency * 0) / NS
-            if label in ("nvlink2", "pcie3", "upi", "xbus")
-            else 0.0,
+            latency_ns=spec.latency / NS,
         )
 
     # Panels (b) and (c): memories, accessed locally.
@@ -100,9 +98,3 @@ def run() -> FigureResult:
             latency_ns=spec.latency / NS,
         )
     return result
-
-
-def _memory_of(mem_name: str):
-    if mem_name.startswith("cpu"):
-        return DDR4_POWER9
-    return HBM2_V100

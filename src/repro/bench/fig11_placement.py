@@ -51,7 +51,7 @@ CLAIMS = (
 
 
 def _strategies(machine, workload) -> Dict[str, float]:
-    """Throughput of every applicable strategy."""
+    """Throughput of every applicable strategy, priced from one execution."""
     out: Dict[str, float] = {}
     r, s = workload.r, workload.s
     gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
@@ -69,7 +69,7 @@ def _strategies(machine, workload) -> Dict[str, float]:
         try:
             out[strategy] = (
                 CoopJoin(machine, strategy=strategy)
-                .run(r, s, workers=("cpu0", "gpu0"))
+                .price(execution, r, s, workers=("cpu0", "gpu0"))
                 .throughput_gtuples
             )
         except OutOfMemoryError:

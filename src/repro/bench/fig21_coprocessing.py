@@ -8,10 +8,10 @@ build and probe phases of workload C.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Union
 
 from repro.bench.common import Claim, FigureResult, near
-from repro.core.join.coop import CoopJoin
+from repro.core.join.coop import CoopJoin, CoopResult
 from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a, workload_b, workload_c
@@ -82,15 +82,10 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "C": workload_c(scale=scale),
     }
     for name, workload in workloads.items():
-        cpu, gpu = _cpu_and_gpu_only(machine, workload)
-        values = {"cpu": cpu.throughput_gtuples}
-        for strategy in ("het", "gpu+het"):
-            coop = CoopJoin(machine, strategy=strategy)
-            values[strategy] = coop.run(
-                workload.r, workload.s, workers=("cpu0", "gpu0")
-            ).throughput_gtuples
-        values["gpu"] = gpu.throughput_gtuples
-        result.add(name, **values)
+        result.add(name, **{
+            strategy: res.throughput_gtuples
+            for strategy, res in _strategies(machine, workload).items()
+        })
     return result
 
 
@@ -107,27 +102,24 @@ def run_phases(scale: float = 2.0**-12) -> FigureResult:
             "tables probe fastest."
         ),
     )
-    machine = ibm_ac922()
-    workload = workload_c(scale=scale)
-    cpu, gpu = _cpu_and_gpu_only(machine, workload)
-    result.add("cpu", build=cpu.build_cost.seconds, probe=cpu.probe_cost.seconds)
-    for strategy in ("het", "gpu+het"):
-        res = CoopJoin(machine, strategy=strategy).run(
-            workload.r, workload.s, workers=("cpu0", "gpu0")
-        )
-        result.add(strategy, build=res.build_seconds, probe=res.probe_seconds)
-    result.add("gpu", build=gpu.build_cost.seconds, probe=gpu.probe_cost.seconds)
+    for strategy, res in _strategies(ibm_ac922(), workload_c(scale=scale)).items():
+        result.add(strategy, build=res.build_cost.seconds, probe=res.probe_cost.seconds)
     return result
 
 
-def _cpu_and_gpu_only(machine, workload) -> Tuple[JoinResult, JoinResult]:
-    """The CPU-only and GPU-only NOPA joins, priced from one execution."""
+def _strategies(machine, workload) -> Dict[str, Union[JoinResult, CoopResult]]:
+    """CPU-only, Het, GPU+Het and GPU-only, priced from one execution."""
     r, s = workload.r, workload.s
     cpu = NoPartitioningJoin(machine, hash_table_placement="cpu")
     execution = cpu.execute(r, s)
-    return (
-        cpu.price(execution, r, s, processor="cpu0"),
-        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
-            execution, r, s
-        ),
+    results: Dict[str, Union[JoinResult, CoopResult]] = {
+        "cpu": cpu.price(execution, r, s, processor="cpu0")
+    }
+    for strategy in ("het", "gpu+het"):
+        results[strategy] = CoopJoin(machine, strategy=strategy).price(
+            execution, r, s, workers=("cpu0", "gpu0")
+        )
+    results["gpu"] = NoPartitioningJoin(machine, hash_table_placement="gpu").price(
+        execution, r, s
     )
+    return results

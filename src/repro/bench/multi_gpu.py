@@ -51,13 +51,12 @@ def run(scale: float = 2.0**-12) -> FigureResult:
 
     # Small table (workload A): one GPU vs two, replicated vs interleaved.
     wl = workload_a(scale=scale)
-    one_gpu = NoPartitioningJoin(machine, hash_table_placement="gpu").run(
-        wl.r, wl.s
-    )
-    values = {"one-gpu": one_gpu.throughput_gtuples}
+    one_gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
+    execution = one_gpu.execute(wl.r, wl.s)
+    values = {"one-gpu": one_gpu.price(execution, wl.r, wl.s).throughput_gtuples}
     for placement in ("replicated", "interleaved"):
-        res = MultiGpuJoin(machine, placement=placement).run(
-            wl.r, wl.s, workers=("gpu0", "gpu1")
+        res = MultiGpuJoin(machine, placement=placement).price(
+            execution, wl.r, wl.s, workers=("gpu0", "gpu1")
         )
         values[placement] = res.throughput_gtuples
     result.add("A (2 GiB table)", **values)
@@ -65,10 +64,21 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     # Large table (24 GiB): exceeds one GPU; interleaving over two GPUs
     # keeps it in GPU memory where the single GPU must spill.
     big = workload_ratio(1, scale=2.0**-13, modeled_r=2048 * 10**6)
-    values = {"one-gpu": _one_gpu_spill(machine, big)}
+    r, s = big.r, big.s
+    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
+    execution = hybrid.execute(r, s)
+    try:
+        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
+            execution, r, s
+        )
+        raise AssertionError("32 GiB table unexpectedly fit one GPU")
+    except OutOfMemoryError:
+        pass
+    # The single GPU cannot hold the table, so its hybrid table spills.
+    values = {"one-gpu": hybrid.price(execution, r, s).throughput_gtuples}
     values["interleaved"] = (
         MultiGpuJoin(machine, placement="interleaved")
-        .run(big.r, big.s, workers=("gpu0", "gpu1"))
+        .price(execution, r, s, workers=("gpu0", "gpu1"))
         .throughput_gtuples
     )
     result.add("C 2048M (32 GiB table)", **values)
@@ -81,24 +91,8 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         workers = tuple(f"gpu{i}" for i in range(count))
         values[f"{count}-gpus"] = (
             MultiGpuJoin(four_gpu, placement="interleaved")
-            .run(big.r, big.s, workers=workers)
+            .price(execution, r, s, workers=workers)
             .throughput_gtuples
         )
     result.add("C 2048M scaling", **values)
     return result
-
-
-def _one_gpu_spill(machine, workload) -> float:
-    """The single GPU's throughput on a table it cannot hold: the GPU
-    placement runs out of memory, so the hybrid table spills."""
-    r, s = workload.r, workload.s
-    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
-    execution = hybrid.execute(r, s)
-    try:
-        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
-            execution, r, s
-        )
-        raise AssertionError("32 GiB table unexpectedly fit one GPU")
-    except OutOfMemoryError:
-        pass
-    return hybrid.price(execution, r, s).throughput_gtuples

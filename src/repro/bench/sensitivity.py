@@ -71,29 +71,23 @@ def _perturbed(name: str, factor: float) -> Calibration:
     return dataclasses.replace(base, **{name: new_value})
 
 
-def _anchors(calibration: Calibration, scale: float) -> Dict[str, float]:
-    """The four anchor metrics under one calibration."""
-    machine = ibm_ac922()
-    wl_a = workload_a(scale=scale)
-    wl_ratio = workload_ratio(1, scale=scale)
-
-    coherence = NoPartitioningJoin(
-        machine, hash_table_placement="gpu", calibration=calibration
-    ).run(wl_a.r, wl_a.s)
-    ratio_run = NoPartitioningJoin(
-        machine, hash_table_placement="gpu", calibration=calibration
-    ).run(wl_ratio.r, wl_ratio.s)
-    cpu_table = NoPartitioningJoin(
+def _anchors(
+    calibration: Calibration, machine, wl_a, run_a, wl_ratio, run_ratio
+) -> Dict[str, float]:
+    """The four anchor metrics under one calibration, priced from the
+    executions ``run_a`` of workload A and ``run_ratio`` of the 1:1
+    workload (execution does not depend on the calibration)."""
+    gpu = NoPartitioningJoin(machine, calibration=calibration)
+    cpu = NoPartitioningJoin(
         machine, hash_table_placement="cpu", calibration=calibration
-    ).run(wl_a.r, wl_a.s)
-    cpu_only = NoPartitioningJoin(
-        machine, hash_table_placement="cpu", calibration=calibration
-    ).run(wl_a.r, wl_a.s, processor="cpu0")
+    )
+    r, s = wl_a.r, wl_a.s
+    ratio = gpu.price(run_ratio, wl_ratio.r, wl_ratio.s)
     return {
-        "fig12-coherence": coherence.throughput_gtuples,
-        "fig18-build-share": 100.0 * ratio_run.build_fraction,
-        "fig14-cpu-table": cpu_table.throughput_gtuples,
-        "fig21-cpu-only": cpu_only.throughput_gtuples,
+        "fig12-coherence": gpu.price(run_a, r, s).throughput_gtuples,
+        "fig18-build-share": 100.0 * ratio.build_fraction,
+        "fig14-cpu-table": cpu.price(run_a, r, s).throughput_gtuples,
+        "fig21-cpu-only": cpu.price(run_a, r, s, processor="cpu0").throughput_gtuples,
     }
 
 
@@ -112,11 +106,17 @@ def run(scale: float = 2.0**-14, perturbation: float = 0.2) -> FigureResult:
             "re-fitted on different hardware."
         ),
     )
-    baseline = _anchors(DEFAULT_CALIBRATION, scale)
+    machine = ibm_ac922()
+    wl_a, wl_ratio = workload_a(scale=scale), workload_ratio(1, scale=scale)
+    executed = (
+        wl_a, NoPartitioningJoin(machine).execute(wl_a.r, wl_a.s),
+        wl_ratio, NoPartitioningJoin(machine).execute(wl_ratio.r, wl_ratio.s),
+    )
+    baseline = _anchors(DEFAULT_CALIBRATION, machine, *executed)
     for name in SCALAR_CONSTANTS + DICT_CONSTANTS:
         movements: Dict[str, float] = {}
         for factor in (1.0 - perturbation, 1.0 + perturbation):
-            anchors = _anchors(_perturbed(name, factor), scale)
+            anchors = _anchors(_perturbed(name, factor), machine, *executed)
             for anchor, value in anchors.items():
                 change = abs(value - baseline[anchor]) / abs(baseline[anchor])
                 movements[anchor] = max(movements.get(anchor, 0.0), change)

@@ -19,38 +19,40 @@ adds the end-of-input skew and batching effects of Section 6.1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
-from repro.core.hashtable import create_hash_table
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
     check_backend,
     exec_tier,
-    execute_build,
-    execute_probe,
-    make_executor,
 )
 from repro.hardware.cache import HotSetProfile
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
-from repro.core.join.nopa import join_query, probe_summary
+from repro.core.join.nopa import (
+    JoinExecution,
+    JoinThroughput,
+    check_execution,
+    execute_join,
+    join_query,
+)
 from repro.logical.algebra import Query
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import JoinStats, TableProfile
 from repro.obs import Observability
 from repro.obs.trace import Timeline
-from repro.plan import PlanExecutor
+from repro.plan import PhaseOutcome, PlanExecutor
 
 STRATEGIES = ("het", "gpu+het")
 
 
 @dataclass
-class CoopResult:
+class CoopResult(JoinThroughput):
     """Functional result plus simulated performance of a cooperative join."""
 
     matches: int
@@ -61,27 +63,25 @@ class CoopResult:
     modeled_tuples: int
     worker_rates: Dict[str, float]
     worker_shares: Dict[str, float]
-    timeline: Timeline
     workers: Tuple[str, ...]
     #: aggregate per-phase costs (occupancy summed across workers at
     #: their solved shares) — the same shape single-processor joins
     #: report, so run manifests can treat both uniformly.
-    build_cost: Optional[PhaseCost] = None
-    probe_cost: Optional[PhaseCost] = None
+    build_cost: PhaseCost
+    probe_cost: PhaseCost
+    #: the executed probe phase; :attr:`timeline` is built from its grants.
+    probe_outcome: PhaseOutcome = field(repr=False, compare=False)
+
+    @property
+    def timeline(self) -> Timeline:
+        """The probe's per-worker morsel timeline, built on first read."""
+        timeline = self.probe_outcome.timeline
+        assert timeline is not None  # a morsel phase records its grants
+        return timeline
 
     @property
     def runtime(self) -> float:
         return self.build_seconds + self.probe_seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
     def __str__(self) -> str:
         return (
@@ -142,16 +142,23 @@ class CoopJoin:
         self.exec_morsel_tuples = exec_morsel_tuples
         self.last_executor = None
 
-    def _is_gpu(self, worker: str) -> bool:
-        return isinstance(self.machine.processor(worker), Gpu)
-
     def logical_query(self, r: Relation, s: Relation) -> Query:
         """The join as a logical plan (S probes a table built from R)."""
         return join_query(r, s)
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
+    def execute(self, r: Relation, s: Relation) -> JoinExecution:
+        """Build one shared table from ``r`` and probe it with ``s`` on
+        the real columns.  Nothing here depends on the strategy, workers
+        or machine, so one execution serves every :meth:`price`."""
+        execution, self.last_executor = execute_join(
+            r, s, self.hash_scheme, self.backend, self.exec_workers,
+            self.exec_morsel_tuples, name="coop",
+        )
+        return execution
+
     def run(
         self,
         r: Relation,
@@ -160,6 +167,20 @@ class CoopJoin:
         hot_set: Optional[HotSetProfile] = None,
     ) -> CoopResult:
         """Execute the cooperative join and price it on the machine."""
+        return self.price(self.execute(r, s), r, s, workers, hot_set)
+
+    def price(
+        self,
+        execution: JoinExecution,
+        r: Relation,
+        s: Relation,
+        workers: Tuple[str, ...] = ("cpu0", "gpu0"),
+        hot_set: Optional[HotSetProfile] = None,
+    ) -> CoopResult:
+        """Compile and price one execution of ``r`` ⋈ ``s`` as this
+        strategy over ``workers``; ``ValueError`` for an execution of
+        another hash scheme or other columns (:func:`check_execution`)."""
+        check_execution(execution, self, r, s)
         if not workers:
             raise ValueError("need at least one worker")
         for worker in workers:
@@ -168,8 +189,9 @@ class CoopJoin:
             # A shared *mutable* hash table needs system-wide atomics,
             # which only cache-coherent interconnects provide (L3 /
             # Section 3: PCI-e lacks them).
-            gpu_workers = [w for w in workers if self._is_gpu(w)]
-            for worker in gpu_workers:
+            for worker in workers:
+                if not isinstance(self.machine.processor(worker), Gpu):
+                    continue
                 link = self.machine.gpu_link(worker)
                 if not link.spec.cache_coherent:
                     raise ValueError(
@@ -179,33 +201,13 @@ class CoopJoin:
                         "or single-processor execution"
                     )
 
-        # Functional execution: one shared table, full probe.
-        table = create_hash_table(
-            self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
-        )
-        backend, exec_workers = exec_tier(
-            self.backend, self.exec_workers, len(s.key)
-        )
-        executor = make_executor(
-            backend,
-            exec_workers,
-            self.exec_morsel_tuples,
-            name="coop",
-            cap_workers=self.backend is None,
-        )
-        self.last_executor = executor
-        execute_build(table, r.key, r.payload, executor)
-        found, values = execute_probe(table, s.key, executor)
-        matches, aggregate, lines_loaded = probe_summary(
-            found, values, s.payload_bytes
-        )
-
         stats = JoinStats(
-            table=TableProfile.from_table(table, r.modeled_tuples),
-            lines_loaded=lines_loaded,
-            matches=matches,
+            table=TableProfile.from_table(execution.table, r.modeled_tuples),
+            lines_loaded=execution.payload_lines_loaded,
+            matches=execution.matches,
             hot_set=hot_set,
         )
+        backend, exec_workers = exec_tier(self.backend, self.exec_workers, len(s.key))
         config = PhysicalConfig(
             strategy=self.strategy,
             workers=tuple(workers),
@@ -222,18 +224,17 @@ class CoopJoin:
         executed = PlanExecutor(self.cost_model).execute(plan)
         build_out = executed.outcomes["build"]
         probe_out = executed.outcomes["probe"]
-        assert probe_out.timeline is not None
         return CoopResult(
-            matches=matches,
-            aggregate=aggregate,
+            matches=execution.matches,
+            aggregate=execution.aggregate,
             strategy=self.strategy,
             build_seconds=build_out.cost.seconds,
             probe_seconds=probe_out.cost.seconds,
             modeled_tuples=r.modeled_tuples + s.modeled_tuples,
             worker_rates=probe_out.rates,
             worker_shares=probe_out.shares,
-            timeline=probe_out.timeline,
             workers=tuple(workers),
             build_cost=build_out.cost,
             probe_cost=probe_out.cost,
+            probe_outcome=probe_out,
         )

@@ -24,14 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
-from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.placement import HashTablePlacement
-from repro.core.join.nopa import join_query
+from repro.core.join.nopa import (
+    JoinExecution,
+    JoinThroughput,
+    check_execution,
+    execute_join,
+    join_query,
+)
 from repro.data.relation import Relation
+from repro.exec import host_tier
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.lower import PhysicalConfig, compile_query
@@ -45,7 +49,7 @@ PLACEMENTS = ("replicated", "interleaved")
 
 
 @dataclass
-class MultiGpuResult:
+class MultiGpuResult(JoinThroughput):
     """Functional result plus simulated performance."""
 
     matches: int
@@ -60,16 +64,6 @@ class MultiGpuResult:
     @property
     def runtime(self) -> float:
         return self.build_seconds + self.probe_seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
 
 class MultiGpuJoin:
@@ -142,6 +136,12 @@ class MultiGpuJoin:
         return fractions, per_region
 
     # ------------------------------------------------------------------
+    def execute(self, r: Relation, s: Relation) -> JoinExecution:
+        """Build the table from ``r`` and probe it with ``s`` on the real
+        columns at the facades' default host tier; one execution serves
+        every :meth:`price`."""
+        return execute_join(r, s, self.hash_scheme, name="multigpu")[0]
+
     def run(
         self,
         r: Relation,
@@ -149,19 +149,27 @@ class MultiGpuJoin:
         workers: Optional[Sequence[str]] = None,
     ) -> MultiGpuResult:
         """Execute the join functionally and price it across the GPUs."""
+        return self.price(self.execute(r, s), r, s, workers)
+
+    def price(
+        self,
+        execution: JoinExecution,
+        r: Relation,
+        s: Relation,
+        workers: Optional[Sequence[str]] = None,
+    ) -> MultiGpuResult:
+        """Place, compile and price one execution of ``r`` ⋈ ``s`` over
+        ``workers`` (every GPU by default); ``ValueError`` for an
+        execution of another hash scheme or other columns."""
+        check_execution(execution, self, r, s)
         workers = tuple(workers or (gpu.name for gpu in self.machine.gpus()))
         gpus = self._gpus(workers)
-
-        table = create_hash_table(
-            self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
-        )
-        table.insert_batch(r.key, r.payload)
-        found, values = table.lookup_batch(s.key)
-        matches = int(found.sum())
-        aggregate = int(values.sum(where=found, dtype=np.int64))
+        table = execution.table
         table_bytes = table.modeled_bytes(r.modeled_tuples)
 
         fractions, per_region = self._table_fractions(gpus, table_bytes)
+        # Plans record the host tier the default execution runs under.
+        backend, exec_workers = host_tier(len(s.key))
         config = PhysicalConfig(
             strategy="multi-gpu",
             workers=workers,
@@ -172,6 +180,8 @@ class MultiGpuJoin:
                 if self.placement == "interleaved"
                 else None
             ),
+            backend=backend,
+            exec_workers=exec_workers,
             hash_scheme=self.hash_scheme,
             label="multigpu",
         )
@@ -179,7 +189,7 @@ class MultiGpuJoin:
         stats = JoinStats(
             table=TableProfile.from_table(table, r.modeled_tuples),
             lines_loaded=1.0,
-            matches=matches,
+            matches=execution.matches,
         )
         plan = compile_query(
             join_query(r, s), config, self.cost_model, stats
@@ -187,8 +197,8 @@ class MultiGpuJoin:
         executed = PlanExecutor(self.cost_model).execute(plan)
         probe_out = executed.outcomes["probe"]
         return MultiGpuResult(
-            matches=matches,
-            aggregate=aggregate,
+            matches=execution.matches,
+            aggregate=execution.aggregate,
             placement=self.placement,
             build_seconds=executed.seconds("build"),
             probe_seconds=probe_out.cost.seconds,

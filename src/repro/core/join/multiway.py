@@ -29,6 +29,7 @@ import numpy as np
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
+from repro.core.join.nopa import JoinThroughput
 from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
@@ -54,7 +55,7 @@ class Dimension:
 
 
 @dataclass
-class StarJoinResult:
+class StarJoinResult(JoinThroughput):
     """Functional result plus simulated performance."""
 
     survivors: int
@@ -69,16 +70,6 @@ class StarJoinResult:
     @property
     def runtime(self) -> float:
         return self.build_seconds + self.broadcast_seconds + self.probe_seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
 
 class StarJoin:

@@ -17,6 +17,7 @@ cost model with the configured transfer method and hash-table placement:
 ``run`` is :meth:`~NoPartitioningJoin.execute` then
 :meth:`~NoPartitioningJoin.price`; a sweep that prices one input under
 many configurations executes it once and prices each.
+:func:`execute_join` is the build and probe of every hash-join facade.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.data.relation import Column, Relation, check_same_columns
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
+    MorselExecutor,
     check_backend,
     exec_tier,
     execute_build,
@@ -68,21 +70,6 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     return line_fraction(match_mask, per_line)
 
 
-def probe_summary(
-    found: np.ndarray, values: np.ndarray, payload_bytes: int
-) -> Tuple[int, int, float]:
-    """(matches, aggregate, payload line fraction) of one probe's output.
-
-    The probe zeroes ``values`` at every miss, so the unmasked int64 sum
-    is the sum over matches (integer sums are exact in any order).
-    """
-    return (
-        int(np.count_nonzero(found)),
-        int(values.sum(dtype=np.int64)),
-        payload_line_fraction(found, payload_bytes),
-    )
-
-
 def join_query(r: Relation, s: Relation) -> Query:
     """The two-relation join every join facade states: S probes a hash
     table built from R, and the matched build payloads are summed."""
@@ -105,16 +92,16 @@ def join_columns(r: Relation, s: Relation) -> Dict[str, Column]:
 
 @dataclass(frozen=True)
 class JoinExecution:
-    """What one functional NOPA execution leaves for pricing.
+    """What one functional hash-join execution leaves for pricing.
 
     It holds the built table, the probe's scalars and (for the
     ``materialize`` output) its result rows, not the probe's row-sized
-    masks; one execution can be priced under any number of machines,
-    transfer methods and placements.  ``hash_scheme`` and
-    ``output`` are those of the facade that executed it, and ``columns``
-    the column objects it read; :meth:`NoPartitioningJoin.price` checks
-    all three.  ``resilience`` holds the execution's recovery events,
-    which every ``price`` copies into ``last_resilience``.
+    masks; one execution can be priced under any join facade, machine,
+    transfer method and placement.  ``hash_scheme`` and ``output`` are
+    those it ran with, and ``columns`` the column objects it read; every
+    ``price`` checks them (:func:`check_execution`).  ``resilience``
+    holds its recovery events, which ``NoPartitioningJoin.price`` copies
+    into ``last_resilience``.
     """
 
     table: HashTableBase
@@ -128,8 +115,106 @@ class JoinExecution:
     resilience: ResilienceLog
 
 
+def execute_join(
+    r: Relation,
+    s: Relation,
+    hash_scheme: str,
+    backend: Optional[str] = None,
+    workers: int = DEFAULT_WORKERS,
+    exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
+    name: str = "nopa",
+    output: str = "aggregate",
+    retry_policy: Optional[RetryPolicy] = None,
+    resilience: Optional[ResilienceLog] = None,
+) -> Tuple[JoinExecution, Optional[MorselExecutor]]:
+    """Build a ``hash_scheme`` table from ``r`` and probe it with ``s`` on
+    the real columns; return the execution and its executor (``None``
+    when serial).  ``backend`` ``None`` runs the host tier of the probe
+    rows, threads capped at the usable CPUs.  Recovery events go to
+    ``resilience`` (a fresh log when ``None``)."""
+    table = create_hash_table(
+        hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
+    )
+    resilience = resilience if resilience is not None else ResilienceLog()
+    tier_backend, tier_workers = exec_tier(backend, workers, len(s.key))
+    executor = make_executor(
+        tier_backend,
+        tier_workers,
+        exec_morsel_tuples,
+        name=name,
+        retry=retry_policy,
+        resilience=resilience,
+        cap_workers=backend is None,
+    )
+    execute_build(table, r.key, r.payload, executor)
+    found, values = execute_probe(table, s.key, executor)
+    materialized = None
+    if output == "materialize":
+        materialized = {
+            "key": s.key[found],
+            "s_payload": s.payload[found],
+            "r_payload": values[found],
+        }
+    execution = JoinExecution(
+        table=table,
+        matches=int(np.count_nonzero(found)),
+        # The probe zeroes ``values`` at every miss, so the unmasked sum
+        # is the sum over matches (integer sums are exact in any order).
+        aggregate=int(values.sum(dtype=np.int64)),
+        payload_lines_loaded=payload_line_fraction(found, s.payload_bytes),
+        materialized=materialized,
+        hash_scheme=hash_scheme,
+        output=output,
+        columns=join_columns(r, s),
+        resilience=resilience,
+    )
+    return execution, executor
+
+
+def check_execution(
+    execution: JoinExecution,
+    join: object,
+    r: Relation,
+    s: Relation,
+    knobs: Tuple[str, ...] = ("hash_scheme",),
+) -> None:
+    """Raise ``ValueError`` if ``execution`` differs from ``join`` in one
+    of ``knobs`` or read other columns than ``r`` and ``s`` hold."""
+    for name in knobs:
+        if getattr(execution, name) != getattr(join, name):
+            raise ValueError(
+                f"the execution's {name} is {getattr(execution, name)!r}, "
+                f"this join's is {getattr(join, name)!r}"
+            )
+    check_same_columns(execution.columns, join_columns(r, s))
+
+
+class JoinThroughput:
+    """The throughput of a join result from its modeled cardinality and
+    simulated runtime."""
+
+    modeled_tuples: int
+
+    @property
+    def runtime(self) -> float:
+        """Simulated end-to-end seconds at modeled (paper) scale."""
+        raise NotImplementedError
+
+    @property
+    def throughput_tuples(self) -> float:
+        """(|R| + |S|) / runtime — the paper's throughput metric."""
+        if self.runtime == 0:
+            return float("inf")
+        return self.modeled_tuples / self.runtime
+
+    @property
+    def throughput_gtuples(self) -> float:
+        """:attr:`throughput_tuples` in billions of tuples per second."""
+        return self.throughput_tuples / 1e9
+
+
 @dataclass
-class JoinResult:
+class JoinResult(JoinThroughput):
     """Functional result plus simulated performance of one join."""
 
     matches: int
@@ -147,17 +232,6 @@ class JoinResult:
     def runtime(self) -> float:
         """Simulated end-to-end seconds at modeled (paper) scale."""
         return self.build_cost.seconds + self.probe_cost.seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        """(|R| + |S|) / runtime — the paper's throughput metric."""
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
     @property
     def build_fraction(self) -> float:
@@ -271,42 +345,13 @@ class NoPartitioningJoin:
         """Build the hash table from ``r`` and probe it with ``s`` on the
         real columns.  Nothing here depends on the machine, placement or
         transfer method, so one execution serves every :meth:`price`."""
-        table = create_hash_table(
-            self.hash_scheme, r.executed_tuples, r.key.dtype, r.payload.dtype
-        )
         self.last_resilience = ResilienceLog()
-        backend, workers = exec_tier(self.backend, self.workers, len(s.key))
-        executor = make_executor(
-            backend,
-            workers,
-            self.exec_morsel_tuples,
-            name="nopa",
-            retry=self.retry_policy,
-            resilience=self.last_resilience,
-            cap_workers=self.backend is None,
+        execution, self.last_executor = execute_join(
+            r, s, self.hash_scheme, self.backend, self.workers,
+            self.exec_morsel_tuples, output=self.output,
+            retry_policy=self.retry_policy, resilience=self.last_resilience,
         )
-        self.last_executor = executor
-        execute_build(table, r.key, r.payload, executor)
-        found, values = execute_probe(table, s.key, executor)
-        matches, aggregate, lines = probe_summary(found, values, s.payload_bytes)
-        materialized = None
-        if self.output == "materialize":
-            materialized = {
-                "key": s.key[found],
-                "s_payload": s.payload[found],
-                "r_payload": values[found],
-            }
-        return JoinExecution(
-            table=table,
-            matches=matches,
-            aggregate=aggregate,
-            payload_lines_loaded=lines,
-            materialized=materialized,
-            hash_scheme=self.hash_scheme,
-            output=self.output,
-            columns=join_columns(r, s),
-            resilience=self.last_resilience,
-        )
+        return execution
 
     # ------------------------------------------------------------------
     # Placement and plan compilation
@@ -353,23 +398,6 @@ class NoPartitioningJoin:
             label="nopa",
         )
 
-    def _join_stats(
-        self,
-        table: HashTableBase,
-        r: Relation,
-        s: Relation,
-        lines_loaded: float,
-        hot_set: Optional[HotSetProfile],
-        matches: int,
-    ) -> JoinStats:
-        return JoinStats(
-            table=TableProfile.from_table(table, r.modeled_tuples),
-            lines_loaded=lines_loaded,
-            matches=matches,
-            model_factor=s.model_factor,
-            hot_set=hot_set,
-        )
-
     def logical_query(self, r: Relation, s: Relation) -> Query:
         """The join as a logical plan (S probes a table built from R)."""
         return join_query(r, s)
@@ -391,7 +419,13 @@ class NoPartitioningJoin:
             self.logical_query(r, s),
             self._physical_config(processor, placement, len(s.key)),
             self.cost_model,
-            self._join_stats(table, r, s, lines_loaded, hot_set, matches),
+            JoinStats(
+                table=TableProfile.from_table(table, r.modeled_tuples),
+                lines_loaded=lines_loaded,
+                matches=matches,
+                model_factor=s.model_factor,
+                hot_set=hot_set,
+            ),
         )
 
     def _place_with_oom_policy(
@@ -460,13 +494,7 @@ class NoPartitioningJoin:
                 scheme or output mode, or from other columns than ``r``
                 and ``s`` hold.
         """
-        for name in ("hash_scheme", "output"):
-            if getattr(execution, name) != getattr(self, name):
-                raise ValueError(
-                    f"the execution's {name} is {getattr(execution, name)!r}, "
-                    f"this join's is {getattr(self, name)!r}"
-                )
-        check_same_columns(execution.columns, join_columns(r, s))
+        check_execution(execution, self, r, s, ("hash_scheme", "output"))
         self.last_resilience = execution.resilience.copy()
         table = execution.table
         if placement_fractions is not None:

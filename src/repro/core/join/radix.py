@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
-from repro.core.join.nopa import join_columns, join_query
+from repro.core.join.nopa import JoinThroughput, join_columns, join_query
 from repro.data.relation import Column, Relation, check_same_columns
 from repro.hardware.processor import Cpu
 from repro.hardware.topology import Machine
@@ -54,7 +54,7 @@ class RadixExecution:
 
 
 @dataclass
-class RadixJoinResult:
+class RadixJoinResult(JoinThroughput):
     """Functional result plus simulated performance."""
 
     matches: int
@@ -69,16 +69,6 @@ class RadixJoinResult:
     @property
     def runtime(self) -> float:
         return self.partition_cost.seconds + self.join_cost.seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
 
 class RadixJoin:

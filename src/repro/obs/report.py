@@ -124,8 +124,6 @@ def report_coop(
         f"throughput: {result.throughput_gtuples:.2f} G Tuples/s"
     )
     for cost in (result.build_cost, result.probe_cost):
-        if cost is None:
-            continue
         print()
         print(explain(cost))
         print(f"chain: {render_chain(cost)}")
@@ -135,11 +133,10 @@ def report_coop(
         share = result.worker_shares.get(worker, 0.0)
         rate = result.worker_rates.get(worker, 0.0)
         print(f"  {worker:>6}: {share:6.1%} of S at {rate / 1e9:.2f} G Tuples/s")
-    phases = [c for c in (result.build_cost, result.probe_cost) if c is not None]
     manifest = build_manifest(
         kind=f"coop[{strategy}]",
         machine=machine,
-        phases=phases,
+        phases=[result.build_cost, result.probe_cost],
         workload=_workload_summary(workload),
         config={"strategy": strategy, "workers": list(workers)},
         results={

@@ -1,10 +1,11 @@
 """Execute once, price per configuration.
 
-``run`` is ``price(execute(...))`` for the three functional facades
-(NOPA, radix, Q6): pricing a separate execution gives the same result,
-field by field.  ``price`` refuses an execution of another hash scheme,
-output mode or other columns, and the figure runners execute each
-distinct input once.
+``run`` is ``price(execute(...))`` for the functional facades (NOPA,
+cooperative, multi-GPU, radix, Q6): pricing a separate execution gives
+the same result, field by field.  The three hash-join facades share one
+execution, so each prices the others'.  ``price`` refuses an execution
+of another hash scheme, output mode or other columns, and the figure
+runners execute each distinct input once.
 """
 
 import dataclasses
@@ -26,13 +27,18 @@ from repro.bench import (
     fig20_selectivity,
     fig21_coprocessing,
     multi_gpu,
+    sensitivity,
 )
+from repro.core.join.coop import CoopJoin, CoopResult
+from repro.core.join.multigpu import MultiGpuJoin, MultiGpuResult
 from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.core.ops.q6 import TpchQ6
 from repro.data.relation import Relation
 from repro.faults import FaultPlan, OomAt, RetryPolicy, TransientError
 from repro.faults.scenarios import GPU_PLACEMENT_LABEL
+from repro.hardware.topology import ibm_ac922
+from repro.obs.trace import Timeline
 from repro.workloads.builders import workload_ratio, workload_selectivity
 from repro.workloads.tpch import lineitem_q6
 
@@ -204,6 +210,88 @@ class TestNopa:
             NoPartitioningJoin(ibm).price(execution, wl.r, copied)
 
 
+SCHEMES = ["perfect", "open_addressing", "chaining"]
+
+
+def assert_same_coop_result(got: CoopResult, want: CoopResult) -> None:
+    for field in dataclasses.fields(CoopResult):
+        if field.name != "probe_outcome":
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert got.timeline.to_dicts() == want.timeline.to_dicts()
+
+
+class TestCoop:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("strategy", ["het", "gpu+het"])
+    def test_run_equals_price_of_execute(self, ibm, wl, scheme, strategy):
+        def join():
+            return CoopJoin(ibm, strategy=strategy, hash_scheme=scheme)
+
+        want = join().run(wl.r, wl.s)
+        executor = join()
+        got = executor.price(executor.execute(wl.r, wl.s), wl.r, wl.s)
+        assert_same_coop_result(got, want)
+
+    def test_prices_a_nopa_execution(self, ibm, wl):
+        execution = NoPartitioningJoin(ibm).execute(wl.r, wl.s)
+        for strategy in ("het", "gpu+het"):
+            join = CoopJoin(ibm, strategy=strategy)
+            got = join.price(execution, wl.r, wl.s, workers=("cpu0", "gpu0"))
+            assert_same_coop_result(got, join.run(wl.r, wl.s))
+
+    def test_timeline_is_built_on_first_read(self, ibm, wl):
+        result = CoopJoin(ibm).run(wl.r, wl.s)
+        outcome = result.probe_outcome
+        assert outcome._timeline is None
+        eager = Timeline()
+        for worker, start, end, tuples in outcome.grants:
+            eager.record(worker, outcome.name, start, end, tuples)
+        timeline = result.timeline
+        assert timeline.to_dicts() == eager.to_dicts()
+        assert result.timeline is timeline
+
+    def test_rejects_other_scheme_and_columns(self, ibm, wl):
+        execution = CoopJoin(ibm).execute(wl.r, wl.s)
+        with pytest.raises(ValueError, match="hash_scheme"):
+            CoopJoin(ibm, hash_scheme="chaining").price(execution, wl.r, wl.s)
+        other = workload_selectivity(0.5, scale=SCALE)
+        with pytest.raises(ValueError, match="'R.key'"):
+            CoopJoin(ibm).price(execution, other.r, wl.s)
+
+
+class TestMultiGpu:
+    @pytest.fixture
+    def mesh(self):
+        return ibm_ac922(gpus=2, gpu_mesh=True)
+
+    @pytest.mark.parametrize("placement", ["replicated", "interleaved"])
+    def test_run_equals_price_of_execute(self, mesh, wl, placement):
+        def join():
+            return MultiGpuJoin(mesh, placement=placement)
+
+        want = join().run(wl.r, wl.s)
+        executor = join()
+        got = executor.price(executor.execute(wl.r, wl.s), wl.r, wl.s)
+        for field in dataclasses.fields(MultiGpuResult):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_prices_a_nopa_execution(self, mesh, wl):
+        execution = NoPartitioningJoin(mesh).execute(wl.r, wl.s)
+        for placement in ("replicated", "interleaved"):
+            join = MultiGpuJoin(mesh, placement=placement)
+            assert join.price(execution, wl.r, wl.s) == join.run(wl.r, wl.s)
+
+    def test_rejects_other_scheme_and_columns(self, mesh, wl):
+        execution = MultiGpuJoin(mesh).execute(wl.r, wl.s)
+        with pytest.raises(ValueError, match="hash_scheme"):
+            MultiGpuJoin(mesh, hash_scheme="open_addressing").price(
+                execution, wl.r, wl.s
+            )
+        copied = Relation("S", wl.s.key.copy(), wl.s.payload)
+        with pytest.raises(ValueError, match="'S.key'"):
+            MultiGpuJoin(mesh).price(execution, wl.r, copied)
+
+
 class TestRadix:
     @pytest.mark.parametrize("executed_bits", [0, 4, 8])
     def test_run_equals_price_of_execute(self, ibm, wl, executed_bits):
@@ -274,7 +362,7 @@ class TestQ6:
 
 
 #: executions per figure runner at small scale: one per distinct
-#: (input, hash scheme, output).
+#: (input, hash scheme, output), counted over every facade's ``execute``.
 EXECUTIONS = [
     (fig11_placement.run, {"nopa": 5}),
     (fig12_transfer_methods.run, {"nopa": 1}),
@@ -288,10 +376,12 @@ EXECUTIONS = [
     (fig20_selectivity.run, {"nopa": 6}),
     (fig21_coprocessing.run, {"nopa": 3}),
     (fig21_coprocessing.run_phases, {"nopa": 1}),
+    (ablations.run_batch_size, {"coop": 1}),
     (ablations.run_layout, {"nopa": 4}),
     (ablations.run_hash_scheme, {"nopa": 3}),
     (ablations.run_hybrid_vs_spill, {"nopa": 6}),
     (multi_gpu.run, {"nopa": 2}),
+    (sensitivity.run, {"nopa": 2}),
 ]
 
 
@@ -302,7 +392,13 @@ EXECUTIONS = [
 )
 def test_runners_execute_each_input_once(monkeypatch, runner, expected):
     calls = Counter()
-    for name, facade in (("nopa", NoPartitioningJoin), ("radix", RadixJoin), ("q6", TpchQ6)):
+    for name, facade in (
+        ("nopa", NoPartitioningJoin),
+        ("coop", CoopJoin),
+        ("multigpu", MultiGpuJoin),
+        ("radix", RadixJoin),
+        ("q6", TpchQ6),
+    ):
 
         def counted(self, *args, _name=name, _execute=facade.execute):
             calls[_name] += 1

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.join.coop as coop_module
 import repro.exec.pool as pool
 from repro.core.hashtable import create_hash_table
 from repro.core.join.coop import CoopJoin
@@ -91,19 +90,6 @@ class TestNopaEquivalence:
             )
 
 
-@pytest.fixture
-def coop_tables(monkeypatch):
-    """Every hash table ``CoopJoin`` creates, in creation order."""
-    tables = []
-
-    def record(*args, _create=coop_module.create_hash_table):
-        tables.append(_create(*args))
-        return tables[-1]
-
-    monkeypatch.setattr(coop_module, "create_hash_table", record)
-    return tables
-
-
 @pytest.mark.parametrize("scheme", SCHEMES)
 class TestDefaultBackendEquivalence:
     """``backend=None`` runs the host tier: threads at this workload's
@@ -139,16 +125,20 @@ class TestDefaultBackendEquivalence:
                 got.materialized[column], want.materialized[column]
             )
 
-    def test_coop(self, machine, workload, coop_tables, scheme):
+    def test_coop(self, machine, workload, scheme):
+        r, s = workload.r, workload.s
         default = CoopJoin(machine, hash_scheme=scheme)
-        got = default.run(workload.r, workload.s)
-        want = CoopJoin(machine, hash_scheme=scheme, backend="serial").run(
-            workload.r, workload.s
-        )
+        execution = default.execute(r, s)
+        got = default.price(execution, r, s)
+        serial = CoopJoin(machine, hash_scheme=scheme, backend="serial")
+        want_execution = serial.execute(r, s)
+        want = serial.price(want_execution, r, s)
         assert default.last_executor.workers == DEFAULT_WORKERS
         assert (got.matches, got.aggregate) == (want.matches, want.aggregate)
-        got_table, want_table = coop_tables
-        assert got_table.stats.as_tuple() == want_table.stats.as_tuple()
+        assert (
+            execution.table.stats.as_tuple()
+            == want_execution.table.stats.as_tuple()
+        )
         assert got.build_cost == want.build_cost
         assert got.probe_cost == want.probe_cost
         assert got.worker_shares == want.worker_shares
