@@ -12,11 +12,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Iterable
 
-from repro.bench.common import Claim, FigureResult, near
+from repro.bench.common import Claim, FigureResult, Series, near, price_series, throughputs
 from repro.core.join.coop import CoopJoin
-from repro.core.join.nopa import JoinResult, NoPartitioningJoin
+from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import (
     workload_a,
@@ -76,21 +76,21 @@ def run_batch_size(
     )
     machine = ibm_ac922()
     workload = workload_a(scale=scale)
-    r, s = workload.r, workload.s
     # Small morsels make the dispatch-latency / end-of-input-skew
     # trade-off visible (with multi-million-tuple morsels every batch
     # size amortizes the 20 us round trip).
     morsel = 1 << 16
     auto = CoopJoin(machine, strategy="het", morsel_tuples=morsel)
-    execution = auto.execute(r, s)
-    for batch in batches:
-        coop = CoopJoin(
-            machine, strategy="het", gpu_batch_morsels=batch, morsel_tuples=morsel
+    series = [
+        Series(
+            f"batch={batch}",
+            CoopJoin(machine, strategy="het", gpu_batch_morsels=batch, morsel_tuples=morsel),
         )
-        res = coop.price(execution, r, s, workers=("cpu0", "gpu0"))
-        result.add(f"batch={batch}", throughput=res.throughput_gtuples)
-    res = auto.price(execution, r, s, workers=("cpu0", "gpu0"))
-    result.add("batch=auto", throughput=res.throughput_gtuples)
+        for batch in batches
+    ] + [Series("batch=auto", auto)]
+    execution = auto.execute(workload.r, workload.s)
+    for label, throughput in throughputs(price_series(execution, workload, series)).items():
+        result.add(label, throughput=throughput)
     return result
 
 
@@ -107,22 +107,18 @@ def run_layout(scale: float = 2.0**-12) -> FigureResult:
         ),
     )
     machine = ibm_ac922()
+    # The layout changes what a probe costs, not what it finds.
+    series = [
+        Series(layout, NoPartitioningJoin(machine, hash_table_placement="cpu", layout=layout))
+        for layout in ("soa", "aos")
+    ]
     for selectivity in (0.0, 0.1, 0.5, 1.0):
         workload = workload_selectivity(selectivity, scale=scale)
-        result.add(f"sel={selectivity}", **_layouts(machine, workload))
+        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+        result.add(
+            f"sel={selectivity}", **throughputs(price_series(execution, workload, series))
+        )
     return result
-
-
-def _layouts(machine, workload) -> Dict[str, float]:
-    """One row: both layouts priced from one execution (the layout
-    changes what a probe costs, not what it finds)."""
-    r, s = workload.r, workload.s
-    execution = NoPartitioningJoin(machine).execute(r, s)
-    values: Dict[str, float] = {}
-    for layout in ("soa", "aos"):
-        join = NoPartitioningJoin(machine, hash_table_placement="cpu", layout=layout)
-        values[layout] = join.price(execution, r, s).throughput_gtuples
-    return values
 
 
 def run_hash_scheme(scale: float = 2.0**-12) -> FigureResult:
@@ -159,26 +155,17 @@ def run_hybrid_vs_spill(scale: float = 2.0**-13) -> FigureResult:
         notes="The hybrid table's edge shrinks as the GPU fraction falls.",
     )
     machine = ibm_ac922()
+    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
+    series = (
+        Series("hybrid", hybrid),
+        Series("cpu_spill", NoPartitioningJoin(machine, hash_table_placement="cpu")),
+    )
     for millions in (1024, 1280, 1536, 2048, 3072, 4096):
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
-        hybrid, spill = _hybrid_and_spill(machine, workload)
+        results = price_series(hybrid.execute(workload.r, workload.s), workload, series)
         result.add(
             f"{millions}M",
-            hybrid=hybrid.throughput_gtuples,
-            cpu_spill=spill.throughput_gtuples,
-            gpu_fraction=hybrid.placement.gpu_fraction(machine),
+            **throughputs(results),
+            gpu_fraction=results["hybrid"].placement.gpu_fraction(machine),
         )
     return result
-
-
-def _hybrid_and_spill(machine, workload) -> Tuple[JoinResult, JoinResult]:
-    """The hybrid and the CPU-spill table, priced from one execution."""
-    r, s = workload.r, workload.s
-    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
-    execution = hybrid.execute(r, s)
-    return (
-        hybrid.price(execution, r, s),
-        NoPartitioningJoin(machine, hash_table_placement="cpu").price(
-            execution, r, s
-        ),
-    )

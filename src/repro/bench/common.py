@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
+from repro.memory.allocator import OutOfMemoryError
+from repro.transfer.methods import UnsupportedTransferError
 from repro.utils.tables import Table
+from repro.workloads.builders import JoinWorkload
 
 
 @dataclass
@@ -108,3 +111,44 @@ def falling(values: Sequence[float], slack: float = 0.0) -> bool:
 def missing(result: FigureResult, label: str, series: str) -> bool:
     """No cell at ``(label, series)``: the configuration cannot run."""
     return all(row.label != label or series not in row.values for row in result.rows)
+
+
+class Series(NamedTuple):
+    """One configuration a figure prices: a join facade, the keyword
+    arguments of its ``price``, and the memory region the relations move
+    to (``None``: where they were generated; only a facade with a
+    transfer method moves them)."""
+
+    name: str
+    join: Any
+    kwargs: Mapping[str, Any] = {}
+    location: Optional[str] = None
+
+
+def price_series(
+    execution: Any, workload: JoinWorkload, series: Iterable[Series]
+) -> Dict[str, Any]:
+    """Price one execution of ``workload`` under every series, in order.
+
+    Each series' relations are allocated as its facade's transfer method
+    requires (Table 1, ``JoinWorkload.placed_for``); a facade without one
+    keeps them where they were generated.  A configuration that cannot
+    run (``OutOfMemoryError``, ``UnsupportedTransferError``) leaves no
+    result, and a later series of the same name stands in for it.
+    """
+    results: Dict[str, Any] = {}
+    for name, join, kwargs, location in series:
+        if name in results:
+            continue
+        method = getattr(join, "transfer_method", None)
+        placed = workload if method is None else workload.placed_for(method, location)
+        try:
+            results[name] = join.price(execution, placed.r, placed.s, **kwargs)
+        except (OutOfMemoryError, UnsupportedTransferError):
+            pass
+    return results
+
+
+def throughputs(results: Mapping[str, Any]) -> Dict[str, float]:
+    """Each result's throughput (G Tuples/s), in the results' order."""
+    return {name: result.throughput_gtuples for name, result in results.items()}

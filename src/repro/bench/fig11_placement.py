@@ -10,14 +10,11 @@ trade-offs of Figures 13/14/17/21.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.bench.common import Claim, FigureResult, missing, near
+from repro.bench.common import Claim, FigureResult, Series, missing, near, price_series, throughputs
 from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.placement import decide_placement
 from repro.hardware.topology import ibm_ac922
-from repro.memory.allocator import OutOfMemoryError
 from repro.workloads.builders import workload_b, workload_ratio
 
 #: build-side cardinalities probing each branch of the tree
@@ -50,33 +47,6 @@ CLAIMS = (
 )
 
 
-def _strategies(machine, workload) -> Dict[str, float]:
-    """Throughput of every applicable strategy, priced from one execution."""
-    out: Dict[str, float] = {}
-    r, s = workload.r, workload.s
-    gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
-    execution = gpu.execute(r, s)
-    try:
-        out["gpu"] = gpu.price(execution, r, s).throughput_gtuples
-    except OutOfMemoryError:
-        pass
-    out["gpu-hybrid"] = (
-        NoPartitioningJoin(machine, hash_table_placement="hybrid")
-        .price(execution, r, s)
-        .throughput_gtuples
-    )
-    for strategy in ("het", "gpu+het"):
-        try:
-            out[strategy] = (
-                CoopJoin(machine, strategy=strategy)
-                .price(execution, r, s, workers=("cpu0", "gpu0"))
-                .throughput_gtuples
-            )
-        except OutOfMemoryError:
-            pass
-    return out
-
-
 _DECISION_TO_SERIES = {
     ("gpu", "gpu"): "gpu",
     ("gpu", "hybrid"): "gpu-hybrid",
@@ -98,6 +68,14 @@ def run(scale: float = 2.0**-13) -> FigureResult:
         ),
     )
     machine = ibm_ac922()
+    # Every strategy the machine supports; one that does not fit leaves
+    # no cell.
+    strategies = (
+        Series("gpu", NoPartitioningJoin(machine, hash_table_placement="gpu")),
+        Series("gpu-hybrid", NoPartitioningJoin(machine, hash_table_placement="hybrid")),
+        Series("het", CoopJoin(machine, strategy="het")),
+        Series("gpu+het", CoopJoin(machine, strategy="gpu+het")),
+    )
     for label, millions in SWEEP:
         if millions is None:
             workload = workload_b(scale=scale)
@@ -109,7 +87,8 @@ def run(scale: float = 2.0**-13) -> FigureResult:
         chosen_series = _DECISION_TO_SERIES[
             (decision.strategy, decision.hash_table_placement)
         ]
-        values = _strategies(machine, workload)
+        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+        values = throughputs(price_series(execution, workload, strategies))
         values["chosen"] = values[chosen_series]
         values["best"] = max(values.values())
         result.add(label, **values)

@@ -8,12 +8,11 @@ allocates pageable/pinned/unified memory per method).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.bench.common import Claim, FigureResult, missing, near
+from repro.bench.common import Claim, FigureResult, Series, missing, near, price_series, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
-from repro.transfer.methods import TRANSFER_METHODS, UnsupportedTransferError
 from repro.workloads.builders import workload_a
 
 PAPER = {
@@ -85,28 +84,17 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     execution = NoPartitioningJoin(machines["nvlink2"]).execute(
         workload.r, workload.s
     )
-    for method_name in METHOD_ORDER:
-        method = TRANSFER_METHODS[method_name]
-        values = {}
-        for link_name, machine in machines.items():
-            throughput = _join_throughput(
-                machine, method_name, method, workload, execution
+    for method in METHOD_ORDER:
+        series = [
+            Series(
+                link,
+                NoPartitioningJoin(
+                    machine, hash_table_placement="gpu", transfer_method=method
+                ),
+                {"processor": "gpu0"},
+                "cpu0-mem",
             )
-            if throughput is not None:
-                values[link_name] = throughput
-        result.add(method_name, **values)
+            for link, machine in machines.items()
+        ]
+        result.add(method, **throughputs(price_series(execution, workload, series)))
     return result
-
-
-def _join_throughput(
-    machine, method_name, method, workload, execution
-) -> Optional[float]:
-    r = workload.r.placed("cpu0-mem", kind=method.required_kind)
-    s = workload.s.placed("cpu0-mem", kind=method.required_kind)
-    join = NoPartitioningJoin(
-        machine, hash_table_placement="gpu", transfer_method=method_name
-    )
-    try:
-        return join.price(execution, r, s, processor="gpu0").throughput_gtuples
-    except UnsupportedTransferError:
-        return None

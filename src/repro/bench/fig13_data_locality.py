@@ -8,9 +8,7 @@ remote GPU memory (3 hops).
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.bench.common import Claim, FigureResult, near
+from repro.bench.common import Claim, FigureResult, Series, near, price_series, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.utils.units import GIB
@@ -77,23 +75,15 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         ),
     )
     machine = ibm_ac922(gpus=2)
+    join = NoPartitioningJoin(
+        machine, hash_table_placement="gpu", transfer_method="coherence"
+    )
+    series = [
+        Series(label, join, {"processor": "gpu0"}, location)
+        for label, location in LOCATIONS.items()
+    ]
     for name, workload in _workloads(scale).items():
-        result.add(name, **_by_location(machine, workload))
+        # Placed copies share their columns: one execution per row.
+        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+        result.add(name, **throughputs(price_series(execution, workload, series)))
     return result
-
-
-def _by_location(machine, workload) -> Dict[str, float]:
-    """One row: every location priced from one execution (placed copies
-    share their columns)."""
-    execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-    values = {}
-    for label, location in LOCATIONS.items():
-        r = workload.r.placed(location)
-        s = workload.s.placed(location)
-        join = NoPartitioningJoin(
-            machine, hash_table_placement="gpu", transfer_method="coherence"
-        )
-        values[label] = join.price(
-            execution, r, s, processor="gpu0"
-        ).throughput_gtuples
-    return values

@@ -7,9 +7,7 @@ memory, remote CPU memory, and remote GPU memory.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.bench.common import Claim, FigureResult, near
+from repro.bench.common import Claim, FigureResult, Series, near, price_series, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a, workload_b, workload_c
@@ -60,23 +58,17 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "B": workload_b(scale=scale),
         "C": workload_c(scale=scale),
     }
-    for name, workload in workloads.items():
-        result.add(name, **_by_placement(machine, workload))
-    return result
-
-
-def _by_placement(machine, workload) -> Dict[str, float]:
-    """One row: every table placement priced from one execution."""
-    r, s = workload.r, workload.s
-    execution = NoPartitioningJoin(machine).execute(r, s)
-    values = {}
-    for label, region in PLACEMENTS.items():
-        join = NoPartitioningJoin(
-            machine,
-            hash_table_placement=region,
-            transfer_method="coherence",
+    series = [
+        Series(
+            label,
+            NoPartitioningJoin(
+                machine, hash_table_placement=region, transfer_method="coherence"
+            ),
+            {"processor": "gpu0"},
         )
-        values[label] = join.price(
-            execution, r, s, processor="gpu0"
-        ).throughput_gtuples
-    return values
+        for label, region in PLACEMENTS.items()
+    ]
+    for name, workload in workloads.items():
+        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+        result.add(name, **throughputs(price_series(execution, workload, series)))
+    return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List
 
-from repro.bench.common import Claim, FigureResult, rising
+from repro.bench.common import Claim, FigureResult, Series, price_series, rising, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.data.relation import Relation
@@ -63,51 +63,32 @@ def run(scale: float = 2.0**-13, probe_millions=PROBE_MILLIONS) -> FigureResult:
     by_ratio: Dict[int, List[int]] = {}
     for millions in probe_millions:
         by_ratio.setdefault(max(1, millions // BUILD_MILLIONS), []).append(millions)
+    gpu_series = (
+        Series("nvlink2", NoPartitioningJoin(ibm, hash_table_placement="gpu")),
+        Series(
+            "pcie3",
+            NoPartitioningJoin(
+                intel, hash_table_placement="gpu", transfer_method="zero_copy"
+            ),
+        ),
+    )
+    radix = RadixJoin(ibm)
     rows: Dict[int, Dict[str, float]] = {}
     for ratio, group in by_ratio.items():
         workload = workload_ratio(
             ratio, scale=scale, modeled_r=BUILD_MILLIONS * 10**6
         )
-        nopa = _nopa_rows(ibm, intel, workload, group)
-        radix = _radix_rows(ibm, workload, group)
+        nopa = NoPartitioningJoin(ibm).execute(workload.r, workload.s)
+        radix_execution = radix.execute(workload.r, workload.s)
         for millions in group:
-            rows[millions] = {**nopa[millions], "cpu-pra": radix[millions]}
+            wl = _probing(workload, millions)
+            rows[millions] = throughputs({
+                **price_series(nopa, wl, gpu_series),
+                **price_series(radix_execution, wl, [Series("cpu-pra", radix)]),
+            })
     for millions in probe_millions:
         result.add(f"{millions}M", **rows[millions])
     return result
-
-
-def _nopa_rows(ibm, intel, workload, probe_millions) -> Dict[int, Dict[str, float]]:
-    """The NOPA series of one generated workload's rows, priced from one
-    execution."""
-    execution = NoPartitioningJoin(ibm).execute(workload.r, workload.s)
-    rows = {}
-    for millions in probe_millions:
-        wl = _probing(workload, millions)
-        pinned = wl.placed_for("zero_copy")
-        rows[millions] = {
-            "nvlink2": NoPartitioningJoin(ibm, hash_table_placement="gpu")
-            .price(execution, wl.r, wl.s)
-            .throughput_gtuples,
-            "pcie3": NoPartitioningJoin(
-                intel, hash_table_placement="gpu", transfer_method="zero_copy"
-            )
-            .price(execution, pinned.r, pinned.s)
-            .throughput_gtuples,
-        }
-    return rows
-
-
-def _radix_rows(ibm, workload, probe_millions) -> Dict[int, float]:
-    """The CPU baseline of one generated workload's rows, priced from
-    one execution."""
-    radix = RadixJoin(ibm)
-    execution = radix.execute(workload.r, workload.s)
-    rows = {}
-    for millions in probe_millions:
-        wl = _probing(workload, millions)
-        rows[millions] = radix.price(execution, wl.r, wl.s).throughput_gtuples
-    return rows
 
 
 def _probing(workload, millions: int):

@@ -10,14 +10,10 @@ hybrid hash table.
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.bench.common import Claim, FigureResult, falling, near
+from repro.bench.common import Claim, FigureResult, Series, falling, near, price_series, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
-from repro.memory.allocator import OutOfMemoryError
-from repro.transfer.methods import get_method
 from repro.workloads.builders import workload_ratio
 
 #: curve readings: in-core plateau and out-of-core floor.
@@ -71,44 +67,20 @@ def run(scale: float = 2.0**-13, tuple_millions=TUPLE_MILLIONS) -> FigureResult:
     )
     ibm = ibm_ac922()
     intel = intel_xeon_v100()
+    hybrid = NoPartitioningJoin(ibm, hash_table_placement="hybrid")
+    # GPU placement while it fits, whole-table CPU spill afterwards: the
+    # non-hybrid behaviour the paper plots as "NVLink 2.0" / "PCI-e 3.0".
+    series = [
+        Series(name, NoPartitioningJoin(machine, hash_table_placement=table, transfer_method=tm))
+        for name, machine, tm in (("nvlink2", ibm, "coherence"), ("pcie3", intel, "zero_copy"))
+        for table in ("gpu", "cpu")
+    ] + [Series("nvlink2-hybrid", hybrid)]
     for millions in tuple_millions:
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
-        values = _nopa_series(ibm, intel, workload)
+        execution = hybrid.execute(workload.r, workload.s)
+        values = throughputs(price_series(execution, workload, series))
         values["cpu-pra"] = (
             RadixJoin(ibm).run(workload.r, workload.s).throughput_gtuples
         )
         result.add(f"{millions}M", **values)
     return result
-
-
-def _nopa_series(ibm, intel, workload) -> Dict[str, float]:
-    """One row's NOPA series, priced from one execution."""
-    r, s = workload.r, workload.s
-    hybrid = NoPartitioningJoin(ibm, hash_table_placement="hybrid")
-    execution = hybrid.execute(r, s)
-    return {
-        "nvlink2": _gpu_or_spill(ibm, execution, r, s, "coherence"),
-        "pcie3": _gpu_or_spill(intel, execution, r, s, "zero_copy"),
-        "nvlink2-hybrid": hybrid.price(execution, r, s).throughput_gtuples,
-    }
-
-
-def _gpu_or_spill(machine, execution, r, s, method) -> float:
-    """GPU placement while it fits, whole-table CPU spill afterwards.
-
-    This is the non-hybrid behaviour the paper plots as "NVLink 2.0" /
-    "PCI-e 3.0": the table moves to CPU memory as one piece.
-    """
-    kind = get_method(method).required_kind
-    r = r.placed(r.location, kind=kind)
-    s = s.placed(s.location, kind=kind)
-    try:
-        join = NoPartitioningJoin(
-            machine, hash_table_placement="gpu", transfer_method=method
-        )
-        return join.price(execution, r, s).throughput_gtuples
-    except OutOfMemoryError:
-        join = NoPartitioningJoin(
-            machine, hash_table_placement="cpu", transfer_method=method
-        )
-        return join.price(execution, r, s).throughput_gtuples

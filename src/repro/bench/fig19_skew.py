@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable
 
-from repro.bench.common import Claim, FigureResult, rising
+from repro.bench.common import Claim, FigureResult, Series, price_series, rising, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_skewed
@@ -79,39 +79,22 @@ def run(
     )
     ibm = ibm_ac922()
     intel = intel_xeon_v100()
+    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
+    links = (("nvlink2", ibm, "coherence"), ("pcie3", intel, "zero_copy"))
     for exponent in exponents:
         workload = workload_skewed(exponent, scale=scale)
-        result.add(f"zipf={exponent}", **_series(ibm, intel, workload, gpu_split))
+        hot = workload.hot_set_profile()
+        series = [Series("cpu", cpu, {"processor": "cpu0", "hot_set": hot})] + [
+            Series(name, NoPartitioningJoin(machine, transfer_method=method), {
+                "processor": "gpu0",
+                "hot_set": hot,
+                "placement_fractions": _fractions(machine, gpu_split),
+            })
+            for name, machine, method in links
+        ]
+        execution = cpu.execute(workload.r, workload.s)
+        result.add(f"zipf={exponent}", **throughputs(price_series(execution, workload, series)))
     return result
-
-
-def _series(ibm, intel, workload, gpu_split: float) -> Dict[str, float]:
-    """One row: every series priced from one execution."""
-    hot = workload.hot_set_profile()
-    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
-    execution = cpu.execute(workload.r, workload.s)
-    values = {}
-    values["cpu"] = cpu.price(
-        execution, workload.r, workload.s, processor="cpu0", hot_set=hot
-    ).throughput_gtuples
-    for series, machine, method in (
-        ("nvlink2", ibm, "coherence"),
-        ("pcie3", intel, "zero_copy"),
-    ):
-        wl = workload.placed_for(method)
-        values[series] = (
-            NoPartitioningJoin(machine, transfer_method=method)
-            .price(
-                execution,
-                wl.r,
-                wl.s,
-                processor="gpu0",
-                hot_set=hot,
-                placement_fractions=_fractions(machine, gpu_split),
-            )
-            .throughput_gtuples
-        )
-    return values
 
 
 def run_splits(
@@ -129,17 +112,18 @@ def run_splits(
     ibm = ibm_ac922()
     workload = workload_skewed(exponent, scale=scale)
     hot = workload.hot_set_profile()
-    execution = NoPartitioningJoin(ibm).execute(workload.r, workload.s)
-    for split in splits:
-        res = NoPartitioningJoin(ibm).price(
-            execution,
-            workload.r,
-            workload.s,
-            processor="gpu0",
-            hot_set=hot,
-            placement_fractions=_fractions(ibm, split),
-        )
-        result.add(f"{split:.0%} GPU", nvlink2=res.throughput_gtuples)
+    join = NoPartitioningJoin(ibm)
+    series = [
+        Series(f"{split:.0%} GPU", join, {
+            "processor": "gpu0",
+            "hot_set": hot,
+            "placement_fractions": _fractions(ibm, split),
+        })
+        for split in splits
+    ]
+    execution = join.execute(workload.r, workload.s)
+    for label, throughput in throughputs(price_series(execution, workload, series)).items():
+        result.add(label, nvlink2=throughput)
     return result
 
 

@@ -10,9 +10,9 @@ loaded" effect, which the functional layer measures exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Iterable
 
-from repro.bench.common import Claim, FigureResult, falling
+from repro.bench.common import Claim, FigureResult, Series, falling, price_series
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_selectivity
@@ -65,44 +65,22 @@ def run(
     )
     ibm = ibm_ac922()
     intel = intel_xeon_v100()
+    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
+    series = [Series("cpu", cpu, {"processor": "cpu0"})] + [
+        Series(
+            f"{link}-{table}-ht",
+            NoPartitioningJoin(machine, hash_table_placement=table, transfer_method=method),
+        )
+        for link, machine, method in (("nvlink2", ibm, "coherence"), ("pcie3", intel, "zero_copy"))
+        for table in ("gpu", "cpu")
+    ]
     for selectivity in selectivities:
         workload = workload_selectivity(selectivity, scale=scale)
-        result.add(f"sel={selectivity}", **_series(ibm, intel, workload))
+        execution = cpu.execute(workload.r, workload.s)
+        values = {}
+        for name, res in price_series(execution, workload, series).items():
+            values[name] = res.throughput_gtuples
+            if name == "nvlink2-gpu-ht":
+                values["value_lines_loaded_pct"] = 100.0 * res.payload_lines_loaded
+        result.add(f"sel={selectivity}", **values)
     return result
-
-
-def _series(ibm, intel, workload) -> Dict[str, float]:
-    """One row: every series priced from one execution."""
-    r, s = workload.r, workload.s
-    cpu = NoPartitioningJoin(ibm, hash_table_placement="cpu")
-    execution = cpu.execute(r, s)
-    values = {}
-    values["cpu"] = cpu.price(execution, r, s, processor="cpu0").throughput_gtuples
-    nv_gpu = NoPartitioningJoin(
-        ibm, hash_table_placement="gpu", transfer_method="coherence"
-    ).price(execution, r, s)
-    values["nvlink2-gpu-ht"] = nv_gpu.throughput_gtuples
-    values["value_lines_loaded_pct"] = 100.0 * nv_gpu.payload_lines_loaded
-    values["nvlink2-cpu-ht"] = (
-        NoPartitioningJoin(
-            ibm, hash_table_placement="cpu", transfer_method="coherence"
-        )
-        .price(execution, r, s)
-        .throughput_gtuples
-    )
-    pinned = workload.placed_for("zero_copy")
-    values["pcie3-gpu-ht"] = (
-        NoPartitioningJoin(
-            intel, hash_table_placement="gpu", transfer_method="zero_copy"
-        )
-        .price(execution, pinned.r, pinned.s)
-        .throughput_gtuples
-    )
-    values["pcie3-cpu-ht"] = (
-        NoPartitioningJoin(
-            intel, hash_table_placement="cpu", transfer_method="zero_copy"
-        )
-        .price(execution, pinned.r, pinned.s)
-        .throughput_gtuples
-    )
-    return values

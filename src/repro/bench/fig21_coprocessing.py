@@ -8,11 +8,11 @@ build and probe phases of workload C.
 
 from __future__ import annotations
 
-from typing import Dict, Union
+from typing import Tuple
 
-from repro.bench.common import Claim, FigureResult, near
-from repro.core.join.coop import CoopJoin, CoopResult
-from repro.core.join.nopa import JoinResult, NoPartitioningJoin
+from repro.bench.common import Claim, FigureResult, Series, near, price_series, throughputs
+from repro.core.join.coop import CoopJoin
+from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a, workload_b, workload_c
 
@@ -82,10 +82,8 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "C": workload_c(scale=scale),
     }
     for name, workload in workloads.items():
-        result.add(name, **{
-            strategy: res.throughput_gtuples
-            for strategy, res in _strategies(machine, workload).items()
-        })
+        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+        result.add(name, **throughputs(price_series(execution, workload, _series(machine))))
     return result
 
 
@@ -102,24 +100,19 @@ def run_phases(scale: float = 2.0**-12) -> FigureResult:
             "tables probe fastest."
         ),
     )
-    for strategy, res in _strategies(ibm_ac922(), workload_c(scale=scale)).items():
+    machine, workload = ibm_ac922(), workload_c(scale=scale)
+    execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
+    for strategy, res in price_series(execution, workload, _series(machine)).items():
         result.add(strategy, build=res.build_cost.seconds, probe=res.probe_cost.seconds)
     return result
 
 
-def _strategies(machine, workload) -> Dict[str, Union[JoinResult, CoopResult]]:
-    """CPU-only, Het, GPU+Het and GPU-only, priced from one execution."""
-    r, s = workload.r, workload.s
-    cpu = NoPartitioningJoin(machine, hash_table_placement="cpu")
-    execution = cpu.execute(r, s)
-    results: Dict[str, Union[JoinResult, CoopResult]] = {
-        "cpu": cpu.price(execution, r, s, processor="cpu0")
-    }
-    for strategy in ("het", "gpu+het"):
-        results[strategy] = CoopJoin(machine, strategy=strategy).price(
-            execution, r, s, workers=("cpu0", "gpu0")
-        )
-    results["gpu"] = NoPartitioningJoin(machine, hash_table_placement="gpu").price(
-        execution, r, s
+def _series(machine) -> Tuple[Series, ...]:
+    """CPU-only, Het, GPU+Het and GPU-only."""
+    return (
+        Series("cpu", NoPartitioningJoin(machine, hash_table_placement="cpu"),
+               {"processor": "cpu0"}),
+        Series("het", CoopJoin(machine, strategy="het")),
+        Series("gpu+het", CoopJoin(machine, strategy="gpu+het")),
+        Series("gpu", NoPartitioningJoin(machine, hash_table_placement="gpu")),
     )
-    return results

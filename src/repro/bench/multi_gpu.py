@@ -16,11 +16,10 @@ table larger than one GPU.
 
 from __future__ import annotations
 
-from repro.bench.common import Claim, FigureResult
+from repro.bench.common import Claim, FigureResult, Series, price_series, throughputs
 from repro.core.join.multigpu import MultiGpuJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.hardware.topology import ibm_ac922
-from repro.memory.allocator import OutOfMemoryError
 from repro.workloads.builders import workload_a, workload_ratio
 
 CLAIMS = (
@@ -48,51 +47,36 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         ),
     )
     machine = ibm_ac922(gpus=2, gpu_mesh=True)
+    one_gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
+    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
+    interleaved = Series("interleaved", MultiGpuJoin(machine, placement="interleaved"))
 
     # Small table (workload A): one GPU vs two, replicated vs interleaved.
     wl = workload_a(scale=scale)
-    one_gpu = NoPartitioningJoin(machine, hash_table_placement="gpu")
     execution = one_gpu.execute(wl.r, wl.s)
-    values = {"one-gpu": one_gpu.price(execution, wl.r, wl.s).throughput_gtuples}
-    for placement in ("replicated", "interleaved"):
-        res = MultiGpuJoin(machine, placement=placement).price(
-            execution, wl.r, wl.s, workers=("gpu0", "gpu1")
-        )
-        values[placement] = res.throughput_gtuples
-    result.add("A (2 GiB table)", **values)
+    series = (
+        Series("one-gpu", one_gpu),
+        Series("replicated", MultiGpuJoin(machine, placement="replicated")),
+        interleaved,
+    )
+    result.add("A (2 GiB table)", **throughputs(price_series(execution, wl, series)))
 
     # Large table (24 GiB): exceeds one GPU; interleaving over two GPUs
     # keeps it in GPU memory where the single GPU must spill.
     big = workload_ratio(1, scale=2.0**-13, modeled_r=2048 * 10**6)
-    r, s = big.r, big.s
-    hybrid = NoPartitioningJoin(machine, hash_table_placement="hybrid")
-    execution = hybrid.execute(r, s)
-    try:
-        NoPartitioningJoin(machine, hash_table_placement="gpu").price(
-            execution, r, s
-        )
+    execution = hybrid.execute(big.r, big.s)
+    series = (Series("gpu", one_gpu), Series("one-gpu", hybrid), interleaved)
+    results = price_series(execution, big, series)
+    if "gpu" in results:
         raise AssertionError("32 GiB table unexpectedly fit one GPU")
-    except OutOfMemoryError:
-        pass
-    # The single GPU cannot hold the table, so its hybrid table spills.
-    values = {"one-gpu": hybrid.price(execution, r, s).throughput_gtuples}
-    values["interleaved"] = (
-        MultiGpuJoin(machine, placement="interleaved")
-        .price(execution, r, s, workers=("gpu0", "gpu1"))
-        .throughput_gtuples
-    )
-    result.add("C 2048M (32 GiB table)", **values)
+    result.add("C 2048M (32 GiB table)", **throughputs(results))
 
     # GPU-count scaling of the interleaved placement (the AC922 takes
     # up to four GPUs, two per socket).
-    four_gpu = ibm_ac922(gpus=4, gpu_mesh=True)
-    values = {}
-    for count in (2, 4):
-        workers = tuple(f"gpu{i}" for i in range(count))
-        values[f"{count}-gpus"] = (
-            MultiGpuJoin(four_gpu, placement="interleaved")
-            .price(execution, r, s, workers=workers)
-            .throughput_gtuples
-        )
-    result.add("C 2048M scaling", **values)
+    four_gpu = MultiGpuJoin(ibm_ac922(gpus=4, gpu_mesh=True), placement="interleaved")
+    series = [
+        Series(f"{count}-gpus", four_gpu, {"workers": tuple(f"gpu{i}" for i in range(count))})
+        for count in (2, 4)
+    ]
+    result.add("C 2048M scaling", **throughputs(price_series(execution, big, series)))
     return result

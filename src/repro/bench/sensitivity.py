@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.bench.common import Claim, FigureResult
+from repro.bench.common import Claim, FigureResult, Series, price_series, throughputs
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.costmodel.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hardware.topology import ibm_ac922
@@ -71,23 +71,24 @@ def _perturbed(name: str, factor: float) -> Calibration:
     return dataclasses.replace(base, **{name: new_value})
 
 
-def _anchors(
-    calibration: Calibration, machine, wl_a, run_a, wl_ratio, run_ratio
-) -> Dict[str, float]:
+def _anchors(calibration: Calibration, machine, executed) -> Dict[str, float]:
     """The four anchor metrics under one calibration, priced from the
-    executions ``run_a`` of workload A and ``run_ratio`` of the 1:1
-    workload (execution does not depend on the calibration)."""
+    executions of workload A and of the 1:1 workload in ``executed``
+    (execution does not depend on the calibration)."""
     gpu = NoPartitioningJoin(machine, calibration=calibration)
-    cpu = NoPartitioningJoin(
-        machine, hash_table_placement="cpu", calibration=calibration
-    )
-    r, s = wl_a.r, wl_a.s
-    ratio = gpu.price(run_ratio, wl_ratio.r, wl_ratio.s)
+    cpu = NoPartitioningJoin(machine, hash_table_placement="cpu", calibration=calibration)
+    (wl_a, run_a), (wl_ratio, run_ratio) = executed
+    a = throughputs(price_series(run_a, wl_a, (
+        Series("fig12-coherence", gpu),
+        Series("fig14-cpu-table", cpu),
+        Series("fig21-cpu-only", cpu, {"processor": "cpu0"}),
+    )))
+    ratio = price_series(run_ratio, wl_ratio, (Series("fig18-build-share", gpu),))
     return {
-        "fig12-coherence": gpu.price(run_a, r, s).throughput_gtuples,
-        "fig18-build-share": 100.0 * ratio.build_fraction,
-        "fig14-cpu-table": cpu.price(run_a, r, s).throughput_gtuples,
-        "fig21-cpu-only": cpu.price(run_a, r, s, processor="cpu0").throughput_gtuples,
+        "fig12-coherence": a["fig12-coherence"],
+        "fig18-build-share": 100.0 * ratio["fig18-build-share"].build_fraction,
+        "fig14-cpu-table": a["fig14-cpu-table"],
+        "fig21-cpu-only": a["fig21-cpu-only"],
     }
 
 
@@ -107,16 +108,15 @@ def run(scale: float = 2.0**-14, perturbation: float = 0.2) -> FigureResult:
         ),
     )
     machine = ibm_ac922()
-    wl_a, wl_ratio = workload_a(scale=scale), workload_ratio(1, scale=scale)
-    executed = (
-        wl_a, NoPartitioningJoin(machine).execute(wl_a.r, wl_a.s),
-        wl_ratio, NoPartitioningJoin(machine).execute(wl_ratio.r, wl_ratio.s),
-    )
-    baseline = _anchors(DEFAULT_CALIBRATION, machine, *executed)
+    executed = [
+        (wl, NoPartitioningJoin(machine).execute(wl.r, wl.s))
+        for wl in (workload_a(scale=scale), workload_ratio(1, scale=scale))
+    ]
+    baseline = _anchors(DEFAULT_CALIBRATION, machine, executed)
     for name in SCALAR_CONSTANTS + DICT_CONSTANTS:
         movements: Dict[str, float] = {}
         for factor in (1.0 - perturbation, 1.0 + perturbation):
-            anchors = _anchors(_perturbed(name, factor), machine, *executed)
+            anchors = _anchors(_perturbed(name, factor), machine, executed)
             for anchor, value in anchors.items():
                 change = abs(value - baseline[anchor]) / abs(baseline[anchor])
                 movements[anchor] = max(movements.get(anchor, 0.0), change)

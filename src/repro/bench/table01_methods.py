@@ -37,7 +37,7 @@ def rows() -> List[Dict[str, str]]:
                 "semantics": method.semantics,
                 "level": method.level,
                 "granularity": method.granularity,
-                "memory": method.required_kind.value,
+                "memory": ", ".join(sorted(k.value for k in method.supported_kinds())),
             }
         )
     return out

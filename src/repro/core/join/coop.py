@@ -58,8 +58,6 @@ class CoopResult(JoinThroughput):
     matches: int
     aggregate: int
     strategy: str
-    build_seconds: float
-    probe_seconds: float
     modeled_tuples: int
     worker_rates: Dict[str, float]
     worker_shares: Dict[str, float]
@@ -71,6 +69,14 @@ class CoopResult(JoinThroughput):
     probe_cost: PhaseCost
     #: the executed probe phase; :attr:`timeline` is built from its grants.
     probe_outcome: PhaseOutcome = field(repr=False, compare=False)
+
+    @property
+    def build_seconds(self) -> float:
+        return self.build_cost.seconds
+
+    @property
+    def probe_seconds(self) -> float:
+        return self.probe_cost.seconds
 
     @property
     def timeline(self) -> Timeline:
@@ -146,6 +152,29 @@ class CoopJoin:
         """The join as a logical plan (S probes a table built from R)."""
         return join_query(r, s)
 
+    def _check_workers(self, workers: Tuple[str, ...]) -> None:
+        """Refuse workers this strategy cannot run on: none, an unknown
+        processor, or Het over a link without system-wide atomics."""
+        if not workers:
+            raise ValueError("need at least one worker")
+        for worker in workers:
+            self.machine.processor(worker)  # validate names early
+        if self.strategy == "het" and len(workers) > 1:
+            # A shared *mutable* hash table needs system-wide atomics,
+            # which only cache-coherent interconnects provide (L3 /
+            # Section 3: PCI-e lacks them).
+            for worker in workers:
+                if not isinstance(self.machine.processor(worker), Gpu):
+                    continue
+                link = self.machine.gpu_link(worker)
+                if not link.spec.cache_coherent:
+                    raise ValueError(
+                        f"the Het strategy shares a mutable hash table and "
+                        f"requires a cache-coherent interconnect; {worker}'s "
+                        f"{link.spec.name} is not coherent — use 'gpu+het' "
+                        "or single-processor execution"
+                    )
+
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
@@ -167,6 +196,7 @@ class CoopJoin:
         hot_set: Optional[HotSetProfile] = None,
     ) -> CoopResult:
         """Execute the cooperative join and price it on the machine."""
+        self._check_workers(workers)
         return self.price(self.execute(r, s), r, s, workers, hot_set)
 
     def price(
@@ -181,26 +211,7 @@ class CoopJoin:
         strategy over ``workers``; ``ValueError`` for an execution of
         another hash scheme or other columns (:func:`check_execution`)."""
         check_execution(execution, self, r, s)
-        if not workers:
-            raise ValueError("need at least one worker")
-        for worker in workers:
-            self.machine.processor(worker)  # validate names early
-        if self.strategy == "het" and len(workers) > 1:
-            # A shared *mutable* hash table needs system-wide atomics,
-            # which only cache-coherent interconnects provide (L3 /
-            # Section 3: PCI-e lacks them).
-            for worker in workers:
-                if not isinstance(self.machine.processor(worker), Gpu):
-                    continue
-                link = self.machine.gpu_link(worker)
-                if not link.spec.cache_coherent:
-                    raise ValueError(
-                        f"the Het strategy shares a mutable hash table and "
-                        f"requires a cache-coherent interconnect; {worker}'s "
-                        f"{link.spec.name} is not coherent — use 'gpu+het' "
-                        "or single-processor execution"
-                    )
-
+        self._check_workers(workers)
         stats = JoinStats(
             table=TableProfile.from_table(execution.table, r.modeled_tuples),
             lines_loaded=execution.payload_lines_loaded,
@@ -228,8 +239,6 @@ class CoopJoin:
             matches=execution.matches,
             aggregate=execution.aggregate,
             strategy=self.strategy,
-            build_seconds=build_out.cost.seconds,
-            probe_seconds=probe_out.cost.seconds,
             modeled_tuples=r.modeled_tuples + s.modeled_tuples,
             worker_rates=probe_out.rates,
             worker_shares=probe_out.shares,

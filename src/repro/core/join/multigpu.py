@@ -95,9 +95,11 @@ class MultiGpuJoin:
         self.hash_scheme = hash_scheme
 
     # ------------------------------------------------------------------
-    def _gpus(self, workers: Sequence[str]) -> List[Gpu]:
+    def _gpus(self, workers: Optional[Sequence[str]]) -> List[Gpu]:
+        """The GPUs named by ``workers`` (every GPU by default);
+        ``ValueError`` for a processor that is not a GPU."""
         gpus = []
-        for name in workers:
+        for name in workers or [gpu.name for gpu in self.machine.gpus()]:
             proc = self.machine.processor(name)
             if not isinstance(proc, Gpu):
                 raise ValueError(f"multi-GPU join accepts GPUs only, got {name}")
@@ -149,6 +151,7 @@ class MultiGpuJoin:
         workers: Optional[Sequence[str]] = None,
     ) -> MultiGpuResult:
         """Execute the join functionally and price it across the GPUs."""
+        self._gpus(workers)  # refuse bad workers before executing
         return self.price(self.execute(r, s), r, s, workers)
 
     def price(
@@ -162,8 +165,8 @@ class MultiGpuJoin:
         ``workers`` (every GPU by default); ``ValueError`` for an
         execution of another hash scheme or other columns."""
         check_execution(execution, self, r, s)
-        workers = tuple(workers or (gpu.name for gpu in self.machine.gpus()))
         gpus = self._gpus(workers)
+        workers = tuple(gpu.name for gpu in gpus)
         table = execution.table
         table_bytes = table.modeled_bytes(r.modeled_tuples)
 

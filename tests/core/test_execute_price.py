@@ -37,7 +37,7 @@ from repro.core.ops.q6 import TpchQ6
 from repro.data.relation import Relation
 from repro.faults import FaultPlan, OomAt, RetryPolicy, TransientError
 from repro.faults.scenarios import GPU_PLACEMENT_LABEL
-from repro.hardware.topology import ibm_ac922
+from repro.hardware.topology import TopologyError, ibm_ac922, intel_xeon_v100
 from repro.obs.trace import Timeline
 from repro.workloads.builders import workload_ratio, workload_selectivity
 from repro.workloads.tpch import lineitem_q6
@@ -407,3 +407,31 @@ def test_runners_execute_each_input_once(monkeypatch, runner, expected):
         monkeypatch.setattr(facade, "execute", counted)
     runner(scale=2.0**-16)
     assert dict(calls) == expected
+
+
+REFUSED_WORKERS = [
+    pytest.param(lambda: CoopJoin(intel_xeon_v100(), "het"), {}, ValueError,
+                 "requires a cache-coherent interconnect", id="het-over-pcie"),
+    pytest.param(lambda: CoopJoin(ibm_ac922()), {"workers": ()}, ValueError,
+                 "need at least one worker", id="coop-no-workers"),
+    pytest.param(lambda: CoopJoin(ibm_ac922()), {"workers": ("gpu7",)}, TopologyError,
+                 "unknown processor: gpu7", id="coop-unknown-worker"),
+    pytest.param(lambda: MultiGpuJoin(ibm_ac922(gpus=2)), {"workers": ("cpu0",)}, ValueError,
+                 "multi-GPU join accepts GPUs only, got cpu0", id="multigpu-cpu-worker"),
+]
+
+
+@pytest.mark.parametrize("make_join,kwargs,error,match", REFUSED_WORKERS)
+def test_run_refuses_workers_before_executing(monkeypatch, wl, make_join, kwargs, error, match):
+    join = make_join()
+    calls = Counter()
+
+    def counted(self, *args, _execute=type(join).execute):
+        calls["execute"] += 1
+        return _execute(self, *args)
+
+    monkeypatch.setattr(type(join), "execute", counted)
+    with pytest.raises(error, match=match) as raised:
+        join.run(wl.r, wl.s, **kwargs)
+    assert type(raised.value) is error
+    assert calls["execute"] == 0

@@ -12,7 +12,10 @@ result:
   paper (``repro.bench.report.deviation_stats``, the numbers
   ``docs/report_generated.md`` prints) stay within ``BUDGET``, and every
   anchor names a simulated cell;
-* every claim its figure module states holds.
+* every claim its figure module states holds;
+* its cells equal the recording in ``figure_cells.json``: the same row
+  labels, the same series in each row in the same order, and values at
+  full precision (``record_figure_cells.py`` re-records it).
 
 Deviations are deterministic, so each budget is the measured value
 rounded up to the next 0.1 percentage point: tighten it freely; loosen
@@ -22,11 +25,14 @@ its reason (EXPERIMENTS.md, "Known deviations", explains it) and it runs
 as a strict xfail, so fixing it fails the test until the entry goes.
 """
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
 from repro.bench.common import FigureResult
+from repro.bench.export import figure_to_dict
 from repro.bench.report import deviation_stats
 from repro.bench.run_all import FIGURES
 
@@ -55,6 +61,9 @@ KNOWN_MISSES = {
     ),
 }
 
+#: registry index -> the recorded cells (``record_figure_cells.py``).
+FIGURE_CELLS = json.loads((Path(__file__).parent / "figure_cells.json").read_text())
+
 IDS = [f"{index}-{figure.key}" for index, figure in enumerate(FIGURES)]
 ANCHORED = {figure.key: index for index, figure in enumerate(FIGURES) if figure.paper}
 CLAIMS = [
@@ -81,6 +90,29 @@ def test_result_is_well_formed(registry_result, index):
     for row in result.rows:
         assert row.values, row.label
         assert all(math.isfinite(v) and v >= 0 for v in row.values.values()), row
+
+
+@pytest.mark.parametrize("index", range(len(FIGURES)), ids=IDS)
+def test_cells_match_recording(registry_result, index):
+    want = FIGURE_CELLS[index]
+    assert want["key"] == FIGURES[index].key
+    result = registry_result(index)
+    if "text" in want:  # table1
+        assert result.render() == want["text"]
+        return
+    got = figure_to_dict(result)
+    assert [row["label"] for row in got["rows"]] == [row["label"] for row in want["result"]["rows"]]
+    for got_row, want_row in zip(got["rows"], want["result"]["rows"]):
+        cells = want_row["simulated"]
+        assert list(got_row["simulated"]) == list(cells), got_row["label"]
+        for series, value in cells.items():
+            assert math.isclose(
+                got_row["simulated"][series], value, rel_tol=1e-9, abs_tol=1e-15
+            ), f"{got['figure']} ({got_row['label']!r}, {series!r})"
+
+
+def test_every_entry_is_recorded():
+    assert len(FIGURE_CELLS) == len(FIGURES)
 
 
 @pytest.mark.parametrize("key", ANCHORED)
