@@ -45,7 +45,7 @@ def main() -> None:
             cells[label].append(f" {res.throughput_gtuples:>6.2f}")
             if check is None:
                 check = (f"  [functional check] SF{sf}: revenue "
-                         f"{res.revenue:.2f} from {res.qualifying_rows} rows "
+                         f"{res.aggregate:.2f} from {res.qualifying_rows} rows "
                          f"({res.selectivity:.1%} selectivity)")
 
     header = f"{'config':>16} |" + "".join(

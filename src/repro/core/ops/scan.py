@@ -1,22 +1,30 @@
-"""Generic selection-scan operator (the machinery behind Q6).
+"""Selection scans: the one functional path for scan-shaped operators.
 
 A :class:`SelectionScan` evaluates a conjunctive predicate cascade over
 arbitrary columns and aggregates an expression over the survivors, in
-branching or predicated variants.  Q6 is one instance; the examples and
+branching or predicated variants.  TPC-H Q6
+(:class:`repro.core.ops.q6.TpchQ6`) is one instance; the examples and
 ablations can build others (different predicate orders, widths, and
 clusterings) to explore when branching pays.
+
+Like the join facades, a scan executes once and prices per
+configuration: :meth:`SelectionScan.execute` evaluates the cascade and
+the aggregate on the real columns, and :meth:`SelectionScan.price`
+prices that execution as the scan's variant on any machine.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.ops.selection import selection_line_fractions
+from repro.data.relation import Column, check_same_columns, read_column
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
@@ -33,6 +41,8 @@ from repro.obs import Observability
 from repro.plan import PlanExecutor
 from repro.transfer.methods import get_method
 
+VARIANTS = ("branching", "predicated")
+
 
 @dataclass(frozen=True)
 class Predicate:
@@ -41,6 +51,19 @@ class Predicate:
     column: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     label: str = ""
+
+
+@dataclass(frozen=True)
+class ScanExecution:
+    """What one functional scan leaves for pricing: the aggregate, the
+    qualifying rows, the branching cascade's line fractions (one per
+    predicate, then the survivors' tail) and the column objects read —
+    no row masks."""
+
+    aggregate: float
+    qualifying_rows: int
+    cascade_line_fractions: Tuple[float, ...]
+    columns: Dict[str, Column]
 
 
 @dataclass
@@ -80,11 +103,15 @@ class SelectionScan:
             surviving rows in the cache line.
         aggregate_columns: extra columns read only for fully-surviving
             rows (the aggregate inputs).
-        aggregate: function from the surviving rows' columns to a float.
+        aggregate: function from the surviving rows of every column the
+            scan reads (predicate and aggregate columns) to a float.
         backend: ``serial`` | ``threads`` — host execution of the
             cascade; results and priced manifests are identical across
             backends and worker counts.
     """
+
+    #: names the host executor and the priced plan.
+    label = "scan"
 
     def __init__(
         self,
@@ -102,8 +129,10 @@ class SelectionScan:
     ) -> None:
         if not predicates:
             raise ValueError("need at least one predicate")
-        if variant not in ("branching", "predicated"):
-            raise ValueError(f"unknown variant {variant!r}")
+        if variant not in VARIANTS:
+            raise ValueError(
+                f"unknown variant {variant!r}; valid: {', '.join(VARIANTS)}"
+            )
         self.machine = machine
         self.predicates = list(predicates)
         self.aggregate_columns = list(aggregate_columns)
@@ -117,37 +146,68 @@ class SelectionScan:
         self.workers = workers
         self.exec_morsel_tuples = exec_morsel_tuples
         self.last_executor = None
+        #: the cascade's column reads in order: one per predicate, then
+        #: the aggregate-only columns.
+        self.reads = [p.column for p in self.predicates] + self.aggregate_columns
 
     # ------------------------------------------------------------------
-    def _execute(self, columns: Dict[str, np.ndarray]):
-        n_rows = len(columns[self.predicates[0].column])
+    def _read_columns(self, columns: Mapping[str, Column]) -> Dict[str, Column]:
+        """The columns the scan reads, as given (arrays or deferred)."""
+        missing = [name for name in self.reads if name not in columns]
+        if missing:
+            raise KeyError(f"missing columns: {', '.join(missing)}")
+        read = {name: columns[name] for name in self.reads}
+        if len({len(column) for column in read.values()}) != 1:
+            raise ValueError("ragged input columns")
+        return read
+
+    def execute(self, columns: Mapping[str, Column]) -> ScanExecution:
+        """Evaluate the predicate cascade and the aggregate on the real
+        columns.  Both variants compute the same answer, so one
+        execution prices either on any machine."""
+        read = self._read_columns(columns)
+        arrays = {name: read_column(column) for name, column in read.items()}
         executor = make_executor(
-            self.backend, self.workers, self.exec_morsel_tuples, name="scan"
+            self.backend, self.workers, self.exec_morsel_tuples, name=self.label
         )
         self.last_executor = executor
         evaluators = [
-            (lambda lo, hi, p=p: p.evaluate(columns[p.column][lo:hi]))
+            (lambda lo, hi, p=p: p.evaluate(arrays[p.column][lo:hi]))
             for p in self.predicates
         ]
-        masks = execute_masks(n_rows, evaluators, executor)
-        survivors = masks[0].copy()
-        for mask in masks[1:]:
-            survivors &= mask
-        surviving = {
-            name: columns[name][survivors] for name in self.aggregate_columns
-        }
-        value = float(self.aggregate(surviving)) if survivors.any() else 0.0
-        return value, survivors, masks
+        masks = execute_masks(
+            len(arrays[self.predicates[0].column]), evaluators, executor
+        )
+        # No survivors mask outlives this line: the line fractions below
+        # hold their own cascade temporaries.
+        rows = np.flatnonzero(functools.reduce(np.logical_and, masks))
+        aggregate = (
+            float(self.aggregate({name: a.take(rows) for name, a in arrays.items()}))
+            if len(rows)
+            else 0.0
+        )
+        value_bytes = min(column.dtype.itemsize for column in read.values())
+        return ScanExecution(
+            aggregate=aggregate,
+            qualifying_rows=len(rows),
+            cascade_line_fractions=tuple(
+                selection_line_fractions(masks, value_bytes=value_bytes)
+            ),
+            columns=read,
+        )
 
-    def _fractions(self, masks: List[np.ndarray], value_bytes: int) -> List[float]:
-        n_columns = len(self.predicates) + len(self.aggregate_columns)
+    def _line_fractions(self, execution: ScanExecution) -> List[float]:
+        """Per-read line-load fractions for this variant.
+
+        Predication loads every line.  Branching loads a later read's
+        line where an earlier predicate left a survivor in it; divergence
+        and prefetch still pull part of every skippable column.
+        """
         if self.variant == "predicated":
-            return [1.0] * n_columns
-        fractions = selection_line_fractions(masks, value_bytes=value_bytes)
+            return [1.0] * len(self.reads)
+        first, *later = execution.cascade_line_fractions
         residual = self.calibration.branching_residual_load
-        damped = [fractions[0]] + [
-            residual + (1.0 - residual) * f for f in fractions[1:]
-        ]
+        damped = [first] + [residual + (1.0 - residual) * f for f in later]
         # One fraction per predicate column, then the tail fraction for
         # every aggregate column.
         return damped[: len(self.predicates)] + [damped[-1]] * len(
@@ -157,31 +217,41 @@ class SelectionScan:
     # ------------------------------------------------------------------
     def run(
         self,
-        columns: Dict[str, np.ndarray],
+        columns: Mapping[str, Column],
         processor: str = "gpu0",
         location: str = "cpu0-mem",
         modeled_rows: Optional[int] = None,
         kind: Optional[MemoryKind] = None,
     ) -> ScanResult:
-        """Execute the scan functionally and price it.
+        """Execute the scan functionally and price it."""
+        execution = self.execute(columns)
+        return self.price(execution, columns, processor, location, modeled_rows, kind)
 
-        ``kind`` is the source columns' memory kind; when given, the
-        transfer method's Table-1 kind requirement is enforced.
+    def price(
+        self,
+        execution: ScanExecution,
+        columns: Mapping[str, Column],
+        processor: str = "gpu0",
+        location: str = "cpu0-mem",
+        modeled_rows: Optional[int] = None,
+        kind: Optional[MemoryKind] = None,
+    ) -> ScanResult:
+        """Price one execution of ``columns`` as this variant.
+
+        ``modeled_rows`` defaults to the executed row count.  ``kind`` is
+        the source columns' memory kind; when given, the transfer
+        method's Table-1 kind requirement is enforced.
+
+        Raises:
+            ValueError: if ``execution`` read other columns.
+            LogicalError: if ``modeled_rows`` is below the executed rows.
         """
-        needed = [p.column for p in self.predicates] + self.aggregate_columns
-        missing = [name for name in needed if name not in columns]
-        if missing:
-            raise KeyError(f"missing columns: {', '.join(missing)}")
-        rows = {len(columns[name]) for name in needed}
-        if len(rows) != 1:
-            raise ValueError("ragged input columns")
-        executed_rows = rows.pop()
-        modeled_rows = modeled_rows or executed_rows
-
-        value, survivors, masks = self._execute(columns)
-        widths = [columns[name].dtype.itemsize for name in needed]
-        fractions = self._fractions(masks, value_bytes=min(widths))
-
+        read = self._read_columns(columns)
+        check_same_columns(execution.columns, read)
+        executed_rows = len(next(iter(read.values())))
+        if modeled_rows is None:
+            modeled_rows = executed_rows
+        fractions = self._line_fractions(execution)
         config = PhysicalConfig(
             strategy="single",
             processor=processor,
@@ -189,7 +259,7 @@ class SelectionScan:
             variant=self.variant,
             backend=self.backend,
             exec_workers=self.workers,
-            label="scan",
+            label=self.label,
         )
         if kind is None:
             # Unspecified source kind: assume it was allocated as the
@@ -201,7 +271,7 @@ class SelectionScan:
         # and again by the aggregate is loaded twice) under a count;
         # pricing takes the measured per-read line fractions.
         query = scan(
-            {f"{i}:{name}": columns[name] for i, name in enumerate(needed)},
+            {f"{i}:{name}": read[name] for i, name in enumerate(self.reads)},
             name="columns",
             modeled_rows=modeled_rows,
             location=location,
@@ -212,9 +282,11 @@ class SelectionScan:
         )
         cost = PlanExecutor(self.cost_model).execute(plan).cost("scan")
         return ScanResult(
-            aggregate=value,
-            qualifying_rows=int(survivors.sum()),
-            selectivity=float(survivors.mean()) if executed_rows else 0.0,
+            aggregate=execution.aggregate,
+            qualifying_rows=execution.qualifying_rows,
+            selectivity=(
+                execution.qualifying_rows / executed_rows if executed_rows else 0.0
+            ),
             cost=cost,
             modeled_rows=modeled_rows,
             column_line_fractions=fractions,

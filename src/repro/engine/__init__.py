@@ -43,17 +43,4 @@ __all__ = [
     "TopK",
     "TableScan",
     "collect",
-    "run_pipeline",
-    "to_operators",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-export of the logical-plan interpreter entry points
-    # (repro.logical.interpret imports repro.engine.operators, so a
-    # top-level import here would be circular).
-    if name in ("run_pipeline", "to_operators"):
-        from repro.logical import interpret
-
-        return getattr(interpret, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -29,8 +29,8 @@ morsel-divisible:
 
 Probes and predicate masks are read-only and element-independent, so
 they decompose for every scheme: a probe morsel writes its slice of the
-two output arrays in place; mask morsels produce private slices, merged
-by stable morsel-order concatenation.
+two output arrays in place, and a mask morsel its slice of each
+preallocated mask.
 """
 
 from __future__ import annotations
@@ -176,19 +176,20 @@ def execute_masks(
 ) -> List[np.ndarray]:
     """Evaluate row-range predicates over ``[0, n_rows)``.
 
-    Each evaluator maps a half-open row range to a boolean (or
-    element-wise) mask for those rows; masks are merged by morsel-order
-    concatenation.  Element-wise predicates make slice-then-concatenate
-    bit-identical to whole-array evaluation.
+    Each evaluator maps a half-open row range to the boolean mask of
+    those rows.  A morsel writes its slice of each preallocated mask in
+    place, so no mask exists twice.  Element-wise predicates make the
+    sliced evaluation bit-identical to whole-array evaluation.
     """
     if executor is None or n_rows == 0:
         return [evaluator(0, n_rows) for evaluator in evaluators]
+    masks = [np.empty(n_rows, dtype=bool) for _ in evaluators]
 
-    def masks_morsel(work: WorkRange, worker: str) -> List[np.ndarray]:
-        return [evaluator(work.start, work.end) for evaluator in evaluators]
+    def masks_morsel(work: WorkRange, worker: str) -> None:
+        # Each morsel owns its slice of the masks, so a retried morsel
+        # rewrites the same rows with the same answers.
+        for mask, evaluator in zip(masks, evaluators):
+            mask[work.start : work.end] = evaluator(work.start, work.end)
 
-    parts = executor.map_values(n_rows, masks_morsel)
-    return [
-        np.concatenate([part[i] for part in parts])
-        for i in range(len(evaluators))
-    ]
+    executor.run(n_rows, masks_morsel)
+    return masks

@@ -12,8 +12,6 @@ The layer sits between user code and the phase-plan IR (``repro.plan``):
 * :mod:`repro.logical.lower` — the lowering compiler that turns a
   logical plan plus a :class:`PhysicalConfig` into a priced
   :class:`repro.plan.Plan` DAG through the shared ``ingest()`` glue;
-* :mod:`repro.logical.interpret` — lowers a logical plan to a
-  ``repro.engine.operators`` pipeline for functional execution;
 * :mod:`repro.logical.optimizer` — enumerates physical alternatives
   (Table-1 transfer method, Fig. 8/11 hash-table placement fraction,
   GPU-only vs Het vs GPU+Het strategy, join order, host backend),
@@ -21,9 +19,10 @@ The layer sits between user code and the phase-plan IR (``repro.plan``):
 
 The operator classes (``NoPartitioningJoin``, ``CoopJoin``,
 ``StarJoin``, ``MultiGpuJoin``, ``RadixJoin``, ``TpchQ6``,
-``SelectionScan``) are facades over this layer: they build a logical
-plan and run it through :func:`compile_query`, so every priced plan in
-the library is compiler output.
+``SelectionScan``) price through this layer: each computes its answer
+on its own functional kernels (``repro.exec``), then builds a logical
+plan and runs it through :func:`compile_query`, so every priced plan in
+the library is compiler output.  The layer itself executes nothing.
 """
 
 from repro.logical.algebra import (
@@ -44,7 +43,6 @@ from repro.logical.algebra import (
     mul,
     scan,
 )
-from repro.logical.interpret import run_pipeline, to_operators
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.optimizer import (
     Candidate,
@@ -93,7 +91,5 @@ __all__ = [
     "lt",
     "mul",
     "optimize",
-    "run_pipeline",
     "scan",
-    "to_operators",
 ]

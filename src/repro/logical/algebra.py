@@ -22,12 +22,12 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.data.relation import Column, Relation, read_column
+from repro.data.relation import Column, Relation
 from repro.hardware.memory import MemoryKind
 
 Batch = Dict[str, np.ndarray]
 
-#: aggregate functions the algebra (and the engine interpreter) accept.
+#: aggregate functions the algebra accepts.
 AGGREGATE_FUNCTIONS = ("sum", "min", "max", "count", "mean")
 
 #: comparison operators a :class:`Predicate` may use.
@@ -169,8 +169,8 @@ class Scan(LogicalNode):
     :class:`repro.workloads.tpch.Q6Workload`), or a plain dict of
     equal-length columns.  A column is a numpy array or a
     :class:`~repro.data.relation.DeferredColumn`: the scan takes its
-    schema, widths and row count from the columns as given, and only
-    :attr:`data` — read by the functional interpreter — reads them.
+    schema, widths and row count from the columns as given and never
+    reads them.
     """
 
     def __init__(
@@ -229,11 +229,6 @@ class Scan(LogicalNode):
             )
         self.location = location or "cpu0-mem"
         self.kind = kind if kind is not None else MemoryKind.PAGEABLE
-
-    @property
-    def data(self) -> Dict[str, np.ndarray]:
-        """The scanned arrays (a deferred column is generated here)."""
-        return {name: read_column(col) for name, col in self._columns.items()}
 
     def schema(self) -> Tuple[str, ...]:
         return tuple(self._columns)

@@ -28,14 +28,21 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.hardware import ibm_ac922, intel_xeon_v100
 from repro.hardware.topology import Machine
-from repro.logical.algebra import Query, scan
+from repro.logical.algebra import Query, between, ge, lt, mul, scan
 from repro.logical.optimizer import OptimizerResult, optimize
 from repro.workloads.builders import (
     workload_a,
     workload_b,
     workload_selectivity,
 )
-from repro.workloads.tpch import lineitem_q6
+from repro.workloads.tpch import (
+    Q6_DISCOUNT_HI,
+    Q6_DISCOUNT_LO,
+    Q6_QUANTITY_LT,
+    Q6_SHIPDATE_HI,
+    Q6_SHIPDATE_LO,
+    lineitem_q6,
+)
 
 #: The join workloads keep their *modeled* (paper) cardinalities — the
 #: trade-offs the optimizer must re-derive (Table-1 method ranking,
@@ -80,11 +87,33 @@ def _join_query(wl) -> Query:
 
 
 def _q6_query() -> Query:
-    from repro.core.ops.q6 import TpchQ6
+    """Q6 as a logical plan (Figure 15's scan/filter/aggregate).
 
-    workload = lineitem_q6(Q6_SCALE_FACTOR)
-    machine = ibm_ac922()
-    return TpchQ6(machine).logical_query(workload)
+    The selectivity hints are dbgen's: the one-year shipdate window
+    keeps ~15% of lineitem (and dbgen clusters by shipdate), the
+    discount band ~27%, the quantity cut ~48%.
+    """
+    return (
+        scan(lineitem_q6(Q6_SCALE_FACTOR), name="lineitem")
+        .filter(
+            ge(
+                "l_shipdate",
+                Q6_SHIPDATE_LO,
+                selectivity=0.15,
+                clustered=True,
+            ),
+            lt("l_shipdate", Q6_SHIPDATE_HI),
+            between(
+                "l_discount",
+                np.float32(Q6_DISCOUNT_LO - 1e-6),
+                np.float32(Q6_DISCOUNT_HI + 1e-6),
+                selectivity=0.27,
+            ),
+            lt("l_quantity", Q6_QUANTITY_LT, selectivity=0.48),
+        )
+        .project(revenue=mul("l_extendedprice", "l_discount"))
+        .aggregate(revenue=("revenue", "sum"))
+    )
 
 
 def star_inputs() -> Tuple[Dict[str, "np.ndarray"], Tuple[Relation, ...]]:

@@ -280,7 +280,7 @@ class TestPipelines:
             HashAggregate(revenue, (), {"revenue": ("rev", "sum")})
         )
         reference = TpchQ6(ibm, variant="predicated").run(wl, "cpu0")
-        assert result["revenue"][0] == pytest.approx(reference.revenue)
+        assert result["revenue"][0] == pytest.approx(reference.aggregate)
 
     def test_join_aggregate_pipeline(self, ibm, wl_a):
         """Join + aggregate equals the NOPA operator's aggregate."""

@@ -1,7 +1,7 @@
 """Execute once, price per configuration.
 
 ``run`` is ``price(execute(...))`` for the functional facades (NOPA,
-cooperative, multi-GPU, radix, Q6): pricing a separate execution gives
+cooperative, multi-GPU, radix, and the selection scan behind Q6): pricing a separate execution gives
 the same result, field by field.  The three hash-join facades share one
 execution, so each prices the others'.  ``price`` refuses an execution
 of another hash scheme, output mode or other columns, and the figure
@@ -33,7 +33,9 @@ from repro.core.join.coop import CoopJoin, CoopResult
 from repro.core.join.multigpu import MultiGpuJoin, MultiGpuResult
 from repro.core.join.nopa import JoinResult, NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
+from repro.core.ops import q6
 from repro.core.ops.q6 import TpchQ6
+from repro.core.ops.scan import SelectionScan
 from repro.data.relation import Relation
 from repro.faults import FaultPlan, OomAt, RetryPolicy, TransientError
 from repro.faults.scenarios import GPU_PLACEMENT_LABEL
@@ -321,7 +323,38 @@ class TestRadix:
             RadixJoin(ibm).price(execution, wl.r, wl.s, processor="gpu0")
 
 
+class Q6Scan:
+    """Q6 stated as a bare :class:`SelectionScan` over lineitem's column
+    dict, behind the ``TpchQ6`` call shape."""
+
+    def __init__(self, machine, **kwargs):
+        self.scan = SelectionScan(
+            machine, q6.PREDICATES, ["l_extendedprice"], q6.revenue, **kwargs
+        )
+
+    def execute(self, lineitem):
+        return self.scan.execute(lineitem.columns())
+
+    def price(self, execution, lineitem, processor="gpu0"):
+        return self.scan.price(
+            execution,
+            lineitem.columns(),
+            processor,
+            lineitem.location,
+            lineitem.modeled_rows,
+            lineitem.kind,
+        )
+
+    def run(self, lineitem, processor="gpu0"):
+        return self.price(self.execute(lineitem), lineitem, processor)
+
+
 class TestQ6:
+    """Q6 through the ``TpchQ6`` facade; :class:`TestQ6AsSelectionScan`
+    runs every case again through a bare ``SelectionScan``."""
+
+    facade = TpchQ6
+
     @pytest.fixture(scope="class")
     def lineitem(self):
         return lineitem_q6(scale_factor=100, scale=2**-12, seed=11)
@@ -333,7 +366,7 @@ class TestQ6:
         self, ibm, lineitem, variant, backend, processor
     ):
         def q6():
-            return TpchQ6(ibm, variant=variant, backend=backend, workers=2)
+            return self.facade(ibm, variant=variant, backend=backend, workers=2)
 
         want = q6().run(lineitem, processor=processor)
         executor = q6()
@@ -341,24 +374,30 @@ class TestQ6:
         assert got == want
 
     def test_one_execution_prices_both_variants(self, ibm, lineitem):
-        execution = TpchQ6(ibm).execute(lineitem)
+        execution = self.facade(ibm).execute(lineitem)
         for variant in ("branching", "predicated"):
-            op = TpchQ6(ibm, variant=variant)
+            op = self.facade(ibm, variant=variant)
             assert op.price(execution, lineitem) == op.run(lineitem)
 
     def test_execution_holds_no_row_masks(self, ibm, lineitem):
-        execution = TpchQ6(ibm).execute(lineitem)
+        execution = self.facade(ibm).execute(lineitem)
         assert len(execution.cascade_line_fractions) == 4
         for field in dataclasses.fields(execution):
             assert not isinstance(getattr(execution, field.name), np.ndarray)
 
     def test_accepts_placed_and_rejects_other_columns(self, ibm, lineitem):
-        execution = TpchQ6(ibm).execute(lineitem)
+        execution = self.facade(ibm).execute(lineitem)
         placed = lineitem.placed("cpu1-mem")
-        assert TpchQ6(ibm).price(execution, placed) == TpchQ6(ibm).run(placed)
+        assert self.facade(ibm).price(execution, placed) == self.facade(ibm).run(
+            placed
+        )
         other = lineitem_q6(scale_factor=100, scale=2**-12, seed=11)
         with pytest.raises(ValueError, match="'l_shipdate'"):
-            TpchQ6(ibm).price(execution, other)
+            self.facade(ibm).price(execution, other)
+
+
+class TestQ6AsSelectionScan(TestQ6):
+    facade = Q6Scan
 
 
 #: executions per figure runner at small scale: one per distinct

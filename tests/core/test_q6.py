@@ -36,13 +36,13 @@ class TestFunctional:
             ).sum()
         )
         res = TpchQ6(ibm, variant="predicated").run(workload, processor="cpu0")
-        assert res.revenue == pytest.approx(expected)
+        assert res.aggregate == pytest.approx(expected)
         assert res.qualifying_rows == int(mask.sum())
 
     def test_both_variants_compute_identical_results(self, ibm, workload):
         branching = TpchQ6(ibm, variant="branching").run(workload, "gpu0")
         predicated = TpchQ6(ibm, variant="predicated").run(workload, "gpu0")
-        assert branching.revenue == pytest.approx(predicated.revenue)
+        assert branching.aggregate == pytest.approx(predicated.aggregate)
         assert branching.qualifying_rows == predicated.qualifying_rows
 
     def test_selectivity_low(self, ibm, workload):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ops.scan import Predicate, ScanResult, SelectionScan
+from repro.logical import LogicalError
 
 
 def make_columns(n=50_000, clustered=True, seed=0):
@@ -105,3 +106,10 @@ class TestModel:
             make_columns(), processor="gpu0", modeled_rows=10**9
         )
         assert large.runtime == pytest.approx(10 * small.runtime, rel=0.05)
+
+    @pytest.mark.parametrize("modeled_rows", [0, -5])
+    def test_modeled_rows_below_executed_rejected(self, ibm, modeled_rows):
+        """Only ``None`` means "price the executed rows"; 0 is a
+        cardinality, and below the executed one."""
+        with pytest.raises(LogicalError, match=f"modeled cardinality {modeled_rows} "):
+            make_scan(ibm).run(make_columns(), modeled_rows=modeled_rows)

@@ -22,6 +22,7 @@ from repro.exec import (
     DEFAULT_WORKERS,
     MorselExecutor,
     execute_build,
+    execute_masks,
     execute_probe,
 )
 from repro.hardware.topology import ibm_ac922
@@ -190,10 +191,29 @@ def test_q6_equivalence(machine):
             workers=workers,
             exec_morsel_tuples=512,
         ).run(wl)
-        assert parallel.revenue == serial.revenue
+        assert parallel.aggregate == serial.aggregate
         assert parallel.qualifying_rows == serial.qualifying_rows
         assert parallel.cost.seconds == serial.cost.seconds
         assert parallel.column_line_fractions == serial.column_line_fractions
+
+
+def test_threaded_masks_equal_serial_with_a_ragged_last_morsel():
+    """Morsels write their slices of preallocated masks; a last morsel
+    shorter than the rest lands where concatenation would put it."""
+    values = np.random.default_rng(3).integers(0, 100, 10_007)
+    evaluators = [
+        lambda lo, hi: values[lo:hi] < 30,
+        lambda lo, hi: values[lo:hi] % 7 == 0,
+    ]
+    serial = execute_masks(len(values), evaluators)
+    for workers in WORKER_COUNTS:
+        executor = MorselExecutor(workers=workers, morsel_tuples=1000)
+        assert len(values) % executor.morsel_tuples != 0
+        threaded = execute_masks(len(values), evaluators, executor)
+        assert len(threaded) == len(serial)
+        for got, want in zip(threaded, serial):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_selection_scan_equivalence(machine):

@@ -1,8 +1,8 @@
-"""End-to-end database scenario: catalog -> engine -> joins.
+"""End-to-end database scenario: engine -> joins.
 
-A miniature warehouse: a fact table and two dimensions live in the
-catalog (with real capacity accounting), queries run both through the
-generic engine and the specialized star join, and the two agree.
+A miniature warehouse: a fact table and two dimensions as column
+dicts; queries run both through the generic engine and the specialized
+star join, and both agree with plain numpy.
 """
 
 import numpy as np
@@ -10,55 +10,49 @@ import pytest
 
 import repro
 from repro.core.join.multiway import Dimension, StarJoin
+from repro.data.relation import Relation
 from repro.engine import Filter, HashAggregate, HashJoinOp, TableScan, collect
 
 
 @pytest.fixture
-def warehouse(ibm):
+def warehouse():
     rng = np.random.default_rng(21)
-    catalog = repro.Catalog(ibm)
     n_products, n_stores, n_sales = 400, 50, 30_000
-    catalog.create_table(
-        "products",
-        {
+    return {
+        "products": {
             "id": np.arange(n_products, dtype=np.int64),
             "price": rng.integers(1, 100, n_products).astype(np.int64),
         },
-    )
-    catalog.create_table(
-        "stores",
-        {
+        "stores": {
             "id": np.arange(n_stores, dtype=np.int64),
             "region": rng.integers(0, 4, n_stores).astype(np.int64),
         },
-    )
-    catalog.create_table(
-        "sales",
-        {
+        "sales": {
             "product_id": rng.integers(0, n_products, n_sales).astype(np.int64),
             "store_id": rng.integers(0, n_stores, n_sales).astype(np.int64),
             "quantity": rng.integers(1, 10, n_sales).astype(np.int64),
         },
-    )
-    return catalog
+    }
+
+
+def relation(warehouse, table, key, payload, location="cpu0-mem"):
+    columns = warehouse[table]
+    return Relation(table, columns[key], columns[payload], location=location)
 
 
 class TestWarehouse:
-    def test_capacity_accounted(self, warehouse):
-        assert warehouse.used_bytes("cpu0-mem") == warehouse.total_modeled_bytes()
-
     def test_engine_two_dim_query(self, warehouse):
         """revenue per region via the generic operator pipeline."""
-        sales = warehouse.table("sales")
-        products = warehouse.table("products")
-        stores = warehouse.table("stores")
+        sales = warehouse["sales"]
+        products = warehouse["products"]
+        stores = warehouse["stores"]
 
         with_price = HashJoinOp(
-            TableScan(products.columns), TableScan(sales.columns, 4096),
+            TableScan(products), TableScan(sales, 4096),
             build_key="id", probe_key="product_id",
         )
         with_region = HashJoinOp(
-            TableScan(stores.columns), with_price,
+            TableScan(stores), with_price,
             build_key="id", probe_key="store_id",
         )
         result = collect(
@@ -70,7 +64,7 @@ class TestWarehouse:
         )
 
         # Reference with plain numpy.
-        s, p, st = sales.columns, products.columns, stores.columns
+        s, st = sales, stores
         keep = s["quantity"] >= 2
         regions = st["region"][s["store_id"][keep]]
         for region, units in zip(result["build_region"], result["units"]):
@@ -78,46 +72,36 @@ class TestWarehouse:
             assert units == s["quantity"][keep][mask].sum()
 
     def test_star_join_agrees_with_engine(self, warehouse, ibm):
-        sales = warehouse.table("sales")
+        sales = warehouse["sales"]
         fact = {
-            "product_id": sales.column("product_id"),
-            "store_id": sales.column("store_id"),
+            "product_id": sales["product_id"],
+            "store_id": sales["store_id"],
         }
         dims = [
             Dimension(
-                relation=warehouse.table("products").as_relation("id", "price"),
+                relation=relation(warehouse, "products", "id", "price"),
                 fact_key="product_id",
             ),
             Dimension(
-                relation=warehouse.table("stores").as_relation("id", "region"),
+                relation=relation(warehouse, "stores", "id", "region"),
                 fact_key="store_id",
             ),
         ]
-        star = StarJoin(ibm).run(
-            fact, dims, measure=sales.column("quantity")
-        )
+        star = StarJoin(ibm).run(fact, dims, measure=sales["quantity"])
         # Every fact row matches both dimensions (dense FK domains).
-        assert star.survivors == sales.executed_rows
-        assert star.aggregate == int(sales.column("quantity").sum())
+        assert star.survivors == len(sales["quantity"])
+        assert star.aggregate == int(sales["quantity"].sum())
 
     def test_migrate_then_query(self, warehouse, ibm):
-        seconds = warehouse.migrate("sales", "cpu1-mem")
-        assert seconds > 0
-        sales = warehouse.table("sales")
-        relation = sales.as_relation("product_id", "quantity")
-        assert relation.location == "cpu1-mem"
-        products = warehouse.table("products").as_relation("id", "price")
+        """The fact table moved to the second socket's memory, then
+        queried from the GPU."""
+        sales = relation(
+            warehouse, "sales", "product_id", "quantity", location="cpu1-mem"
+        )
+        products = relation(warehouse, "products", "id", "price")
         res = repro.NoPartitioningJoin(ibm, hash_table_placement="gpu").run(
-            products, relation
+            products, sales
         )
-        assert res.matches == sales.executed_rows
+        assert res.matches == len(warehouse["sales"]["quantity"])
         # The probe now streams over two hops (NVLink + X-Bus).
-        assert "xbus" in str(res.probe_cost.occupancy) or any(
-            "xbus" in key for key in res.probe_cost.occupancy
-        )
-
-    def test_drop_everything(self, warehouse):
-        for name in list(warehouse.tables()):
-            warehouse.drop_table(name)
-        assert warehouse.used_bytes("cpu0-mem") == 0
-        assert warehouse.tables() == []
+        assert any("xbus" in key for key in res.probe_cost.occupancy)

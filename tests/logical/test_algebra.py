@@ -1,6 +1,6 @@
 """The algebra validates eagerly: malformed queries fail at the call
 site with an actionable message, and well-formed queries propagate
-schemas exactly as the engine interpreter will see them."""
+schemas exactly as the lowering will see them."""
 
 import numpy as np
 import pytest

@@ -35,6 +35,8 @@ from repro.logical import (
     compile_query,
     scan,
 )
+from repro.logical.explain import Q6_SCALE_FACTOR
+from repro.logical.explain import WORKLOADS as EXPLAINED
 from repro.plan import PlanExecutor
 from repro.workloads.builders import workload_a, workload_b
 from repro.workloads.tpch import lineitem_q6
@@ -219,7 +221,7 @@ def _q6(variant: str, processor: str) -> Dict[str, Any]:
     op = TpchQ6(ibm_ac922(), variant=variant)
     result = op.run(wl, processor=processor)
     return {
-        "revenue": result.revenue,
+        "revenue": result.aggregate,
         "qualifying_rows": result.qualifying_rows,
         "cost": _cost(result.cost),
         "column_line_fractions": list(result.column_line_fractions),
@@ -377,6 +379,20 @@ def compiled_scan_predicated(_golden):
     return _compiled_scan("predicated")
 
 
+def compiled_q6(_golden):
+    """Explain's Q6 query (filters, projection and revenue sum, as the
+    optimizer sees it) priced with the ``TpchQ6`` facade's measured line
+    fractions: the facade's bare column scan and the algebra query must
+    price alike."""
+    facade = TpchQ6(ibm_ac922(), variant="branching").run(
+        lineitem_q6(Q6_SCALE_FACTOR), processor="gpu0"
+    )
+    _description, q6_query = EXPLAINED["q6"]
+    config = PhysicalConfig(processor="gpu0", variant="branching", label="q6")
+    stats = ScanStats(tuple(facade.column_line_fractions))
+    return _priced(q6_query(), config, stats), {"scan": facade.cost.seconds}
+
+
 #: name -> builder taking the loaded golden reference.
 COMPILED: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "multigpu_replicated": compiled_multigpu_replicated,
@@ -384,6 +400,7 @@ COMPILED: Dict[str, Callable[[Dict[str, Any]], Any]] = {
     "radix": compiled_radix,
     "scan_branching": compiled_scan_branching,
     "scan_predicated": compiled_scan_predicated,
+    "q6": compiled_q6,
 }
 
 

@@ -48,7 +48,7 @@ def test_case_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(COMPILED))
 def test_compile_query_prices_like_the_facade(name):
-    """Multi-GPU, radix and the selection scan are ordinary lowering
+    """Multi-GPU, radix, the selection scan and Q6 are ordinary lowering
     targets: stating the logical query + ``PhysicalConfig`` directly to
     ``compile_query`` prices every phase exactly as the facade does."""
     compiled, facade = COMPILED[name](GOLDEN)

@@ -31,7 +31,7 @@ class TestExports:
             "MultiGpuJoin",
             "StarJoin",
             "TpchQ6",
-            "Catalog",
+            "ScanResult",
             "MorselDispatcher",
             "ibm_ac922",
             "intel_xeon_v100",
