@@ -12,36 +12,35 @@ later columns — and the interconnect is the bottleneck.
 """
 
 import repro
+from repro.bench.common import Series, price_series
 
 
 def main() -> None:
     ibm = repro.ibm_ac922()
     intel = repro.intel_xeon_v100()
 
-    configs = [
-        ("CPU  predicated", ibm, "cpu0", "predicated", "coherence"),
-        ("CPU  branching ", ibm, "cpu0", "branching", "coherence"),
-        ("NVL  predicated", ibm, "gpu0", "predicated", "coherence"),
-        ("NVL  branching ", ibm, "gpu0", "branching", "coherence"),
-        ("PCIe predicated", intel, "gpu0", "predicated", "zero_copy"),
-        ("PCIe branching ", intel, "gpu0", "branching", "zero_copy"),
+    cpu = {"processor": "cpu0"}
+    series = [
+        Series("CPU  predicated", repro.TpchQ6(ibm, variant="predicated"), cpu),
+        Series("CPU  branching ", repro.TpchQ6(ibm, variant="branching"), cpu),
+        Series("NVL  predicated", repro.TpchQ6(ibm, variant="predicated")),
+        Series("NVL  branching ", repro.TpchQ6(ibm, variant="branching")),
+        Series("PCIe predicated",
+               repro.TpchQ6(intel, variant="predicated", transfer_method="zero_copy")),
+        Series("PCIe branching ",
+               repro.TpchQ6(intel, variant="branching", transfer_method="zero_copy")),
     ]
 
     # Execute each scale factor once and price every configuration from
-    # that execution, as the Figure 15 runner does.
+    # that execution, with lineitem allocated as each configuration's
+    # transfer method requires (Table 1), as the Figure 15 runner does.
     scale_factors = (100, 500, 1000)
-    cells = {label: [] for label, *_ in configs}
+    cells = {name: [] for name, *_ in series}
     check = None
     for sf in scale_factors:
-        workload = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
-        execution = repro.TpchQ6(ibm).execute(workload)
-        for label, machine, proc, variant, method in configs:
-            # Allocate lineitem as the transfer method requires (Table 1).
-            placed = workload.placed(
-                workload.location, kind=repro.get_method(method).required_kind
-            )
-            op = repro.TpchQ6(machine, variant=variant, transfer_method=method)
-            res = op.price(execution, placed, processor=proc)
+        lineitem = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
+        execution = repro.TpchQ6(ibm).execute(lineitem)
+        for label, res in price_series(execution, (lineitem,), series).items():
             cells[label].append(f" {res.throughput_gtuples:>6.2f}")
             if check is None:
                 check = (f"  [functional check] SF{sf}: revenue "
@@ -54,13 +53,13 @@ def main() -> None:
     print(header + "   (G Tuples/s)")
     print("-" * len(header))
     print(check)
-    for label, *_ in configs:
-        print(f"{label:>16} |" + "".join(cells[label]))
+    for label, row in cells.items():
+        print(f"{label:>16} |" + "".join(row))
 
     # Show the branching kernel's column-level skipping (the SF1000
     # execution above).
     res = repro.TpchQ6(ibm, variant="branching").price(
-        execution, workload, processor="gpu0"
+        execution, lineitem, processor="gpu0"
     )
     names = ("l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
     print("\nbranching variant, fraction of each column's lines loaded:")

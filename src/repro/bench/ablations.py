@@ -88,8 +88,9 @@ def run_batch_size(
         )
         for batch in batches
     ] + [Series("batch=auto", auto)]
-    execution = auto.execute(workload.r, workload.s)
-    for label, throughput in throughputs(price_series(execution, workload, series)).items():
+    inputs = (workload.r, workload.s)
+    results = price_series(auto.execute(*inputs), inputs, series)
+    for label, throughput in throughputs(results).items():
         result.add(label, throughput=throughput)
     return result
 
@@ -114,10 +115,9 @@ def run_layout(scale: float = 2.0**-12) -> FigureResult:
     ]
     for selectivity in (0.0, 0.1, 0.5, 1.0):
         workload = workload_selectivity(selectivity, scale=scale)
-        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-        result.add(
-            f"sel={selectivity}", **throughputs(price_series(execution, workload, series))
-        )
+        inputs = (workload.r, workload.s)
+        execution = NoPartitioningJoin(machine).execute(*inputs)
+        result.add(f"sel={selectivity}", **throughputs(price_series(execution, inputs, series)))
     return result
 
 
@@ -162,7 +162,8 @@ def run_hybrid_vs_spill(scale: float = 2.0**-13) -> FigureResult:
     )
     for millions in (1024, 1280, 1536, 2048, 3072, 4096):
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
-        results = price_series(hybrid.execute(workload.r, workload.s), workload, series)
+        inputs = (workload.r, workload.s)
+        results = price_series(hybrid.execute(*inputs), inputs, series)
         result.add(
             f"{millions}M",
             **throughputs(results),

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 from repro.memory.allocator import OutOfMemoryError
-from repro.transfer.methods import UnsupportedTransferError
+from repro.transfer.methods import UnsupportedTransferError, placed_for
 from repro.utils.tables import Table
-from repro.workloads.builders import JoinWorkload
 
 
 @dataclass
@@ -114,36 +113,43 @@ def missing(result: FigureResult, label: str, series: str) -> bool:
 
 
 class Series(NamedTuple):
-    """One configuration a figure prices: a join facade, the keyword
-    arguments of its ``price``, and the memory region the relations move
-    to (``None``: where they were generated; only a facade with a
-    transfer method moves them)."""
+    """One configuration a figure prices: a facade (a join or a scan),
+    the keyword arguments of its ``price``, and the memory region the
+    inputs move to (``None``: where they were generated; only a facade
+    with a transfer method moves them)."""
 
     name: str
-    join: Any
+    facade: Any
     kwargs: Mapping[str, Any] = {}
     location: Optional[str] = None
 
 
 def price_series(
-    execution: Any, workload: JoinWorkload, series: Iterable[Series]
+    execution: Any, inputs: Sequence[Any], series: Iterable[Series]
 ) -> Dict[str, Any]:
-    """Price one execution of ``workload`` under every series, in order.
+    """Price one execution under every series, in order.
 
-    Each series' relations are allocated as its facade's transfer method
-    requires (Table 1, ``JoinWorkload.placed_for``); a facade without one
+    ``inputs`` are the tables the execution read, in the order the
+    facades' ``price`` takes them: ``(r, s)`` for a join, ``(lineitem,)``
+    for a scan.  Each series' inputs are allocated as its facade's
+    transfer method requires (Table 1,
+    :func:`~repro.transfer.methods.placed_for`); a facade without one
     keeps them where they were generated.  A configuration that cannot
     run (``OutOfMemoryError``, ``UnsupportedTransferError``) leaves no
     result, and a later series of the same name stands in for it.
     """
     results: Dict[str, Any] = {}
-    for name, join, kwargs, location in series:
+    for name, facade, kwargs, location in series:
         if name in results:
             continue
-        method = getattr(join, "transfer_method", None)
-        placed = workload if method is None else workload.placed_for(method, location)
+        method = getattr(facade, "transfer_method", None)
+        placed = (
+            inputs
+            if method is None
+            else [placed_for(table, method, location) for table in inputs]
+        )
         try:
-            results[name] = join.price(execution, placed.r, placed.s, **kwargs)
+            results[name] = facade.price(execution, *placed, **kwargs)
         except (OutOfMemoryError, UnsupportedTransferError):
             pass
     return results

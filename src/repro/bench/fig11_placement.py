@@ -88,7 +88,7 @@ def run(scale: float = 2.0**-13) -> FigureResult:
             (decision.strategy, decision.hash_table_placement)
         ]
         execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-        values = throughputs(price_series(execution, workload, strategies))
+        values = throughputs(price_series(execution, (workload.r, workload.s), strategies))
         values["chosen"] = values[chosen_series]
         values["best"] = max(values.values())
         result.add(label, **values)

@@ -96,5 +96,5 @@ def run(scale: float = 2.0**-12) -> FigureResult:
             )
             for link, machine in machines.items()
         ]
-        result.add(method, **throughputs(price_series(execution, workload, series)))
+        result.add(method, **throughputs(price_series(execution, (workload.r, workload.s), series)))
     return result

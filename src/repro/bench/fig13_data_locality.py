@@ -85,5 +85,5 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     for name, workload in _workloads(scale).items():
         # Placed copies share their columns: one execution per row.
         execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-        result.add(name, **throughputs(price_series(execution, workload, series)))
+        result.add(name, **throughputs(price_series(execution, (workload.r, workload.s), series)))
     return result

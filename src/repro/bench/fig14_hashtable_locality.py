@@ -70,5 +70,5 @@ def run(scale: float = 2.0**-12) -> FigureResult:
     ]
     for name, workload in workloads.items():
         execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-        result.add(name, **throughputs(price_series(execution, workload, series)))
+        result.add(name, **throughputs(price_series(execution, (workload.r, workload.s), series)))
     return result

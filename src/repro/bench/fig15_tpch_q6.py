@@ -7,12 +7,9 @@ from CPU memory (nothing cached in GPU memory).
 
 from __future__ import annotations
 
-from typing import Dict
-
-from repro.bench.common import Claim, FigureResult
+from repro.bench.common import Claim, FigureResult, Series, price_series, throughputs
 from repro.core.ops.q6 import TpchQ6
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
-from repro.transfer.methods import get_method
 from repro.workloads.tpch import lineitem_q6
 
 #: approximate curve readings at SF 1000 (the figure reports curves,
@@ -68,29 +65,21 @@ def run(scale: float = 2.0**-10, scale_factors=SCALE_FACTORS) -> FigureResult:
     )
     ibm = ibm_ac922()
     intel = intel_xeon_v100()
-    configs = [
-        ("cpu-predicated", ibm, "cpu0", "predicated", "coherence"),
-        ("cpu-branching", ibm, "cpu0", "branching", "coherence"),
-        ("nvlink-branching", ibm, "gpu0", "branching", "coherence"),
-        ("nvlink-predicated", ibm, "gpu0", "predicated", "coherence"),
-        ("pcie-branching", intel, "gpu0", "branching", "zero_copy"),
-        ("pcie-predicated", intel, "gpu0", "predicated", "zero_copy"),
+    cpu = {"processor": "cpu0"}
+    series = [
+        Series("cpu-predicated", TpchQ6(ibm, variant="predicated"), cpu),
+        Series("cpu-branching", TpchQ6(ibm, variant="branching"), cpu),
+        Series("nvlink-branching", TpchQ6(ibm, variant="branching")),
+        Series("nvlink-predicated", TpchQ6(ibm, variant="predicated")),
+        Series("pcie-branching",
+               TpchQ6(intel, variant="branching", transfer_method="zero_copy")),
+        Series("pcie-predicated",
+               TpchQ6(intel, variant="predicated", transfer_method="zero_copy")),
     ]
+    q6 = TpchQ6(ibm)
     for sf in scale_factors:
-        workload = lineitem_q6(scale_factor=sf, scale=scale)
-        result.add(f"SF{sf}", **_series(ibm, workload, configs))
+        # An execution holds its table's columns: none outlives its row.
+        lineitem = lineitem_q6(scale_factor=sf, scale=scale)
+        results = price_series(q6.execute(lineitem), (lineitem,), series)
+        result.add(f"SF{sf}", **throughputs(results))
     return result
-
-
-def _series(ibm, workload, configs) -> Dict[str, float]:
-    """One row: every configuration priced from one execution."""
-    execution = TpchQ6(ibm).execute(workload)
-    values = {}
-    for series, machine, proc, variant, method in configs:
-        op = TpchQ6(machine, variant=variant, transfer_method=method)
-        # Allocate lineitem as the transfer method requires (Table 1).
-        wl = workload.placed(
-            workload.location, kind=get_method(method).required_kind
-        )
-        values[series] = op.price(execution, wl, processor=proc).throughput_gtuples
-    return values

@@ -83,8 +83,8 @@ def run(scale: float = 2.0**-13, probe_millions=PROBE_MILLIONS) -> FigureResult:
         for millions in group:
             wl = _probing(workload, millions)
             rows[millions] = throughputs({
-                **price_series(nopa, wl, gpu_series),
-                **price_series(radix_execution, wl, [Series("cpu-pra", radix)]),
+                **price_series(nopa, (wl.r, wl.s), gpu_series),
+                **price_series(radix_execution, (wl.r, wl.s), [Series("cpu-pra", radix)]),
             })
     for millions in probe_millions:
         result.add(f"{millions}M", **rows[millions])

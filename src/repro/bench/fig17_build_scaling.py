@@ -78,7 +78,7 @@ def run(scale: float = 2.0**-13, tuple_millions=TUPLE_MILLIONS) -> FigureResult:
     for millions in tuple_millions:
         workload = workload_ratio(1, scale=scale, modeled_r=millions * 10**6)
         execution = hybrid.execute(workload.r, workload.s)
-        values = throughputs(price_series(execution, workload, series))
+        values = throughputs(price_series(execution, (workload.r, workload.s), series))
         values["cpu-pra"] = (
             RadixJoin(ibm).run(workload.r, workload.s).throughput_gtuples
         )

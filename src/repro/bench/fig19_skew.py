@@ -92,8 +92,9 @@ def run(
             })
             for name, machine, method in links
         ]
-        execution = cpu.execute(workload.r, workload.s)
-        result.add(f"zipf={exponent}", **throughputs(price_series(execution, workload, series)))
+        inputs = (workload.r, workload.s)
+        execution = cpu.execute(*inputs)
+        result.add(f"zipf={exponent}", **throughputs(price_series(execution, inputs, series)))
     return result
 
 
@@ -121,8 +122,9 @@ def run_splits(
         })
         for split in splits
     ]
-    execution = join.execute(workload.r, workload.s)
-    for label, throughput in throughputs(price_series(execution, workload, series)).items():
+    inputs = (workload.r, workload.s)
+    results = price_series(join.execute(*inputs), inputs, series)
+    for label, throughput in throughputs(results).items():
         result.add(label, nvlink2=throughput)
     return result
 

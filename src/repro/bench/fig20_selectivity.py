@@ -78,7 +78,7 @@ def run(
         workload = workload_selectivity(selectivity, scale=scale)
         execution = cpu.execute(workload.r, workload.s)
         values = {}
-        for name, res in price_series(execution, workload, series).items():
+        for name, res in price_series(execution, (workload.r, workload.s), series).items():
             values[name] = res.throughput_gtuples
             if name == "nvlink2-gpu-ht":
                 values["value_lines_loaded_pct"] = 100.0 * res.payload_lines_loaded

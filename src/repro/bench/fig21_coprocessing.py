@@ -82,8 +82,9 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         "C": workload_c(scale=scale),
     }
     for name, workload in workloads.items():
-        execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-        result.add(name, **throughputs(price_series(execution, workload, _series(machine))))
+        inputs = (workload.r, workload.s)
+        execution = NoPartitioningJoin(machine).execute(*inputs)
+        result.add(name, **throughputs(price_series(execution, inputs, _series(machine))))
     return result
 
 
@@ -101,8 +102,9 @@ def run_phases(scale: float = 2.0**-12) -> FigureResult:
         ),
     )
     machine, workload = ibm_ac922(), workload_c(scale=scale)
-    execution = NoPartitioningJoin(machine).execute(workload.r, workload.s)
-    for strategy, res in price_series(execution, workload, _series(machine)).items():
+    inputs = (workload.r, workload.s)
+    execution = NoPartitioningJoin(machine).execute(*inputs)
+    for strategy, res in price_series(execution, inputs, _series(machine)).items():
         result.add(strategy, build=res.build_cost.seconds, probe=res.probe_cost.seconds)
     return result
 

@@ -59,14 +59,14 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         Series("replicated", MultiGpuJoin(machine, placement="replicated")),
         interleaved,
     )
-    result.add("A (2 GiB table)", **throughputs(price_series(execution, wl, series)))
+    result.add("A (2 GiB table)", **throughputs(price_series(execution, (wl.r, wl.s), series)))
 
     # Large table (24 GiB): exceeds one GPU; interleaving over two GPUs
     # keeps it in GPU memory where the single GPU must spill.
     big = workload_ratio(1, scale=2.0**-13, modeled_r=2048 * 10**6)
     execution = hybrid.execute(big.r, big.s)
     series = (Series("gpu", one_gpu), Series("one-gpu", hybrid), interleaved)
-    results = price_series(execution, big, series)
+    results = price_series(execution, (big.r, big.s), series)
     if "gpu" in results:
         raise AssertionError("32 GiB table unexpectedly fit one GPU")
     result.add("C 2048M (32 GiB table)", **throughputs(results))
@@ -78,5 +78,5 @@ def run(scale: float = 2.0**-12) -> FigureResult:
         Series(f"{count}-gpus", four_gpu, {"workers": tuple(f"gpu{i}" for i in range(count))})
         for count in (2, 4)
     ]
-    result.add("C 2048M scaling", **throughputs(price_series(execution, big, series)))
+    result.add("C 2048M scaling", **throughputs(price_series(execution, (big.r, big.s), series)))
     return result

@@ -78,12 +78,12 @@ def _anchors(calibration: Calibration, machine, executed) -> Dict[str, float]:
     gpu = NoPartitioningJoin(machine, calibration=calibration)
     cpu = NoPartitioningJoin(machine, hash_table_placement="cpu", calibration=calibration)
     (wl_a, run_a), (wl_ratio, run_ratio) = executed
-    a = throughputs(price_series(run_a, wl_a, (
+    a = throughputs(price_series(run_a, (wl_a.r, wl_a.s), (
         Series("fig12-coherence", gpu),
         Series("fig14-cpu-table", cpu),
         Series("fig21-cpu-only", cpu, {"processor": "cpu0"}),
     )))
-    ratio = price_series(run_ratio, wl_ratio, (Series("fig18-build-share", gpu),))
+    ratio = price_series(run_ratio, (wl_ratio.r, wl_ratio.s), (Series("fig18-build-share", gpu),))
     return {
         "fig12-coherence": a["fig12-coherence"],
         "fig18-build-share": 100.0 * ratio["fig18-build-share"].build_fraction,

@@ -21,7 +21,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.core.ops.scan import Predicate, ScanExecution, ScanResult, SelectionScan
+from repro.core.ops.scan import Predicate, SelectionScan
 from repro.exec import DEFAULT_EXEC_MORSEL_TUPLES, DEFAULT_WORKERS
 from repro.hardware.topology import Machine
 from repro.obs import Observability
@@ -31,7 +31,6 @@ from repro.workloads.tpch import (
     Q6_QUANTITY_LT,
     Q6_SHIPDATE_HI,
     Q6_SHIPDATE_LO,
-    Q6Workload,
 )
 
 #: the cascade in Q6's order: shipdate, discount, quantity.
@@ -62,12 +61,13 @@ def revenue(rows: Dict[str, np.ndarray]) -> float:
 
 
 class TpchQ6(SelectionScan):
-    """Q6 operator with branching and predicated variants.
+    """Q6 operator with branching and predicated variants over the
+    ``lineitem`` table :func:`repro.workloads.tpch.lineitem_q6` returns.
 
     ``backend`` selects how the predicate cascade executes on the host:
-    ``serial`` | ``threads``.  The masks are merged by morsel order, so
-    the revenue (``aggregate``) and every priced manifest are identical
-    across backends and worker counts.
+    ``None`` (the host tier) | ``serial`` | ``threads``.  The masks are
+    merged by morsel order, so the revenue (``aggregate``) and every
+    priced manifest are identical across backends and worker counts.
     """
 
     label = "q6"
@@ -79,7 +79,7 @@ class TpchQ6(SelectionScan):
         transfer_method: str = "coherence",
         calibration: Calibration = DEFAULT_CALIBRATION,
         obs: Optional[Observability] = None,
-        backend: str = "serial",
+        backend: Optional[str] = None,
         workers: int = DEFAULT_WORKERS,
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
     ) -> None:
@@ -87,32 +87,3 @@ class TpchQ6(SelectionScan):
             machine, PREDICATES, ["l_extendedprice"], revenue, variant,
             transfer_method, calibration, obs, backend, workers, exec_morsel_tuples,
         )
-
-    def execute(self, workload: Q6Workload) -> ScanExecution:  # type: ignore[override]
-        """Evaluate the cascade and the revenue on lineitem's columns."""
-        return super().execute(workload.columns())
-
-    def price(  # type: ignore[override]
-        self, execution: ScanExecution, workload: Q6Workload, processor: str = "gpu0"
-    ) -> ScanResult:
-        """Price one execution of ``workload`` as this variant, at its
-        modeled rows, location and memory kind.
-
-        Raises:
-            ValueError: if ``execution`` read other columns than
-                ``workload`` holds.
-        """
-        return super().price(
-            execution,
-            workload.columns(),
-            processor,
-            location=workload.location,
-            modeled_rows=workload.modeled_rows,
-            kind=workload.kind,
-        )
-
-    def run(  # type: ignore[override]
-        self, workload: Q6Workload, processor: str = "gpu0"
-    ) -> ScanResult:
-        """Execute Q6 functionally and price it."""
-        return self.price(self.execute(workload), workload, processor)

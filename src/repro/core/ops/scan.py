@@ -9,37 +9,38 @@ clusterings) to explore when branching pays.
 
 Like the join facades, a scan executes once and prices per
 configuration: :meth:`SelectionScan.execute` evaluates the cascade and
-the aggregate on the real columns, and :meth:`SelectionScan.price`
-prices that execution as the scan's variant on any machine.
+the aggregate on a :class:`~repro.data.relation.ColumnTable`'s real
+columns, and :meth:`SelectionScan.price` prices that execution as the
+scan's variant on any machine, at the table's modeled rows, location
+and memory kind.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.ops.selection import selection_line_fractions
-from repro.data.relation import Column, check_same_columns, read_column
+from repro.data.relation import Column, ColumnTable, check_same_columns, read_column
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
     check_backend,
+    exec_tier,
     execute_masks,
     make_executor,
 )
-from repro.hardware.memory import MemoryKind
 from repro.hardware.topology import Machine
 from repro.logical.algebra import scan
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import ScanStats
 from repro.obs import Observability
 from repro.plan import PlanExecutor
-from repro.transfer.methods import get_method
 
 VARIANTS = ("branching", "predicated")
 
@@ -105,9 +106,11 @@ class SelectionScan:
             rows (the aggregate inputs).
         aggregate: function from the surviving rows of every column the
             scan reads (predicate and aggregate columns) to a float.
-        backend: ``serial`` | ``threads`` — host execution of the
-            cascade; results and priced manifests are identical across
-            backends and worker counts.
+        backend: ``None`` | ``serial`` | ``threads`` — host execution
+            of the cascade.  ``None`` (the default) runs the host tier
+            of the executed rows (:func:`repro.exec.host_tier`) with its
+            threads capped at the usable CPUs; results and priced
+            manifests are identical across backends and worker counts.
     """
 
     #: names the host executor and the priced plan.
@@ -123,7 +126,7 @@ class SelectionScan:
         transfer_method: str = "coherence",
         calibration: Calibration = DEFAULT_CALIBRATION,
         obs: Optional[Observability] = None,
-        backend: str = "serial",
+        backend: Optional[str] = None,
         workers: int = DEFAULT_WORKERS,
         exec_morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
     ) -> None:
@@ -142,7 +145,7 @@ class SelectionScan:
         self.calibration = calibration
         self.obs = obs if obs is not None else Observability.create()
         self.cost_model = CostModel(machine, calibration, obs=self.obs)
-        self.backend = check_backend(backend)
+        self.backend = None if backend is None else check_backend(backend)
         self.workers = workers
         self.exec_morsel_tuples = exec_morsel_tuples
         self.last_executor = None
@@ -151,33 +154,35 @@ class SelectionScan:
         self.reads = [p.column for p in self.predicates] + self.aggregate_columns
 
     # ------------------------------------------------------------------
-    def _read_columns(self, columns: Mapping[str, Column]) -> Dict[str, Column]:
-        """The columns the scan reads, as given (arrays or deferred)."""
+    def _read_columns(self, table: ColumnTable) -> Dict[str, Column]:
+        """The columns the scan reads, as ``table`` holds them (arrays or
+        deferred)."""
+        columns = table.columns()
         missing = [name for name in self.reads if name not in columns]
         if missing:
             raise KeyError(f"missing columns: {', '.join(missing)}")
-        read = {name: columns[name] for name in self.reads}
-        if len({len(column) for column in read.values()}) != 1:
-            raise ValueError("ragged input columns")
-        return read
+        return {name: columns[name] for name in self.reads}
 
-    def execute(self, columns: Mapping[str, Column]) -> ScanExecution:
-        """Evaluate the predicate cascade and the aggregate on the real
-        columns.  Both variants compute the same answer, so one
-        execution prices either on any machine."""
-        read = self._read_columns(columns)
+    def execute(self, table: ColumnTable) -> ScanExecution:
+        """Evaluate the predicate cascade and the aggregate on the
+        table's real columns.  Both variants compute the same answer, so
+        one execution prices either on any machine."""
+        read = self._read_columns(table)
         arrays = {name: read_column(column) for name, column in read.items()}
+        backend, workers = exec_tier(self.backend, self.workers, table.executed_rows)
         executor = make_executor(
-            self.backend, self.workers, self.exec_morsel_tuples, name=self.label
+            backend,
+            workers,
+            self.exec_morsel_tuples,
+            name=self.label,
+            cap_workers=self.backend is None,
         )
         self.last_executor = executor
         evaluators = [
             (lambda lo, hi, p=p: p.evaluate(arrays[p.column][lo:hi]))
             for p in self.predicates
         ]
-        masks = execute_masks(
-            len(arrays[self.predicates[0].column]), evaluators, executor
-        )
+        masks = execute_masks(table.executed_rows, evaluators, executor)
         # No survivors mask outlives this line: the line fractions below
         # hold their own cascade temporaries.
         rows = np.flatnonzero(functools.reduce(np.logical_and, masks))
@@ -215,68 +220,46 @@ class SelectionScan:
         )
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        columns: Mapping[str, Column],
-        processor: str = "gpu0",
-        location: str = "cpu0-mem",
-        modeled_rows: Optional[int] = None,
-        kind: Optional[MemoryKind] = None,
-    ) -> ScanResult:
+    def run(self, table: ColumnTable, processor: str = "gpu0") -> ScanResult:
         """Execute the scan functionally and price it."""
-        execution = self.execute(columns)
-        return self.price(execution, columns, processor, location, modeled_rows, kind)
+        return self.price(self.execute(table), table, processor)
 
     def price(
-        self,
-        execution: ScanExecution,
-        columns: Mapping[str, Column],
-        processor: str = "gpu0",
-        location: str = "cpu0-mem",
-        modeled_rows: Optional[int] = None,
-        kind: Optional[MemoryKind] = None,
+        self, execution: ScanExecution, table: ColumnTable, processor: str = "gpu0"
     ) -> ScanResult:
-        """Price one execution of ``columns`` as this variant.
-
-        ``modeled_rows`` defaults to the executed row count.  ``kind`` is
-        the source columns' memory kind; when given, the transfer
-        method's Table-1 kind requirement is enforced.
+        """Price one execution of ``table`` as this variant, at the
+        table's modeled rows, location and memory kind (which the
+        transfer method's Table-1 kind requirement checks).
 
         Raises:
             ValueError: if ``execution`` read other columns.
-            LogicalError: if ``modeled_rows`` is below the executed rows.
         """
-        read = self._read_columns(columns)
+        read = self._read_columns(table)
         check_same_columns(execution.columns, read)
-        executed_rows = len(next(iter(read.values())))
-        if modeled_rows is None:
-            modeled_rows = executed_rows
         fractions = self._line_fractions(execution)
+        backend, workers = exec_tier(self.backend, self.workers, table.executed_rows)
         config = PhysicalConfig(
             strategy="single",
             processor=processor,
             transfer_method=self.transfer_method,
             variant=self.variant,
-            backend=self.backend,
-            exec_workers=self.workers,
+            backend=backend,
+            exec_workers=workers,
             label=self.label,
         )
-        if kind is None:
-            # Unspecified source kind: assume it was allocated as the
-            # transfer method requires (route-only validation).
-            kind = get_method(self.transfer_method).required_kind
         # The cascade's predicates are opaque row-mask callables the
         # algebra cannot express, so the logical plan is the bare scan
         # of the cascade's column reads (a column read by a predicate
         # and again by the aggregate is loaded twice) under a count;
         # pricing takes the measured per-read line fractions.
-        query = scan(
+        reads = ColumnTable(
+            "columns",
             {f"{i}:{name}": read[name] for i, name in enumerate(self.reads)},
-            name="columns",
-            modeled_rows=modeled_rows,
-            location=location,
-            kind=kind,
-        ).aggregate(rows=("*", "count"))
+            table.modeled_rows,
+            table.location,
+            table.kind,
+        )
+        query = scan(reads).aggregate(rows=("*", "count"))
         plan = compile_query(
             query, config, self.cost_model, ScanStats(tuple(fractions))
         )
@@ -285,10 +268,12 @@ class SelectionScan:
             aggregate=execution.aggregate,
             qualifying_rows=execution.qualifying_rows,
             selectivity=(
-                execution.qualifying_rows / executed_rows if executed_rows else 0.0
+                execution.qualifying_rows / table.executed_rows
+                if table.executed_rows
+                else 0.0
             ),
             cost=cost,
-            modeled_rows=modeled_rows,
+            modeled_rows=table.modeled_rows,
             column_line_fractions=fractions,
             variant=self.variant,
             processor=processor,

@@ -1,5 +1,5 @@
-"""Column-oriented relations and morsels (the functional data layer)."""
+"""Column-oriented relations and tables (the functional data layer)."""
 
-from repro.data.relation import Morsel, Relation
+from repro.data.relation import ColumnTable, Relation
 
-__all__ = ["Morsel", "Relation"]
+__all__ = ["ColumnTable", "Relation"]

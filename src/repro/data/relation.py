@@ -1,11 +1,13 @@
-"""Column-oriented relations with dual cardinality.
+"""Column-oriented relations and tables with dual cardinality.
 
-A relation knows its shape — executed row count, column dtypes, modeled
+A :class:`Relation` is a join input (key and payload columns); a
+:class:`ColumnTable` is any set of named columns (TPC-H lineitem).
+Either knows its shape — executed row count, column dtypes, modeled
 cardinality, location and memory kind — without its arrays.  Planning
 prices from that shape alone; only the functional layer reads the numpy
-columns.  A generated relation holds deferred columns whose arrays are
-produced on that first read (:class:`DeferredColumns`); a relation
-built from arrays holds them from the start.
+columns.  A generated table holds deferred columns whose arrays are
+produced on that first read (:class:`DeferredColumns`); a table built
+from arrays holds them from the start.
 
 The *modeled* cardinality is the paper-scale tuple count that the cost
 model prices.  All operators in this library generate traffic that is
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -240,7 +242,7 @@ class Relation:
         return self.modeled_tuples / self.executed_tuples
 
     # ------------------------------------------------------------------
-    # Placement and slicing
+    # Placement
     # ------------------------------------------------------------------
     def placed(self, location: str, kind: Optional[MemoryKind] = None) -> "Relation":
         """A view of this relation placed in another memory region."""
@@ -253,26 +255,6 @@ class Relation:
             kind or self.kind,
         )
 
-    def slice(self, part: slice) -> "Relation":
-        """A zero-copy view of a tuple range (used by morsel dispatch)."""
-        key = self.key[part]
-        return Relation(
-            name=self.name,
-            key=key,
-            payload=self.payload[part],
-            modeled_tuples=max(1, len(key)),
-            location=self.location,
-            kind=self.kind,
-        )
-
-    def morsels(self, morsel_tuples: int) -> Iterator["Morsel"]:
-        """Fixed-size morsels over the executed tuples (Section 6.1)."""
-        if morsel_tuples <= 0:
-            raise ValueError(f"morsel size must be positive: {morsel_tuples}")
-        for start in range(0, self.executed_tuples, morsel_tuples):
-            end = min(start + morsel_tuples, self.executed_tuples)
-            yield Morsel(relation=self, start=start, end=end)
-
     def __repr__(self) -> str:
         return (
             f"Relation({self.name}: {self.executed_tuples} executed / "
@@ -281,29 +263,76 @@ class Relation:
         )
 
 
-@dataclass(frozen=True)
-class Morsel:
-    """A fixed-size chunk of a relation handed out by the dispatcher."""
+class ColumnTable:
+    """Named columns plus modeled rows, location and memory kind: a base
+    table such as TPC-H lineitem, as a selection scan and the logical
+    algebra read it.
 
-    relation: Relation
-    start: int
-    end: int
+    Columns are given as arrays or as deferred columns; :meth:`columns`
+    returns them as held and ``table[name]`` reads one.  The row count,
+    dtypes, location and kind are known without reading a column.  The
+    constructor is the one check of a table's shape: at least one
+    one-dimensional column, all of one length, and modeled rows (which
+    default to that length) not below it.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start <= self.end <= self.relation.executed_tuples:
+    def __init__(
+        self,
+        name: str,
+        columns: Mapping[str, Column],
+        modeled_rows: Optional[int] = None,
+        location: str = "cpu0-mem",
+        kind: MemoryKind = MemoryKind.PAGEABLE,
+    ) -> None:
+        columns = dict(columns)
+        if not columns:
+            raise ValueError(f"table {name!r} needs at least one column")
+        if any(column.ndim != 1 for column in columns.values()):
+            raise ValueError(f"columns of table {name!r} must be one-dimensional")
+        lengths = sorted({len(column) for column in columns.values()})
+        if len(lengths) != 1:
+            raise ValueError(f"ragged columns in table {name!r}: lengths {lengths}")
+        executed_rows = lengths[0]
+        if modeled_rows is None:
+            modeled_rows = executed_rows
+        if modeled_rows < executed_rows:
             raise ValueError(
-                f"morsel [{self.start}, {self.end}) out of bounds for "
-                f"{self.relation.executed_tuples} tuples"
+                f"modeled cardinality {modeled_rows} below executed "
+                f"cardinality {executed_rows} in table {name!r}"
             )
+        self.name = name
+        self._columns = columns
+        self.executed_rows = executed_rows
+        self.modeled_rows = int(modeled_rows)
+        self.location = location
+        self.kind = kind
+
+    def columns(self) -> Dict[str, Column]:
+        """The columns by name, as held: arrays, or deferred columns not
+        yet read."""
+        return dict(self._columns)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        """The array of column ``name`` (generating it if deferred)."""
+        return read_column(self._columns[name])
 
     @property
-    def tuples(self) -> int:
-        return self.end - self.start
+    def model_factor(self) -> float:
+        """Multiplier from executed traffic to modeled traffic."""
+        if self.executed_rows == 0:
+            return 1.0
+        return self.modeled_rows / self.executed_rows
 
     @property
-    def keys(self) -> np.ndarray:
-        return self.relation.key[self.start : self.end]
+    def modeled_bytes(self) -> int:
+        return self.modeled_rows * sum(
+            column.dtype.itemsize for column in self._columns.values()
+        )
 
-    @property
-    def payloads(self) -> np.ndarray:
-        return self.relation.payload[self.start : self.end]
+    def placed(
+        self, location: str, kind: Optional[MemoryKind] = None
+    ) -> "ColumnTable":
+        """The same columns placed in another memory region or kind."""
+        return ColumnTable(
+            self.name, self._columns, self.modeled_rows, location, kind or self.kind
+        )

@@ -18,14 +18,10 @@ query fails where it is written, not deep inside the compiler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.data.relation import Column, Relation
+from repro.data.relation import Column, ColumnTable, Relation
 from repro.hardware.memory import MemoryKind
-
-Batch = Dict[str, np.ndarray]
 
 #: aggregate functions the algebra accepts.
 AGGREGATE_FUNCTIONS = ("sum", "min", "max", "count", "mean")
@@ -43,28 +39,21 @@ class LogicalError(ValueError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Expr:
-    """A scalar expression over a batch: callable + referenced columns."""
+    """A scalar expression: the columns it references and its label.
+    Pricing reads only what an expression touches, never its value."""
 
-    fn: Callable[[Batch], np.ndarray]
     refs: Tuple[str, ...]
     label: str = ""
-
-    def __call__(self, batch: Batch) -> np.ndarray:
-        return self.fn(batch)
 
 
 def column(name: str) -> Expr:
     """The identity expression for one column."""
-    return Expr(lambda batch: batch[name], (name,), name)
+    return Expr((name,), name)
 
 
-def mul(a: str, b: str, dtype: Any = np.float64) -> Expr:
-    """``a * b`` with both columns widened to ``dtype`` first."""
-    return Expr(
-        lambda batch: batch[a].astype(dtype) * batch[b].astype(dtype),
-        (a, b),
-        f"{a} * {b}",
-    )
+def mul(a: str, b: str) -> Expr:
+    """``a * b``."""
+    return Expr((a, b), f"{a} * {b}")
 
 
 @dataclass(frozen=True)
@@ -99,20 +88,6 @@ class Predicate:
             raise LogicalError(
                 f"selectivity hint must be in [0, 1], got {self.selectivity}"
             )
-
-    def mask(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate to a boolean mask over one column array."""
-        if self.op == "ge":
-            return values >= self.value
-        if self.op == "gt":
-            return values > self.value
-        if self.op == "lt":
-            return values < self.value
-        if self.op == "le":
-            return values <= self.value
-        if self.op == "eq":
-            return values == self.value
-        return (values >= self.value) & (values <= self.high)
 
     def describe(self) -> str:
         """Render the comparison (or the explicit label if one is set)."""
@@ -161,74 +136,33 @@ class LogicalNode:
 
 
 class Scan(LogicalNode):
-    """A base-table scan.
+    """A base-table scan of a :class:`Relation` (exposed as its
+    ``key``/``payload`` columns) or a :class:`ColumnTable`.
 
-    Accepts a :class:`Relation` (exposed as ``key``/``payload``
-    columns), any object with ``columns() -> dict`` plus
-    ``modeled_rows``/``location``/``kind`` attributes (e.g.
-    :class:`repro.workloads.tpch.Q6Workload`), or a plain dict of
-    equal-length columns.  A column is a numpy array or a
-    :class:`~repro.data.relation.DeferredColumn`: the scan takes its
-    schema, widths and row count from the columns as given and never
-    reads them.
+    The scan takes its schema, widths, row counts, location and kind
+    from the table as given and never reads a column; the table checked
+    its own shape when it was built.  ``name`` overrides the table's.
     """
 
-    def __init__(
-        self,
-        source: Any,
-        name: str = "",
-        modeled_rows: Optional[int] = None,
-        location: Optional[str] = None,
-        kind: Optional[MemoryKind] = None,
-    ) -> None:
-        self.source = source
-        self.relation: Optional[Relation] = None
+    def __init__(self, source: Union[Relation, ColumnTable], name: str = "") -> None:
         if isinstance(source, Relation):
-            self.relation = source
-            columns: Dict[str, Column] = source.columns()
-            name = name or source.name
-            modeled_rows = (
-                modeled_rows if modeled_rows is not None
-                else source.modeled_tuples
-            )
-            location = location or source.location
-            kind = kind or source.kind
-        elif hasattr(source, "columns") and callable(source.columns):
-            columns = dict(source.columns())
-            modeled_rows = (
-                modeled_rows if modeled_rows is not None
-                else getattr(source, "modeled_rows", None)
-            )
-            location = location or getattr(source, "location", None)
-            kind = kind or getattr(source, "kind", None)
-        elif isinstance(source, Mapping):
-            columns = dict(source)
+            self.relation: Optional[Relation] = source
+            self.executed_rows = source.executed_tuples
+            self.modeled_rows = source.modeled_tuples
+        elif isinstance(source, ColumnTable):
+            self.relation = None
+            self.executed_rows = source.executed_rows
+            self.modeled_rows = source.modeled_rows
         else:
             raise LogicalError(
-                f"scan source must be a Relation, a columns() provider, or "
-                f"a dict of columns, got {type(source).__name__}"
+                f"scan source must be a Relation or a ColumnTable, "
+                f"got {type(source).__name__}"
             )
-        if not columns:
-            raise LogicalError("scan needs at least one column")
-        lengths = {len(col) for col in columns.values()}
-        if len(lengths) != 1:
-            raise LogicalError(
-                f"ragged scan columns: lengths {sorted(lengths)}"
-            )
-        self._columns = columns
-        self.name = name or "scan"
-        self.executed_rows = lengths.pop()
-        self.modeled_rows = (
-            int(modeled_rows) if modeled_rows is not None
-            else self.executed_rows
-        )
-        if self.modeled_rows < self.executed_rows:
-            raise LogicalError(
-                f"modeled cardinality {self.modeled_rows} below executed "
-                f"cardinality {self.executed_rows} in scan {self.name!r}"
-            )
-        self.location = location or "cpu0-mem"
-        self.kind = kind if kind is not None else MemoryKind.PAGEABLE
+        self.source = source
+        self._columns: Dict[str, Column] = source.columns()
+        self.name = name or source.name
+        self.location = source.location
+        self.kind = source.kind
 
     def schema(self) -> Tuple[str, ...]:
         return tuple(self._columns)
@@ -418,7 +352,7 @@ class Query:
 
     Example (TPC-H Q6 shape)::
 
-        q = (scan(workload, name="lineitem")
+        q = (scan(lineitem)
              .filter(ge("shipdate", lo), lt("shipdate", hi))
              .project(revenue=mul("extendedprice", "discount"))
              .aggregate(revenue=("revenue", "sum")))
@@ -496,19 +430,27 @@ class Query:
 
 
 def scan(
-    source: Any,
+    source: Union[Relation, ColumnTable, Mapping[str, Column]],
     name: str = "",
     modeled_rows: Optional[int] = None,
-    location: Optional[str] = None,
-    kind: Optional[MemoryKind] = None,
+    location: str = "cpu0-mem",
+    kind: MemoryKind = MemoryKind.PAGEABLE,
 ) -> Query:
-    """Start a query from a base table (see :class:`Scan`)."""
-    return Query(
-        Scan(
-            source,
-            name=name,
-            modeled_rows=modeled_rows,
-            location=location,
-            kind=kind,
+    """Start a query from a base table (see :class:`Scan`).
+
+    A dict of columns becomes a :class:`ColumnTable` named ``name`` with
+    the given modeled rows, location and kind; a :class:`Relation` or a
+    :class:`ColumnTable` carries its own, and giving any of them beside
+    it is an error.
+    """
+    if isinstance(source, Mapping):
+        try:
+            source = ColumnTable(name or "scan", source, modeled_rows, location, kind)
+        except ValueError as error:
+            raise LogicalError(str(error)) from None
+    elif (modeled_rows, location, kind) != (None, "cpu0-mem", MemoryKind.PAGEABLE):
+        raise LogicalError(
+            f"{type(source).__name__} {source.name!r} carries its own modeled "
+            "rows, location and kind; place it instead"
         )
-    )
+    return Query(Scan(source, name=name))

@@ -94,7 +94,7 @@ def _q6_query() -> Query:
     discount band ~27%, the quantity cut ~48%.
     """
     return (
-        scan(lineitem_q6(Q6_SCALE_FACTOR), name="lineitem")
+        scan(lineitem_q6(Q6_SCALE_FACTOR))
         .filter(
             ge(
                 "l_shipdate",

@@ -222,11 +222,11 @@ class OptimizerResult:
 # ----------------------------------------------------------------------
 def _rekind_join(shape: JoinShape, kind) -> Tuple[Query, Relation, Relation]:
     """Rebuild the query with both relations reallocated to ``kind``
-    (the optimizer's analogue of ``JoinWorkload.placed_for``)."""
+    (the optimizer's analogue of ``repro.transfer.methods.placed_for``)."""
     r = shape.build.relation.placed(shape.build.relation.location, kind=kind)
     s = shape.probe.relation.placed(shape.probe.relation.location, kind=kind)
-    build = Scan(r, name=shape.build.name, modeled_rows=shape.build.modeled_rows)
-    probe = Scan(s, name=shape.probe.name, modeled_rows=shape.probe.modeled_rows)
+    build = Scan(r, name=shape.build.name)
+    probe = Scan(s, name=shape.probe.name)
     join = HashJoin(
         build,
         probe,

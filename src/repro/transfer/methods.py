@@ -16,7 +16,7 @@ numbers behind the calibration constants are Figure 12's measurements.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, TypeVar
 
 from repro.costmodel.access import Stream, seq_stream
 from repro.costmodel.calibration import Calibration
@@ -24,6 +24,9 @@ from repro.costmodel.model import CostModel
 from repro.faults.runtime import active_plan
 from repro.hardware.memory import MemoryKind
 from repro.hardware.topology import Machine
+
+if TYPE_CHECKING:
+    from repro.data.relation import ColumnTable, Relation
 
 
 class UnsupportedTransferError(RuntimeError):
@@ -354,3 +357,21 @@ def get_method(name: str) -> TransferMethod:
         raise UnsupportedTransferError(
             f"unknown transfer method {name!r}; valid: {valid}"
         ) from None
+
+
+TableT = TypeVar("TableT", "Relation", "ColumnTable")
+
+
+def placed_for(
+    table: TableT, transfer_method: str, location: Optional[str] = None
+) -> TableT:
+    """``table`` allocated as ``transfer_method`` requires (Table 1).
+
+    Each method ties its source to a memory kind (Zero-Copy needs pinned
+    pages, the UM methods unified allocations) and the cost model
+    enforces it, so a sweep over methods re-allocates its inputs between
+    series, as the paper's harness does.  ``location`` moves the table
+    too (``None``: it stays where it is).
+    """
+    kind = get_method(transfer_method).required_kind
+    return table.placed(location or table.location, kind=kind)

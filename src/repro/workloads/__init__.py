@@ -20,7 +20,7 @@ from repro.workloads.custom import (
     inspect_build_keys,
     make_join_workload,
 )
-from repro.workloads.tpch import Q6_PREDICATE, Q6Workload, lineitem_q6
+from repro.workloads.tpch import Q6_PREDICATE, lineitem_q6
 from repro.workloads.validation import assert_valid, validate_workload
 from repro.workloads.zipf import empirical_hot_mass, zipf_ranks
 
@@ -33,7 +33,6 @@ __all__ = [
     "workload_selectivity",
     "workload_skewed",
     "Q6_PREDICATE",
-    "Q6Workload",
     "lineitem_q6",
     "SchemeRecommendation",
     "inspect_build_keys",

@@ -57,14 +57,6 @@ class JoinWorkload:
     selectivity: float = 1.0
     description: str = ""
 
-    @property
-    def total_modeled_tuples(self) -> int:
-        return self.r.modeled_tuples + self.s.modeled_tuples
-
-    @property
-    def total_modeled_bytes(self) -> int:
-        return self.r.modeled_bytes + self.s.modeled_bytes
-
     def hot_set_profile(self) -> Optional[HotSetProfile]:
         """Skew profile of probe accesses at *modeled* scale (Figure 19)."""
         if self.zipf_exponent <= 0:
@@ -74,21 +66,14 @@ class JoinWorkload:
     def placed_for(
         self, transfer_method: str, location: Optional[str] = None
     ) -> "JoinWorkload":
-        """Copy with both relations allocated as the method requires.
+        """Copy with both relations allocated as the method requires
+        (:func:`repro.transfer.methods.placed_for`)."""
+        from repro.transfer.methods import placed_for
 
-        Table 1 ties each transfer method to a memory kind (Zero-Copy
-        needs pinned pages, UM methods need unified allocations); the
-        cost model enforces that, so benchmarks sweeping methods must
-        reallocate their inputs accordingly — exactly what the paper's
-        harness does between measurement series.
-        """
-        from repro.transfer.methods import get_method
-
-        kind = get_method(transfer_method).required_kind
         return replace(
             self,
-            r=self.r.placed(location or self.r.location, kind=kind),
-            s=self.s.placed(location or self.s.location, kind=kind),
+            r=placed_for(self.r, transfer_method, location),
+            s=placed_for(self.s, transfer_method, location),
         )
 
 

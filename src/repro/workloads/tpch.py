@@ -23,20 +23,13 @@ Four 4-byte columns give 16 bytes/row: SF100 = 8.9 GiB, SF1000 =
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.data.relation import (
-    Column,
-    DeferredColumns,
-    executed_cardinality,
-    read_column,
-)
-from repro.hardware.memory import MemoryKind
+from repro.data.relation import ColumnTable, DeferredColumns, executed_cardinality
 
 ROWS_PER_SF = 6_000_000
-BYTES_PER_ROW = 16  # 4 columns x 4 bytes
 
 #: Days since 1992-01-01; shipdates span about seven years.
 SHIPDATE_DAYS = 7 * 365
@@ -52,85 +45,6 @@ Q6_PREDICATE = (
 )
 
 
-class Q6Workload:
-    """Lineitem columns plus modeled cardinality.
-
-    The four columns are given as arrays or as deferred columns (what
-    :func:`lineitem_q6` returns); reading a column attribute returns its
-    array.  The row count, dtypes, location and kind are known without
-    reading a column.
-    """
-
-    def __init__(
-        self,
-        shipdate: Column,  # int32 days since 1992-01-01
-        discount: Column,  # float32, {0.00, 0.01, ..., 0.10}
-        quantity: Column,  # int32 in [1, 50]
-        extendedprice: Column,  # float32
-        scale_factor: float,
-        modeled_rows: int,
-        location: str = "cpu0-mem",
-        kind: MemoryKind = MemoryKind.PAGEABLE,
-    ) -> None:
-        self._columns: Dict[str, Column] = {
-            "l_shipdate": shipdate,
-            "l_discount": discount,
-            "l_quantity": quantity,
-            "l_extendedprice": extendedprice,
-        }
-        self.scale_factor = scale_factor
-        self.modeled_rows = modeled_rows
-        self.location = location
-        self.kind = kind
-
-    @property
-    def shipdate(self) -> np.ndarray:
-        return read_column(self._columns["l_shipdate"])
-
-    @property
-    def discount(self) -> np.ndarray:
-        return read_column(self._columns["l_discount"])
-
-    @property
-    def quantity(self) -> np.ndarray:
-        return read_column(self._columns["l_quantity"])
-
-    @property
-    def extendedprice(self) -> np.ndarray:
-        return read_column(self._columns["l_extendedprice"])
-
-    @property
-    def executed_rows(self) -> int:
-        return len(self._columns["l_shipdate"])
-
-    @property
-    def modeled_bytes(self) -> int:
-        return self.modeled_rows * BYTES_PER_ROW
-
-    @property
-    def model_factor(self) -> float:
-        if self.executed_rows == 0:
-            return 1.0
-        return self.modeled_rows / self.executed_rows
-
-    def columns(self) -> Dict[str, Column]:
-        """The four lineitem columns, keyed by TPC-H name, as held:
-        arrays, or deferred columns not yet read."""
-        return dict(self._columns)
-
-    def placed(
-        self, location: str, kind: Optional[MemoryKind] = None
-    ) -> "Q6Workload":
-        """The same columns placed in another memory region or kind."""
-        return Q6Workload(
-            *self._columns.values(),
-            scale_factor=self.scale_factor,
-            modeled_rows=self.modeled_rows,
-            location=location,
-            kind=kind or self.kind,
-        )
-
-
 #: fewest executed rows, however small the scale.
 MIN_EXECUTED_ROWS = 4096
 
@@ -140,8 +54,9 @@ def lineitem_q6(
     scale: float = 2.0**-9,
     seed: int = 7,
     shipdate_jitter_days: int = 60,
-) -> Q6Workload:
-    """A Q6 lineitem table whose columns are generated on first read.
+) -> ColumnTable:
+    """The ``lineitem`` table Q6 reads, in pageable CPU memory, with
+    columns generated on first read.
 
     Args:
         scale_factor: TPC-H scale factor; modeled rows = 6M x SF.
@@ -167,13 +82,10 @@ def lineitem_q6(
         },
         lambda: _lineitem_columns(rows, seed, shipdate_jitter_days),
     )
-    return Q6Workload(
-        shipdate=columns.column("l_shipdate"),
-        discount=columns.column("l_discount"),
-        quantity=columns.column("l_quantity"),
-        extendedprice=columns.column("l_extendedprice"),
-        scale_factor=scale_factor,
-        modeled_rows=modeled_rows,
+    return ColumnTable(
+        "lineitem",
+        {name: columns.column(name) for name in columns.shapes},
+        modeled_rows,
     )
 
 

@@ -323,30 +323,12 @@ class TestRadix:
             RadixJoin(ibm).price(execution, wl.r, wl.s, processor="gpu0")
 
 
-class Q6Scan:
-    """Q6 stated as a bare :class:`SelectionScan` over lineitem's column
-    dict, behind the ``TpchQ6`` call shape."""
-
-    def __init__(self, machine, **kwargs):
-        self.scan = SelectionScan(
-            machine, q6.PREDICATES, ["l_extendedprice"], q6.revenue, **kwargs
-        )
-
-    def execute(self, lineitem):
-        return self.scan.execute(lineitem.columns())
-
-    def price(self, execution, lineitem, processor="gpu0"):
-        return self.scan.price(
-            execution,
-            lineitem.columns(),
-            processor,
-            lineitem.location,
-            lineitem.modeled_rows,
-            lineitem.kind,
-        )
-
-    def run(self, lineitem, processor="gpu0"):
-        return self.price(self.execute(lineitem), lineitem, processor)
+def q6_scan(machine, **kwargs):
+    """Q6 stated as a bare :class:`SelectionScan` with Q6's predicates
+    and revenue aggregate: it takes the same ``lineitem`` table."""
+    return SelectionScan(
+        machine, q6.PREDICATES, ["l_extendedprice"], q6.revenue, **kwargs
+    )
 
 
 class TestQ6:
@@ -397,7 +379,7 @@ class TestQ6:
 
 
 class TestQ6AsSelectionScan(TestQ6):
-    facade = Q6Scan
+    facade = staticmethod(q6_scan)
 
 
 #: executions per figure runner at small scale: one per distinct

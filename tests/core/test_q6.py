@@ -23,16 +23,16 @@ def workload():
 class TestFunctional:
     def test_revenue_matches_reference(self, ibm, workload):
         mask = (
-            (workload.shipdate >= Q6_SHIPDATE_LO)
-            & (workload.shipdate < Q6_SHIPDATE_HI)
-            & (workload.discount >= np.float32(Q6_DISCOUNT_LO - 1e-6))
-            & (workload.discount <= np.float32(Q6_DISCOUNT_HI + 1e-6))
-            & (workload.quantity < Q6_QUANTITY_LT)
+            (workload["l_shipdate"] >= Q6_SHIPDATE_LO)
+            & (workload["l_shipdate"] < Q6_SHIPDATE_HI)
+            & (workload["l_discount"] >= np.float32(Q6_DISCOUNT_LO - 1e-6))
+            & (workload["l_discount"] <= np.float32(Q6_DISCOUNT_HI + 1e-6))
+            & (workload["l_quantity"] < Q6_QUANTITY_LT)
         )
         expected = float(
             (
-                workload.extendedprice[mask].astype(np.float64)
-                * workload.discount[mask].astype(np.float64)
+                workload["l_extendedprice"][mask].astype(np.float64)
+                * workload["l_discount"][mask].astype(np.float64)
             ).sum()
         )
         res = TpchQ6(ibm, variant="predicated").run(workload, processor="cpu0")

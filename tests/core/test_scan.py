@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.ops.scan import Predicate, ScanResult, SelectionScan
-from repro.logical import LogicalError
+from repro.data.relation import ColumnTable
 
 
 def make_columns(n=50_000, clustered=True, seed=0):
@@ -18,6 +18,10 @@ def make_columns(n=50_000, clustered=True, seed=0):
         "b": rng.integers(0, 10, n).astype(np.int32),
         "x": rng.random(n).astype(np.float32),
     }
+
+
+def table(columns, modeled_rows=None):
+    return ColumnTable("columns", columns, modeled_rows)
 
 
 def make_scan(machine, variant="predicated", threshold=20):
@@ -36,7 +40,7 @@ def make_scan(machine, variant="predicated", threshold=20):
 class TestFunctional:
     def test_aggregate_matches_numpy(self, ibm):
         columns = make_columns()
-        res = make_scan(ibm).run(columns, processor="cpu0")
+        res = make_scan(ibm).run(table(columns), processor="cpu0")
         mask = (columns["a"] < 20) & (columns["b"] < 5)
         assert res.aggregate == pytest.approx(
             float(columns["x"][mask].astype(np.float64).sum())
@@ -45,25 +49,25 @@ class TestFunctional:
 
     def test_variants_agree_functionally(self, ibm):
         columns = make_columns()
-        branching = make_scan(ibm, "branching").run(columns)
-        predicated = make_scan(ibm, "predicated").run(columns)
+        branching = make_scan(ibm, "branching").run(table(columns))
+        predicated = make_scan(ibm, "predicated").run(table(columns))
         assert branching.aggregate == pytest.approx(predicated.aggregate)
 
     def test_empty_survivors(self, ibm):
         columns = make_columns()
-        res = make_scan(ibm, threshold=-1).run(columns)
+        res = make_scan(ibm, threshold=-1).run(table(columns))
         assert res.aggregate == 0.0
         assert res.qualifying_rows == 0
 
     def test_missing_column_rejected(self, ibm):
         with pytest.raises(KeyError):
-            make_scan(ibm).run({"a": np.arange(4, dtype=np.int32)})
+            make_scan(ibm).run(table({"a": np.arange(4, dtype=np.int32)}))
 
     def test_ragged_rejected(self, ibm):
         columns = make_columns(100)
         columns["x"] = columns["x"][:50]
-        with pytest.raises(ValueError):
-            make_scan(ibm).run(columns)
+        with pytest.raises(ValueError, match="ragged"):
+            make_scan(ibm).run(table(columns))
 
     def test_validation(self, ibm):
         with pytest.raises(ValueError):
@@ -76,10 +80,10 @@ class TestModel:
     def test_branching_loads_fewer_bytes_when_clustered(self, ibm):
         columns = make_columns(clustered=True)
         branching = make_scan(ibm, "branching").run(
-            columns, processor="gpu0", modeled_rows=10**9
+            table(columns, 10**9), processor="gpu0"
         )
         predicated = make_scan(ibm, "predicated").run(
-            columns, processor="gpu0", modeled_rows=10**9
+            table(columns, 10**9), processor="gpu0"
         )
         assert branching.throughput_gtuples > predicated.throughput_gtuples
         assert all(f <= 1.0 for f in branching.column_line_fractions)
@@ -87,23 +91,23 @@ class TestModel:
 
     def test_unclustered_weakens_branching(self, ibm):
         clustered = make_scan(ibm, "branching").run(
-            make_columns(clustered=True), processor="gpu0", modeled_rows=10**9
+            table(make_columns(clustered=True), 10**9), processor="gpu0"
         )
         scattered = make_scan(ibm, "branching").run(
-            make_columns(clustered=False), processor="gpu0", modeled_rows=10**9
+            table(make_columns(clustered=False), 10**9), processor="gpu0"
         )
         assert clustered.throughput_gtuples > scattered.throughput_gtuples
 
     def test_fraction_count_matches_columns(self, ibm):
-        res = make_scan(ibm, "branching").run(make_columns())
+        res = make_scan(ibm, "branching").run(table(make_columns()))
         assert len(res.column_line_fractions) == 3  # 2 predicates + 1 agg
 
     def test_modeled_rows_priced(self, ibm):
         small = make_scan(ibm).run(
-            make_columns(), processor="gpu0", modeled_rows=10**8
+            table(make_columns(), 10**8), processor="gpu0"
         )
         large = make_scan(ibm).run(
-            make_columns(), processor="gpu0", modeled_rows=10**9
+            table(make_columns(), 10**9), processor="gpu0"
         )
         assert large.runtime == pytest.approx(10 * small.runtime, rel=0.05)
 
@@ -111,5 +115,5 @@ class TestModel:
     def test_modeled_rows_below_executed_rejected(self, ibm, modeled_rows):
         """Only ``None`` means "price the executed rows"; 0 is a
         cardinality, and below the executed one."""
-        with pytest.raises(LogicalError, match=f"modeled cardinality {modeled_rows} "):
-            make_scan(ibm).run(make_columns(), modeled_rows=modeled_rows)
+        with pytest.raises(ValueError, match=f"modeled cardinality {modeled_rows} "):
+            make_scan(ibm).run(table(make_columns(), modeled_rows))

@@ -1,9 +1,9 @@
-"""Column-oriented relations and morsels."""
+"""Column-oriented relations and column tables."""
 
 import numpy as np
 import pytest
 
-from repro.data.relation import Relation
+from repro.data.relation import ColumnTable, DeferredColumns, Relation
 from repro.hardware.memory import MemoryKind
 
 
@@ -65,32 +65,35 @@ class TestPlacement:
         assert pinned.kind is MemoryKind.PINNED
 
 
-class TestMorsels:
-    def test_morsels_cover_relation(self):
-        r = make_relation(100)
-        morsels = list(r.morsels(30))
-        assert [m.tuples for m in morsels] == [30, 30, 30, 10]
-        assert morsels[0].keys[0] == 0
-        assert morsels[-1].keys[-1] == 99
+class TestColumnTable:
+    def test_shape_known_without_reading(self):
+        deferred = DeferredColumns(
+            {"a": (8, np.int32), "b": (8, np.float64)},
+            lambda: {"a": np.arange(8, dtype=np.int32), "b": np.ones(8)},
+        )
+        table = ColumnTable(
+            "t", {name: deferred.column(name) for name in ("a", "b")}, 80
+        )
+        assert table.executed_rows == 8
+        assert table.modeled_bytes == 80 * 12
+        assert table.model_factor == pytest.approx(10.0)
+        assert not deferred.generated
+        assert list(table["a"]) == list(range(8))
 
-    def test_morsel_views_are_zero_copy(self):
-        r = make_relation(10)
-        morsel = next(iter(r.morsels(5)))
-        assert morsel.keys.base is r.key
+    def test_modeled_rows_default_to_executed(self):
+        table = ColumnTable("t", {"a": np.arange(5)})
+        assert table.modeled_rows == 5
+        assert table.location == "cpu0-mem"
+        assert table.kind is MemoryKind.PAGEABLE
 
-    def test_invalid_morsel_size(self):
-        with pytest.raises(ValueError):
-            list(make_relation().morsels(0))
+    def test_placed_shares_columns(self):
+        table = ColumnTable("t", {"a": np.arange(5)}, 50)
+        pinned = table.placed("cpu1-mem", kind=MemoryKind.PINNED)
+        assert (pinned.location, pinned.kind) == ("cpu1-mem", MemoryKind.PINNED)
+        assert pinned.modeled_rows == 50
+        assert pinned.columns()["a"] is table.columns()["a"]
+        assert table.location == "cpu0-mem"  # original untouched
 
-    def test_slice_view(self):
-        r = make_relation(10)
-        part = r.slice(slice(2, 5))
-        assert part.executed_tuples == 3
-        assert list(part.key) == [2, 3, 4]
-
-    def test_morsel_bounds_validated(self):
-        from repro.data.relation import Morsel
-
-        r = make_relation(10)
-        with pytest.raises(ValueError):
-            Morsel(relation=r, start=5, end=20)
+    def test_two_dimensional_columns_rejected(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ColumnTable("t", {"a": np.zeros((2, 2))})

@@ -18,6 +18,7 @@ from repro.core.join.coop import CoopJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.ops.q6 import TpchQ6
 from repro.core.ops.scan import Predicate, SelectionScan
+from repro.data.relation import ColumnTable
 from repro.exec import (
     DEFAULT_WORKERS,
     MorselExecutor,
@@ -218,10 +219,13 @@ def test_threaded_masks_equal_serial_with_a_ragged_last_morsel():
 
 def test_selection_scan_equivalence(machine):
     rng = np.random.default_rng(5)
-    columns = {
-        "a": rng.integers(0, 100, 100_000).astype(np.int32),
-        "b": rng.random(100_000).astype(np.float32),
-    }
+    columns = ColumnTable(
+        "columns",
+        {
+            "a": rng.integers(0, 100, 100_000).astype(np.int32),
+            "b": rng.random(100_000).astype(np.float32),
+        },
+    )
     predicates = [
         Predicate("a", lambda c: c < 40),
         Predicate("b", lambda c: c > 0.5),

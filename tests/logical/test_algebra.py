@@ -14,7 +14,6 @@ from repro.logical import (
     Predicate,
     ScanStats,
     StarStats,
-    between,
     column,
     compile_query,
     ge,
@@ -139,8 +138,6 @@ def test_predicate_op_validation():
         Predicate("value", "like", 1)
     with pytest.raises(LogicalError, match="value and high"):
         Predicate("value", "between", 1)
-    mask = between("value", 2, 4).mask(np.arange(6))
-    assert mask.tolist() == [False, False, True, True, True, False]
 
 
 def test_aggregate_validation():
@@ -156,6 +153,22 @@ def test_aggregate_validation():
 def test_ragged_columns_rejected():
     with pytest.raises(LogicalError, match="ragged"):
         scan({"a": np.arange(4), "b": np.arange(5)})
+
+
+def test_empty_scan_rejected():
+    with pytest.raises(LogicalError, match="at least one column"):
+        scan({})
+
+
+def test_a_relation_carries_its_own_placement():
+    """A dict of columns takes modeled rows, location and kind from
+    ``scan``; a relation already has them, so giving them is an error
+    rather than a silent override."""
+    assert scan(_columns(), modeled_rows=640).node.modeled_rows == 640
+    with pytest.raises(LogicalError, match="carries its own"):
+        scan(_relation(), modeled_rows=640)
+    with pytest.raises(LogicalError, match="carries its own"):
+        scan(_relation(), location="cpu1-mem")
 
 
 def test_projection_unknown_reference_rejected():

@@ -25,7 +25,7 @@ from repro.core.join.radix import RadixJoin
 from repro.core.ops.q6 import TpchQ6
 from repro.core.ops.scan import Predicate, SelectionScan
 from repro.costmodel.model import CostModel
-from repro.data.relation import Relation
+from repro.data.relation import ColumnTable, Relation
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.logical import (
     JoinStats,
@@ -261,9 +261,8 @@ def _selection_scan(variant: str, columns: Dict[str, np.ndarray]):
         aggregate=lambda cols: float(cols["v"].sum()),
         variant=variant,
     )
-    return operator.run(
-        columns, processor="gpu0", modeled_rows=len(columns["a"]) * 128
-    )
+    table = ColumnTable("columns", columns, len(columns["a"]) * 128)
+    return operator.run(table, processor="gpu0")
 
 
 def scan_branching_gpu() -> Dict[str, Any]:

@@ -197,9 +197,7 @@ def test_serving_generates_no_registry_column(monkeypatch):
         deferred = [
             column
             for source in sources
-            for column in (
-                source if isinstance(source, dict) else source.columns()
-            ).values()
+            for column in source.columns().values()
             if isinstance(column, DeferredColumn)
         ]
         # star's small dimension arrays are built eagerly; every

@@ -32,6 +32,8 @@ class TestExports:
             "StarJoin",
             "TpchQ6",
             "ScanResult",
+            "ColumnTable",
+            "Relation",
             "MorselDispatcher",
             "ibm_ac922",
             "intel_xeon_v100",

@@ -147,5 +147,5 @@ class TestRatio:
 
     def test_totals(self):
         wl = workload_ratio(4, scale=SCALE)
-        assert wl.total_modeled_tuples == 5 * wl.r.modeled_tuples
-        assert wl.total_modeled_bytes == wl.r.modeled_bytes + wl.s.modeled_bytes
+        assert wl.r.modeled_tuples + wl.s.modeled_tuples == 5 * wl.r.modeled_tuples
+        assert wl.r.modeled_bytes + wl.s.modeled_bytes == 5 * wl.r.modeled_bytes

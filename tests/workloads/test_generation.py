@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.data.relation import DeferredColumns
+from repro.data.relation import ColumnTable, DeferredColumns
 from repro.workloads import builders, tpch
 
 JOIN_BUILDERS = {
@@ -80,12 +80,12 @@ def build(name, seed, scale):
 
 def canonical_columns(workload):
     """Column arrays in a fixed order (reading any of them generates)."""
-    if isinstance(workload, tpch.Q6Workload):
+    if isinstance(workload, ColumnTable):
         return [
-            workload.shipdate,
-            workload.discount,
-            workload.quantity,
-            workload.extendedprice,
+            workload["l_shipdate"],
+            workload["l_discount"],
+            workload["l_quantity"],
+            workload["l_extendedprice"],
         ]
     return [workload.r.key, workload.r.payload, workload.s.key, workload.s.payload]
 
@@ -101,13 +101,13 @@ def digest(workload):
 
 def read_last_column_first(workload):
     """Generate through the column the canonical order reads last."""
-    if isinstance(workload, tpch.Q6Workload):
-        return workload.extendedprice
+    if isinstance(workload, ColumnTable):
+        return workload["l_extendedprice"]
     return workload.s.payload
 
 
 def placed_copy(workload):
-    if isinstance(workload, tpch.Q6Workload):
+    if isinstance(workload, ColumnTable):
         return workload.placed("gpu0-mem")
     return workload.placed_for("zero_copy", location="gpu0-mem")
 
@@ -155,7 +155,6 @@ READS = {
     "s.key": lambda wl: wl.s.key,
     "s.payload": lambda wl: wl.s.payload,
     "placed s.key": lambda wl: wl.placed_for("um_migration").s.key,
-    "r slice": lambda wl: wl.r.slice(slice(3, 9)).key,
 }
 
 
@@ -178,11 +177,11 @@ def test_one_generation_per_lineitem(lineitem_generations):
     copy = workload.placed("cpu0-mem")
     assert workload.executed_rows == copy.executed_rows
     assert lineitem_generations.calls == 0
-    assert copy.quantity.dtype == np.int32
+    assert copy["l_quantity"].dtype == np.int32
     canonical_columns(workload)
     canonical_columns(copy)
     assert lineitem_generations.calls == 1
-    assert copy.shipdate is workload.shipdate
+    assert copy["l_shipdate"] is workload["l_shipdate"]
 
 
 def test_shapes_are_known_before_generation(join_generations):
@@ -249,7 +248,7 @@ class TestExecutedFloor:
         assert workload.modeled_rows == 3000
         assert workload.executed_rows == 3000
         assert workload.model_factor == 1.0
-        assert len(workload.shipdate) == 3000
+        assert len(workload["l_shipdate"]) == 3000
 
     def test_floors_still_apply_below_them(self):
         assert builders.workload_a(scale=2.0**-30).r.executed_tuples == 64

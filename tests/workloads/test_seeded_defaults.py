@@ -24,7 +24,7 @@ def _join_columns(wl):
 
 
 def _q6_columns(wl):
-    return [wl.shipdate, wl.discount, wl.quantity, wl.extendedprice]
+    return [wl["l_shipdate"], wl["l_discount"], wl["l_quantity"], wl["l_extendedprice"]]
 
 
 GENERATORS = {

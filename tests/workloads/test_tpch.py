@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads.tpch import (
-    BYTES_PER_ROW,
     MIN_EXECUTED_ROWS,
     Q6_DISCOUNT_HI,
     Q6_DISCOUNT_LO,
@@ -33,7 +32,8 @@ class TestSizes:
     def test_sixteen_bytes_per_row(self):
         wl = lineitem_q6(scale_factor=1, scale=1.0)
         total = sum(c.dtype.itemsize for c in wl.columns().values())
-        assert total == BYTES_PER_ROW
+        assert total == 16
+        assert wl.modeled_bytes == wl.modeled_rows * 16
 
     def test_model_factor(self):
         wl = lineitem_q6(scale_factor=10, scale=2**-6)
@@ -48,37 +48,37 @@ class TestColumns:
         return lineitem_q6(scale_factor=1, scale=2**-4)
 
     def test_domains(self, wl):
-        assert wl.shipdate.min() >= 0
-        assert wl.shipdate.max() < SHIPDATE_DAYS
-        assert wl.quantity.min() >= 1
-        assert wl.quantity.max() <= 50
-        assert wl.discount.min() >= 0.0
-        assert wl.discount.max() <= 0.10 + 1e-6
+        assert wl["l_shipdate"].min() >= 0
+        assert wl["l_shipdate"].max() < SHIPDATE_DAYS
+        assert wl["l_quantity"].min() >= 1
+        assert wl["l_quantity"].max() <= 50
+        assert wl["l_discount"].min() >= 0.0
+        assert wl["l_discount"].max() <= 0.10 + 1e-6
 
     def test_discount_is_percent_steps(self, wl):
-        cents = np.round(wl.discount * 100)
-        assert np.allclose(wl.discount, cents / 100, atol=1e-6)
+        cents = np.round(wl["l_discount"] * 100)
+        assert np.allclose(wl["l_discount"], cents / 100, atol=1e-6)
 
     def test_shipdates_are_clustered(self, wl):
         # Sorted-with-jitter generation: a local window has a much
         # narrower date range than the full column.
-        window = wl.shipdate[:1024]
+        window = wl["l_shipdate"][:1024]
         assert window.max() - window.min() < SHIPDATE_DAYS / 3
 
     def test_q6_selectivity_near_paper(self, wl):
         qualifies = (
-            (wl.shipdate >= Q6_SHIPDATE_LO)
-            & (wl.shipdate < Q6_SHIPDATE_HI)
-            & (wl.discount >= Q6_DISCOUNT_LO - 1e-6)
-            & (wl.discount <= Q6_DISCOUNT_HI + 1e-6)
-            & (wl.quantity < Q6_QUANTITY_LT)
+            (wl["l_shipdate"] >= Q6_SHIPDATE_LO)
+            & (wl["l_shipdate"] < Q6_SHIPDATE_HI)
+            & (wl["l_discount"] >= Q6_DISCOUNT_LO - 1e-6)
+            & (wl["l_discount"] <= Q6_DISCOUNT_HI + 1e-6)
+            & (wl["l_quantity"] < Q6_QUANTITY_LT)
         )
         # ~1/7 x 3/11 x 23/50 = 1.8%; the paper reports ~1.3%.
         assert 0.005 < qualifies.mean() < 0.035
 
     def test_zero_jitter_is_sorted(self):
         wl = lineitem_q6(scale_factor=1, scale=2**-6, shipdate_jitter_days=0)
-        assert np.all(np.diff(wl.shipdate) >= 0)
+        assert np.all(np.diff(wl["l_shipdate"]) >= 0)
 
 
 class TestValidation:
@@ -97,8 +97,8 @@ class TestValidation:
     def test_deterministic(self):
         a = lineitem_q6(scale_factor=1, scale=2**-6, seed=9)
         b = lineitem_q6(scale_factor=1, scale=2**-6, seed=9)
-        assert np.array_equal(a.shipdate, b.shipdate)
-        assert np.array_equal(a.extendedprice, b.extendedprice)
+        assert np.array_equal(a["l_shipdate"], b["l_shipdate"])
+        assert np.array_equal(a["l_extendedprice"], b["l_extendedprice"])
 
 
 def reference_lineitem_columns(rows, seed, shipdate_jitter_days):
