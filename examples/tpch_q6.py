@@ -34,13 +34,16 @@ def main() -> None:
     # Execute each scale factor once and price every configuration from
     # that execution, with lineitem allocated as each configuration's
     # transfer method requires (Table 1), as the Figure 15 runner does.
+    # The columns are freed before the next scale factor is generated.
     scale_factors = (100, 500, 1000)
     cells = {name: [] for name, *_ in series}
     check = None
     for sf in scale_factors:
         lineitem = repro.lineitem_q6(scale_factor=sf, scale=2**-10)
         execution = repro.TpchQ6(ibm).execute(lineitem)
-        for label, res in price_series(execution, (lineitem,), series).items():
+        results = price_series(execution, (lineitem,), series)
+        del lineitem, execution
+        for label, res in results.items():
             cells[label].append(f" {res.throughput_gtuples:>6.2f}")
             if check is None:
                 check = (f"  [functional check] SF{sf}: revenue "
@@ -56,14 +59,12 @@ def main() -> None:
     for label, row in cells.items():
         print(f"{label:>16} |" + "".join(row))
 
-    # Show the branching kernel's column-level skipping (the SF1000
-    # execution above).
-    res = repro.TpchQ6(ibm, variant="branching").price(
-        execution, lineitem, processor="gpu0"
-    )
+    # Show the branching kernel's column-level skipping (the GPU
+    # branching configuration at SF1000, the last scale factor above).
+    fractions = results["NVL  branching "].column_line_fractions
     names = ("l_shipdate", "l_discount", "l_quantity", "l_extendedprice")
     print("\nbranching variant, fraction of each column's lines loaded:")
-    for name, fraction in zip(names, res.column_line_fractions):
+    for name, fraction in zip(names, fractions):
         print(f"  {name:>16}: {fraction:.0%}")
 
 

@@ -30,7 +30,8 @@ from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import JoinThroughput
-from repro.data.relation import Relation
+from repro.data.relation import ColumnTable, Relation
+from repro.exec import execute_build, execute_probe
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
@@ -111,21 +112,12 @@ class StarJoin:
                     )
 
     def logical_query(
-        self,
-        fact: Dict[str, np.ndarray],
-        dimensions: Sequence[Dimension],
-        modeled_fact: Optional[int] = None,
-        fact_location: str = "cpu0-mem",
+        self, fact: ColumnTable, dimensions: Sequence[Dimension]
     ) -> Query:
         """The star join as a logical plan: the fact scan probes one
         hash join per dimension (innermost first), then aggregates the
         first dimension's matched payloads over the survivors."""
-        query = scan(
-            fact,
-            name="fact",
-            modeled_rows=modeled_fact,
-            location=fact_location,
-        )
+        query = scan(fact)
         for dimension in dimensions:
             query = query.join(
                 scan(dimension.relation, name=dimension.fact_key),
@@ -161,11 +153,8 @@ class StarJoin:
         """
         if not dimensions:
             raise ValueError("star join needs at least one dimension")
-        rows = {len(col) for col in fact.values()}
-        if len(rows) != 1:
-            raise ValueError("ragged fact columns")
-        executed_fact = rows.pop()
-        modeled_fact = modeled_fact or executed_fact
+        fact_table = ColumnTable("fact", fact, modeled_fact, fact_location)
+        executed_fact = fact_table.executed_rows
         for dimension in dimensions:
             if dimension.fact_key not in fact:
                 raise ValueError(
@@ -183,12 +172,12 @@ class StarJoin:
                 self.hash_scheme, rel.executed_tuples, rel.key.dtype,
                 rel.payload.dtype,
             )
-            table.insert_batch(rel.key, rel.payload)
+            execute_build(table, rel.key, rel.payload)
             keys = fact[dimension.fact_key]
             found = np.zeros(executed_fact, dtype=bool)
             values = np.zeros(executed_fact, dtype=rel.payload.dtype)
             if alive.any():
-                sub_found, sub_values = table.lookup_batch(keys[alive])
+                sub_found, sub_values = execute_probe(table, keys[alive])
                 found[alive] = sub_found
                 values_alive = np.zeros(int(alive.sum()), dtype=rel.payload.dtype)
                 values_alive[sub_found] = sub_values[sub_found]
@@ -216,13 +205,13 @@ class StarJoin:
             label="star",
         )
         plan = compile_query(
-            self.logical_query(fact, dimensions, modeled_fact, fact_location),
+            self.logical_query(fact_table, dimensions),
             config,
             self.cost_model,
             StarStats(tuple(survival_per_dim)),
         )
         executed = PlanExecutor(self.cost_model).execute(plan)
-        modeled_tuples = modeled_fact + sum(
+        modeled_tuples = fact_table.modeled_rows + sum(
             d.relation.modeled_tuples for d in dimensions
         )
         return StarJoinResult(

@@ -7,11 +7,13 @@ with results merged deterministically so parallel output is
 bit-identical to serial and the measured TableStats (hence every priced
 manifest) are the same at any worker count.
 
-The join facades (``NoPartitioningJoin``, ``CoopJoin``) take a
-``backend`` of ``None`` (the default: the host tier of the executed
-probe rows, :func:`host_tier`, with its threads capped at the CPUs the
-process may use), ``"serial"`` or ``"threads"``; the scan and TPC-H Q6
-operators take ``"serial"`` (their default) or ``"threads"``.
+The join facades (``NoPartitioningJoin``, ``CoopJoin``) and the scan
+facades (``SelectionScan``, ``TpchQ6``) take a ``backend`` of ``None``
+(the default: the host tier of the executed rows, :func:`host_tier`,
+with its threads capped at the CPUs the process may use), ``"serial"``
+or ``"threads"``.  Every hash-table build and probe outside
+``repro.core.hashtable`` goes through :func:`execute_build` and
+:func:`execute_probe`.
 """
 
 from repro.exec.functional import (

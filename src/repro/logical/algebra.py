@@ -233,11 +233,12 @@ class HashJoin(LogicalNode):
     """Equi-join: the build child populates a hash table, the probe
     child streams through it.
 
-    Mirrors :class:`repro.engine.operators.HashJoinOp`: build-side
-    payload columns appear in the output with ``output_prefix``
+    The output schema is the probe child's columns followed by the
+    build child's non-key columns, each with ``output_prefix``
     prepended (``build_`` by default; star queries joining several
     dimensions with identically-named payloads pass a per-dimension
-    prefix to keep the output schema collision-free).
+    prefix to keep the output schema collision-free; a prefixed name
+    that equals a probe column is an error).
     ``selectivity`` is an optional match-rate estimate hint for the
     optimizer (fraction of probe rows that find a build match).
     """

@@ -77,7 +77,7 @@ from repro.plan import Plan, PlanExecutor
 from repro.transfer.methods import (
     TRANSFER_METHODS,
     UnsupportedTransferError,
-    get_method,
+    placed_for,
 )
 
 #: version of the optimizer-decision manifest section.
@@ -220,11 +220,13 @@ class OptimizerResult:
 # ----------------------------------------------------------------------
 # Candidate enumeration
 # ----------------------------------------------------------------------
-def _rekind_join(shape: JoinShape, kind) -> Tuple[Query, Relation, Relation]:
-    """Rebuild the query with both relations reallocated to ``kind``
-    (the optimizer's analogue of ``repro.transfer.methods.placed_for``)."""
-    r = shape.build.relation.placed(shape.build.relation.location, kind=kind)
-    s = shape.probe.relation.placed(shape.probe.relation.location, kind=kind)
+def _rekind_join(
+    shape: JoinShape, transfer_method: str
+) -> Tuple[Query, Relation, Relation]:
+    """Rebuild the query with both relations allocated as
+    ``transfer_method`` requires (Table 1, :func:`placed_for`)."""
+    r = placed_for(shape.build.relation, transfer_method)
+    s = placed_for(shape.probe.relation, transfer_method)
     build = Scan(r, name=shape.build.name)
     probe = Scan(s, name=shape.probe.name)
     join = HashJoin(
@@ -302,8 +304,7 @@ def _join_candidates(
 
     # GPU-only: transfer method x hash-table placement.
     for method_name in sorted(TRANSFER_METHODS):
-        method = get_method(method_name)
-        query, r, s = _rekind_join(shape, method.required_kind)
+        query, r, s = _rekind_join(shape, method_name)
         stats = stats_for(r, s)
         table_bytes = stats.table.modeled_bytes
         placement_strategies: List[object] = ["gpu", "cpu", "hybrid"]
@@ -340,7 +341,7 @@ def _join_candidates(
     # CPU-only: one candidate per CPU; ingest never crosses the
     # interconnect, so the transfer method is moot (kept at the
     # query's pageable default).
-    query, r, s = _rekind_join(shape, get_method("coherence").required_kind)
+    query, r, s = _rekind_join(shape, "coherence")
     stats = stats_for(r, s)
     for cpu in machine.cpus():
         def cpu_config(cpu_name: str = cpu.name) -> PhysicalConfig:

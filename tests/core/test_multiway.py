@@ -89,6 +89,13 @@ class TestFunctional:
                 {"d1_key": np.arange(3), "d2_key": np.arange(4)}, dimensions
             )
 
+    def test_zero_modeled_fact_rejected(self, ibm, star):
+        """A modeled fact cardinality below the executed rows raises;
+        zero does not fall back to pricing the executed rows."""
+        fact, dimensions, _ = star
+        with pytest.raises(ValueError, match="modeled cardinality 0"):
+            StarJoin(ibm).run(fact, dimensions, modeled_fact=0)
+
 
 class TestModel:
     def test_builders_assigned_round_robin(self, ibm, star):

@@ -1,8 +1,8 @@
-"""End-to-end database scenario: engine -> joins.
+"""End-to-end database scenario: a star join and a migrated join.
 
 A miniature warehouse: a fact table and two dimensions as column
-dicts; queries run both through the generic engine and the specialized
-star join, and both agree with plain numpy.
+dicts; the star join agrees with plain numpy, and a join over the fact
+table moved to the second socket streams across the X-Bus.
 """
 
 import numpy as np
@@ -11,7 +11,6 @@ import pytest
 import repro
 from repro.core.join.multiway import Dimension, StarJoin
 from repro.data.relation import Relation
-from repro.engine import Filter, HashAggregate, HashJoinOp, TableScan, collect
 
 
 @pytest.fixture
@@ -41,36 +40,6 @@ def relation(warehouse, table, key, payload, location="cpu0-mem"):
 
 
 class TestWarehouse:
-    def test_engine_two_dim_query(self, warehouse):
-        """revenue per region via the generic operator pipeline."""
-        sales = warehouse["sales"]
-        products = warehouse["products"]
-        stores = warehouse["stores"]
-
-        with_price = HashJoinOp(
-            TableScan(products), TableScan(sales, 4096),
-            build_key="id", probe_key="product_id",
-        )
-        with_region = HashJoinOp(
-            TableScan(stores), with_price,
-            build_key="id", probe_key="store_id",
-        )
-        result = collect(
-            HashAggregate(
-                Filter(with_region, lambda b: b["quantity"] >= 2),
-                group_by=("build_region",),
-                aggregates={"units": ("quantity", "sum")},
-            )
-        )
-
-        # Reference with plain numpy.
-        s, st = sales, stores
-        keep = s["quantity"] >= 2
-        regions = st["region"][s["store_id"][keep]]
-        for region, units in zip(result["build_region"], result["units"]):
-            mask = regions == region
-            assert units == s["quantity"][keep][mask].sum()
-
     def test_star_join_agrees_with_engine(self, warehouse, ibm):
         sales = warehouse["sales"]
         fact = {

@@ -18,7 +18,6 @@ EXAMPLES = [
     "coprocessing_scaleup",
     "tpch_q6",
     "transfer_methods",
-    "analytics_query",
     "performance_debugging",
 ]
 
