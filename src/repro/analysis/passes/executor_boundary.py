@@ -2,7 +2,7 @@
 
 The phase-plan refactor made the :class:`repro.plan.PlanExecutor` the
 single component that prices work through the cost model.  Operators
-compile :class:`~repro.plan.PhaseSpec` DAGs and hand them to the
+compile sequences of :class:`~repro.plan.PhaseSpec` and hand them to the
 executor, which owns the chunked-overlap arithmetic, the concurrent
 solver, and the exactly-once span/metric emission.  A direct call to
 ``CostModel.phase_cost`` / ``phases_cost`` / ``occupancy_per_unit``
@@ -13,7 +13,7 @@ exceptions (e.g. pedagogical examples) go through
 ``analysis-baseline.json`` with a justification.
 
 Since the logical-plan layer landed, the same boundary argument
-applies one level up: :class:`repro.plan.Plan` DAGs are *compiler
+applies one level up: :class:`repro.plan.Plan` sequences are *compiler
 output*.  Operators state a logical query and physical configuration
 and let ``repro.logical.lower.compile_query`` assemble the plan, so
 the optimizer can enumerate alternatives for anything an operator can

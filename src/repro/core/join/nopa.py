@@ -413,7 +413,7 @@ class NoPartitioningJoin:
         hot_set: Optional[HotSetProfile] = None,
         matches: int = 0,
     ) -> Plan:
-        """Compile the two-phase NOPA DAG (build -> probe) by lowering
+        """Compile the two-phase NOPA sequence (build, then probe) by lowering
         the logical join through :func:`repro.logical.compile_query`."""
         return compile_query(
             self.logical_query(r, s),

@@ -26,17 +26,6 @@ class MemoryKind(enum.Enum):
     UNIFIED = "unified"
     DEVICE = "device"
 
-    @property
-    def gpu_accessible_over(self) -> frozenset:
-        """Which access paths may touch this memory from a *remote* GPU."""
-        if self is MemoryKind.PAGEABLE:
-            return frozenset({"coherence"})
-        if self is MemoryKind.PINNED:
-            return frozenset({"coherence", "zero_copy", "dma"})
-        if self is MemoryKind.UNIFIED:
-            return frozenset({"coherence", "page_migration", "prefetch"})
-        return frozenset({"local"})
-
 
 @dataclass
 class MemoryRegion:

@@ -11,7 +11,7 @@ The layer sits between user code and the phase-plan IR (``repro.plan``):
   parameterize pricing;
 * :mod:`repro.logical.lower` — the lowering compiler that turns a
   logical plan plus a :class:`PhysicalConfig` into a priced
-  :class:`repro.plan.Plan` DAG through the shared ``ingest()`` glue;
+  :class:`repro.plan.Plan` phase sequence through the shared ``ingest()`` glue;
 * :mod:`repro.logical.optimizer` — enumerates physical alternatives
   (Table-1 transfer method, Fig. 8/11 hash-table placement fraction,
   GPU-only vs Het vs GPU+Het strategy, join order, host backend),

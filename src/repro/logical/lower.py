@@ -597,16 +597,13 @@ def _single_join_plan(
                 "build",
                 build,
                 chunked=build_chunked,
-                claims=(processor,),
                 span_worker=processor,
                 span_units=float(r.modeled_tuples),
             ),
             priced_phase(
                 "probe",
                 probe,
-                deps=("build",),
                 chunked=probe_chunked,
-                claims=(processor,),
                 span_worker=processor,
                 span_units=float(s.modeled_tuples),
                 annotations={"matches": stats.matches},
@@ -687,7 +684,6 @@ def _coop_join_plan(
                 for worker in workers
             },
             shared_units=build_units,
-            claims=workers,
             span_worker=",".join(workers),
             span_units=build_units,
             span_attrs=span_attrs,
@@ -730,7 +726,6 @@ def _coop_join_plan(
             "build",
             profile,
             surcharges=surcharges,
-            claims=workers,
             span_worker=",".join(workers),
             span_units=build_units,
             span_attrs=span_attrs,
@@ -769,8 +764,6 @@ def _coop_join_plan(
             "probe",
             loads,
             shared_units=probe_units,
-            deps=("build",),
-            claims=workers,
             span_units=probe_units,
         )
         placement = "replicated" if interleaved is None else "interleaved"
@@ -795,8 +788,6 @@ def _coop_join_plan(
         shared_units=probe_units,
         morsel_tuples=config.morsel_tuples,
         morsel_workers=morsel_workers,
-        deps=("build",),
-        claims=workers,
         span_worker=",".join(workers),
         span_units=probe_units,
         span_attrs=span_attrs,
@@ -855,15 +846,12 @@ def _radix_join_plan(
             priced_phase(
                 "partition",
                 partition,
-                claims=(processor,),
                 span_worker=processor,
                 span_units=float(tuples),
             ),
             fixed_phase(
                 "join",
                 join,
-                deps=("partition",),
-                claims=(processor,),
                 span_worker=processor,
                 span_units=float(tuples),
             ),
@@ -888,7 +876,6 @@ def _star_plan(
     """
     machine = cost_model.machine
     workers = config.workers
-    claims = tuple(workers)
     span_worker = ",".join(workers)
     modeled_fact = fact.modeled_rows
 
@@ -944,9 +931,7 @@ def _star_plan(
 
     return Plan(
         [
-            concurrent_phase(
-                "build", build_loads, claims=claims, span_worker=span_worker
-            ),
+            concurrent_phase("build", build_loads, span_worker=span_worker),
             fixed_phase(
                 "broadcast",
                 PhaseCost(
@@ -959,16 +944,12 @@ def _star_plan(
                     occupancy=occupancy,
                     label="broadcast",
                 ),
-                deps=("build",),
-                claims=claims,
                 span_worker=span_worker,
             ),
             concurrent_phase(
                 "probe",
                 probe_loads,
                 shared_units=float(modeled_fact),
-                deps=("broadcast",),
-                claims=claims,
                 span_worker=span_worker,
                 span_units=float(modeled_fact),
             ),
@@ -1019,7 +1000,6 @@ def _scan_plan(
                 "scan",
                 profile,
                 chunked=chunked,
-                claims=(processor,),
                 span_worker=processor,
                 span_units=float(modeled_rows),
                 span_attrs={"variant": variant},
@@ -1038,7 +1018,7 @@ def compile_query(
     cost_model: CostModel,
     stats,
 ) -> Plan:
-    """Lower a logical plan to a priced :class:`repro.plan.Plan` DAG.
+    """Lower a logical plan to a :class:`repro.plan.Plan` phase sequence.
 
     ``stats`` must match the shape: :class:`ScanStats` for
     scan/filter/aggregate pipelines, :class:`JoinStats` for one hash

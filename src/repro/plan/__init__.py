@@ -1,10 +1,10 @@
-"""Declarative phase-plan IR and its pricing/scheduling executor.
+"""Declarative phase-plan IR and its pricing executor.
 
-Operators compile their work into a :class:`Plan` — a validated DAG of
-:class:`PhaseSpec` nodes — and hand it to the :class:`PlanExecutor`,
-which owns all pricing, overlap arithmetic, concurrency solving, and
-observability emission.  New operators emit a DAG; they do not
-re-implement the runtime.
+Operators compile their work into a :class:`Plan` — a validated
+sequence of :class:`PhaseSpec` steps run in declared order — and hand
+it to the :class:`PlanExecutor`, which owns all pricing, overlap
+arithmetic, concurrency solving, and observability emission.  New
+operators emit a phase sequence; they do not re-implement the runtime.
 """
 
 from repro.plan.executor import PhaseOutcome, PlanExecutor, PlanResult

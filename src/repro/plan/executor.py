@@ -1,9 +1,9 @@
-"""The single pricing/scheduling executor for phase plans.
+"""The single pricing executor for phase plans.
 
 The :class:`PlanExecutor` is the only component that calls
 ``CostModel.phase_cost`` / ``occupancy_per_unit`` on behalf of
 operators (the ``executor-boundary`` analysis pass enforces this).  It
-walks a plan in topological order and, per phase:
+walks a plan's phases in declared order and, per phase:
 
 * prices the phase — through the cost model (PRICED), the max-min fair
   concurrent-rate solver (CONCURRENT), the morsel-dispatch
@@ -15,13 +15,8 @@ walks a plan in topological order and, per phase:
   sim clock, annotated with the phase's bottleneck, and records the
   phase's metrics exactly once.
 
-On top of the sequential walk (which preserves the span/clock ordering
-single chains had before the IR existed), the executor computes a
-*dependency- and overlap-aware makespan* by replaying the priced phase
-durations through the discrete-event :class:`~repro.sim.engine.
-Simulator`: phases start when their dependencies finish and their
-claimed resources free up, so independent phases overlap.  For a linear
-chain the makespan equals the sum of phase seconds.
+Each phase starts when the one before it finishes, so the plan's
+makespan is the in-order running sum of its phase seconds.
 
 :meth:`PlanExecutor.bound` is the closed-form companion the optimizer
 prunes with: a lower bound on that makespan from the same occupancies,
@@ -32,11 +27,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.obs import INERT, Observability
-from repro.obs.manifest import phase_record
 from repro.obs.metrics import Counter, Histogram
 from repro.obs.trace import Timeline
 from repro.plan.overlap import pipeline_makespan
@@ -53,6 +47,16 @@ BOUND_MARGIN = 1.0 - 1e-9
 
 #: one morsel grant: ``(worker, start, end, tuples)`` on the phase's clock.
 Grant = Tuple[str, float, float, int]
+
+
+def _checked_seconds(phase: PhaseSpec, seconds: float) -> float:
+    """``seconds`` of ``phase``, refused unless non-negative; ``+inf``
+    passes, NaN does not."""
+    if not seconds >= 0:
+        raise PlanError(
+            f"phase {phase.name!r} has a negative or NaN duration: {seconds}"
+        )
+    return seconds
 
 
 @dataclass
@@ -93,18 +97,12 @@ class PhaseOutcome:
 
 @dataclass
 class PlanResult:
-    """Executor output: per-phase outcomes plus schedule summaries."""
+    """Executor output: per-phase outcomes in execution order."""
 
     plan: Plan
     outcomes: Dict[str, PhaseOutcome]
-    #: dependency- and claim-aware completion time (independent phases
-    #: overlap); equals :attr:`total_seconds` for linear chains.
+    #: completion time: the in-order running sum of phase seconds.
     makespan: float
-
-    @property
-    def total_seconds(self) -> float:
-        """Sum of all phase durations (fully serialized execution)."""
-        return sum(o.cost.seconds for o in self.outcomes.values())
 
     def __getitem__(self, name: str) -> PhaseOutcome:
         return self.outcomes[name]
@@ -121,13 +119,9 @@ class PlanResult:
         """Per-phase costs in execution order (manifest input)."""
         return [o.cost for o in self.outcomes.values()]
 
-    def phase_records(self) -> List[Dict[str, Any]]:
-        """JSON-ready manifest entries, one per executed phase."""
-        return [phase_record(cost) for cost in self.phase_costs()]
-
 
 class PlanExecutor:
-    """Prices and schedules one plan on one machine's cost model."""
+    """Prices one plan, phase by phase, on one machine's cost model."""
 
     def __init__(self, cost_model: CostModel) -> None:
         self.cost_model = cost_model
@@ -137,17 +131,19 @@ class PlanExecutor:
     # Entry point
     # ------------------------------------------------------------------
     def execute(self, plan: Plan) -> PlanResult:
-        """Run every phase in topological order and emit observability.
+        """Run every phase in declared order and emit observability.
 
         Each phase gets exactly one outer span (its duration is the
         phase's full seconds on the sim clock) and exactly one metrics
         deposit; pricing-internal spans (``price[...]``, ``sim.run``)
-        nest inside it.
+        nest inside it.  A phase whose seconds are NaN or negative
+        raises :class:`PlanError`.
         """
         tracer = self.obs.tracer
         clock = self.obs.clock
         outcomes: Dict[str, PhaseOutcome] = {}
-        for phase in plan.topological_order():
+        makespan = 0.0
+        for phase in plan:
             with tracer.span(
                 phase.name,
                 worker=phase.span_worker or "plan",
@@ -156,6 +152,7 @@ class PlanExecutor:
             ) as span:
                 start = clock.now
                 outcome = self._run_phase(phase)
+                makespan += _checked_seconds(phase, outcome.cost.seconds)
                 # Pricing may have advanced the clock already (priced
                 # profiles advance by their cost, the morsel simulation
                 # by its virtual time); top the span up to the phase's
@@ -169,25 +166,22 @@ class PlanExecutor:
                 outcome.start = start
                 outcome.end = clock.now
             outcomes[phase.name] = outcome
-        makespan = self._schedule_makespan(plan, outcomes)
         return PlanResult(plan=plan, outcomes=outcomes, makespan=makespan)
 
     def bound(self, plan: Plan) -> float:
         """A lower bound on ``execute(plan).makespan``, in closed form.
 
         Each phase is bounded from below by the rule of the runner it
-        mirrors (see :meth:`_phase_bound`), and the plan by the longest
-        dependency path over those bounds: claims only ever delay a
-        phase, so they are ignored.  Float additions along a path are
-        monotone, so the path sum stays at or under the replayed one.
-        The runners' validations are applied too: a plan ``execute``
-        would reject raises the same error here.  Nothing is recorded.
+        mirrors (see :meth:`_phase_bound`), and the plan by the in-order
+        sum of those bounds.  Float addition is monotone, so that sum
+        stays at or under the executed one.  The runners' validations
+        are applied too: a plan ``execute`` would reject raises the same
+        error here.  Nothing is recorded.
         """
-        finish: Dict[str, float] = {}
+        bound = 0.0
         for phase in plan:
-            start = max((finish[dep] for dep in phase.deps), default=0.0)
-            finish[phase.name] = start + self._phase_bound(phase)
-        return max(finish.values())
+            bound += _checked_seconds(phase, self._phase_bound(phase))
+        return bound
 
     def _phase_bound(self, phase: PhaseSpec) -> float:
         """One phase's lower bound, one rule per phase kind.
@@ -497,61 +491,3 @@ class PlanExecutor:
                 "resource_busy_seconds_total", resource=resource
             ).inc(busy)
         return PhaseOutcome(name=phase.name, cost=cost, start=0.0, end=0.0)
-
-    # ------------------------------------------------------------------
-    # Dependency-aware makespan
-    # ------------------------------------------------------------------
-    def _schedule_makespan(
-        self, plan: Plan, outcomes: Dict[str, PhaseOutcome]
-    ) -> float:
-        """Replay phase durations through the discrete-event simulator.
-
-        A phase starts when every dependency has finished and every
-        claimed resource is free; phases with disjoint dependencies and
-        claims overlap.  Runs on a throwaway simulator (no tracer) so
-        the schedule replay does not touch the observability clock.
-        """
-        sim = Simulator()
-        remaining = {p.name: len(set(p.deps)) for p in plan.phases}
-        dependents: Dict[str, List[PhaseSpec]] = defaultdict(list)
-        for phase in plan.phases:
-            for dep in set(phase.deps):
-                dependents[dep].append(phase)
-        claimed: Dict[str, bool] = {}
-        waiting: List[PhaseSpec] = []
-
-        def claims_free(phase: PhaseSpec) -> bool:
-            return not any(claimed.get(res, False) for res in phase.claims)
-
-        def try_start(phase: PhaseSpec, simulator: Simulator) -> None:
-            if not claims_free(phase):
-                waiting.append(phase)
-                return
-            for res in phase.claims:
-                claimed[res] = True
-            simulator.schedule(
-                outcomes[phase.name].cost.seconds,
-                lambda s, p=phase: finish(p, s),
-            )
-
-        def finish(phase: PhaseSpec, simulator: Simulator) -> None:
-            for res in phase.claims:
-                claimed[res] = False
-            for dependent in dependents[phase.name]:
-                remaining[dependent.name] -= 1
-                if remaining[dependent.name] == 0:
-                    try_start(dependent, simulator)
-            # Freed claims may unblock queued phases.
-            runnable = [p for p in waiting if claims_free(p)]
-            for p in runnable:
-                waiting.remove(p)
-                try_start(p, simulator)
-
-        for phase in plan.topological_order():
-            if remaining[phase.name] == 0:
-                sim.schedule(0.0, lambda s, p=phase: try_start(p, s))
-        makespan = sim.run()
-        if waiting:
-            stuck = sorted(p.name for p in waiting)
-            raise PlanError(f"deadlocked phases (claim cycle?): {stuck}")
-        return makespan

@@ -1,14 +1,15 @@
 """The declarative phase-plan IR.
 
 Operators *compile to plans* instead of orchestrating pricing inline: a
-:class:`Plan` is a validated DAG of :class:`PhaseSpec` nodes, each
+:class:`Plan` is a validated sequence of :class:`PhaseSpec` steps, each
 carrying the access profiles (or solver loads, or a precomputed cost)
-of one execution phase plus its dependency edges and resource claims.
-One :class:`~repro.plan.executor.PlanExecutor` prices every phase
-through the cost model, applies chunked transfer/compute overlap, runs
-concurrent phases through the max-min fair solver or the morsel
-discrete-event simulation, and emits observability spans/metrics
-exactly once per phase.
+of one execution phase.  Phases run in declared order, each after the
+one before it finishes (build, then probe; partition, then join).  One
+:class:`~repro.plan.executor.PlanExecutor` prices every phase through
+the cost model, applies chunked transfer/compute overlap, runs
+concurrent workers within a phase through the max-min fair solver or
+the morsel discrete-event simulation, and emits observability
+spans/metrics exactly once per phase.
 
 Four phase kinds cover every operator in the repro:
 
@@ -39,7 +40,7 @@ from repro.costmodel.model import PhaseCost
 
 
 class PlanError(ValueError):
-    """Raised for structurally invalid plans (cycles, dangling deps)."""
+    """Raised for invalid plans (empty, duplicate or malformed phases)."""
 
 
 class PhaseKind(Enum):
@@ -115,14 +116,10 @@ class MorselWorker:
 
 @dataclass
 class PhaseSpec:
-    """One phase of a plan: payload, dependencies, and span metadata."""
+    """One phase of a plan: payload and span metadata."""
 
     name: str
     kind: PhaseKind
-    deps: Tuple[str, ...] = ()
-    #: resources this phase holds exclusively while it runs; the
-    #: dependency-aware makespan serializes phases sharing a claim.
-    claims: Tuple[str, ...] = ()
     # -- PRICED ---------------------------------------------------------
     profile: Optional[AccessProfile] = None
     chunked: Optional[Chunked] = None
@@ -149,8 +146,6 @@ class PhaseSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise PlanError("phase needs a non-empty name")
-        if self.name in self.deps:
-            raise PlanError(f"phase {self.name!r} depends on itself")
         if self.kind is PhaseKind.PRICED and self.profile is None:
             raise PlanError(f"priced phase {self.name!r} needs a profile")
         if self.kind in (PhaseKind.CONCURRENT, PhaseKind.MORSEL):
@@ -181,10 +176,8 @@ class PhaseSpec:
 def priced_phase(
     name: str,
     profile: AccessProfile,
-    deps: Tuple[str, ...] = (),
     chunked: Optional[Chunked] = None,
     surcharges: Tuple[Surcharge, ...] = (),
-    claims: Tuple[str, ...] = (),
     span_worker: str = "",
     span_units: float = 0.0,
     span_attrs: Optional[Dict[str, Any]] = None,
@@ -194,8 +187,6 @@ def priced_phase(
     return PhaseSpec(
         name=name,
         kind=PhaseKind.PRICED,
-        deps=tuple(deps),
-        claims=tuple(claims),
         profile=profile,
         chunked=chunked,
         surcharges=tuple(surcharges),
@@ -210,9 +201,7 @@ def concurrent_phase(
     name: str,
     loads: Dict[str, WorkerLoad],
     shared_units: Optional[float] = None,
-    deps: Tuple[str, ...] = (),
     surcharges: Tuple[Surcharge, ...] = (),
-    claims: Tuple[str, ...] = (),
     span_worker: str = "",
     span_units: float = 0.0,
     span_attrs: Optional[Dict[str, Any]] = None,
@@ -222,8 +211,6 @@ def concurrent_phase(
     return PhaseSpec(
         name=name,
         kind=PhaseKind.CONCURRENT,
-        deps=tuple(deps),
-        claims=tuple(claims),
         loads=dict(loads),
         shared_units=shared_units,
         surcharges=tuple(surcharges),
@@ -240,8 +227,6 @@ def morsel_phase(
     shared_units: float,
     morsel_tuples: int,
     morsel_workers: Dict[str, MorselWorker],
-    deps: Tuple[str, ...] = (),
-    claims: Tuple[str, ...] = (),
     span_worker: str = "",
     span_units: float = 0.0,
     span_attrs: Optional[Dict[str, Any]] = None,
@@ -251,8 +236,6 @@ def morsel_phase(
     return PhaseSpec(
         name=name,
         kind=PhaseKind.MORSEL,
-        deps=tuple(deps),
-        claims=tuple(claims),
         loads=dict(loads),
         shared_units=shared_units,
         morsel_tuples=morsel_tuples,
@@ -267,8 +250,6 @@ def morsel_phase(
 def fixed_phase(
     name: str,
     cost: PhaseCost,
-    deps: Tuple[str, ...] = (),
-    claims: Tuple[str, ...] = (),
     span_worker: str = "",
     span_units: float = 0.0,
     span_attrs: Optional[Dict[str, Any]] = None,
@@ -278,8 +259,6 @@ def fixed_phase(
     return PhaseSpec(
         name=name,
         kind=PhaseKind.FIXED,
-        deps=tuple(deps),
-        claims=tuple(claims),
         fixed_cost=cost,
         span_worker=span_worker,
         span_units=span_units,
@@ -290,7 +269,7 @@ def fixed_phase(
 
 @dataclass
 class Plan:
-    """A validated DAG of phases, executed in topological order."""
+    """A validated sequence of phases, executed in declared order."""
 
     phases: List[PhaseSpec]
     label: str = ""
@@ -298,56 +277,14 @@ class Plan:
     def __post_init__(self) -> None:
         if not self.phases:
             raise PlanError("a plan needs at least one phase")
-        names = [p.name for p in self.phases]
         seen = set()
-        for name in names:
-            if name in seen:
-                raise PlanError(f"duplicate phase name {name!r}")
-            seen.add(name)
         for phase in self.phases:
-            for dep in phase.deps:
-                if dep not in seen:
-                    raise PlanError(
-                        f"phase {phase.name!r} depends on unknown phase "
-                        f"{dep!r}"
-                    )
-        self._order = self._topological_order()
-
-    def _topological_order(self) -> List[PhaseSpec]:
-        """Kahn's algorithm; declaration order breaks ties (stable)."""
-        by_name = {p.name: p for p in self.phases}
-        indegree = {p.name: len(set(p.deps)) for p in self.phases}
-        dependents: Dict[str, List[str]] = {p.name: [] for p in self.phases}
-        for phase in self.phases:
-            for dep in set(phase.deps):
-                dependents[dep].append(phase.name)
-        ready = [p.name for p in self.phases if indegree[p.name] == 0]
-        order: List[PhaseSpec] = []
-        while ready:
-            name = ready.pop(0)
-            order.append(by_name[name])
-            for dependent in dependents[name]:
-                indegree[dependent] -= 1
-                if indegree[dependent] == 0:
-                    ready.append(dependent)
-        if len(order) != len(self.phases):
-            stuck = sorted(n for n, d in indegree.items() if d > 0)
-            raise PlanError(f"plan has a dependency cycle through {stuck}")
-        return order
-
-    def topological_order(self) -> List[PhaseSpec]:
-        """Phases in a deterministic dependency-respecting order."""
-        return list(self._order)
-
-    def phase(self, name: str) -> PhaseSpec:
-        """The spec named ``name`` (KeyError if absent)."""
-        for phase in self.phases:
-            if phase.name == name:
-                return phase
-        raise KeyError(name)
+            if phase.name in seen:
+                raise PlanError(f"duplicate phase name {phase.name!r}")
+            seen.add(phase.name)
 
     def __iter__(self):
-        return iter(self._order)
+        return iter(self.phases)
 
     def __len__(self) -> int:
         return len(self.phases)

@@ -159,7 +159,8 @@ class ServedQuery:
     request: QueryRequest
     #: the solo-priced phase costs the scheduler stretches.
     phases: List[PhaseCost]
-    #: dependency-aware solo makespan (contention-free latency).
+    #: solo makespan: the in-order sum of the phases' seconds
+    #: (contention-free latency).
     solo_seconds: float
     cache_hit: bool = False
     #: the plan-cache entry this query was priced from — shared with

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, TypeVar
 
 from repro.costmodel.access import Stream, seq_stream
-from repro.costmodel.calibration import Calibration
 from repro.costmodel.model import CostModel
 from repro.faults.runtime import active_plan
 from repro.hardware.memory import MemoryKind
@@ -135,17 +134,6 @@ class TransferMethod:
     ) -> List[Stream]:
         """Extra traffic on other resources caused by the transfer."""
         return []
-
-    def pipeline_overlap_factor(self, calibration: Calibration) -> float:
-        """Makespan multiplier for transfer/compute overlap.
-
-        Pull methods read data from inside the kernel — the transfer *is*
-        the computation's memory access, so there is no fill/drain cost.
-        Push methods pay one chunk of pipeline fill.
-        """
-        if self.semantics == "pull":
-            return 1.0
-        return 1.0 + 1.0 / calibration.pipeline_chunks
 
     def __repr__(self) -> str:
         return f"<TransferMethod {self.name}>"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.memory import MemoryKind, MemoryRegion
+from repro.hardware.memory import MemoryRegion
 from repro.hardware.specs import DDR4_POWER9, HBM2_V100
 
 
@@ -42,21 +42,6 @@ class TestReserveRelease:
         assert region.free_bytes == 0
         with pytest.raises(MemoryError):
             region.reserve(1)
-
-
-class TestMemoryKind:
-    def test_pageable_only_reachable_via_coherence(self):
-        assert MemoryKind.PAGEABLE.gpu_accessible_over == frozenset({"coherence"})
-
-    def test_pinned_supports_zero_copy_and_dma(self):
-        paths = MemoryKind.PINNED.gpu_accessible_over
-        assert "zero_copy" in paths and "dma" in paths
-
-    def test_unified_supports_migration(self):
-        assert "page_migration" in MemoryKind.UNIFIED.gpu_accessible_over
-
-    def test_device_is_local_only(self):
-        assert MemoryKind.DEVICE.gpu_accessible_over == frozenset({"local"})
 
 
 def test_str_mentions_owner():

@@ -1,14 +1,13 @@
-"""Property tests for the plan executor and the Plan DAG validator.
+"""Property tests for the plan executor and the Plan sequence validator.
 
 Invariants:
 
-* the dependency-aware makespan of any plan is bounded below by its
-  longest single phase and above by the serial sum of all phases;
+* a plan's makespan is the running sum of its phase seconds in declared
+  order, and its outcomes come back in that order;
 * adding chunks to a chunked phase never makes it slower (with zero
   per-chunk overhead), and the chunked phase is never faster than the
   un-overlapped base stage;
-* the DAG validator rejects cycles, dangling dependencies, duplicate
-  names, and self-dependencies;
+* the validator rejects empty plans and duplicate names;
 * ``bound`` never exceeds the makespan, is exact where no overhead,
   overlap or contention applies, and rejects what ``execute`` rejects.
 """
@@ -41,78 +40,44 @@ def _executor() -> PlanExecutor:
     return PlanExecutor(CostModel(ibm_ac922()))
 
 
-def _fixed(name, seconds, deps=(), claims=()):
-    return fixed_phase(
-        name, PhaseCost(seconds, "(none)", {}), deps=deps, claims=claims
-    )
+def _fixed(name, seconds):
+    return fixed_phase(name, PhaseCost(seconds, "(none)", {}))
+
+
+def _check_sequence(plan):
+    """The sequence invariants: outcomes come back in declared order,
+    the makespan is the left-to-right running sum of their seconds, and
+    ``bound`` stays at or under it."""
+    executor = _executor()
+    result = executor.execute(plan)
+    assert list(result.outcomes) == [p.name for p in plan.phases]
+    total = 0.0  # a left fold: sum() compensates on Python >= 3.12
+    for outcome in result.outcomes.values():
+        total += outcome.seconds
+    assert result.makespan == total
+    assert executor.bound(plan) <= result.makespan
+    return result
 
 
 class TestMakespanBounds:
-    @given(data=st.data())
+    @given(
+        seconds=st.lists(
+            st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=6,
+        )
+    )
     @settings(max_examples=60, deadline=None)
-    def test_bounded_by_max_and_sum(self, data):
-        n = data.draw(st.integers(1, 6), label="phases")
-        seconds = [
-            data.draw(
-                st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
-                label=f"seconds[{i}]",
-            )
-            for i in range(n)
-        ]
-        phases = []
-        for i in range(n):
-            dep_idx = (
-                data.draw(
-                    st.sets(st.integers(0, i - 1)), label=f"deps[{i}]"
-                )
-                if i
-                else set()
-            )
-            claims = tuple(
-                data.draw(
-                    st.sets(st.sampled_from(["a", "b"])), label=f"claims[{i}]"
-                )
-            )
-            phases.append(
-                _fixed(
-                    f"p{i}",
-                    seconds[i],
-                    deps=tuple(f"p{d}" for d in sorted(dep_idx)),
-                    claims=claims,
-                )
-            )
-        result = _executor().execute(Plan(phases))
-        lo, hi = max(seconds), sum(seconds)
-        assert result.makespan >= lo - 1e-12 * max(1.0, lo)
-        assert result.makespan <= hi + 1e-12 * max(1.0, hi)
-
-    def test_independent_phases_overlap(self):
-        """Two claim-disjoint phases run concurrently in the makespan."""
-        plan = Plan([
-            _fixed("a", 3.0, claims=("cpu0",)),
-            _fixed("b", 2.0, claims=("gpu0",)),
-        ])
-        result = _executor().execute(plan)
-        assert math.isclose(result.makespan, 3.0)
-        assert math.isclose(result.total_seconds, 5.0)
-
-    def test_exclusive_claims_serialize(self):
-        """Phases claiming the same resource cannot overlap."""
-        plan = Plan([
-            _fixed("a", 3.0, claims=("gpu0",)),
-            _fixed("b", 2.0, claims=("gpu0",)),
-        ])
-        result = _executor().execute(plan)
-        assert math.isclose(result.makespan, 5.0)
+    def test_bounded_by_max_and_sum(self, seconds):
+        plan = Plan([_fixed(f"p{i}", s) for i, s in enumerate(seconds)])
+        result = _check_sequence(plan)
+        assert [o.seconds for o in result.outcomes.values()] == seconds
+        assert max(seconds) <= result.makespan
 
     def test_linear_chain_equals_sum(self):
-        plan = Plan([
-            _fixed("a", 1.5),
-            _fixed("b", 2.5, deps=("a",)),
-            _fixed("c", 0.5, deps=("b",)),
-        ])
+        plan = Plan([_fixed("a", 1.5), _fixed("b", 2.5), _fixed("c", 0.5)])
         result = _executor().execute(plan)
-        assert math.isclose(result.makespan, result.total_seconds)
+        assert result.makespan == 1.5 + 2.5 + 0.5
 
 
 class TestChunkedMonotonicity:
@@ -164,21 +129,6 @@ class TestChunkedMonotonicity:
 
 
 class TestDagValidation:
-    def test_rejects_cycle(self):
-        with pytest.raises(PlanError, match="cycle"):
-            Plan([
-                _fixed("a", 1.0, deps=("b",)),
-                _fixed("b", 1.0, deps=("a",)),
-            ])
-
-    def test_rejects_self_dependency(self):
-        with pytest.raises(PlanError):
-            Plan([_fixed("a", 1.0, deps=("a",))])
-
-    def test_rejects_dangling_dependency(self):
-        with pytest.raises(PlanError, match="unknown"):
-            Plan([_fixed("a", 1.0, deps=("ghost",))])
-
     def test_rejects_duplicate_names(self):
         with pytest.raises(PlanError, match="[Dd]uplicate"):
             Plan([_fixed("a", 1.0), _fixed("a", 2.0)])
@@ -187,56 +137,46 @@ class TestDagValidation:
         with pytest.raises(PlanError):
             Plan([])
 
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_topological_order_respects_deps(self, data):
-        n = data.draw(st.integers(1, 7))
-        phases = []
-        for i in range(n):
-            dep_idx = (
-                data.draw(st.sets(st.integers(0, i - 1))) if i else set()
-            )
-            phases.append(
-                _fixed(f"p{i}", 1.0, deps=tuple(f"p{d}" for d in sorted(dep_idx)))
-            )
-        order = [p.name for p in Plan(phases).topological_order()]
-        position = {name: i for i, name in enumerate(order)}
-        for phase in phases:
-            for dep in phase.deps:
-                assert position[dep] < position[phase.name]
-
 
 class TestBound:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_never_exceeds_makespan(self, data):
-        n = data.draw(st.integers(1, 6), label="phases")
+        """Sequences mixing FIXED and PRICED phases, chunked or not."""
         phases = []
-        for i in range(n):
-            deps = data.draw(st.sets(st.integers(0, i - 1)), label="deps") if i else set()
-            claims = data.draw(st.sets(st.sampled_from(["a", "b"])), label="claims")
-            seconds = data.draw(
-                st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
-                label="seconds",
+        for i in range(data.draw(st.integers(1, 6), label="phases")):
+            if data.draw(st.booleans(), label=f"fixed[{i}]"):
+                seconds = data.draw(
+                    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+                    label=f"seconds[{i}]",
+                )
+                phases.append(_fixed(f"p{i}", seconds))
+                continue
+            profile = AccessProfile(
+                streams=[
+                    seq_stream(
+                        "gpu0",
+                        "cpu0-mem",
+                        data.draw(st.integers(1, 1 << 32), label=f"bytes[{i}]"),
+                        "read",
+                    )
+                ],
+                compute_tuples=1e6,
+                label="probe",
+                processor="gpu0",
             )
+            chunks = data.draw(st.none() | st.integers(1, 64), label=f"chunks[{i}]")
             phases.append(
-                _fixed(
+                priced_phase(
                     f"p{i}",
-                    seconds,
-                    deps=tuple(f"p{d}" for d in sorted(deps)),
-                    claims=tuple(sorted(claims)),
+                    profile,
+                    chunked=None if chunks is None else Chunked(chunks=chunks),
                 )
             )
-        plan = Plan(phases)
-        executor = _executor()
-        assert executor.bound(plan) <= executor.execute(plan).makespan
+        _check_sequence(Plan(phases))
 
     def test_linear_chain_is_exact(self):
-        plan = Plan([
-            _fixed("a", 0.1),
-            _fixed("b", 0.2, deps=("a",)),
-            _fixed("c", 0.3, deps=("b",)),
-        ])
+        plan = Plan([_fixed("a", 0.1), _fixed("b", 0.2), _fixed("c", 0.3)])
         executor = _executor()
         assert executor.bound(plan) == executor.execute(plan).makespan
 
@@ -282,3 +222,18 @@ class TestBound:
             with pytest.raises(ValueError) as bounded:
                 executor.bound(plan)
             assert str(bounded.value) == str(executed.value)
+
+    def test_rejects_negative_or_nan_fixed_seconds(self):
+        """A FIXED phase with NaN or negative seconds is refused by both
+        ``execute`` and ``bound``, naming the phase; ``+inf`` passes."""
+        executor = _executor()
+        for seconds in (float("nan"), -1.0):
+            plan = Plan([_fixed("ok", 1.0), _fixed("bad", seconds)])
+            with pytest.raises(PlanError, match="'bad'") as executed:
+                executor.execute(plan)
+            with pytest.raises(PlanError, match="'bad'") as bounded:
+                executor.bound(plan)
+            assert str(bounded.value) == str(executed.value)
+        endless = Plan([_fixed("ok", 1.0), _fixed("endless", float("inf"))])
+        assert executor.bound(endless) == math.inf
+        assert executor.execute(endless).makespan == math.inf

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench.table01_methods import PAPER
 from repro.costmodel.model import CostModel
 from repro.hardware.memory import MemoryKind
+from repro.plan import ingest
 from repro.transfer.methods import (
     TRANSFER_METHODS,
     UnsupportedTransferError,
@@ -146,10 +148,21 @@ class TestSideEffects:
         assert not get_method("zero_copy").lands_in_gpu_memory()
         assert not get_method("coherence").lands_in_gpu_memory()
 
-    def test_pipeline_factor_push_vs_pull(self, cm):
-        cal = cm.calibration
-        assert get_method("coherence").pipeline_overlap_factor(cal) == 1.0
-        assert get_method("pinned_copy").pipeline_overlap_factor(cal) > 1.0
+    def test_ingest_chunks_exactly_the_push_methods(self, cm):
+        """Push methods overlap transfer and compute through the chunked
+        pipeline the executor applies; pull methods read inside the
+        kernel and get none (Table 1's semantics column)."""
+        for name, (semantics, *_rest) in PAPER.items():
+            spec = ingest(
+                cm,
+                name,
+                "gpu0",
+                "cpu0-mem",
+                GIB,
+                "read",
+                kind=get_method(name).required_kind,
+            )
+            assert (spec.chunked is not None) == (semantics == "push"), name
 
 
 class TestKindEnforcement:
