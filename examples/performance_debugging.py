@@ -15,7 +15,7 @@ import numpy as np
 import repro
 from repro.obs.explain import explain_join
 from repro.core.scheduler.batch import tune_batch_morsels
-from repro.hardware.numa import render_matrix
+from repro.utils.tables import Table
 from repro.workloads.custom import make_join_workload
 
 
@@ -49,9 +49,17 @@ def main() -> None:
     result = join.run(workload.r, workload.s)
     print(explain_join(result))
 
-    # 3. Where should data live? The NUMA picture.
+    # 3. Where should data live? The NUMA picture: hops from every
+    #    processor to every memory region.
+    memories = sorted(machine.memories)
+    hops = Table(
+        ["processor \\ memory"] + memories,
+        title=f"NUMA hop distances — {machine.name}",
+    )
+    for proc in sorted(machine.processors):
+        hops.add_row([proc] + [str(machine.hops(proc, mem)) for mem in memories])
     print()
-    print(render_matrix(machine))
+    print(hops.render())
 
     # 4. The GPU batch knob for co-processing.
     gpu_rate = 3e9  # tuples/s, from the probe explanation above

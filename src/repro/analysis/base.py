@@ -1,4 +1,4 @@
-"""Pass base class and the per-module AST context passes operate on."""
+"""Pass base class and the per-module AST context a project is built from."""
 
 from __future__ import annotations
 
@@ -32,14 +32,17 @@ class ModuleContext:
         return ""
 
 
-class AnalysisPass:
-    """Base class: a named rule set scoped to parts of the source tree.
+class ProjectPass:
+    """Base class: an interprocedural pass over a whole :class:`ProjectContext`.
 
     Subclasses set ``name``, ``description`` and ``scope`` (path
-    substrings, POSIX separators) and implement :meth:`check`.  Scoping
-    by substring lets test fixtures opt into a pass by mirroring the
-    directory name (``fixtures/exec/x.py`` is in scope for a pass
-    scoped to ``exec/``).
+    substrings, POSIX separators) and implement :meth:`check_project`;
+    the runner builds one project context per run and invokes every
+    pass exactly once.  A pass analyzes every module it needs and
+    reports only into the paths its ``scope`` covers (:meth:`run_project`
+    filters the rest).  Scoping by substring lets test fixtures opt into
+    a pass by mirroring the directory name (``fixtures/exec/x.py`` is in
+    scope for a pass scoped to ``exec/``).
     """
 
     name: str = ""
@@ -50,54 +53,6 @@ class AnalysisPass:
         if not self.scope:
             return True
         return any(fragment in posix_path for fragment in self.scope)
-
-    def run(self, ctx: ModuleContext) -> List[Finding]:
-        if not self.in_scope(ctx.posix_path):
-            return []
-        findings: List[Finding] = []
-        seen = set()
-        for finding in self.check(ctx):
-            key = (finding.line, finding.message)
-            if key in seen:
-                continue  # e.g. two nodes of one expression, same diagnosis
-            seen.add(key)
-            findings.append(finding)
-        return findings
-
-    def check(self, ctx: ModuleContext) -> Sequence[Finding]:
-        raise NotImplementedError
-
-    def finding(
-        self, ctx: ModuleContext, node: ast.AST, message: str
-    ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        column = getattr(node, "col_offset", 0) + 1
-        return Finding(
-            rule=self.name,
-            path=ctx.posix_path,
-            line=line,
-            column=column,
-            message=message,
-            context=ctx.line_text(line),
-        )
-
-
-class ProjectPass(AnalysisPass):
-    """An interprocedural pass over a whole :class:`ProjectContext`.
-
-    Subclasses implement :meth:`check_project` instead of
-    :meth:`check`; the runner builds one project context per run and
-    invokes every project pass exactly once.  Scoping still applies,
-    but *per finding* — a project pass analyzes every module it needs
-    and reports only into the paths its ``scope`` covers
-    (:meth:`run_project` filters the rest).
-    """
-
-    def run(self, ctx: ModuleContext) -> List[Finding]:
-        return []  # project passes never run per-module
-
-    def check(self, ctx: ModuleContext) -> Sequence[Finding]:
-        return []
 
     def check_project(self, project: "object") -> Sequence[Finding]:
         raise NotImplementedError
@@ -129,17 +84,3 @@ class ProjectPass(AnalysisPass):
             message=message,
             context=context,
         )
-
-
-def dotted_name(node: ast.AST) -> str:
-    """Best-effort dotted rendering of a Name/Attribute chain."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-    else:
-        parts.append("<expr>")
-    return ".".join(reversed(parts))

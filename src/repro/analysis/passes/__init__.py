@@ -4,17 +4,14 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.base import AnalysisPass
-from repro.analysis.passes.executor_boundary import ExecutorBoundaryPass
+from repro.analysis.base import ProjectPass
 from repro.analysis.passes.lock_discipline import LockDisciplinePass
 
-ALL_PASSES: List[AnalysisPass] = [
-    ExecutorBoundaryPass(),
+ALL_PASSES: List[ProjectPass] = [
     LockDisciplinePass(),
 ]
 
 __all__ = [
     "ALL_PASSES",
-    "ExecutorBoundaryPass",
     "LockDisciplinePass",
 ]

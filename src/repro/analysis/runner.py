@@ -1,15 +1,13 @@
 """File discovery and pass orchestration.
 
-Orchestration has three layers:
+Orchestration has two layers:
 
 * **discovery** — walk the given paths for ``.py`` files, pruning
-  cache/VCS directories;
-* **per-module passes** — parse each file once into a
-  :class:`~repro.analysis.base.ModuleContext` and run the classic
-  single-file passes;
-* **project passes** — build one
+  cache/VCS directories, and parse each file once into a
+  :class:`~repro.analysis.base.ModuleContext`;
+* **passes** — build one
   :class:`~repro.analysis.project.ProjectContext` over every parsed
-  module and run the interprocedural passes exactly once per run.
+  module and run each pass exactly once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
-from repro.analysis.base import AnalysisPass, ModuleContext, ProjectPass
+from repro.analysis.base import ModuleContext, ProjectPass
 from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.finding import Finding
 from repro.analysis.passes import ALL_PASSES
@@ -87,13 +85,12 @@ def _syntax_error_finding(path: str, exc: SyntaxError) -> Finding:
 def analyze_source(
     source: str,
     path: str = "<string>",
-    passes: Optional[Sequence[AnalysisPass]] = None,
+    passes: Optional[Sequence[ProjectPass]] = None,
 ) -> List[Finding]:
     """Run passes over one in-memory module (test/fixture entry point).
 
-    Project passes see a single-module project: calls into other
-    modules stay unresolved, which is what single-file fixtures
-    exercise.
+    Passes see a single-module project: calls into other modules stay
+    unresolved, which is what single-file fixtures exercise.
     """
     active = list(ALL_PASSES) if passes is None else list(passes)
     posix = path.replace(os.sep, "/")
@@ -105,27 +102,22 @@ def analyze_source(
 
 
 def _run_passes(
-    active: Sequence[AnalysisPass],
+    active: Sequence[ProjectPass],
     contexts: List[ModuleContext],
     roots: Sequence[str] = (),
 ) -> List[Finding]:
-    """Per-module passes on each module; project passes once over all."""
-    findings: List[Finding] = []
-    project: Optional[ProjectContext] = None
-    for analysis_pass in active:
-        if isinstance(analysis_pass, ProjectPass):
-            if project is None:
-                project = ProjectContext.build(contexts, roots)
-            findings.extend(analysis_pass.run_project(project))
-        else:
-            for ctx in contexts:
-                findings.extend(analysis_pass.run(ctx))
-    return findings
+    """Every pass once over one project built from all modules."""
+    project = ProjectContext.build(contexts, roots)
+    return [
+        finding
+        for analysis_pass in active
+        for finding in analysis_pass.run_project(project)
+    ]
 
 
 def analyze_paths(
     paths: Sequence[str],
-    passes: Optional[Sequence[AnalysisPass]] = None,
+    passes: Optional[Sequence[ProjectPass]] = None,
     baseline: Optional[Baseline] = None,
 ) -> AnalysisReport:
     """Analyze files/trees, apply the baseline, and build a report."""

@@ -48,33 +48,3 @@ class Interconnect:
             return 2.0 * self.spec.seq_bw
         return self.spec.seq_bw
 
-    def random_access_rate(self, parallelism: float) -> float:
-        """Sustainable independent random accesses per second.
-
-        Random accesses are latency-bound: an initiator with ``parallelism``
-        outstanding requests achieves ``parallelism / latency`` accesses/s,
-        capped by the link's measured random-access capability (which
-        reflects the NPU / root-complex queue depths).
-        """
-        if parallelism <= 0:
-            raise ValueError(f"parallelism must be positive, got {parallelism}")
-        latency_bound = parallelism / self.spec.latency
-        return min(latency_bound, self.spec.random_access_rate)
-
-    def random_bandwidth(self, access_bytes: int, parallelism: float) -> float:
-        """Useful bytes/s for random accesses of ``access_bytes`` each.
-
-        An access of up to one coherence packet occupies a single request
-        slot, so byte throughput grows with access size until payload
-        efficiency and the sequential bandwidth cap take over.
-        """
-        rate = self.random_access_rate(parallelism)
-        per_access = min(access_bytes, self.spec.payload_bytes)
-        raw = rate * per_access
-        return min(raw, self.spec.seq_bw * self.spec.packet_efficiency(access_bytes))
-
-    def transfer_time(self, nbytes: float) -> float:
-        """Latency + streaming time for one bulk transfer of ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError(f"byte count must be non-negative, got {nbytes}")
-        return self.spec.latency + nbytes / self.spec.seq_bw

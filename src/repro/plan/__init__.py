@@ -9,7 +9,7 @@ operators emit a phase sequence; they do not re-implement the runtime.
 
 from repro.plan.executor import PhaseOutcome, PlanExecutor, PlanResult
 from repro.plan.ingest import IngestSpec, ingest
-from repro.plan.overlap import chunk_sizes, iter_chunks, pipeline_makespan
+from repro.plan.overlap import pipeline_makespan
 from repro.plan.spec import (
     Chunked,
     MorselWorker,
@@ -38,11 +38,9 @@ __all__ = [
     "PlanResult",
     "Surcharge",
     "WorkerLoad",
-    "chunk_sizes",
     "concurrent_phase",
     "fixed_phase",
     "ingest",
-    "iter_chunks",
     "morsel_phase",
     "pipeline_makespan",
     "priced_phase",

@@ -2,7 +2,7 @@
 
 The :class:`PlanExecutor` is the only component that calls
 ``CostModel.phase_cost`` / ``occupancy_per_unit`` on behalf of
-operators (the ``executor-boundary`` analysis pass enforces this).  It
+operators (``tests/test_architecture.py`` enforces this).  It
 walks a plan's phases in declared order and, per phase:
 
 * prices the phase — through the cost model (PRICED), the max-min fair

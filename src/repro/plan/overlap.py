@@ -12,21 +12,7 @@ to every phase carrying a ``chunked=`` attribute.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
-
-
-def chunk_sizes(total_bytes: int, chunks: int) -> List[int]:
-    """Split ``total_bytes`` into ``chunks`` near-equal chunk sizes.
-
-    >>> chunk_sizes(10, 3)
-    [4, 3, 3]
-    """
-    if chunks <= 0:
-        raise ValueError(f"need at least one chunk, got {chunks}")
-    if total_bytes < 0:
-        raise ValueError(f"byte count must be non-negative: {total_bytes}")
-    base, remainder = divmod(total_bytes, chunks)
-    return [base + (1 if i < remainder else 0) for i in range(chunks)]
+from typing import Sequence
 
 
 def pipeline_makespan(
@@ -59,14 +45,3 @@ def pipeline_makespan(
     fill_drain += (len(ties) - 1) * dominant / chunks
     return dominant + fill_drain + chunks * per_chunk_overhead
 
-
-def iter_chunks(length: int, chunk_length: int) -> Iterator[slice]:
-    """Yield slices covering ``range(length)`` in ``chunk_length`` steps.
-
-    The functional layer streams relations through this — the same
-    chunking the push pipelines use.
-    """
-    if chunk_length <= 0:
-        raise ValueError(f"chunk length must be positive: {chunk_length}")
-    for start in range(0, length, chunk_length):
-        yield slice(start, min(start + chunk_length, length))

@@ -82,10 +82,10 @@ any virtual time.  ``tests/serve/test_clock_oracle.py`` checks the
 finish times against an exact-arithmetic twin of this loop.
 
 This module is the only sanctioned driver of ``Simulator.run`` for
-multi-query workloads (enforced by the ``executor-boundary`` analysis
-pass, which also bans driving ``schedule_at``/``cancel_event`` outside
-the sanctioned DES drivers); everything else goes through the
-single-query :class:`~repro.plan.PlanExecutor`.
+multi-query workloads (``tests/test_architecture.py`` confines
+``Simulator`` construction and ``schedule_at``/``cancel_event`` calls
+to it, ``repro.sim`` and ``repro.plan``); everything else goes through
+the single-query :class:`~repro.plan.PlanExecutor`.
 """
 
 from __future__ import annotations

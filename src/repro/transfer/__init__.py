@@ -35,7 +35,6 @@ from repro.transfer.methods import (
     ZeroCopy,
     get_method,
 )
-from repro.plan.overlap import chunk_sizes, pipeline_makespan
 
 __all__ = [
     "TRANSFER_METHODS",
@@ -50,6 +49,4 @@ __all__ = [
     "UnsupportedTransferError",
     "ZeroCopy",
     "get_method",
-    "chunk_sizes",
-    "pipeline_makespan",
 ]

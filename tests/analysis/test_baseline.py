@@ -124,6 +124,6 @@ def test_bad_count_rejected():
 
 
 def test_rule_mismatch_does_not_match():
-    baseline = _baseline([_entry(rule="executor-boundary")])
+    baseline = _baseline([_entry(rule="no-such-rule")])
     report = analyze_paths([BAD_POOL], baseline=baseline)
     assert all(not f.baselined for f in report.findings)

@@ -16,15 +16,10 @@ from repro.analysis.runner import analyze_source
 from tests.analysis.conftest import fixture_path
 
 BAD_FIXTURES = {
-    "executor-boundary": (
-        fixture_path("core", "ops", "bad_direct_pricing.py"),
-        4,
-    ),
     "lock-discipline": (fixture_path("exec", "bad_pool_race.py"), 3),
 }
 
 GOOD_FIXTURES = {
-    "executor-boundary": fixture_path("core", "ops", "good_plan_compile.py"),
     "lock-discipline": fixture_path("exec", "good_locks.py"),
 }
 
@@ -55,7 +50,7 @@ def test_fixture_tree_total_counts():
     by_rule = {}
     for finding in report.findings:
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
-    assert by_rule == {"executor-boundary": 4, "lock-discipline": 4}
+    assert by_rule == {"lock-discipline": 4}
 
 
 def test_scratch_path_is_scanned_like_any_other(tmp_path):
@@ -160,78 +155,6 @@ def test_out_of_scope_module_is_ignored():
     assert [(f.rule, f.line) for f in findings] == [("lock-discipline", 10)]
 
 
-def test_executor_boundary_exempts_pricing_layer():
-    """The executor and the cost model itself may price directly."""
-    source = "def price(model, profile):\n    return model.phase_cost(profile)\n"
-    for exempt_path in (
-        "src/repro/plan/executor.py",
-        "src/repro/costmodel/model.py",
-    ):
-        assert analyze_source(source, path=exempt_path) == []
-    findings = analyze_source(source, path="src/repro/core/join/nopa.py")
-    assert [f.rule for f in findings] == ["executor-boundary"]
-
-
-def test_executor_boundary_bans_hand_built_plans():
-    """Plans are compiler output; only repro.logical/repro.plan build them."""
-    source = "def compile_it(specs):\n    return Plan(specs, label='x')\n"
-    findings = analyze_source(source, path="src/repro/core/join/custom.py")
-    assert [f.rule for f in findings] == ["executor-boundary"]
-    assert "hand-built" in findings[0].message
-    for exempt_path in (
-        "src/repro/logical/lower.py",
-        "src/repro/plan/builders.py",
-    ):
-        assert analyze_source(source, path=exempt_path) == []
-    # Unrelated *Plan classes (FaultPlan, ...) are not plan construction.
-    other = "def make():\n    return FaultPlan(seed=7)\n"
-    assert analyze_source(other, path="src/repro/core/join/custom.py") == []
-
-
-def test_executor_boundary_bans_rogue_simulators():
-    """Only the sanctioned DES drivers construct Simulator; multi-query
-    workloads must share one virtual clock via repro.serve.scheduler."""
-    source = "def drive():\n    sim = Simulator()\n    return sim.run()\n"
-    findings = analyze_source(source, path="src/repro/core/join/custom.py")
-    assert [f.rule for f in findings] == ["executor-boundary"]
-    assert "repro.serve.scheduler" in findings[0].message
-    for exempt_path in (
-        "src/repro/sim/engine.py",
-        "src/repro/serve/scheduler.py",
-        "src/repro/transfer/stream.py",
-        "src/repro/plan/executor.py",
-    ):
-        assert analyze_source(source, path=exempt_path) == []
-    # A service module queuing work for the scheduler must not spin up
-    # a private simulator of its own.
-    findings = analyze_source(source, path="src/repro/serve/service.py")
-    assert [f.rule for f in findings] == ["executor-boundary"]
-
-
-def test_executor_boundary_bans_rogue_des_driving():
-    """schedule_at/cancel_event carry the scheduler's accounted
-    deadline/retry/completion semantics; driving them outside the sanctioned DES
-    drivers races the cancellation path."""
-    source = (
-        "def hijack(sim, event):\n"
-        "    sim.cancel_event(event)\n"
-        "    return sim.schedule_at(1.0, lambda s: None)\n"
-    )
-    findings = analyze_source(source, path="src/repro/serve/service.py")
-    assert [f.rule for f in findings] == [
-        "executor-boundary",
-        "executor-boundary",
-    ]
-    assert "cancel_event" in findings[0].message
-    for exempt_path in (
-        "src/repro/sim/engine.py",
-        "src/repro/serve/scheduler.py",
-        "src/repro/transfer/stream.py",
-        "src/repro/plan/executor.py",
-    ):
-        assert analyze_source(source, path=exempt_path) == []
-
-
 def test_syntax_error_becomes_finding():
     findings = analyze_source("def broken(:\n", path="src/repro/core/x.py")
     assert len(findings) == 1
@@ -239,12 +162,8 @@ def test_syntax_error_becomes_finding():
 
 
 def test_rule_registry_is_stable():
-    assert [p.name for p in ALL_PASSES] == [
-        "executor-boundary",
-        "lock-discipline",
-    ]
+    assert [p.name for p in ALL_PASSES] == ["lock-discipline"]
     for p in ALL_PASSES:
         assert p.description
-        # Every pass constrains where it applies: an inclusion scope,
-        # or (executor-boundary) repo-wide with an exemption list.
-        assert p.scope or getattr(p, "exempt", ())
+        # Every pass constrains where it applies.
+        assert p.scope

@@ -1,10 +1,10 @@
 """Tier-1 gate: the shipped source tree passes its own static analysis.
 
-This is the one place the analyzer runs: operator code may not price
-phases, build plans or drive the simulator behind the plan executor's
-back (``executor-boundary``), and lock-guarded state may not be touched
-lock-free or locked in a cycle (``lock-discipline``) without either a
-fix or a justified baseline entry.  One module-scoped scan of ``src/``
+This is the one place the analyzer runs: lock-guarded state may not be
+touched lock-free or locked in a cycle (``lock-discipline``) without
+either a fix or a justified baseline entry.  Layering rules — who may
+price phases, build plans or drive the simulator — are checked by
+``tests/test_architecture.py``.  One module-scoped scan of ``src/``
 serves every test here.
 """
 

@@ -1,13 +1,9 @@
 """The one pricing loop every figure runs: ``price_series`` over a join's
 ``(r, s)`` and over the Q6 scan's ``(lineitem,)``."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import repro.bench
 from repro.bench.common import Series, price_series
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
@@ -135,54 +131,3 @@ def test_column_table_rejects_bad_shapes(columns, modeled_rows, match):
     with pytest.raises(ValueError, match=match):
         ColumnTable("lineitem", columns, modeled_rows)
 
-
-#: the errors of a configuration that cannot run.
-CANNOT_RUN = ("OutOfMemoryError", "UnsupportedTransferError")
-
-
-def _pricing_rule_uses(tree):
-    """(line, rule) for each use of what only ``bench/common.py`` may do:
-    read a method's Table-1 kind, place an input, or catch a
-    :data:`CANNOT_RUN` error."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "required_kind":
-            yield node.lineno, "required_kind"
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "placed"
-        ):
-            yield node.lineno, ".placed("
-        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-            for name in ast.walk(node.type):
-                caught = getattr(name, "id", getattr(name, "attr", None))
-                if caught in CANNOT_RUN:
-                    yield node.lineno, f"except {caught}"
-
-
-def test_only_common_places_inputs_or_drops_configurations():
-    """Every figure prices through ``price_series``: no other bench
-    module re-allocates inputs for a transfer method or swallows the
-    errors of a configuration that cannot run."""
-    offenders = [
-        f"{path.name}:{line}: {what}"
-        for path in sorted(Path(repro.bench.__file__).parent.glob("*.py"))
-        if path.name != "common.py"
-        for line, what in _pricing_rule_uses(ast.parse(path.read_text()))
-    ]
-    assert offenders == []
-
-
-def test_pricing_rule_check_sees_each_rule():
-    source = (
-        "kind = get_method(m).required_kind\n"
-        "wl = wl.placed('cpu0-mem', kind)\n"
-        "try:\n    pass\nexcept (errors.OutOfMemoryError, ValueError):\n    pass\n"
-        "try:\n    pass\nexcept UnsupportedTransferError:\n    pass\n"
-    )
-    assert [what for _line, what in sorted(_pricing_rule_uses(ast.parse(source)))] == [
-        "required_kind",
-        ".placed(",
-        "except OutOfMemoryError",
-        "except UnsupportedTransferError",
-    ]

@@ -14,10 +14,8 @@ therefore run the pool's two loops: in-line (one worker, the calling
 thread) and threaded.
 """
 
-import re
 import threading
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,8 +32,6 @@ from repro.memory.allocator import Allocator
 from repro.memory.hybrid import allocate_hybrid, allocate_interleaved
 from repro.transfer.methods import TRANSFER_METHODS
 from repro.utils.units import MIB
-
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 ROWS = 1024
 MORSEL = 64
@@ -177,17 +173,3 @@ def test_every_transfer_method_applies_bandwidth_factor(method):
         "DegradeLink rules cannot slow it"
     )
 
-
-def test_raw_ingest_bandwidth_is_called_only_inside_transfer():
-    """Outside ``transfer/`` the pricing layer calls
-    ``effective_ingest_bandwidth``, the choke point where DegradeLink
-    faults apply; a raw ``ingest_bandwidth(`` call bypasses it."""
-    raw_call = re.compile(r"(?<!effective_)\bingest_bandwidth\(")
-    offenders = [
-        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
-        for path in sorted(SRC.rglob("*.py"))
-        if "transfer" not in path.relative_to(SRC).parts
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if raw_call.search(line)
-    ]
-    assert offenders == [], "\n".join(offenders)

@@ -3,18 +3,13 @@
 import pytest
 
 from repro.hardware.interconnect import Interconnect
-from repro.hardware.specs import NVLINK2, PCIE3
+from repro.hardware.specs import NVLINK2
 from repro.utils.units import GIB
 
 
 @pytest.fixture
 def nvlink():
     return Interconnect(spec=NVLINK2, endpoint_a="cpu0", endpoint_b="gpu0")
-
-
-@pytest.fixture
-def pcie():
-    return Interconnect(spec=PCIE3, endpoint_a="cpu0", endpoint_b="gpu0")
 
 
 class TestBasics:
@@ -32,45 +27,3 @@ class TestBasics:
     def test_duplex_doubles_bandwidth(self, nvlink):
         assert nvlink.duplex_bandwidth() == 2 * 63 * GIB
 
-
-class TestRandomAccess:
-    def test_latency_bound_with_low_parallelism(self, nvlink):
-        # One outstanding request: rate = 1 / latency.
-        rate = nvlink.random_access_rate(parallelism=1)
-        assert rate == pytest.approx(1 / NVLINK2.latency)
-
-    def test_capped_by_link_capability(self, nvlink):
-        rate = nvlink.random_access_rate(parallelism=1e9)
-        assert rate == NVLINK2.random_access_rate
-
-    def test_nonpositive_parallelism_raises(self, nvlink):
-        with pytest.raises(ValueError):
-            nvlink.random_access_rate(0)
-
-    def test_random_bandwidth_grows_with_access_size(self, nvlink):
-        small = nvlink.random_bandwidth(4, parallelism=1e9)
-        large = nvlink.random_bandwidth(128, parallelism=1e9)
-        assert large > small
-
-    def test_random_bandwidth_never_exceeds_sequential(self, nvlink):
-        bw = nvlink.random_bandwidth(1 << 20, parallelism=1e12)
-        assert bw <= nvlink.sequential_bandwidth()
-
-    def test_pcie_random_far_below_nvlink(self, nvlink, pcie):
-        p = pcie.random_bandwidth(4, parallelism=1e9)
-        n = nvlink.random_bandwidth(4, parallelism=1e9)
-        assert n / p == pytest.approx(14.0, rel=0.05)
-
-
-class TestTransferTime:
-    def test_includes_latency(self, nvlink):
-        assert nvlink.transfer_time(0) == NVLINK2.latency
-
-    def test_scales_with_bytes(self, nvlink):
-        t1 = nvlink.transfer_time(GIB)
-        t2 = nvlink.transfer_time(2 * GIB)
-        assert t2 - t1 == pytest.approx(GIB / NVLINK2.seq_bw)
-
-    def test_negative_bytes_raise(self, nvlink):
-        with pytest.raises(ValueError):
-            nvlink.transfer_time(-1)

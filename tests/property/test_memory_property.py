@@ -9,7 +9,6 @@ from repro.hardware.topology import ibm_ac922
 from repro.memory.address_space import AddressSpace
 from repro.memory.allocator import Allocator, OutOfMemoryError
 from repro.memory.hybrid import allocate_hybrid
-from repro.memory.pages import UnifiedSpace, expected_fault_rate_uniform
 from repro.utils.units import GIB
 
 
@@ -73,33 +72,6 @@ class TestHybridAllocationProperties:
         )
         assert machine.memory("gpu0-mem").free_bytes >= reserve_gib * GIB
         allocation.free(allocator)
-
-
-class TestUnifiedSpaceProperties:
-    @given(
-        total=st.integers(2, 60),
-        resident=st.integers(1, 60),
-        trace=st.lists(st.integers(0, 59), min_size=1, max_size=300),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_invariants_hold_for_any_trace(self, total, resident, trace):
-        trace = [page % total for page in trace]
-        space = UnifiedSpace(total, resident)
-        stats = space.access_trace(trace)
-        assert stats.accesses == len(trace)
-        assert 0 <= stats.faults <= len(trace)
-        # Distinct pages touched is a lower bound on faults.
-        assert stats.faults >= min(len(set(trace)), 1)
-        # Residency never exceeds the frame budget.
-        assert space.resident_count <= min(resident, total)
-        # Evictions can't exceed faults.
-        assert stats.evictions <= stats.faults
-
-    @given(total=st.integers(1, 1000), resident=st.integers(1, 1000))
-    @settings(max_examples=50, deadline=None)
-    def test_expected_fault_rate_bounds(self, total, resident):
-        rate = expected_fault_rate_uniform(total, resident)
-        assert 0.0 <= rate < 1.0
 
 
 class TestPayloadLineFractionProperty:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scheduler.morsel import MorselDispatcher
-from repro.plan.overlap import chunk_sizes, pipeline_makespan
+from repro.plan.overlap import pipeline_makespan
 from repro.sim.engine import Simulator
 from repro.sim.resources import solve_concurrent_rates
 
@@ -83,14 +83,6 @@ class TestSolverProperties:
 
 
 class TestPipelineProperties:
-    @given(total=st.integers(0, 10**9), chunks=st.integers(1, 256))
-    @settings(max_examples=60, deadline=None)
-    def test_chunks_partition_total(self, total, chunks):
-        sizes = chunk_sizes(total, chunks)
-        assert sum(sizes) == total
-        assert len(sizes) == chunks
-        assert max(sizes) - min(sizes) <= 1
-
     @given(
         stages=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=4),
         chunks=st.integers(1, 64),

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro import workloads
-from repro.memory import pages
 
 #: executed fraction for the join workloads; the seed stays its default.
 SCALE = 2.0**-14
@@ -42,17 +41,15 @@ GENERATORS = {
     ),
     "lineitem_q6": lambda: _q6_columns(workloads.lineitem_q6(1.0)),
     "zipf_ranks": lambda: [workloads.zipf_ranks(1000, 1.25, 4096)],
-    "uniform_random_trace": lambda: [pages.uniform_random_trace(64, 4096)],
 }
 
 
 def _seeded_functions():
-    for module in (workloads, pages):
-        for name, obj in vars(module).items():
-            if inspect.isfunction(obj) and {"seed", "rng"} & set(
-                inspect.signature(obj).parameters
-            ):
-                yield name
+    for name, obj in vars(workloads).items():
+        if inspect.isfunction(obj) and {"seed", "rng"} & set(
+            inspect.signature(obj).parameters
+        ):
+            yield name
 
 
 def test_every_seeded_generator_is_covered():
