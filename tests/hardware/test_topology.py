@@ -18,6 +18,13 @@ class TestAc922:
         assert ibm.hops("gpu0", "cpu1-mem") == 2
         assert ibm.hops("gpu0", "gpu1-mem") == 3
 
+    def test_gpu1_hop_counts_mirror_figure4a(self, ibm):
+        # GPU1 sits on the other socket: its paths mirror GPU0's.
+        assert ibm.hops("gpu1", "gpu1-mem") == 0
+        assert ibm.hops("gpu1", "cpu1-mem") == 1
+        assert ibm.hops("gpu1", "cpu0-mem") == 2
+        assert ibm.hops("gpu1", "gpu0-mem") == 3
+
     def test_gpu_link_is_nvlink(self, ibm):
         assert ibm.gpu_link("gpu0").spec.name == "nvlink2"
 
@@ -90,6 +97,10 @@ class TestRouting:
     def test_cpu_memories_by_distance(self, ibm):
         ordered = [m.name for m in ibm.cpu_memories_by_distance("gpu0")]
         assert ordered == ["cpu0-mem", "cpu1-mem"]
+
+    def test_cpu_memories_by_distance_from_gpu1(self, ibm):
+        ordered = [m.name for m in ibm.cpu_memories_by_distance("gpu1")]
+        assert ordered == ["cpu1-mem", "cpu0-mem"]
 
 
 class TestConstruction:
